@@ -67,7 +67,12 @@ from .ratfun import (
     evaluate_factorlist,
     evaluate_rational,
     evaluate_real,
+    exact_real_value,
     factor_list,
+    factored_convergence,
+    factored_log_expansion,
+    factored_zeros_poles,
+    first_non_positive,
     format_product_term,
     integer_zeros_poles,
     log_expansion,

@@ -28,7 +28,7 @@ from .evaluator import (
     evaluate_direct,
     evaluate_product,
 )
-from .ratfun import ParseError, convergence_check, parse_product_term, to_rational_function
+from .ratfun import ParseError, factored_convergence, parse_product_term
 from .sequences import SequenceError, parse_seq_spec, theta_at
 
 EXIT_OK = 0
@@ -43,8 +43,6 @@ class CliConfig:
     tol: float = 1e-9
     cache_dir: str | None = None
     format: str = "text"
-    j_max: int = 16
-    n_max: int = 1_000_000
 
 
 def _config_path() -> Path | None:
@@ -63,7 +61,7 @@ def load_config() -> CliConfig:
             data = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError):
             return cfg
-        for key in ("tol", "cache_dir", "format", "j_max", "n_max"):
+        for key in ("tol", "cache_dir", "format"):
             if key in data:
                 setattr(cfg, key, data[key])
     if cfg.tol <= 0:
@@ -132,7 +130,7 @@ def _cmd_sum(args) -> int:
 
 def _cmd_check(args) -> int:
     term = parse_product_term(args.term)
-    verdict = convergence_check(to_rational_function(term), args.mode)
+    verdict = factored_convergence(term, args.mode)
     payload = {"command": "check", "term": args.term, "mode": args.mode,
                "ok": verdict.ok, "reason": verdict.reason}
     rows = [{"term": args.term, "mode": args.mode, "ok": verdict.ok,

@@ -155,6 +155,15 @@ def _binom_fractions(s: int, i_max: int) -> list[Fraction]:
     return out
 
 
+def _moment_bound(q: int, i: int) -> float:
+    """Bound on q^-i |c_i|: |c_i| <= (q-1)^(i+1), so ((q-1)/q)^i (q-1).
+
+    Formed from the ratio so that it stays inside binary64 range where
+    q^-i alone underflows and (q-1)^(i+1) alone overflows.
+    """
+    return ((q - 1) / q) ** i * (q - 1)
+
+
 def _ladder_level(seq: MultiplicativeSequence, s: int, cache: DirichletCache,
                   errs: dict[int, float]) -> mp.mpf:
     """One functional-equation step; F(s+i) values must already be memoized."""
@@ -184,7 +193,7 @@ def _ladder_level(seq: MultiplicativeSequence, s: int, cache: DirichletCache,
             total += coef * fv
             err_acc += abs(float(coef * qs)) / denom_f * ferr
         bound = abs(float(mp.mpf(binom.numerator) / binom.denominator)) \
-            * q**(-i) * (q - 1) ** (i + 1) * zbound
+            * _moment_bound(q, i) * zbound
         if i > peak and bound * float(qs) / denom_f < _MP_EPS / 10.0:
             break
         if i > _I_CAP:

@@ -1,14 +1,19 @@
 """Certified evaluation of sign-weighted infinite products of rational terms.
 
-For a product term R with exponents delta_n the evaluator writes
+``check_product`` decides every precondition of a product exactly from
+the term's factors (see ``ratfun``): zeros and poles, the convergence
+criteria, and positivity of R(n) for every n >= start.  For a product
+term R with exponents delta_n the evaluator then writes
 
     log P = head + sum_j beta_j * T_j + sum_n delta_n rho_J(n) + tail,
 
-where beta_j are the exact coefficients of ln R(n) in powers of 1/n,
-T_j is the Dirichlet tail sum_{n>=M} delta_n n^-j, and rho_J is the
-literal difference ln R(n) - sum_j beta_j n^-j.  The head below the
-series cutoff M is multiplied exactly, which keeps the beta_j / T_j
-pairing free of the cancellation that ruins the naive split at n = 1.
+where beta_j are the exact coefficients of ln R(n) in powers of 1/n
+(a closed form in the factors' offsets), T_j is the Dirichlet tail
+sum_{n>=M} delta_n n^-j, and rho_J is the literal difference
+ln R(n) - sum_j beta_j n^-j.  The head below the series cutoff M is
+evaluated exactly, as quotients of integer products, which keeps the
+beta_j / T_j pairing free of the cancellation that ruins the naive split
+at n = 1.
 Theta exponents use theta_n = (1 - delta_n)/2, so the theta logarithm is
 half the difference of the plain and delta logarithms; the plain series
 uses zeta tails from the all-plus ladder rather than the Gamma closed
@@ -32,13 +37,13 @@ from .dirichlet import DirichletCache, EpsUnachievableError, dirichlet_mp, zeta_
 from .ratfun import (
     EvaluationError,
     FactorList,
-    convergence_check,
-    evaluate_factorlist,
     evaluate_real,
+    exact_real_value,
     factor_list,
-    integer_zeros_poles,
-    log_expansion,
-    to_rational_function,
+    factored_convergence,
+    factored_log_expansion,
+    factored_zeros_poles,
+    first_non_positive,
 )
 from .sequences import MultiplicativeSequence, delta_prefix, delta_slice, sign_at
 
@@ -46,7 +51,6 @@ DEFAULT_J = 12
 DEFAULT_N = 20_000
 MAX_J = 16
 MAX_N = 1_000_000
-_POSITIVITY_SPOT_CHECK = 64
 _CHUNK = 1 << 20
 
 
@@ -96,27 +100,26 @@ class EvalResult:
 
 
 def check_product(spec: ProductSpec) -> ProductCheck:
-    """Enforce every ProductSpec invariant, reporting the first violation."""
+    """Enforce every ProductSpec invariant, reporting the first violation.
+
+    Every decision is exact and read off the term's factors; positivity is
+    decided for every n >= start, not sampled.
+    """
     if not spec.seq.nontrivial:
         return ProductCheck(False, "trivial-pattern")
     if spec.start not in (0, 1):
         return ProductCheck(False, "start-out-of-range")
-    R = to_rational_function(spec.term)
-    if R.num.is_zero:
-        return ProductCheck(False, "zero-numerator")
-    offenders = integer_zeros_poles(R, spec.start)
+    offenders = factored_zeros_poles(spec.term, spec.start)
     if offenders:
         return ProductCheck(False, f"zero-or-pole at n={offenders[0]}")
-    verdict = convergence_check(R, spec.mode)
+    verdict = factored_convergence(spec.term, spec.mode)
     if not verdict:
         return ProductCheck(False, verdict.reason)
     if not spec.term.is_real or spec.term.constant <= 0:
         return ProductCheck(False, "non-positive-term")
-    for n in range(spec.start, spec.start + _POSITIVITY_SPOT_CHECK + 1):
-        try:
-            evaluate_real(spec.term, n)
-        except EvaluationError:
-            return ProductCheck(False, f"non-positive-term at n={n}")
+    n = first_non_positive(spec.term, spec.start)
+    if n is not None:
+        return ProductCheck(False, f"non-positive-term at n={n}")
     return ProductCheck(True)
 
 
@@ -166,8 +169,7 @@ def _accel_components(term: FactorList, seq: MultiplicativeSequence, mode: str,
                       J: int, N: int, cache: DirichletCache):
     """Shared machinery: returns delta-part (n>=1), plain part (theta only),
     and the combined error estimate pieces."""
-    R = to_rational_function(term)
-    betas = [b.re for b in log_expansion(R, J)]  # real products only
+    betas = [b.re for b in factored_log_expansion(term, J)]  # real products only
     M = _series_cutoff(term)
     N_eff = max(N, 4 * M)
 
@@ -222,7 +224,7 @@ def _accel_components(term: FactorList, seq: MultiplicativeSequence, mode: str,
     # the literal remainder at the cutoff, evaluated precisely so the tail
     # estimate reflects the analytic decay rather than the float noise floor
     with mp.workdps(40):
-        v = evaluate_factorlist(term, N_eff).re  # positive beyond M
+        v = exact_real_value(term, N_eff)  # positive beyond M
         ln_exact = mp.log(mp.mpf(v.numerator)) - mp.log(mp.mpf(v.denominator))
         series_exact = mp.fsum(
             (mp.mpf(b.numerator) / b.denominator) * mp.mpf(N_eff) ** -j

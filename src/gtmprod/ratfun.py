@@ -1,13 +1,27 @@
-"""Exact rational functions of n and the product-term surface syntax.
-
-Coefficients are Gaussian rationals (pairs of ``fractions.Fraction``), so
-every structural decision -- convergence criteria, integer zero/pole
-detection, series coefficients -- is an exact comparison.  Floating point
-enters only through the ``evaluate_real`` boundary.
+"""Exact product terms in factored form, and the product-term surface syntax.
 
 A product term is carried in factored form: a list of (alpha*n + beta)
 with integer slopes and signed integer exponents, plus a rational
 constant multiplier collected from bare integer factors like ``(2)``.
+Every exact decision the package makes about a term is read off those
+factors, with c_f = beta_f/alpha_f and K the constant:
+
+* zeros and poles are the integers -c_f (``factored_zeros_poles``);
+* convergence needs sum e_f = 0, K * prod alpha_f^e_f = 1 and, for theta
+  exponents, sum e_f c_f = 0 (``factored_convergence``);
+* the sign of R(n) changes only at the roots -c_f, so positivity for
+  every n >= start is decided at finitely many integers
+  (``first_non_positive``);
+* beta_j = (-1)^(j+1)/j * sum_f e_f c_f^j are the coefficients of ln R(n)
+  in powers of 1/n (``factored_log_expansion``);
+* R(n) itself is a quotient of integer products (``exact_real_value``).
+
+Offsets are Gaussian rationals (pairs of ``fractions.Fraction``), so each
+decision is an exact comparison; floating point enters only through the
+``evaluate_real`` boundary.  The dense route -- ``to_rational_function``
+into ``Poly`` numerator and denominator, then ``integer_zeros_poles``,
+``convergence_check`` and ``log_expansion`` -- stays public and serves as
+an independent oracle for the factored decisions.
 """
 
 from __future__ import annotations
@@ -615,6 +629,125 @@ def log_expansion(R: RationalFunction, J: int) -> list[GaussRational]:
     return [log_num[j] - log_den[j] for j in range(1, J + 1)]
 
 
+# ---------------------------------------------------------------------------
+# exact decisions read off the factors; the dense functions above are their
+# oracle in the tests
+# ---------------------------------------------------------------------------
+
+
+def _offset(fac: Factor):
+    """c = beta/alpha, as a Fraction when the offset is real."""
+    if fac.beta.is_real:
+        return fac.beta.re / fac.alpha
+    return fac.beta / fac.alpha
+
+
+def factored_zeros_poles(f: FactorList, n_start: int) -> list[int]:
+    """Integers n >= n_start where a factor of the unreduced term vanishes."""
+    out = set()
+    for fac in f.factors:
+        if fac.beta.is_real:
+            root = -_offset(fac)
+            if root.denominator == 1 and root >= n_start:
+                out.add(int(root))
+    return sorted(out)
+
+
+def factored_convergence(f: FactorList, mode: str) -> ConvergenceVerdict:
+    """The criteria of ``convergence_check``, read off the factors: the
+    exponents sum to 0, K * prod alpha^e = 1, and for theta exponents also
+    sum e * beta/alpha = 0."""
+    if mode not in ("delta", "theta"):
+        raise ValueError(f"mode must be 'delta' or 'theta', got {mode!r}")
+    if sum(fac.exponent for fac in f.factors) != 0:
+        return ConvergenceVerdict(False, "degree")
+    lead = f.constant
+    for fac in f.factors:
+        lead *= Fraction(fac.alpha) ** fac.exponent
+    if lead != 1:
+        return ConvergenceVerdict(False, "leading-coefficient")
+    if mode == "theta":
+        re = sum(Fraction(fac.exponent * fac.beta.re, fac.alpha) for fac in f.factors)
+        im = sum(Fraction(fac.exponent * fac.beta.im, fac.alpha) for fac in f.factors)
+        if re != 0 or im != 0:
+            return ConvergenceVerdict(False, "sum-of-roots")
+    return ConvergenceVerdict(True)
+
+
+def first_non_positive(f: FactorList, n_start: int) -> int | None:
+    """Smallest integer n >= n_start where R(n) is zero, a pole or negative;
+    None when R(n) > 0 for every such n.  Needs real offsets.
+
+    R(n) has the sign of K times (-1)^(sum of e over the factors with
+    n < -beta/alpha), which changes only at the roots.  So the integers
+    that decide it are n_start and the smallest integer >= each root; at
+    an integer root R has a zero or a pole, which fails at once.
+    """
+    if not f.is_real:
+        raise ValueError("positivity is decided for real offsets only")
+    roots = [(-_offset(fac), fac.exponent) for fac in f.factors]
+    candidates = {n_start} | {math.ceil(root) for root, _ in roots if root >= n_start}
+    for n in sorted(candidates):
+        below = 0
+        for root, e in roots:
+            if n == root:
+                return n
+            if n < root:
+                below += e
+        if (below % 2 == 1) == (f.constant > 0):
+            return n
+    return None
+
+
+def factored_log_expansion(f: FactorList, J: int) -> list[GaussRational]:
+    """Exact beta_1..beta_J with ln R(n) = sum_j beta_j n^-j + O(n^-(J+1)).
+
+    Each factor contributes ln(alpha n) + ln(1 + c/n) with c = beta/alpha,
+    so beta_j = (-1)^(j+1)/j * sum_f e_f c_f^j once the delta-mode criteria
+    (required) have cancelled the ln n and constant terms.
+    """
+    if J < 0:
+        raise ValueError("J must be >= 0")
+    verdict = factored_convergence(f, "delta")
+    if not verdict:
+        raise ValueError(f"expansion needs delta-convergent R ({verdict.reason})")
+    merged = {}
+    for fac in f.factors:
+        c = _offset(fac)
+        merged[c] = merged.get(c, 0) + fac.exponent
+    sums = [0] * J
+    for c, e in merged.items():
+        if e == 0 or c == 0:
+            continue
+        power = e
+        for j in range(J):
+            power = power * c
+            sums[j] += power
+    return [GaussRational.of(s * Fraction(-1 if j % 2 else 1, j + 1))
+            for j, s in enumerate(sums)]
+
+
+def exact_real_value(f: FactorList, n: int) -> Fraction:
+    """Exact R(n) for real offsets, as one quotient of integer products;
+    zero factors are errors."""
+    num, den = f.constant.numerator, f.constant.denominator
+    for fac in f.factors:
+        if not fac.beta.is_real:
+            raise ValueError("exact_real_value needs real offsets")
+        b = fac.beta.re
+        v = fac.alpha * n * b.denominator + b.numerator  # (alpha n + beta) * den(beta)
+        if v == 0:
+            raise EvaluationError(f"zero factor ({fac.alpha}n+{fac.beta}) at n={n}")
+        e = fac.exponent
+        if e > 0:
+            num *= v**e
+            den *= b.denominator**e
+        else:
+            num *= b.denominator**-e
+            den *= v**-e
+    return Fraction(num, den)
+
+
 def evaluate_factorlist(f: FactorList, n: int) -> GaussRational:
     """Exact value of the product term at integer n; zero factors are errors."""
     acc = GaussRational(f.constant)
@@ -654,9 +787,13 @@ def evaluate_at(term: Union[FactorList, RationalFunction], n: int) -> GaussRatio
 
 def evaluate_real(f: FactorList, n: int) -> float:
     """Exact evaluation mapped to binary64; must be a positive real."""
-    v = evaluate_factorlist(f, n)
-    if not v.is_real:
-        raise EvaluationError(f"term value at n={n} is not real")
-    if v.re <= 0:
-        raise EvaluationError(f"term value at n={n} is not positive: {v.re}")
-    return float(v.re)
+    if f.is_real:
+        v = exact_real_value(f, n)
+    else:
+        g = evaluate_factorlist(f, n)
+        if not g.is_real:
+            raise EvaluationError(f"term value at n={n} is not real")
+        v = g.re
+    if v <= 0:
+        raise EvaluationError(f"term value at n={n} is not positive: {v}")
+    return float(v)

@@ -84,6 +84,13 @@ class TestLoad:
             load_catalog(path)
         assert "sum-of-roots" in str(err.value)
 
+    def test_late_negative_term_rejected_at_load(self, tmp_path):
+        path = tmp_path / "c.catalog"
+        path.write_text("neg|x|gtm:2:1|delta|1|(2n-201)/(2n-203)|1|x\n")
+        with pytest.raises(CatalogError) as err:
+            load_catalog(path)
+        assert "non-positive-term at n=101" in str(err.value)
+
     def test_bad_rhs_rejected(self, tmp_path):
         path = tmp_path / "c.catalog"
         path.write_text("bad|x|gtm:2:1|delta|0|(2n+1)/(2n+2)|sqrt(|x\n")

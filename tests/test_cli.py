@@ -72,6 +72,12 @@ class TestEval:
                            "--term", "(2n+1)/(2n+2)")
         assert code == 3 and "trivial-pattern" in err
 
+    def test_late_negative_term_rejected_exit_3(self, capsys, cache_env):
+        # -1 at n = 101; rejected at check time, not partway through evaluation
+        code, _, err = run(capsys, "eval", "--seq", "gtm:2:1", "--mode", "delta",
+                           "--from", "1", "--term", "(2n-201)/(2n-203)")
+        assert code == 3 and "non-positive-term at n=101" in err
+
     def test_unachievable_eps_exit_4(self, capsys, cache_env):
         code, _, err = run(capsys, "eval", "--seq", "gtm:2:1", "--mode", "delta",
                            "--term", "(2n+1)/(2n+2)", "--tol", "1e-18")
@@ -152,3 +158,12 @@ class TestUsage:
         monkeypatch.setenv("GTMPROD_CONFIG", str(cfg))
         code, out, _ = run(capsys, "sum", "--seq", "gtm:2:1", "--n", "5")
         assert code == 0 and json.loads(out)["partial_sum"] == -1
+
+    def test_config_file_ignores_retired_keys(self, capsys, cache_env, tmp_path, monkeypatch):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"format": "json", "j_max": 8, "n_max": 1000}))
+        monkeypatch.setenv("GTMPROD_CONFIG", str(cfg))
+        code, out, _ = run(capsys, "eval", "--seq", "gtm:2:1", "--mode", "delta",
+                           "--term", "(2n+1)/(2n+2)")
+        doc = json.loads(out)
+        assert code == 0 and abs(doc["value"] - 0.7071067811865476) < 1e-10

@@ -2,10 +2,12 @@ import math
 import struct
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from gtmprod.dirichlet import (
     DirichletCache,
+    _moment_bound,
     dirichlet_direct,
     dirichlet_mp,
     dirichlet_value,
@@ -76,6 +78,31 @@ class TestLadder:
         dv, derr = dirichlet_direct(seq, 1, 10**7)
         assert 4 * err < 1e-6
         assert abs(float(v) - dv) <= 1e-6 + derr
+
+    @pytest.mark.parametrize("q", range(2, 17))
+    def test_moment_bound_stays_in_range(self, q):
+        # q^-i alone underflows (i = 463 for q = 5) and (q-1)^(i+1) alone
+        # overflows binary64 (q >= 10); the bound itself must do neither
+        for i in (1, 340, 463, 1000):
+            b = _moment_bound(q, i)
+            assert math.isfinite(b) and b > 0, (q, i)
+
+    @pytest.mark.parametrize("q", [10, 13, 16])
+    def test_large_base_matches_plain_sum(self, q):
+        seq = parse_seq_spec(f"gtm:{q}:" + "1" * (q - 1))
+        value, eps = dirichlet_value(seq, 3, cache=DirichletCache())
+        # delta_n = (-1)^(number of nonzero base-q digits of n)
+        N = 1 << 20
+        n = np.arange(1, N + 1)
+        nonzero = np.zeros(N, dtype=np.int64)
+        rest = n.copy()
+        while rest.any():
+            nonzero += rest % q != 0
+            rest //= q
+        signs = 1.0 - 2.0 * (nonzero % 2)
+        plain = math.fsum(signs * n.astype(np.float64) ** -3.0)
+        tail = 1.0 / (2.0 * N * N)  # |sum_{n>N} delta_n n^-3| <= int_N^inf x^-3 dx
+        assert abs(value - plain) <= tail + eps + 1e-15
 
     def test_monotone_under_tighter_internal_caps(self, cache, monkeypatch):
         import gtmprod.dirichlet as dmod

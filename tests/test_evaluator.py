@@ -59,6 +59,18 @@ class TestCheckProduct:
         chk = check_product(ProductSpec(TM, "delta", 0, term))
         assert chk.reason.startswith("zero-or-pole") or "non-positive" in chk.reason
 
+    @pytest.mark.parametrize("start", [0, 1])
+    def test_rejects_late_negative_value(self, start):
+        # positive up to n = 100, -1 at n = 101
+        term = parse_product_term("(2n-201)/(2n-203)")
+        chk = check_product(ProductSpec(TM, "delta", start, term))
+        assert chk.reason == "non-positive-term at n=101"
+
+    def test_rejects_far_negative_value_without_scanning(self):
+        term = parse_product_term("(2n-2000000000001)/(2n-2000000000003)")
+        chk = check_product(ProductSpec(TM, "delta", 1, term))
+        assert chk.reason == "non-positive-term at n=1000000000001"
+
     def test_rejects_degree_mismatch(self):
         term = parse_product_term("((n+1)(n+2))/(n+3)")
         assert check_product(ProductSpec(TM, "delta", 0, term)).reason == "degree"
