@@ -147,14 +147,6 @@ def _direct_mp(seq: MultiplicativeSequence, s: int) -> tuple[mp.mpf, float]:
     return total, tail + 1e-38
 
 
-def _binom_fractions(s: int, i_max: int) -> list[Fraction]:
-    """C(-s, i) for i = 0..i_max via b_i = b_{i-1} (-s - i + 1)/i, exactly."""
-    out = [Fraction(1)]
-    for i in range(1, i_max + 1):
-        out.append(out[-1] * Fraction(-s - i + 1, i))
-    return out
-
-
 def _moment_bound(q: int, i: int) -> float:
     """Bound on q^-i |c_i|: |c_i| <= (q-1)^(i+1), so ((q-1)/q)^i (q-1).
 

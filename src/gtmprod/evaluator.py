@@ -42,6 +42,7 @@ from .ratfun import (
     factor_list,
     factored_convergence,
     factored_log_expansion,
+    factored_normal_form,
     factored_zeros_poles,
     first_non_positive,
 )
@@ -141,12 +142,7 @@ def _consolidated_offsets(term: FactorList):
     so factors that cancel algebraically vanish before any float work and
     the vector evaluation of ln R(n) carries no cancellation noise.
     """
-    scale = Fraction(term.constant)
-    merged: dict[Fraction, int] = {}
-    for f in term.factors:
-        scale *= Fraction(f.alpha) ** f.exponent
-        c = f.beta.re / f.alpha
-        merged[c] = merged.get(c, 0) + f.exponent
+    scale, merged = factored_normal_form(term)
     offsets = [(float(c), e) for c, e in sorted(merged.items()) if e != 0]
     return math.log(float(scale)) if scale != 1 else 0.0, offsets
 
@@ -420,19 +416,11 @@ def plain_product_log_closed(term: FactorList, start: int) -> float:
     """
     from .gammafn import log_gamma
 
-    if sum(f.exponent for f in term.factors) != 0:
-        raise ValueError("plain product diverges: degree mismatch")
-    lead = Fraction(term.constant)
-    root_sum = Fraction(0)
-    for f in term.factors:
-        if not f.beta.is_real:
-            raise ValueError("closed form needs real offsets")
-        lead *= Fraction(f.alpha) ** f.exponent
-        root_sum += f.exponent * (f.beta.re / f.alpha)
-    if lead != 1:
-        raise ValueError("plain product diverges: leading coefficient mismatch")
-    if root_sum != 0:
-        raise ValueError("plain product diverges: root sum nonzero")
+    if not term.is_real:
+        raise ValueError("closed form needs real offsets")
+    verdict = factored_convergence(term, "theta")  # the plain product's criteria
+    if not verdict:
+        raise ValueError(f"plain product diverges: {verdict.reason}")
     total = 0j
     for f in term.factors:
         c = f.beta.re / f.alpha + start

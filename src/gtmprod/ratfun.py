@@ -6,6 +6,7 @@ constant multiplier collected from bare integer factors like ``(2)``.
 Every exact decision the package makes about a term is read off those
 factors, with c_f = beta_f/alpha_f and K the constant:
 
+* equal offsets merge into K' * prod (n + c)^E (``factored_normal_form``);
 * zeros and poles are the integers -c_f (``factored_zeros_poles``);
 * convergence needs sum e_f = 0, K * prod alpha_f^e_f = 1 and, for theta
   exponents, sum e_f c_f = 0 (``factored_convergence``);
@@ -653,24 +654,31 @@ def factored_zeros_poles(f: FactorList, n_start: int) -> list[int]:
     return sorted(out)
 
 
+def factored_normal_form(f: FactorList) -> tuple[Fraction, dict]:
+    """f as K' * prod (n + c)^E: K' = K * prod alpha^e, and E the summed
+    exponents of the factors with offset c = beta/alpha (sums of 0 kept)."""
+    scale = Fraction(f.constant)
+    merged = {}
+    for fac in f.factors:
+        scale *= Fraction(fac.alpha) ** fac.exponent
+        c = _offset(fac)
+        merged[c] = merged.get(c, 0) + fac.exponent
+    return scale, merged
+
+
 def factored_convergence(f: FactorList, mode: str) -> ConvergenceVerdict:
     """The criteria of ``convergence_check``, read off the factors: the
     exponents sum to 0, K * prod alpha^e = 1, and for theta exponents also
     sum e * beta/alpha = 0."""
     if mode not in ("delta", "theta"):
         raise ValueError(f"mode must be 'delta' or 'theta', got {mode!r}")
-    if sum(fac.exponent for fac in f.factors) != 0:
+    scale, merged = factored_normal_form(f)
+    if sum(merged.values()) != 0:
         return ConvergenceVerdict(False, "degree")
-    lead = f.constant
-    for fac in f.factors:
-        lead *= Fraction(fac.alpha) ** fac.exponent
-    if lead != 1:
+    if scale != 1:
         return ConvergenceVerdict(False, "leading-coefficient")
-    if mode == "theta":
-        re = sum(Fraction(fac.exponent * fac.beta.re, fac.alpha) for fac in f.factors)
-        im = sum(Fraction(fac.exponent * fac.beta.im, fac.alpha) for fac in f.factors)
-        if re != 0 or im != 0:
-            return ConvergenceVerdict(False, "sum-of-roots")
+    if mode == "theta" and not GaussRational.of(sum(e * c for c, e in merged.items())).is_zero:
+        return ConvergenceVerdict(False, "sum-of-roots")
     return ConvergenceVerdict(True)
 
 
@@ -711,10 +719,7 @@ def factored_log_expansion(f: FactorList, J: int) -> list[GaussRational]:
     verdict = factored_convergence(f, "delta")
     if not verdict:
         raise ValueError(f"expansion needs delta-convergent R ({verdict.reason})")
-    merged = {}
-    for fac in f.factors:
-        c = _offset(fac)
-        merged[c] = merged.get(c, 0) + fac.exponent
+    _, merged = factored_normal_form(f)
     sums = [0] * J
     for c, e in merged.items():
         if e == 0 or c == 0:
@@ -786,14 +791,8 @@ def evaluate_at(term: Union[FactorList, RationalFunction], n: int) -> GaussRatio
 
 
 def evaluate_real(f: FactorList, n: int) -> float:
-    """Exact evaluation mapped to binary64; must be a positive real."""
-    if f.is_real:
-        v = exact_real_value(f, n)
-    else:
-        g = evaluate_factorlist(f, n)
-        if not g.is_real:
-            raise EvaluationError(f"term value at n={n} is not real")
-        v = g.re
+    """Exact R(n) of a real term mapped to binary64; must be positive."""
+    v = exact_real_value(f, n)
     if v <= 0:
         raise EvaluationError(f"term value at n={n} is not positive: {v}")
     return float(v)

@@ -23,6 +23,7 @@ from gtmprod.ratfun import (
     factor_list,
     factored_convergence,
     factored_log_expansion,
+    factored_normal_form,
     factored_zeros_poles,
     first_non_positive,
     integer_zeros_poles,
@@ -123,9 +124,26 @@ def test_exact_value_matches_dense(f, n):
         assert evaluate_real(f, n) == float(dense.re)
 
 
+@given(factor_lists(complex_ok=True), st.integers(-12, 40))
+def test_normal_form_reproduces_value(f, n):
+    try:
+        dense = evaluate_factorlist(f, n)
+    except EvaluationError:
+        return  # a factor vanishes at n
+    scale, merged = factored_normal_form(f)
+    value = GaussRational(scale)
+    for c, e in merged.items():
+        x = GaussRational.of(c) + n
+        for _ in range(abs(e)):
+            value = value * x if e > 0 else value / x
+    assert value == dense
+
+
 def test_complex_offsets_rejected_by_real_helpers():
     f = factor_list([(1, GaussRational(Fraction(1), Fraction(1)), 1), (1, 1, -1)])
     with pytest.raises(ValueError):
         first_non_positive(f, 0)
     with pytest.raises(ValueError):
         exact_real_value(f, 0)
+    with pytest.raises(ValueError):
+        evaluate_real(f, 0)
