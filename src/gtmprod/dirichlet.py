@@ -1,20 +1,32 @@
 """Sign-weighted Dirichlet constants F(s) = sum_n delta_n n^-s at integer s.
 
 Splitting the index as n = q*m + k and expanding (qm+k)^-s binomially
-turns strong q-multiplicativity into a downward ladder
+turns strong q-multiplicativity into the functional equation of Allouche
+and Cohen (Bull. LMS 17, 1985)
 
-    F(s) * (1 - c_0 q^-s) = P(s) + q^-s * sum_{i>=1} C(-s,i) q^-i c_i F(s+i)
+    F(s) (q^s - c_0) = q^s P(s) + sum_{i>=1} C(-s,i) q^-i c_i F(s+i)
 
 with c_i = sum_k delta_k k^i and P(s) = sum_{k=1}^{q-1} delta_k k^-s.
-Orders s >= 16 are summed directly (the tail is below N^(1-s)/(s-1));
-lower orders descend one integer at a time.  The same machinery with the
-all-plus pattern supplies zeta(s) for s >= 2.
+Orders s >= S_DIRECT are summed directly (the tail is below
+N^(1-s)/(s-1)).  A miss below S_DIRECT runs one sweep that fills the
+whole ladder of the sequence, from S_DIRECT - 1 down to order 1 (2 for
+the all-plus pattern, which supplies zeta), with the moments c_i, the
+powers q^i and one sign prefix for the direct sums computed once.
 
-The ladder runs in mpmath working precision because its consumers multiply
-F(j) by exactly computed expansion coefficients that grow geometrically;
-binary64 intermediate values would silently lose the product's tail.  The
+The sweep is exact integer fixed point: F(t) is held as an integer X with
+|X 2^-B - F(t)| <= err(t), B = _MP_DPS digits plus _GUARD_BITS.  C(-s,i)
+is an exact integer and q^-i an exact floor division, so each floor
+costs under one unit 2^-B.  err(s) is the sum of those units, the
+propagated sum_i |C(-s,i) c_i| q^-i err(s+i), and the truncation bound of
+_ladder_extent, each over q^s - c_0; reading X back into an mpf at
+_MP_DPS adds one relative rounding.  dirichlet_mp multiplies the result
+by a further safety factor of 4.
+
+Extended precision matters because the consumers multiply F(j) by exactly
+computed expansion coefficients that grow geometrically; binary64
+intermediate values would silently lose the product's tail.  The
 persisted cache stores binary64 (that is its file contract); the extended
-values are memoized per cache object only.
+values are memoized per cache object only, so a fresh cache is cold.
 """
 
 from __future__ import annotations
@@ -24,7 +36,6 @@ import os
 import struct
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
@@ -36,6 +47,9 @@ S_DIRECT = 16
 _MP_DPS = 40
 _MP_EPS = 1e-30
 _I_CAP = 20000
+_GUARD_BITS = 32  # fixed-point bits beyond _MP_DPS digits
+_ZBOUND = 1.7  # |F(sigma)| <= zeta(2) for sigma >= 2
+_ROUND_UP = 1.0 + 2.0**-30  # covers the binary64 rounding of error sums
 
 
 class EpsUnachievableError(ArithmeticError):
@@ -135,18 +149,6 @@ class DirichletCache:
             self._mp[(spec, s)] = (value, err)
 
 
-def _direct_mp(seq: MultiplicativeSequence, s: int) -> tuple[mp.mpf, float]:
-    """Plain summation for s >= S_DIRECT; tail below N^(1-s)/(s-1)."""
-    target = _MP_EPS / 10.0
-    n_terms = max(4, int(math.ceil((10.0 / (target * (s - 1))) ** (1.0 / (s - 1)))))
-    signs = delta_prefix(seq, n_terms + 1)
-    total = mp.mpf(0)
-    for n in range(1, n_terms + 1):
-        total += int(signs[n]) * mp.power(n, -s)
-    tail = float(n_terms) ** (1 - s) / (s - 1)
-    return total, tail + 1e-38
-
-
 def _moment_bound(q: int, i: int) -> float:
     """Bound on q^-i |c_i|: |c_i| <= (q-1)^(i+1), so ((q-1)/q)^i (q-1).
 
@@ -156,91 +158,130 @@ def _moment_bound(q: int, i: int) -> float:
     return ((q - 1) / q) ** i * (q - 1)
 
 
-def _ladder_level(seq: MultiplicativeSequence, s: int, cache: DirichletCache,
-                  errs: dict[int, float]) -> mp.mpf:
-    """One functional-equation step; F(s+i) values must already be memoized."""
-    q = seq.q
-    c0 = power_moments(seq, 0)
-    denom = 1 - mp.mpf(c0) * mp.power(q, -s)
-    denom_f = abs(float(denom))
-    if denom_f < 1e-12:
-        raise EpsUnachievableError(f"functional equation degenerates at s={s}")
-    p_term = mp.mpf(0)
-    for k in range(1, q):
-        p_term += seq.signs[k] * mp.power(k, -s)
-    zbound = 1.7  # |F(sigma)| <= zeta(2) for sigma >= 2
-    total = mp.mpf(0)
-    err_acc = 0.0
-    binom = Fraction(1)
-    i = 0
-    peak = max(1, s * (q - 1) - q)
-    qs = mp.power(q, -s)
+def _ladder_extent(q: int, s: int, denom: int) -> tuple[int, float]:
+    """Last index I of the ladder sum for F(s), and a bound on what follows.
+
+    The i-th term over ``denom`` = q^s - c_0 is at most b_i / denom with
+    b_i = |C(-s,i)| _moment_bound(q, i) _ZBOUND.  Past the peak the ratio
+    r(i) = b_{i+1}/b_i = (s+i)/(i+1) * (q-1)/q is below 1 and falls with i,
+    so the terms after I sum to at most b_I r(I) / (1 - r(I)) / denom.
+    """
+    i = max(1, s * (q - 1) - q)  # the peak; the sum stops only past it
+    binom = math.comb(s + i - 1, i)  # |C(-s,i)|
     while True:
         i += 1
-        binom *= Fraction(-s - i + 1, i)
-        ci = power_moments(seq, i)
-        if ci != 0:
-            coef = mp.mpf(binom.numerator) / binom.denominator * mp.power(q, -i) * ci
-            fv, ferr = _mp_F(seq, s + i, cache, errs)
-            total += coef * fv
-            err_acc += abs(float(coef * qs)) / denom_f * ferr
-        bound = abs(float(mp.mpf(binom.numerator) / binom.denominator)) \
-            * _moment_bound(q, i) * zbound
-        if i > peak and bound * float(qs) / denom_f < _MP_EPS / 10.0:
+        binom = binom * (s + i - 1) // i
+        bound = binom * _moment_bound(q, i) * _ZBOUND / denom
+        if bound < _MP_EPS / 10.0:
             break
         if i > _I_CAP:
             raise EpsUnachievableError(f"ladder series did not converge by i={_I_CAP}")
-    value = (p_term + qs * total) / denom
-    # past the peak the term bounds decay at least geometrically; 8x covers
-    # the remaining tail for every q <= 16
-    trunc = 8.0 * bound * float(qs) / denom_f
-    errs[s] = err_acc + trunc + 1e-36
-    return value
+    r = (s + i) / (i + 1) * (q - 1) / q
+    return i, bound * r / (1.0 - r) * _ROUND_UP
 
 
-def _mp_F(seq: MultiplicativeSequence, s: int, cache: DirichletCache,
-          errs: dict[int, float] | None = None) -> tuple[mp.mpf, float]:
-    """Extended-precision F(s) with a certified error bound."""
-    hit = cache.mp_lookup(seq.spec, s)
-    if hit is not None:
-        return hit
-    if errs is None:
-        errs = {}
-    with mp.workdps(_MP_DPS):
-        if s >= S_DIRECT:
-            value, err = _direct_mp(seq, s)
-        else:
-            value = _ladder_level(seq, s, cache, errs)
-            err = errs[s]
-    cache.mp_store(seq.spec, s, value, err)
-    return value, err
+def _direct_terms(t: int) -> int:
+    """Terms summed directly for F(t), t >= 2: the tail N^(1-t)/(t-1) is below _MP_EPS/10."""
+    target = _MP_EPS / 10.0
+    return max(4, int(math.ceil((10.0 / (target * (t - 1))) ** (1.0 / (t - 1)))))
+
+
+def _direct_fixed(seq: MultiplicativeSequence, orders: range,
+                  bits: int) -> dict[int, tuple[int, float]]:
+    """Fixed-point F(t) by plain summation for each t in ``orders`` (all >= 2).
+
+    Each floor of 2^bits / n^t loses less than one unit (n = 1 is exact);
+    one sign prefix, as long as the lowest order needs, serves every order.
+    """
+    one = 1 << bits
+    signs = delta_prefix(seq, _direct_terms(orders[0]) + 1).tolist()
+    out = {}
+    for t in orders:
+        n_terms = _direct_terms(t)
+        x = sum(signs[n] * (one // n**t) for n in range(1, n_terms + 1))
+        out[t] = (x, math.ldexp(n_terms - 1, -bits) + float(n_terms) ** (1 - t) / (t - 1))
+    return out
+
+
+def _ladder_fixed(seq: MultiplicativeSequence, bits: int) -> dict[int, tuple[int, float]]:
+    """Fixed-point F(t) for every t from the lowest order up to S_DIRECT - 1.
+
+    Orders are computed top down, so every F(t+i) exists when F(t) needs
+    it; orders t + i >= S_DIRECT come from direct sums.
+    """
+    q = seq.q
+    c0 = power_moments(seq, 0)
+    levels = range(S_DIRECT - 1, 0 if seq.nontrivial else 1, -1)
+    extents = {t: _ladder_extent(q, t, q**t - c0) for t in levels}
+    top = max(t + n_terms for t, (n_terms, _) in extents.items())
+    known = _direct_fixed(seq, range(S_DIRECT, top + 1), bits)
+
+    i_max = max(n_terms for n_terms, _ in extents.values())
+    moments = [c0] + [power_moments(seq, i) for i in range(1, i_max + 1)]
+    q_pows = [q**i for i in range(i_max + 1)]
+    moment_sizes = [abs(c) / qi for c, qi in zip(moments, q_pows)]  # |c_i| q^-i
+    one = 1 << bits
+    for t in levels:
+        n_terms, trunc = extents[t]
+        denom = q**t - c0  # > 0: c_0 <= q, with equality only for the all-plus pattern
+        # 2^bits q^t P(t), P(t) = sum_{k=1}^{q-1} delta_k k^-t
+        acc = sum(seq.signs[k] * (one * q**t // k**t) for k in range(1, q))
+        units = q - 2  # floors taken so far (k = 1 is exact)
+        carried = 0.0
+        binom = 1  # C(-t, i)
+        for i in range(1, n_terms + 1):
+            binom = binom * (-t - i + 1) // i
+            if moments[i]:
+                x, e = known[t + i]
+                acc += binom * moments[i] * x // q_pows[i]
+                carried += abs(binom) * moment_sizes[i] * e
+                units += 1
+        # F(t) = (q^t P(t) + sum_i C(-t,i) c_i q^-i F(t+i)) / (q^t - c_0)
+        known[t] = (acc // denom, math.ldexp(1.0 + units / denom, -bits)
+                    + carried * _ROUND_UP / denom + trunc)
+    return {t: known[t] for t in levels}
 
 
 def dirichlet_mp(seq: MultiplicativeSequence, s: int,
                  cache: DirichletCache | None = None) -> tuple[mp.mpf, float]:
-    """F(s) in extended precision (internal engine behind dirichlet_value)."""
+    """F(s) in extended precision (internal engine behind dirichlet_value).
+
+    A miss below S_DIRECT sweeps the whole ladder of the sequence into the
+    cache; a miss at or above it sums F(s) directly.
+    """
     if s < 1:
         raise ValueError("s must be a positive integer")
     if not seq.nontrivial and s < 2:
         raise ValueError("the all-plus pattern needs s >= 2 (zeta pole at s=1)")
     if cache is None:
         cache = DirichletCache()
-    value, err = _mp_F(seq, s, cache)
-    return value, 4.0 * err  # first-order accounting with a x4 safety factor
+    hit = cache.mp_lookup(seq.spec, s)
+    if hit is None:
+        bits = math.ceil(_MP_DPS * math.log2(10)) + _GUARD_BITS
+        if s >= S_DIRECT:
+            fixed = _direct_fixed(seq, range(s, s + 1), bits)
+        else:
+            fixed = _ladder_fixed(seq, bits)
+        with mp.workdps(_MP_DPS):
+            rel = math.ldexp(1.0, 1 - mp.mp.prec)
+            for t, (x, e) in fixed.items():
+                value = mp.mpf((x, -bits))  # one rounding, within rel of x 2^-bits
+                entry = (value, e + abs(float(value)) * rel)
+                cache.mp_store(seq.spec, t, *entry)
+                if t == s:
+                    hit = entry
+    value, err = hit
+    return value, 4.0 * err  # a x4 safety factor over the accounted error
 
 
-_ZETA_SEQS: dict[int, MultiplicativeSequence] = {}
+_ALL_PLUS = make_sequence("gtm", 2, bits="0")
 
 
 def zeta_mp(s: int, cache: DirichletCache | None = None) -> tuple[mp.mpf, float]:
     """zeta(s) for integer s >= 2 through the all-plus ladder."""
     if s < 2:
         raise ValueError("zeta ladder needs s >= 2")
-    seq = _ZETA_SEQS.get(2)
-    if seq is None:
-        seq = make_sequence("gtm", 2, bits="0")
-        _ZETA_SEQS[2] = seq
-    return dirichlet_mp(seq, s, cache)
+    return dirichlet_mp(_ALL_PLUS, s, cache)
 
 
 def dirichlet_value(seq: MultiplicativeSequence, s: int, eps: float = 1e-15,

@@ -1,12 +1,15 @@
 import math
 import struct
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from gtmprod.dirichlet import (
+    _ZBOUND,
     DirichletCache,
+    _ladder_extent,
     _moment_bound,
     dirichlet_direct,
     dirichlet_mp,
@@ -112,6 +115,78 @@ class TestLadder:
         monkeypatch.setattr(dmod, "_MP_DPS", dmod._MP_DPS + 10)
         v2, _ = dirichlet_value(seq, 2, cache=DirichletCache())
         assert abs(v1 - v2) <= eps1
+
+
+class TestSweep:
+    @pytest.mark.parametrize("q", range(2, 17))
+    def test_truncation_covers_remaining_terms(self, q):
+        # the term bounds b_j = C(s+j-1, j) (q-1)^(j+1) q^-j _ZBOUND past the
+        # break index, summed exactly until they fall below 1e-25 of the first of them
+        c0 = power_moments(parse_seq_spec(f"gtm:{q}:" + "1" * (q - 1)), 0)
+        zb = Fraction(_ZBOUND)
+        for s in range(1, 16):
+            denom = q**s - c0
+            stop, trunc = _ladder_extent(q, s, denom)
+
+            def log_b(j):
+                return (math.lgamma(s + j) - math.lgamma(s) - math.lgamma(j + 1)
+                        + (j + 1) * math.log(q - 1) - j * math.log(q))
+
+            last = stop + 1
+            while log_b(last) > log_b(stop + 1) - 25 * math.log(10):
+                last += 1
+            total = sum(math.comb(s + k - 1, k) * (q - 1) ** (k + 1) * q ** (last - k)
+                        for k in range(stop + 1, last + 1))
+            assert Fraction(trunc) * q**last * denom >= zb * total, (q, s)
+
+    @pytest.mark.parametrize("q", range(3, 16, 2))
+    def test_alternating_closed_forms_at_1e30(self, q):
+        # odd q with bits 1010...: delta_n = (-1)^n, so F(s) = -(1 - 2^(1-s)) zeta(s)
+        seq = parse_seq_spec(f"gtm:{q}:" + "10" * ((q - 1) // 2))
+        cache = DirichletCache()
+        with mp.workdps(60):
+            for s in range(1, 16):
+                value, err = dirichlet_mp(seq, s, cache)
+                closed = -mp.log(2) if s == 1 else -(1 - mp.mpf(2) ** (1 - s)) * mp.zeta(s)
+                assert abs(value - closed) <= err, (q, s)
+                assert err <= 1e-27, (q, s)
+
+    def test_zeta_at_1e30(self):
+        cache = DirichletCache()
+        with mp.workdps(60):
+            for s in range(2, 16):
+                value, err = zeta_mp(s, cache)
+                assert abs(value - mp.zeta(s)) <= err, s
+                assert err <= 1e-27, s
+
+    def test_fresh_cache_stays_cold(self):
+        seq = parse_seq_spec("gtm:3:01")
+        first = DirichletCache()
+        dirichlet_mp(seq, 1, first)
+        zeta_mp(2, first)
+        fresh = DirichletCache()
+        for s in range(1, 17):
+            assert fresh.mp_lookup(seq.spec, s) is None, s
+            assert fresh.mp_lookup("gtm:2:0", s) is None, s
+
+    def test_one_moment_call_per_order(self, monkeypatch):
+        import gtmprod.dirichlet as dmod
+        calls = []
+
+        def counted(seq, i):
+            calls.append((seq.spec, i))
+            return power_moments(seq, i)
+
+        monkeypatch.setattr(dmod, "power_moments", counted)
+        cache = DirichletCache()
+        seq = parse_seq_spec("gtm:5:0110")
+        for s in (2, 1, 7, 15, 16, 20):
+            dirichlet_mp(seq, s, cache)
+        zeta_mp(3, cache)
+        zeta_mp(2, cache)
+        assert calls and len(calls) == len(set(calls))
+        # the first miss filled the ladder down to order 1
+        assert all(cache.mp_lookup(seq.spec, s) is not None for s in range(1, 16))
 
 
 class TestCache:
