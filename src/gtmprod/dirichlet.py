@@ -343,7 +343,7 @@ def dirichlet_direct(seq: MultiplicativeSequence, s: int, N: int) -> tuple[float
     powers = n**(-float(s))
     partial = float(np.dot(signs[1:], powers))
     abs_sum = float(powers.sum())
-    delta_next = int(np.sum(delta_prefix(seq, N + 1), dtype=np.int64))
+    delta_next = int(signs.sum())  # exact: an integer below 2^53
     value = partial - delta_next * float(N + 1) ** (-s)
 
     b1, alpha, log_bound = _pattern_delta_bound(seq)

@@ -21,7 +21,11 @@ form, so closed forms remain an independent cross-check.
 
 The baseline evaluator sums terms outright, averages the partial
 log-sums over the final base-q block, and certifies the result from the
-spread of the last few block-boundary partial sums.
+spread of the last few block-boundary partial sums.  Past the roots it
+takes ln R(n) as one log1p per numerator/denominator pair, and its signs
+block by block from one prefix of B = q^m <= 2^17 signs (delta over
+[kB, (k+1)B) is delta_k times delta over [0, B)), so memory is O(B) for
+every N; fl_round bounds the rounding of every sum in the worst case.
 """
 
 from __future__ import annotations
@@ -46,13 +50,12 @@ from .ratfun import (
     factored_zeros_poles,
     first_non_positive,
 )
-from .sequences import MultiplicativeSequence, delta_prefix, delta_slice, sign_at
+from .sequences import MultiplicativeSequence, delta_prefix, sign_at
 
 DEFAULT_J = 12
 DEFAULT_N = 20_000
 MAX_J = 16
 MAX_N = 1_000_000
-_CHUNK = 1 << 20
 
 
 class ProductRejectedError(ValueError):
@@ -212,7 +215,7 @@ def _accel_components(term: FactorList, seq: MultiplicativeSequence, mode: str,
     for bj in reversed(betas):
         series = (series + float(bj)) * x
     rho = ln_r - series
-    weights = delta_slice(seq, M, N_eff + 1).astype(np.float64)
+    weights = delta_prefix(seq, N_eff + 1)[M:].astype(np.float64)
     rho_delta = float(np.dot(weights, rho))
     rho_plain = float(np.sum(rho))
     abs_acc += float(np.abs(rho).sum())
@@ -278,95 +281,108 @@ def evaluate_product(spec: ProductSpec, eps: float = 1e-9,
     return EvalResult(math.exp(log_value), log_value, est, "accel", n_eff, j)
 
 
-_PREFIX_MATERIALIZE_CAP = 1 << 28
+_BLOCK_CAP = 1 << 17
 
 
-def _weights_chunk(seq: MultiplicativeSequence, mode: str, lo: int, hi: int,
-                   prefix: np.ndarray | None = None) -> np.ndarray:
-    if prefix is not None:
-        d = prefix[lo:hi].astype(np.float64)
-    else:
-        d = delta_slice(seq, lo, hi).astype(np.float64)
-    return d if mode == "delta" else 0.5 * (1.0 - d)
+def _top_exponent(q: int, n: int) -> int:
+    """Largest K with q^K <= n (n >= 1), in exact integer arithmetic."""
+    return next(k for k in range(n.bit_length()) if q ** (k + 1) > n)
 
 
-def _weight_at(seq: MultiplicativeSequence, mode: str, n: int) -> float:
-    s = sign_at(seq, n)
-    return float(s) if mode == "delta" else 0.5 * (1 - s)
+def _direct_sums(spec: ProductSpec, K: int):
+    """Partial sums S_m = sum_{start <= n < m} w_n ln R(n): ({m: S_m} for
+    m = q^1..q^K and every block start, the mean of S_(n+1) over [q^(K-1),
+    q^K), fl_round), where fl_round bounds the rounding error of each."""
+    seq, term, start, q = spec.seq, spec.term, spec.start, spec.seq.q
+    n_used, fb_lo = q**K, q ** (K - 1)
+    n_safe = max(start, int(math.floor(term.max_root_magnitude())) + 1)
+    # ln R(n) = sum_i log1p((a_i - b_i)/(n + b_i)); a checked term has K' = 1
+    _, merged = factored_normal_form(term)
+    num = sorted(c for c, e in merged.items() for _ in range(e))
+    den = sorted(c for c, e in merged.items() for _ in range(-e))
+    pairs = [(float(a - b), b) for a, b in zip(num, den)]
+    # delta over [kB, (k+1)B) is delta_k times delta over [0, B)
+    B = q ** min(K - 1, _top_exponent(q, _BLOCK_CAP))  # divides fb_lo
+    base = delta_prefix(seq, B).astype(np.float64)
+    weights = {s: s * base if spec.mode == "delta" else 0.5 - 0.5 * s * base
+               for s in (1, -1)}
+    j_all = np.arange(B, dtype=np.float64)
+    ramps = {s: w * (B - j_all) for s, w in weights.items()}
+    logs, tmp = np.empty(B), np.empty(B)
+    sums: dict[int, float] = {}
+    running = abs_head = mean_acc = 0.0
+    pos = start
+    while pos < n_used:
+        sums[pos] = running
+        k, j0 = divmod(pos, B)
+        lo, hi, s = k * B, (k + 1) * B, sign_at(seq, k)
+        lv, e = logs[j0:], min(max(n_safe, pos), hi)
+        if e > pos:  # exact terms below n_safe
+            try:
+                lv[:e - pos] = [math.log(evaluate_real(term, n)) for n in range(pos, e)]
+            except EvaluationError as exc:
+                raise PositivityError(str(exc)) from None
+            abs_head += float(np.abs(lv[:e - pos]).sum())
+        lv[e - pos:] = 0.0
+        for d, b in pairs:  # n + b = j + (kB + b)
+            x = np.add(j_all[e - lo:], float(lo + b), out=tmp[e - lo:])
+            lv[e - pos:] += np.log1p(np.divide(d, x, out=x), out=x)
+        w = weights[s][j0:]
+        if pos < B:  # chunk 0 holds the boundaries below B
+            cs = running + np.cumsum(w * lv)
+            sums.update((q**i, float(cs[q**i - pos - 1])) for i in range(1, K) if q**i < B)
+            total = float(cs[-1])
+        else:
+            total = running + float(np.einsum("i,i->", w, lv))
+        if pos >= fb_lo:  # sum_{pos<=n<hi} S_(n+1) = (hi-pos) S_pos + sum_n t_n (hi-n)
+            mean_acc += (hi - pos) * running + float(np.einsum("i,i->", ramps[s][j0:], lv))
+        running, pos = total, hi
+    sums[n_used] = running
+
+    # fl_round, with u = 2^-53 and n0 = min(n_safe, q^K).  Terms: each of the
+    # h = n0 - start exact terms rounds R(n) and takes a log good to 4 ulps:
+    # off by <= 2u + 8u |t|.  For a pair, rounding d, kB + b, j + (kB + b) and
+    # the quotient moves x = d/(n + b) by (3 + rho) u |x|, where rho = max(1,
+    # -b/(n0 + b)) covers a negative kB + b (rounded relative to |b|), hence
+    # log1p(x) by (3 + rho) u |d|/(n + m), m = min(a, b); log1p's own 4 ulps
+    # of |log1p(x)| <= |d|/(n + m) add 8u |d|/(n + m), and adding up P pairs
+    # (P - 1) u |d|/(n + m).  As A_i = |d| (1/(n0 + m) + ln((q^K - 1 + m)/(n0
+    # + m))) >= sum_{n0 <= n < q^K} |d|/(n + m), the terms are off by E <= u (2h
+    # + 8 abs_head + sum_i (P + 10 + rho_i) A_i), and A = abs_head + sum_i A_i
+    # >= sum |t_n|.  Sums: each S_m is a tree of additions of depth D <= B +
+    # chunks + 2 (a chunk sum, einsum or cumsum in any order, has depth < B):
+    # off by E + D u A to first order.  The mean adds the final block's term
+    # and ramp-dot errors times B/(q^K - q^(K-1)) <= 1, the products, the
+    # additions and the division: 2E + 5 D u A; a sixth D u A covers O(u^2).
+    n0, u = min(n_safe, n_used), 2.0**-53
+    a_tot, e_bulk = abs_head, 0.0
+    for d, b in pairs if n0 < n_used else ():
+        m = float(b) + min(d, 0.0)
+        a_i = abs(d) * (1.0 / (n0 + m) + math.log((n_used - 1 + m) / (n0 + m)))
+        a_tot += a_i
+        e_bulk += (len(pairs) + 10 + max(1.0, -float(b) / (n0 + float(b)))) * a_i
+    depth_u = (B + n_used // B - start // B + 2) * u
+    fl_round = 2.0 * u * (2 * (n0 - start) + 8 * abs_head + e_bulk) + 6.0 * depth_u * a_tot
+    return sums, mean_acc / (n_used - fb_lo), fl_round
 
 
 def evaluate_direct(spec: ProductSpec, N: int,
                     cache: DirichletCache | None = None) -> EvalResult:
     """Baseline oracle: sum weighted logs to the largest q^K <= N.
 
-    The reported log is the mean of the partial sums over the final block
-    [q^(K-1), q^K); the error estimate scales the spread of the last few
-    block-boundary partial sums by q, the worst-case ratio implied by the
-    n^(log_q(q-1)) growth of the partial sums of the exponents.
-    """
+    The log is the mean of the partial sums over the final block; the
+    estimate is the spread of the last few block-boundary partial sums times
+    q, the worst-case ratio implied by the n^(log_q(q-1)) growth of the
+    partial sums of the exponents, plus fl_round."""
     _require_ok(spec)
-    seq, term, mode, start = spec.seq, spec.term, spec.mode, spec.start
-    q = seq.q
+    q = spec.seq.q
     if N < q * q:
         raise ValueError(f"direct evaluation needs N >= q^2 = {q * q}")
-    K = int(math.floor(math.log(N) / math.log(q) + 1e-12))
-    while q ** (K + 1) <= N:
-        K += 1
-    n_used = q**K
-    n_safe = max(start, int(math.floor(term.max_root_magnitude())) + 1)
-
-    boundaries = [q**k for k in range(1, K + 1)]
-    b_vals: dict[int, float] = {m: 0.0 for m in boundaries if m <= start}
-    pending = [m for m in boundaries if m > start]
-    fb_lo = q ** (K - 1)
-    running = 0.0
-    abs_total = 0.0
-    mean_acc = 0.0
-    mean_cnt = 0
-
-    pos = start
-    while pos < min(n_safe, n_used):
-        if pending and pending[0] == pos:
-            b_vals[pending.pop(0)] = running
-        try:
-            v = evaluate_real(term, pos)
-        except EvaluationError as exc:
-            raise PositivityError(str(exc)) from None
-        t = _weight_at(seq, mode, pos) * math.log(v)
-        running += t
-        abs_total += abs(t)
-        if pos >= fb_lo:
-            mean_acc += running
-            mean_cnt += 1
-        pos += 1
-
-    # materializing the sign prefix beats per-chunk digit extraction
-    prefix = delta_prefix(seq, n_used) if pos < n_used <= _PREFIX_MATERIALIZE_CAP else None
-    while pos < n_used:
-        hi = min(pos + _CHUNK, n_used)
-        n_arr = np.arange(pos, hi, dtype=np.float64)
-        t = _weights_chunk(seq, mode, pos, hi, prefix) * _log_term_vector(term, n_arr)
-        cs = running + np.cumsum(t)
-        while pending and pending[0] <= hi:
-            m = pending.pop(0)
-            b_vals[m] = running if m == pos else float(cs[m - pos - 1])
-        if hi > fb_lo:
-            sel_lo = max(fb_lo, pos)
-            mean_acc += float(cs[sel_lo - pos:].sum())
-            mean_cnt += hi - sel_lo
-        running = float(cs[-1])
-        abs_total += float(np.abs(t).sum())
-        pos = hi
-
-    if pending and pending[0] == n_used:
-        b_vals[pending.pop(0)] = running
-
-    log_value = mean_acc / mean_cnt if mean_cnt else running
-    last = [b_vals[q**k] for k in range(max(1, K - q + 1), K + 1)]
-    spread = (max(last) - min(last)) if len(last) >= 2 else abs(running)
-    fl_round = 4e-16 * abs_total + 1e-14
-    est = 2.0 * q * (spread + abs(running - log_value)) + fl_round
-    return EvalResult(math.exp(log_value), log_value, est, "direct", n_used, 0)
+    K = _top_exponent(q, N)
+    sums, log_value, fl_round = _direct_sums(spec, K)
+    last = [sums[q**k] for k in range(max(1, K - q + 1), K + 1)]
+    est = 2.0 * q * (max(last) - min(last) + abs(sums[q**K] - log_value)) + fl_round
+    return EvalResult(math.exp(log_value), log_value, est, "direct", q**K, 0)
 
 
 @dataclass(frozen=True)

@@ -116,11 +116,6 @@ class GaussRational:
     def to_complex(self) -> complex:
         return complex(self.re, self.im)
 
-    def real_float(self) -> float:
-        if not self.is_real:
-            raise EvaluationError(f"value {self} is not real")
-        return float(self.re)
-
     def magnitude(self) -> float:
         return math.hypot(float(self.re), float(self.im))
 
@@ -577,17 +572,6 @@ def integer_zeros_poles(R: RationalFunction, n_start: int) -> list[int]:
         raise ValueError("numerator is the zero polynomial")
     bad = _integer_roots(R.num) | _integer_roots(R.den)
     return sorted(r for r in bad if r >= n_start)
-
-
-def _series_mul(a: list[GaussRational], b: list[GaussRational], J: int) -> list[GaussRational]:
-    out = [_GR_ZERO] * (J + 1)
-    for i, ai in enumerate(a):
-        if ai.is_zero:
-            continue
-        for j in range(0, J + 1 - i):
-            if not b[j].is_zero:
-                out[i + j] = out[i + j] + ai * b[j]
-    return out
 
 
 def _series_log(f: list[GaussRational], J: int) -> list[GaussRational]:
