@@ -57,15 +57,7 @@ from .ratfun import (
     EvaluationError,
     Factor,
     FactorList,
-    GaussRational,
     ParseError,
-    Poly,
-    Rational,
-    RationalFunction,
-    convergence_check,
-    evaluate_at,
-    evaluate_factorlist,
-    evaluate_rational,
     evaluate_real,
     exact_real_value,
     factor_list,
@@ -74,10 +66,7 @@ from .ratfun import (
     factored_zeros_poles,
     first_non_positive,
     format_product_term,
-    integer_zeros_poles,
-    log_expansion,
     parse_product_term,
-    to_rational_function,
 )
 from .sequences import (
     MultiplicativeSequence,
@@ -85,7 +74,6 @@ from .sequences import (
     SignPattern,
     asymptotic_exponent,
     delta_prefix,
-    delta_slice,
     digit_stats,
     extremal_partial_sums,
     geometric_bound,

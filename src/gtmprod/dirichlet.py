@@ -341,7 +341,7 @@ def dirichlet_direct(seq: MultiplicativeSequence, s: int, N: int) -> tuple[float
     signs = delta_prefix(seq, N + 1).astype(np.float64)
     n = np.arange(1, N + 1, dtype=np.float64)
     powers = n**(-float(s))
-    partial = float(np.dot(signs[1:], powers))
+    partial = float(np.einsum("i,i->", signs[1:], powers))
     abs_sum = float(powers.sum())
     delta_next = int(signs.sum())  # exact: an integer below 2^53
     value = partial - delta_next * float(N + 1) ** (-s)

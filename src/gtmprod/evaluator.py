@@ -119,7 +119,7 @@ def check_product(spec: ProductSpec) -> ProductCheck:
     verdict = factored_convergence(spec.term, spec.mode)
     if not verdict:
         return ProductCheck(False, verdict.reason)
-    if not spec.term.is_real or spec.term.constant <= 0:
+    if spec.term.constant <= 0:
         return ProductCheck(False, "non-positive-term")
     n = first_non_positive(spec.term, spec.start)
     if n is not None:
@@ -168,7 +168,7 @@ def _accel_components(term: FactorList, seq: MultiplicativeSequence, mode: str,
                       J: int, N: int, cache: DirichletCache):
     """Shared machinery: returns delta-part (n>=1), plain part (theta only),
     and the combined error estimate pieces."""
-    betas = [b.re for b in factored_log_expansion(term, J)]  # real products only
+    betas = factored_log_expansion(term, J)
     M = _series_cutoff(term)
     N_eff = max(N, 4 * M)
 
@@ -216,7 +216,7 @@ def _accel_components(term: FactorList, seq: MultiplicativeSequence, mode: str,
         series = (series + float(bj)) * x
     rho = ln_r - series
     weights = delta_prefix(seq, N_eff + 1)[M:].astype(np.float64)
-    rho_delta = float(np.dot(weights, rho))
+    rho_delta = float(np.einsum("i,i->", weights, rho))
     rho_plain = float(np.sum(rho))
     abs_acc += float(np.abs(rho).sum())
 
@@ -432,14 +432,12 @@ def plain_product_log_closed(term: FactorList, start: int) -> float:
     """
     from .gammafn import log_gamma
 
-    if not term.is_real:
-        raise ValueError("closed form needs real offsets")
     verdict = factored_convergence(term, "theta")  # the plain product's criteria
     if not verdict:
         raise ValueError(f"plain product diverges: {verdict.reason}")
     total = 0j
     for f in term.factors:
-        c = f.beta.re / f.alpha + start
+        c = f.beta / f.alpha + start
         if c.denominator == 1 and c <= 0:
             raise ValueError(f"Gamma argument {c} is a nonpositive integer")
         total -= f.exponent * log_gamma(complex(c))
@@ -579,4 +577,4 @@ def telescoping_limit(q: int, a, N: int = 100_000) -> float:
     total = (np.log(q * n + af) + np.log(q * n + af + q)
              - np.log(q * n + q * af) - np.log(q * n + q * af + q))
     signs = 1.0 - 2.0 * (np.arange(0, N + 1) % 2)
-    return math.exp(float(np.dot(signs, total)))
+    return math.exp(float(np.einsum("i,i->", signs, total)))

@@ -13,8 +13,6 @@ import cmath
 import math
 from fractions import Fraction
 
-from .ratfun import GaussRational
-
 _LANCZOS_G = 7.0
 _LANCZOS_C = (
     0.99999999999980993,
@@ -90,16 +88,10 @@ def gamma(z) -> complex:
     return out
 
 
-def _coerce_exact(x) -> GaussRational:
-    if isinstance(x, GaussRational):
-        return x
+def _coerce_exact(x) -> Fraction:
     if isinstance(x, (int, Fraction)):
-        return GaussRational.of(x)
+        return Fraction(x)
     raise TypeError(f"expected exact rational input, got {type(x).__name__}")
-
-
-def _exact_is_nonpositive_integer(x: GaussRational) -> bool:
-    return x.im == 0 and x.re.denominator == 1 and x.re <= 0
 
 
 def log_gamma_product(a_list, b_list) -> complex:
@@ -113,22 +105,17 @@ def log_gamma_product(a_list, b_list) -> complex:
     b = [_coerce_exact(x) for x in b_list]
     if len(a) != len(b):
         raise ValueError("parameter lists must have equal lengths")
-    sa = GaussRational.of(0)
-    sb = GaussRational.of(0)
-    for x in a:
-        sa = sa + x
-    for y in b:
-        sb = sb + y
+    sa, sb = sum(a), sum(b)
     if sa != sb:
         raise ValueError(f"sum mismatch: {sa} != {sb}")
     for x in a + b:
-        if _exact_is_nonpositive_integer(x):
+        if x.denominator == 1 and x <= 0:
             raise GammaDomainError(f"parameter {x} is a nonpositive integer")
     total = 0j
     for y in b:
-        total += log_gamma(y.to_complex())
+        total += log_gamma(complex(y))
     for x in a:
-        total -= log_gamma(x.to_complex())
+        total -= log_gamma(complex(x))
     return total
 
 

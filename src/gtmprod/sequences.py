@@ -263,21 +263,6 @@ def delta_prefix(seq: MultiplicativeSequence, length: int) -> np.ndarray:
     return arr[:length]
 
 
-def delta_slice(seq: MultiplicativeSequence, lo: int, hi: int) -> np.ndarray:
-    """Signs delta_n for n in [lo, hi), computed digit-wise (no big prefix)."""
-    if lo < 0 or hi < lo:
-        raise ValueError("need 0 <= lo <= hi")
-    n = np.arange(lo, hi, dtype=np.int64)
-    out = np.ones(hi - lo, dtype=np.int64)
-    sgn = np.array(seq.signs, dtype=np.int64)
-    q = seq.q
-    p = 1
-    while p <= max(hi - 1, 0):
-        out *= sgn[(n // p) % q]
-        p *= q
-    return out
-
-
 def morphism_prefix(q: int, theta_bits, length: int, cap: int = MORPHISM_PREFIX_CAP) -> list[int]:
     """First ``length`` letters of the substitution fixed point (theta values).
 

@@ -1,23 +1,26 @@
-"""The factored decisions in ratfun against the dense-polynomial oracle.
+"""The factored decisions in ratfun against small brute-force references.
 
 Random factor lists with small slopes and offsets, including repeated,
 cancelling and same-slope paired factors (paired factors make the
-convergence criteria hold often enough to exercise the expansion).
+convergence criteria hold often enough to exercise the expansion).  Each
+reference works from the definition of R(n) = K prod (alpha n + beta)^e:
+an integer scan for zeros and poles, an exact Fraction product for values
+and signs, and R(n) at huge n in mpmath for convergence and the 1/n
+expansion.
 """
 
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from gtmprod.ratfun import (
     EvaluationError,
+    Factor,
     FactorList,
-    GaussRational,
-    convergence_check,
-    evaluate_factorlist,
     evaluate_real,
     exact_real_value,
     factor_list,
@@ -26,22 +29,17 @@ from gtmprod.ratfun import (
     factored_normal_form,
     factored_zeros_poles,
     first_non_positive,
-    integer_zeros_poles,
-    log_expansion,
-    to_rational_function,
 )
 
 offsets = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 2))
-complex_offsets = st.builds(GaussRational, offsets, st.builds(Fraction, st.integers(-3, 3)))
 exponents = st.sampled_from([-2, -1, 1, 2])
 
 
 @st.composite
-def factor_lists(draw, complex_ok=False, balance=None):
+def factor_lists(draw, balance=None):
     """balance: None (anything), 'delta' (paired slopes and exponents, K = 1)
     or 'theta' (as delta, plus a pair that zeroes sum e * beta/alpha)."""
-    beta = st.one_of(offsets, complex_offsets) if complex_ok else offsets
-    base = draw(st.lists(st.tuples(st.integers(1, 4), beta, exponents), max_size=4))
+    base = draw(st.lists(st.tuples(st.integers(1, 4), offsets, exponents), max_size=4))
     triples = []
     for a, b, e in base:
         triples.append((a, b, e))
@@ -51,9 +49,9 @@ def factor_lists(draw, complex_ok=False, balance=None):
         elif kind == "cancel":
             triples.append((a, b, -e))
         elif kind == "pair":
-            triples.append((a, draw(beta), -e))
+            triples.append((a, draw(offsets), -e))
     if balance == "theta":
-        root_sum = sum(GaussRational.of(b) * Fraction(e, a) for a, b, e in triples)
+        root_sum = sum(b * Fraction(e, a) for a, b, e in triples)
         x = draw(offsets)
         triples += [(1, x, 1), (1, root_sum + x, -1)]
     constant = Fraction(1) if balance else draw(
@@ -61,89 +59,135 @@ def factor_lists(draw, complex_ok=False, balance=None):
     return factor_list(draw(st.permutations(triples)), constant)
 
 
-def dense_outcome(fn, *args):
-    try:
-        return fn(*args)
-    except ValueError as exc:
-        return type(exc)
+any_lists = st.one_of(factor_lists(), factor_lists(balance="delta"),
+                      factor_lists(balance="theta"))
 
 
-@given(factor_lists(complex_ok=True), st.integers(-3, 3))
-def test_zeros_poles_match_dense(f, start):
-    assert factored_zeros_poles(f, start) == integer_zeros_poles(to_rational_function(f), start)
+def fraction_product(f: FactorList, n: int) -> Fraction:
+    """R(n) = K prod (alpha n + beta)^e, one factor at a time."""
+    value = f.constant
+    for fac in f.factors:
+        x = fac.alpha * n + fac.beta
+        if x == 0:
+            raise ZeroDivisionError(f"factor vanishes at n={n}")
+        value *= x**fac.exponent
+    return value
 
 
-@given(st.one_of(factor_lists(complex_ok=True), factor_lists(complex_ok=True, balance="delta"),
-                 factor_lists(complex_ok=True, balance="theta")),
-       st.sampled_from(["delta", "theta"]))
-def test_convergence_matches_dense(f, mode):
+def scan_zeros_poles(f: FactorList, start: int) -> list[int]:
+    """Integers start <= n <= 20 where some factor is zero (|beta/alpha| <= 9)."""
+    return [n for n in range(start, 21)
+            if any(fac.alpha * n + fac.beta == 0 for fac in f.factors)]
+
+
+def ln_abs(x: Fraction):
+    return mp.log(abs(mp.mpf(x.numerator) / x.denominator))
+
+
+def asymptotic_verdict(f: FactorList, mode: str):
+    """The verdict read off ln R(n) = D ln n + ln K' + S/n + O(n^-2) at
+    n = 10^40 and 10^80 (R exact, its log in 120-digit mpmath): D != 0 moves
+    ln |R| by 92 D between them, K' != 1 keeps it away from 0 (K' < 0 makes
+    R negative), and in theta mode S != 0 leaves n ln R(n) near S."""
+    n = 10**40
+    r1, r2 = fraction_product(f, n), fraction_product(f, n * n)
+    with mp.workdps(120):
+        if abs(ln_abs(r2) - ln_abs(r1)) > 1:
+            return "degree"
+        if r1 < 0 or abs(ln_abs(r1)) > mp.mpf(10) ** -30:
+            return "leading-coefficient"
+        if mode == "theta" and abs(n * ln_abs(r1)) > mp.mpf(10) ** -20:
+            return "sum-of-roots"
+    return None
+
+
+@given(factor_lists(), st.integers(-3, 3))
+def test_zeros_poles_match_scan(f, start):
+    assert factored_zeros_poles(f, start) == scan_zeros_poles(f, start)
+
+
+@given(any_lists, st.sampled_from(["delta", "theta"]))
+def test_convergence_matches_asymptotics(f, mode):
     ours = factored_convergence(f, mode)
-    dense = convergence_check(to_rational_function(f), mode)
-    assert (ours.ok, ours.reason) == (dense.ok, dense.reason)
+    assert ours.reason == asymptotic_verdict(f, mode)
+    assert ours.ok == (ours.reason is None)
 
 
-@given(st.one_of(factor_lists(complex_ok=True), factor_lists(complex_ok=True, balance="delta"),
-                 factor_lists(balance="theta")))
-def test_log_expansion_matches_dense(f):
-    J = 8
-    ours = dense_outcome(factored_log_expansion, f, J)
-    assert ours == dense_outcome(log_expansion, to_rational_function(f), J)
-    if factored_convergence(f, "theta") and ours is not ValueError:
-        assert ours[0].is_zero  # theta convergence kills beta_1
+@given(any_lists)
+def test_log_expansion_meets_remainder_bound(f):
+    """|ln R(n) - sum_{j<=8} beta_j n^-j| <= C n^-9 at n = 10^40, where
+    C = sum_f |e_f| |c_f|^9 / (9 (1 - |c_f|/n)) bounds the tail of each
+    ln(1 + c_f/n).  A beta_j off by d leaves d n^-j.  Here |c_f| < 200, so
+    C < 10^20, and every c_f has a denominator dividing 24, so a wrong beta_j
+    of the form sum e c^j / j is off by d >= 1/(8 * 24^8), far above C n^-9."""
+    J, n = 8, 10**40
+    if asymptotic_verdict(f, "delta") is not None:
+        with pytest.raises(ValueError):
+            factored_log_expansion(f, J)
+        return
+    betas = factored_log_expansion(f, J)
+    assert all(isinstance(b, Fraction) for b in betas)
+    with mp.workdps(420):
+        ln_r = ln_abs(fraction_product(f, n))
+        series = mp.fsum(mp.mpf(b.numerator) / b.denominator / mp.mpf(n) ** j
+                         for j, b in enumerate(betas, start=1))
+        cs = [(abs(fac.exponent), abs(mp.mpf(fac.beta.numerator) / fac.beta.denominator / fac.alpha))
+              for fac in f.factors]
+        bound = mp.fsum(e * c**9 / (9 * (1 - c / n)) for e, c in cs) / mp.mpf(n) ** 9
+        assert abs(ln_r - series) <= bound + mp.mpf(10) ** -400
+    if asymptotic_verdict(f, "theta") is None:
+        assert betas[0] == 0  # theta convergence kills beta_1
 
 
 def brute_first_non_positive(f: FactorList, start: int, hi: int):
     for n in range(start, hi + 1):
         try:
-            v = evaluate_factorlist(f, n)
-        except EvaluationError:
-            return n
-        if v.re <= 0:
+            if fraction_product(f, n) <= 0:
+                return n
+        except ZeroDivisionError:
             return n
     return None
 
 
 @given(st.one_of(factor_lists(), factor_lists(balance="delta")), st.integers(-3, 3))
 def test_positivity_matches_brute_force(f, start):
-    roots = [-fac.beta.re / fac.alpha for fac in f.factors]
+    roots = [-fac.beta / fac.alpha for fac in f.factors]
     hi = max([start] + [math.floor(r) + 2 for r in roots])
     assert first_non_positive(f, start) == brute_first_non_positive(f, start, hi)
 
 
 @given(factor_lists(), st.integers(-12, 40))
-def test_exact_value_matches_dense(f, n):
+def test_exact_value_matches_fraction_product(f, n):
     try:
-        dense = evaluate_factorlist(f, n)
-    except EvaluationError:
+        expected = fraction_product(f, n)
+    except ZeroDivisionError:
         with pytest.raises(EvaluationError):
             exact_real_value(f, n)
         return
     ours = exact_real_value(f, n)
-    assert dense.is_real and ours == dense.re
+    assert ours == expected
     if ours > 0:
-        assert evaluate_real(f, n) == float(dense.re)
+        assert evaluate_real(f, n) == float(expected)
 
 
-@given(factor_lists(complex_ok=True), st.integers(-12, 40))
+@given(factor_lists(), st.integers(-12, 40))
 def test_normal_form_reproduces_value(f, n):
     try:
-        dense = evaluate_factorlist(f, n)
-    except EvaluationError:
+        expected = fraction_product(f, n)
+    except ZeroDivisionError:
         return  # a factor vanishes at n
     scale, merged = factored_normal_form(f)
-    value = GaussRational(scale)
+    value = scale
     for c, e in merged.items():
-        x = GaussRational.of(c) + n
-        for _ in range(abs(e)):
-            value = value * x if e > 0 else value / x
-    assert value == dense
+        value *= (n + c) ** e
+    assert value == expected
 
 
 def test_complex_offsets_rejected_by_real_helpers():
-    f = factor_list([(1, GaussRational(Fraction(1), Fraction(1)), 1), (1, 1, -1)])
-    with pytest.raises(ValueError):
-        first_non_positive(f, 0)
-    with pytest.raises(ValueError):
-        exact_real_value(f, 0)
-    with pytest.raises(ValueError):
-        evaluate_real(f, 0)
+    """Offsets are Fractions: a complex or float offset never reaches a
+    helper, because neither builder accepts it."""
+    for offset in (1j, complex(1, 1), complex(2, 0), 0.5, 1.0):
+        with pytest.raises(TypeError):
+            factor_list([(1, offset, 1), (1, 1, -1)])
+        with pytest.raises(TypeError):
+            FactorList((Factor(1, offset, 1), Factor(1, Fraction(1), -1)))

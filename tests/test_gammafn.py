@@ -135,6 +135,12 @@ class TestClosedFormProduct:
         with pytest.raises(GammaDomainError):
             log_gamma_product([Fraction(5, 2), Fraction(-3, 2)], [-1, 2])
 
+    def test_rejects_inexact_parameters(self):
+        # parameters are exact rationals: complex and float input is a type error
+        for a, b in (([1j, 1], [1, 1j]), ([complex(2, 0)], [2]), ([0.5, 1], [1, 0.5])):
+            with pytest.raises(TypeError):
+                log_gamma_product(a, b)
+
     def test_against_partial_products(self):
         rng = random.Random(99)
         N = 10**5

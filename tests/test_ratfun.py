@@ -3,31 +3,24 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from gtmprod.ratfun import (
     EvaluationError,
     FactorList,
-    GaussRational,
     ParseError,
-    Poly,
-    RationalFunction,
-    convergence_check,
-    evaluate_at,
-    evaluate_factorlist,
     evaluate_real,
+    exact_real_value,
     factor_list,
+    factored_convergence,
+    factored_log_expansion,
+    factored_zeros_poles,
     format_product_term,
-    integer_zeros_poles,
-    log_expansion,
     parse_product_term,
-    to_rational_function,
 )
 
 
 def triples(fl: FactorList):
-    return [(f.alpha, f.beta.re, f.exponent) for f in fl.factors]
+    return [(f.alpha, f.beta, f.exponent) for f in fl.factors]
 
 
 def random_factor_list(rng, max_factors=4, allow_const=True) -> FactorList:
@@ -66,26 +59,6 @@ def random_theta_convergent(rng, max_pairs=3) -> FactorList:
         b[-1] += bump
     fs = [(1, x, 1) for x in a] + [(1, y, -1) for y in b]
     return factor_list(fs)
-
-
-class TestGaussRational:
-    def test_arithmetic(self):
-        i = GaussRational(Fraction(0), Fraction(1))
-        assert i * i == GaussRational.of(-1)
-        z = GaussRational(Fraction(3), Fraction(-2))
-        assert z * z.conjugate() == GaussRational.of(13)
-        assert (z / z) == GaussRational.of(1)
-        with pytest.raises(ZeroDivisionError):
-            z / GaussRational.of(0)
-
-    @given(st.fractions(), st.fractions(), st.fractions(), st.fractions())
-    def test_field_ops(self, a, b, c, d):
-        x = GaussRational(a, b)
-        y = GaussRational(c, d)
-        assert x + y == y + x
-        assert x * y == y * x
-        if not y.is_zero:
-            assert (x / y) * y == x
 
 
 class TestParser:
@@ -142,117 +115,76 @@ class TestParser:
             assert parse_product_term(format_product_term(fl)) == fl
 
 
-class TestExpansionToPolynomials:
-    def test_examples(self):
-        R = to_rational_function(factor_list([(2, 1, 1), (2, 2, -1)]))
-        assert [c.re for c in R.num.coeffs] == [1, 2]
-        assert [c.re for c in R.den.coeffs] == [2, 2]
-        R2 = to_rational_function(factor_list([(3, 2, 2), (3, 3, -2)]))
-        assert [c.re for c in R2.num.coeffs] == [4, 12, 9]
-        assert [c.re for c in R2.den.coeffs] == [9, 18, 9]
-        R3 = to_rational_function(factor_list([]))
-        assert R3.num.degree == 0 and R3.den.degree == 0
-
-    def test_degree_and_leading_random(self):
-        rng = random.Random(13)
-        for _ in range(100):
-            fl = random_factor_list(rng)
-            R = to_rational_function(fl)
-            deg_num = sum(f.exponent for f in fl.factors if f.exponent > 0)
-            deg_den = sum(-f.exponent for f in fl.factors if f.exponent < 0)
-            assert R.num.degree == deg_num
-            assert R.den.degree == deg_den
-            lead_num = Fraction(fl.constant.numerator)
-            lead_den = Fraction(fl.constant.denominator)
-            for f in fl.factors:
-                if f.exponent > 0:
-                    lead_num *= Fraction(f.alpha) ** f.exponent
-                else:
-                    lead_den *= Fraction(f.alpha) ** (-f.exponent)
-            assert R.num.leading.re == lead_num
-            assert R.den.leading.re == lead_den
 
 
 class TestConvergence:
     def test_woods_robbins_modes(self):
-        R = to_rational_function(parse_product_term("(2n+1)/(2n+2)"))
-        assert convergence_check(R, "delta").ok
-        v = convergence_check(R, "theta")
+        fl = parse_product_term("(2n+1)/(2n+2)")
+        assert factored_convergence(fl, "delta").ok
+        v = factored_convergence(fl, "theta")
         assert not v.ok and v.reason == "sum-of-roots"
 
     def test_theta_pass_instance(self):
         fl = factor_list([(1, 1, 1), (2, 3, 1), (2, 3, 1),
                           (1, 3, -1), (2, 1, -1), (2, 1, -1)])
-        assert convergence_check(to_rational_function(fl), "theta").ok
+        assert factored_convergence(fl, "theta").ok
 
     def test_identical_sides(self):
-        R = to_rational_function(parse_product_term("(n+1)/(n+1)"))
-        assert convergence_check(R, "delta").ok
-        assert convergence_check(R, "theta").ok
+        fl = parse_product_term("(n+1)/(n+1)")
+        assert factored_convergence(fl, "delta").ok
+        assert factored_convergence(fl, "theta").ok
 
     def test_degree_mismatch(self):
-        R = to_rational_function(parse_product_term("((n+1)(n+2))/(n+3)"))
-        assert convergence_check(R, "delta").reason == "degree"
+        fl = parse_product_term("((n+1)(n+2))/(n+3)")
+        assert factored_convergence(fl, "delta").reason == "degree"
 
     def test_exactness_flips_on_tiny_perturbation(self):
         eps = Fraction(1, 10**9)
-        num = Poly([GaussRational.of(1), GaussRational.of(2 + eps)])
-        den = Poly([GaussRational.of(2), GaussRational.of(2)])
-        assert convergence_check(RationalFunction(num, den), "delta").reason == \
-            "leading-coefficient"
+        # leading coefficients (1 + eps) * 2 against 2
+        fl = factor_list([(2, 1, 1), (2, 2, -1)], constant=1 + eps)
+        assert factored_convergence(fl, "delta").reason == "leading-coefficient"
         # theta: perturb one root so the root sums differ by 1e-9
-        num2 = Poly([GaussRational.of(1 + eps), GaussRational.of(1)])
-        den2 = Poly([GaussRational.of(1), GaussRational.of(1)])
-        assert convergence_check(RationalFunction(num2, den2), "theta").reason == \
-            "sum-of-roots"
+        fl2 = factor_list([(1, 1 + eps, 1), (1, 1, -1)])
+        assert factored_convergence(fl2, "delta").ok
+        assert factored_convergence(fl2, "theta").reason == "sum-of-roots"
 
 
 class TestIntegerZerosPoles:
     def test_examples(self):
-        assert integer_zeros_poles(
-            to_rational_function(parse_product_term("(n-3)/(n+1)")), 1) == [3]
-        assert integer_zeros_poles(
-            to_rational_function(parse_product_term("(2n-1)/(2n+2)")), 0) == []
-        assert integer_zeros_poles(
-            to_rational_function(parse_product_term("((6n-3)(6n+3))/((6n-1)(6n+5))")), 0) == []
+        assert factored_zeros_poles(parse_product_term("(n-3)/(n+1)"), 1) == [3]
+        assert factored_zeros_poles(parse_product_term("(2n-1)/(2n+2)"), 0) == []
+        assert factored_zeros_poles(
+            parse_product_term("((6n-3)(6n+3))/((6n-1)(6n+5))"), 0) == []
 
     def test_n_start_filters(self):
-        R = to_rational_function(parse_product_term("((n-2)(n-7))/(n-4)"))
-        assert integer_zeros_poles(R, 0) == [2, 4, 7]
-        assert integer_zeros_poles(R, 3) == [4, 7]
-        assert integer_zeros_poles(R, 8) == []
+        fl = parse_product_term("((n-2)(n-7))/(n-4)")
+        assert factored_zeros_poles(fl, 0) == [2, 4, 7]
+        assert factored_zeros_poles(fl, 3) == [4, 7]
+        assert factored_zeros_poles(fl, 8) == []
 
     def test_zero_at_origin(self):
-        R = to_rational_function(parse_product_term("(n)/(n+1)"))
-        assert integer_zeros_poles(R, 0) == [0]
-
-    def test_zero_numerator_rejected(self):
-        with pytest.raises(ValueError):
-            integer_zeros_poles(RationalFunction(Poly([]), Poly([GaussRational.of(1)])), 0)
+        assert factored_zeros_poles(parse_product_term("(n)/(n+1)"), 0) == [0]
 
 
 class TestLogExpansion:
     def test_woods_robbins_coefficients(self):
-        R = to_rational_function(parse_product_term("(2n+1)/(2n+2)"))
-        betas = log_expansion(R, 3)
-        assert [b.re for b in betas] == [Fraction(-1, 2), Fraction(3, 8), Fraction(-7, 24)]
+        betas = factored_log_expansion(parse_product_term("(2n+1)/(2n+2)"), 3)
+        assert betas == [Fraction(-1, 2), Fraction(3, 8), Fraction(-7, 24)]
+        assert all(isinstance(b, Fraction) for b in betas)
 
     def test_trivial_all_zero(self):
-        R = to_rational_function(parse_product_term("(n+1)/(n+1)"))
-        assert all(b.is_zero for b in log_expansion(R, 6))
+        assert all(b == 0 for b in factored_log_expansion(parse_product_term("(n+1)/(n+1)"), 6))
 
     def test_requires_delta_convergence(self):
-        R = to_rational_function(parse_product_term("(2n+1)/(n+1)"))
         with pytest.raises(ValueError):
-            log_expansion(R, 4)
+            factored_log_expansion(parse_product_term("(2n+1)/(n+1)"), 4)
 
     def test_beta1_vanishes_for_theta_convergent(self):
         rng = random.Random(5)
         for _ in range(100):
             fl = random_theta_convergent(rng)
-            R = to_rational_function(fl)
-            assert convergence_check(R, "theta").ok
-            assert log_expansion(R, 2)[0].is_zero
+            assert factored_convergence(fl, "theta").ok
+            assert factored_log_expansion(fl, 2)[0] == 0
 
     def test_remainder_decay_order(self):
         # |ln R(n) - sum beta_j n^-j| should shrink ~2^(J+1) when n doubles
@@ -261,17 +193,16 @@ class TestLogExpansion:
         checked = 0
         while checked < 10:
             fl = random_delta_convergent(rng)
-            R = to_rational_function(fl)
-            betas = log_expansion(R, J + 2)
-            if betas[J].is_zero or any(not b.re and b.im for b in betas):
+            betas = factored_log_expansion(fl, J + 2)
+            if betas[J] == 0:
                 continue
             with mp.workdps(60):
                 ratios = []
                 for n in (2**10, 2**11):
-                    v = evaluate_factorlist(fl, n)
-                    lnr = mp.log(mp.mpf(v.re.numerator) / v.re.denominator)
+                    v = exact_real_value(fl, n)
+                    lnr = mp.log(mp.mpf(v.numerator) / v.denominator)
                     series = mp.fsum(
-                        (mp.mpf(b.re.numerator) / b.re.denominator) * mp.mpf(n) ** -j
+                        (mp.mpf(b.numerator) / b.denominator) * mp.mpf(n) ** -j
                         for j, b in enumerate(betas[:J], start=1))
                     ratios.append(lnr - series)
                 if ratios[1] == 0:
@@ -281,19 +212,31 @@ class TestLogExpansion:
             checked += 1
 
 
+def polynomial_form_value(fl: FactorList, n: int) -> Fraction:
+    """num(n)/den(n): the numerator and denominator products, each taken
+    factor by factor and unexpanded, then divided."""
+    num, den = Fraction(fl.constant.numerator), Fraction(fl.constant.denominator)
+    for f in fl.factors:
+        if f.exponent > 0:
+            num *= (f.alpha * n + f.beta) ** f.exponent
+        else:
+            den *= (f.alpha * n + f.beta) ** -f.exponent
+    return num / den
+
+
 class TestEvaluation:
     def test_examples(self):
-        v = evaluate_factorlist(parse_product_term("((6n-3)(6n+3))/((6n-1)(6n+5))"), 0)
-        assert v.re == Fraction(9, 5)
+        v = exact_real_value(parse_product_term("((6n-3)(6n+3))/((6n-1)(6n+5))"), 0)
+        assert v == Fraction(9, 5)
         assert evaluate_real(parse_product_term("(2n+1)/(2n+2)"), 0) == 0.5
         with pytest.raises(EvaluationError):
-            evaluate_at(parse_product_term("(n-3)/(n+1)"), 3)
+            exact_real_value(parse_product_term("(n-3)/(n+1)"), 3)
 
     def test_rational_function_path(self):
-        R = to_rational_function(parse_product_term("(2n+1)/(2n+2)"))
-        assert evaluate_at(R, 1).re == Fraction(3, 4)
+        # the exact quotient of a rational term, and its pole
+        assert exact_real_value(parse_product_term("(2n+1)/(2n+2)"), 1) == Fraction(3, 4)
         with pytest.raises(EvaluationError):
-            evaluate_at(to_rational_function(parse_product_term("(n+1)/(n-1)")), 1)
+            exact_real_value(parse_product_term("(n+1)/(n-1)"), 1)
 
     def test_real_requires_positive(self):
         with pytest.raises(EvaluationError):
@@ -303,6 +246,5 @@ class TestEvaluation:
         rng = random.Random(3)
         for _ in range(50):
             fl = random_factor_list(rng)
-            R = to_rational_function(fl)
             n = rng.randint(21, 60)
-            assert evaluate_factorlist(fl, n) == evaluate_at(R, n)
+            assert exact_real_value(fl, n) == polynomial_form_value(fl, n)

@@ -10,7 +10,6 @@ from gtmprod.sequences import (
     SequenceError,
     asymptotic_exponent,
     delta_prefix,
-    delta_slice,
     digit_stats,
     extremal_partial_sums,
     geometric_bound,
@@ -133,11 +132,6 @@ class TestPartialSums:
             seq = parse_seq_spec(spec)
             for k in range(13):
                 assert partial_sum(seq, seq.q**k) == seq.delta_q**k
-
-    def test_delta_slice_matches_prefix(self):
-        seq = parse_seq_spec("gtm:3:01")
-        pre = delta_prefix(seq, 2000).astype(np.int64)
-        assert (delta_slice(seq, 137, 2000) == pre[137:]).all()
 
 
 class TestMultiplicativity:
