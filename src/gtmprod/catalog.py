@@ -18,14 +18,8 @@ from fnmatch import fnmatch
 from importlib import resources
 from pathlib import Path
 
-from .dirichlet import DirichletCache
-from .evaluator import (
-    EvalResult,
-    ProductSpec,
-    check_product,
-    evaluate_direct,
-    evaluate_product,
-)
+from .dirichlet import DirichletCache, check_eps
+from .evaluator import ProductSpec, check_product, verify_identity
 from .expr import eval_expr, parse_expr
 from .ratfun import parse_product_term
 from .sequences import parse_seq_spec
@@ -150,25 +144,19 @@ def _evaluate_record(record: IdentityRecord, method: str, tol: float,
                      cache: DirichletCache, direct_n: int | None) -> RecordResult:
     rhs = record.rhs_value()
     try:
-        spec = record.product_spec()
-        if method == "accel":
-            res: EvalResult = evaluate_product(spec, eps=max(tol / 4.0, 1e-13), cache=cache)
-        else:
-            n = direct_n if direct_n is not None else spec.seq.q**10
-            res = evaluate_direct(spec, n, cache=cache)
+        rep = verify_identity(record.product_spec(), rhs, tol, cache, method, direct_n)
     except Exception as exc:  # failures are data in a batch run
         return RecordResult(record.id, record.paper, method, False,
                             math.nan, rhs, math.inf, math.inf, 0, str(exc))
-    dlog = abs(res.log_value - math.log(rhs))
-    ok = dlog <= tol + res.est_error
-    return RecordResult(record.id, record.paper, method, ok, res.value, rhs,
-                        dlog, res.est_error, res.terms_used)
+    return RecordResult(record.id, record.paper, method, rep.ok, rep.lhs_value, rhs,
+                        rep.abs_dlog, rep.est_error, rep.terms_used, rep.reason)
 
 
 def run_catalog(records, filter: str | None = None, tol: float = 1e-8,
                 method: str = "accel", cache: DirichletCache | None = None,
                 direct_n: int | None = None) -> CatalogReport:
     """Verify records whose id or tag matches the glob; report in id order."""
+    check_eps(tol, "tol")
     if method not in ("accel", "direct", "both"):
         raise ValueError(f"method must be accel, direct or both, got {method!r}")
     if cache is None:

@@ -56,6 +56,13 @@ class EpsUnachievableError(ArithmeticError):
     """Requested accuracy cannot be certified within the configured caps."""
 
 
+def check_eps(value: float, name: str = "eps") -> float:
+    """value if it is a positive finite number; ValueError otherwise (NaN too)."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+    return value
+
+
 def power_moments(seq: MultiplicativeSequence, i: int) -> int:
     """c_i = sum_{k=0}^{q-1} delta_k k^i, with 0^0 := 1."""
     if i < 0:
@@ -287,8 +294,7 @@ def zeta_mp(s: int, cache: DirichletCache | None = None) -> tuple[mp.mpf, float]
 def dirichlet_value(seq: MultiplicativeSequence, s: int, eps: float = 1e-15,
                     cache: DirichletCache | None = None) -> tuple[float, float]:
     """Binary64 F(s) with certified eps_achieved <= eps (cache-aware)."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    check_eps(eps)
     if cache is None:
         cache = DirichletCache()
     if s >= 1 and (seq.nontrivial or s >= 2):

@@ -3,29 +3,33 @@
 ``check_product`` decides every precondition of a product exactly from
 the term's factors (see ``ratfun``): zeros and poles, the convergence
 criteria, and positivity of R(n) for every n >= start.  For a product
-term R with exponents delta_n the evaluator then writes
+term R with weights w_n = delta_n or theta_n = (1 - delta_n)/2 the
+accelerated evaluator writes
 
-    log P = head + sum_j beta_j * T_j + sum_n delta_n rho_J(n) + tail,
+    log P = head + sum_j beta_j * T_j + sum_{M<=n<=N} w_n rho_J(n) + tail,
 
 where beta_j are the exact coefficients of ln R(n) in powers of 1/n
 (a closed form in the factors' offsets), T_j is the Dirichlet tail
-sum_{n>=M} delta_n n^-j, and rho_J is the literal difference
-ln R(n) - sum_j beta_j n^-j.  The head below the series cutoff M is
+sum_{n>=M} w_n n^-j (F(j) from the ladder, or (zeta(j) - F(j))/2 for
+theta, less the terms below the series cutoff M), and rho_J is the
+literal difference ln R(n) - sum_j beta_j n^-j.  The head below M is
 evaluated exactly, as quotients of integer products, which keeps the
 beta_j / T_j pairing free of the cancellation that ruins the naive split
-at n = 1.
-Theta exponents use theta_n = (1 - delta_n)/2, so the theta logarithm is
-half the difference of the plain and delta logarithms; the plain series
-uses zeta tails from the all-plus ladder rather than the Gamma closed
-form, so closed forms remain an independent cross-check.
+at n = 1.  (J, N) are read off eps in one step: J is the most orders
+whose Dirichlet errors fit in eps/4, and N >= 4M the fewest terms whose
+proven bound on the tail, from the normal form prod (n + c)^E, fits in
+eps/4.  The rest of the certificate is a worst-case rounding bound.
+The plain series uses zeta from the all-plus ladder rather than the
+Gamma closed form, so closed forms remain an independent cross-check.
 
 The baseline evaluator sums terms outright, averages the partial
 log-sums over the final base-q block, and certifies the result from the
-spread of the last few block-boundary partial sums.  Past the roots it
-takes ln R(n) as one log1p per numerator/denominator pair, and its signs
+spread of the last few block-boundary partial sums.  It takes its signs
 block by block from one prefix of B = q^m <= 2^17 signs (delta over
 [kB, (k+1)B) is delta_k times delta over [0, B)), so memory is O(B) for
 every N; fl_round bounds the rounding of every sum in the worst case.
+Past the roots both evaluators take ln R(n) as one log1p per
+numerator/denominator pair (``_log_terms``).
 """
 
 from __future__ import annotations
@@ -37,12 +41,19 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from .dirichlet import DirichletCache, EpsUnachievableError, dirichlet_mp, zeta_mp
+from .dirichlet import (
+    _ROUND_UP,
+    DirichletCache,
+    EpsUnachievableError,
+    check_eps,
+    dirichlet_mp,
+    zeta_mp,
+)
 from .ratfun import (
     EvaluationError,
     FactorList,
+    as_fraction,
     evaluate_real,
-    exact_real_value,
     factor_list,
     factored_convergence,
     factored_log_expansion,
@@ -52,8 +63,6 @@ from .ratfun import (
 )
 from .sequences import MultiplicativeSequence, delta_prefix, sign_at
 
-DEFAULT_J = 12
-DEFAULT_N = 20_000
 MAX_J = 16
 MAX_N = 1_000_000
 
@@ -138,148 +147,144 @@ def _series_cutoff(term: FactorList) -> int:
     return int(math.ceil(2.0 * max(1.0, term.max_root_magnitude()))) + 1
 
 
-def _consolidated_offsets(term: FactorList):
-    """Normalize to K * prod (n + c)^E with exact root-wise consolidation.
-
-    For convergent terms K = constant * prod alpha^exponent is exactly 1,
-    so factors that cancel algebraically vanish before any float work and
-    the vector evaluation of ln R(n) carries no cancellation noise.
-    """
-    scale, merged = factored_normal_form(term)
-    offsets = [(float(c), e) for c, e in sorted(merged.items()) if e != 0]
-    return math.log(float(scale)) if scale != 1 else 0.0, offsets
+def _log1p_pairs(term: FactorList) -> list[tuple[float, Fraction]]:
+    """Pairs (d_i, b_i) with ln R(n) = sum_i log1p(d_i/(n + b_i)): the sorted
+    numerator offsets a_i of the normal form matched with the sorted
+    denominator offsets b_i, d_i = a_i - b_i (a checked term has K' = 1)."""
+    _, merged = factored_normal_form(term)
+    num = sorted(c for c, e in merged.items() for _ in range(e))
+    den = sorted(c for c, e in merged.items() for _ in range(-e))
+    return [(float(a - b), b) for a, b in zip(num, den)]
 
 
-def _log_term_vector(term: FactorList, n: np.ndarray) -> np.ndarray:
-    ln_k, offsets = _consolidated_offsets(term)
-    out = np.full(n.shape, ln_k)
-    for c, e in offsets:
-        out += e * np.log(n + c)
+def _log_terms(pairs, n: np.ndarray, shift: int, out: np.ndarray,
+               tmp: np.ndarray) -> np.ndarray:
+    """out = ln R(n + shift), one log1p per pair of _log1p_pairs; each offset
+    shift + b_i is formed exactly and rounded once."""
+    out[:] = 0.0
+    for d, b in pairs:
+        x = np.add(n, float(shift + b), out=tmp)
+        out += np.log1p(np.divide(d, x, out=x), out=x)
     return out
 
 
-def _log_magnitude_bound(term: FactorList, n_hi: float) -> float:
-    """Bound on the intermediate magnitudes inside the vector ln R(n)."""
-    _, offsets = _consolidated_offsets(term)
-    return 1.0 + sum(abs(e) for _, e in offsets) * math.log(max(n_hi, 2.0) + 1.0)
+def _tail_bound(offsets, J: int, N: int) -> float:
+    """Bound on sum_{n>N} |rho_J(n)| from the (|c|, |E|) of the normal form
+    prod (n + c)^E, for N >= 2|c|.
+
+    ln R(n) = sum E ln(1 + c/n), and ln(1 + x) less its first J terms is at
+    most |x|^(J+1)/((J+1)(1 - |x|)), so |rho_J(n)| <= sum |E| |c|^(J+1) /
+    ((J+1) n^J (n - |c|)).  For n > N, n/(n - |c|) <= (N+1)/(N+1-|c|) and
+    sum_{n>N} n^-(J+1) <= N^-J / J.
+    """
+    return _ROUND_UP * sum(e * c * (c / N) ** J * (N + 1) / ((N + 1 - c) * (J + 1) * J)
+                           for c, e in offsets)
 
 
-def _accel_components(term: FactorList, seq: MultiplicativeSequence, mode: str,
-                      J: int, N: int, cache: DirichletCache):
-    """Shared machinery: returns delta-part (n>=1), plain part (theta only),
-    and the combined error estimate pieces."""
-    betas = factored_log_expansion(term, J)
+def _accel_components(spec: ProductSpec, eps: float, cache: DirichletCache):
+    """(log P, est, N, J) for a checked spec, with (J, N) read off eps."""
+    seq, term = spec.seq, spec.term
     M = _series_cutoff(term)
-    N_eff = max(N, 4 * M)
-
-    head_delta = 0.0
-    head_plain = 0.0
-    abs_acc = 0.0
-    for n in range(1, M):
-        try:
-            v = evaluate_real(term, n)
-        except EvaluationError as exc:
-            raise PositivityError(str(exc)) from None
-        l = math.log(v)
-        head_delta += sign_at(seq, n) * l
-        head_plain += l
-        abs_acc += abs(l)
-
-    mp_err = 0.0
+    lo, hi = 4 * M, MAX_N
+    refusal = f"eps {eps:g} cannot be certified with N <= {MAX_N}"
+    if lo > hi:
+        raise EpsUnachievableError(refusal)
+    betas = factored_log_expansion(term, MAX_J)
+    budget = eps / 4.0
     with mp.workdps(40):
-        s_delta = mp.mpf(0)
-        s_plain = mp.mpf(0)
+        # J: the most orders whose errors fit in eps/4: the ladder's err_j of
+        # G_j = sum_{n>=1} w_n n^-j, and the mp rounding of beta_j T_j below.
+        # That rounds G_j, each n^-j, the head sum (taken as recursive), G_j -
+        # head, beta_j, the product and the outer sum: with a_j = sum_{n<M}
+        # n^-j <= 1 + ln M and |G_j - head| <= |G_j| + a_j, it is off by less
+        # than (M + 24) ulp |beta_j| (a_j + |G_j|), ulp = 2^(1 - prec).
+        ulp = math.ldexp(1.0, 1 - mp.mp.prec)
+        J, orders, mp_err = 0, [], 0.0
         for j, bj in enumerate(betas, start=1):
-            if bj == 0:
-                continue
-            bj_mp = mp.mpf(bj.numerator) / bj.denominator
-            f_j, err_j = dirichlet_mp(seq, j, cache)
-            t_j = f_j - mp.fsum(
-                sign_at(seq, n) * mp.power(n, -j) for n in range(1, M))
-            s_delta += bj_mp * t_j
-            mp_err += abs(float(bj)) * err_j
-            abs_acc += abs(float(bj_mp * t_j))
-            if mode == "theta":
-                z_j, zerr_j = zeta_mp(j, cache)  # beta_1 = 0 in theta mode
-                zt_j = z_j - mp.fsum(mp.power(n, -j) for n in range(1, M))
-                s_plain += bj_mp * zt_j
-                mp_err += abs(float(bj)) * zerr_j
-                abs_acc += abs(float(bj_mp * zt_j))
-        s_delta = float(s_delta)
-        s_plain = float(s_plain)
-
-    n_arr = np.arange(M, N_eff + 1, dtype=np.float64)
-    ln_r = _log_term_vector(term, n_arr)
-    x = 1.0 / n_arr
-    series = np.zeros_like(n_arr)
-    for bj in reversed(betas):
-        series = (series + float(bj)) * x
-    rho = ln_r - series
-    weights = delta_prefix(seq, N_eff + 1)[M:].astype(np.float64)
-    rho_delta = float(np.einsum("i,i->", weights, rho))
-    rho_plain = float(np.sum(rho))
-    abs_acc += float(np.abs(rho).sum())
-
-    # the literal remainder at the cutoff, evaluated precisely so the tail
-    # estimate reflects the analytic decay rather than the float noise floor
+            if bj:
+                g, err = dirichlet_mp(seq, j, cache)
+                if spec.mode == "theta":  # sum theta_n n^-j; beta_1 = 0 here
+                    z, zerr = zeta_mp(j, cache)
+                    g, err = (z - g) / 2, (zerr + err) / 2
+                charge = abs(float(bj)) * (
+                    err + (M + 24) * ulp * (1.0 + math.log(M) + abs(float(g))))
+                if mp_err + charge > budget:
+                    break
+                mp_err += charge
+                orders.append((j, bj, g))
+            J = j
+    # N: the fewest terms, at least 4M, whose tail bound fits in eps/4
+    _, merged = factored_normal_form(term)
+    offsets = [(abs(float(c)), abs(e)) for c, e in merged.items() if c and e]
+    if J == 0 or _tail_bound(offsets, J, hi) > budget:
+        raise EpsUnachievableError(refusal)
+    while _tail_bound(offsets, J, lo) > budget:  # the bound falls as N grows
+        mid = (lo + hi) // 2
+        lo, hi = (mid + 1, hi) if _tail_bound(offsets, J, mid) > budget else (lo + 1, mid)
+    N = lo
+    w = delta_prefix(seq, N + 1).astype(np.float64)
+    if spec.mode == "theta":
+        w = 0.5 - 0.5 * w  # theta_n, exactly 0 or 1
+    wl = w[:M].astype(int).tolist()
     with mp.workdps(40):
-        v = exact_real_value(term, N_eff)  # positive beyond M
-        ln_exact = mp.log(mp.mpf(v.numerator)) - mp.log(mp.mpf(v.denominator))
-        series_exact = mp.fsum(
-            (mp.mpf(b.numerator) / b.denominator) * mp.mpf(N_eff) ** -j
-            for j, b in enumerate(betas, start=1))
-        rho_cut = abs(float(ln_exact - series_exact))
-    tail = 4.0 * N_eff * max(rho_cut, 5e-324)
+        # sum_j beta_j T_j with T_j = G_j - sum_{n<M} w_n n^-j = sum_{n>=M} w_n n^-j
+        series = float(mp.fsum(
+            mp.mpf(bj.numerator) / bj.denominator
+            * (g - mp.fsum(wl[n] * mp.power(n, -j) for n in range(1, M) if wl[n]))
+            for j, bj, g in orders))
 
-    count = N_eff - M + 1.0
-    mag = _log_magnitude_bound(term, N_eff)
-    fl_round = 2.0**-52 * mag * (16.0 + 4.0 * math.sqrt(count)) \
-        + 2.0**-50 * (1.0 + abs_acc)
-    est = tail + mp_err + fl_round
+    # n < M exactly (theta_0 = 0, so start 0 and 1 agree in theta mode)
+    try:
+        head = [wl[n] * math.log(evaluate_real(term, n)) for n in range(spec.start, M) if wl[n]]
+    except EvaluationError as exc:
+        raise PositivityError(str(exc)) from None
+    # n in [M, N]: the literal remainder rho_J(n) = ln R(n) - sum_j beta_j n^-j
+    n = np.arange(M, N + 1, dtype=np.float64)
+    pairs = _log1p_pairs(term)
+    x, poly, size = 1.0 / n, np.zeros_like(n), np.zeros_like(n)
+    for bj in reversed(betas[:J]):
+        poly = (poly + float(bj)) * x
+        size = (size + abs(float(bj))) * x
+    rho = _log_terms(pairs, n, 0, np.empty_like(n), np.empty_like(n)) - poly
+    log_value = math.fsum(head + [series] + (w[M:] * rho).tolist())
 
-    l_delta = head_delta + s_delta + rho_delta
-    l_plain = head_plain + s_plain + rho_plain
-    return l_delta, l_plain, est, N_eff
-
-
-def _accel_log(spec: ProductSpec, J: int, N: int, cache: DirichletCache):
-    l_delta, l_plain, est, n_eff = _accel_components(
-        spec.term, spec.seq, spec.mode, J, N, cache)
-    if spec.mode == "delta":
-        log_value = l_delta
-        if spec.start == 0:
-            try:
-                log_value += math.log(evaluate_real(spec.term, 0))
-            except EvaluationError as exc:
-                raise PositivityError(str(exc)) from None
-        return log_value, est, n_eff
-    # theta_0 = 0, so start 0 and 1 agree in theta mode
-    return 0.5 * (l_plain - l_delta), est, n_eff
+    # Rounding, with u = 2^-53.  Each head term rounds R(n) and takes a log
+    # good to 4 ulps: off by <= 2u + 8u|t|; float(series) adds u|series|.  In
+    # the remainder |b| < n/2, so rounding d, b, n + b and the quotient moves
+    # x = d/(n + b) by 4u|x|, hence log1p(x) by 4u|d|/(n + m), m = min(a, b);
+    # log1p's own 4 ulps of |log1p(x)| <= |d|/(n + m) add 8u|d|/(n + m), and
+    # adding up P pairs (P - 1)u of the same: ln R(n) is off by (P + 11)u L_n,
+    # L_n = sum_i |d_i|/(n + m_i).  Horner with x = fl(1/n) and rounded beta_j
+    # is off by gamma_(3J+1) S_n <= (3J + 2)u S_n, S_n = sum_j |beta_j| n^-j
+    # (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 5.1),
+    # and the difference adds u|rho_n|.  The weights are exact and fsum
+    # rounds the exact sum once: u|log P|.  _ROUND_UP covers the second-order
+    # terms and the rounding of this bound.
+    bulk = sum(abs(d) / (n + (float(b) + min(d, 0.0))) for d, b in pairs)
+    mag = (len(pairs) + 11) * bulk + (3 * J + 2) * size + np.abs(rho)
+    fl_round = 2.0**-53 * _ROUND_UP * math.fsum(
+        [2 * len(head), 8 * sum(map(abs, head)), abs(series), abs(log_value), float(mag.sum())])
+    return log_value, _tail_bound(offsets, J, N) + mp_err + fl_round, N, J
 
 
 def evaluate_product(spec: ProductSpec, eps: float = 1e-9,
                      cache: DirichletCache | None = None) -> EvalResult:
     """Accelerated evaluation with certified absolute error on the logarithm.
 
-    Starts at (J, N) = (12, 20000) and escalates by doubling N and then
-    bumping J, capped at (16, 10^6); raises EpsUnachievableError if the
-    caps cannot certify eps.
+    (J, N) are chosen once from eps: J is the largest order <= MAX_J whose
+    Dirichlet and mp errors fit in eps/4, N the smallest N >= 4M whose
+    proven tail bound fits in eps/4.  Raises EpsUnachievableError, before
+    any summing, if that N would exceed MAX_N, and after it if the rounding
+    bound takes the certified error past eps.
     """
+    check_eps(eps)
     _require_ok(spec)
     if cache is None:
         cache = DirichletCache()
-    j, n = DEFAULT_J, DEFAULT_N
-    while True:
-        log_value, est, n_eff = _accel_log(spec, j, n, cache)
-        if est <= eps or (j >= MAX_J and n >= MAX_N):
-            break
-        n = min(2 * n, MAX_N)
-        j = min(j + 1, MAX_J)
+    log_value, est, n, j = _accel_components(spec, eps, cache)
     if est > eps:
-        raise EpsUnachievableError(
-            f"certified error {est:g} exceeds eps {eps:g} at caps")
-    return EvalResult(math.exp(log_value), log_value, est, "accel", n_eff, j)
-
+        raise EpsUnachievableError(f"certified error {est:g} exceeds eps {eps:g}")
+    return EvalResult(math.exp(log_value), log_value, est, "accel", n, j)
 
 _BLOCK_CAP = 1 << 17
 
@@ -296,11 +301,7 @@ def _direct_sums(spec: ProductSpec, K: int):
     seq, term, start, q = spec.seq, spec.term, spec.start, spec.seq.q
     n_used, fb_lo = q**K, q ** (K - 1)
     n_safe = max(start, int(math.floor(term.max_root_magnitude())) + 1)
-    # ln R(n) = sum_i log1p((a_i - b_i)/(n + b_i)); a checked term has K' = 1
-    _, merged = factored_normal_form(term)
-    num = sorted(c for c, e in merged.items() for _ in range(e))
-    den = sorted(c for c, e in merged.items() for _ in range(-e))
-    pairs = [(float(a - b), b) for a, b in zip(num, den)]
+    pairs = _log1p_pairs(term)
     # delta over [kB, (k+1)B) is delta_k times delta over [0, B)
     B = q ** min(K - 1, _top_exponent(q, _BLOCK_CAP))  # divides fb_lo
     base = delta_prefix(seq, B).astype(np.float64)
@@ -323,10 +324,7 @@ def _direct_sums(spec: ProductSpec, K: int):
             except EvaluationError as exc:
                 raise PositivityError(str(exc)) from None
             abs_head += float(np.abs(lv[:e - pos]).sum())
-        lv[e - pos:] = 0.0
-        for d, b in pairs:  # n + b = j + (kB + b)
-            x = np.add(j_all[e - lo:], float(lo + b), out=tmp[e - lo:])
-            lv[e - pos:] += np.log1p(np.divide(d, x, out=x), out=x)
+        _log_terms(pairs, j_all[e - lo:], lo, lv[e - pos:], tmp[e - lo:])  # n = j + kB
         w = weights[s][j0:]
         if pos < B:  # chunk 0 holds the boundaries below B
             cs = running + np.cumsum(w * lv)
@@ -397,21 +395,29 @@ class IdentityReport:
     reason: str | None = None
 
 
+def _verify_eps(tol: float) -> float:
+    """The eps a verification at tolerance tol asks of evaluate_product."""
+    return check_eps(tol, "tol") / 4.0
+
+
 def verify_identity(spec: ProductSpec, rhs_value: float, tol: float,
                     cache: DirichletCache | None = None,
                     method: str = "accel", direct_n: int | None = None) -> IdentityReport:
     """Compare the evaluated product with a positive closed-form value.
 
-    Passes iff |log lhs - log rhs| <= tol + est_error.  Evaluation
-    failures are reported as failures with a reason, not raised.
+    Passes iff |log lhs - log rhs| <= tol + est_error; the accelerated
+    method asks for eps = tol/4.  Evaluation failures are reported as
+    failures with a reason, not raised.
     """
+    eps = _verify_eps(tol)
     if rhs_value <= 0:
         raise ValueError("rhs_value must be positive")
     try:
         if method == "accel":
-            res = evaluate_product(spec, eps=max(tol / 4.0, 1e-13), cache=cache)
+            res = evaluate_product(spec, eps=eps, cache=cache)
         elif method == "direct":
-            res = evaluate_direct(spec, direct_n or spec.seq.q**10, cache=cache)
+            n = direct_n if direct_n is not None else spec.seq.q**10
+            res = evaluate_direct(spec, n, cache=cache)
         else:
             raise ValueError(f"unknown method {method!r}")
     except (PositivityError, EpsUnachievableError, ProductRejectedError) as exc:
@@ -452,19 +458,11 @@ def plain_product_log_closed(term: FactorList, start: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected rational parameter, got {type(x).__name__}")
-
-
 def build_scaling_term(seq: MultiplicativeSequence, a, b) -> tuple[FactorList, Fraction]:
     """Combined single-product form of the base/q self-similarity for
     f(a,b) = prod ((n+a)/(n+b))^delta_n, and its exact rational RHS
     prod_{k=1}^{q-1} ((a+k)/(b+k))^delta_k."""
-    a, b = _as_fraction(a), _as_fraction(b)
+    a, b = as_fraction(a), as_fraction(b)
     q = seq.q
     triples = [(1, a, 1), (1, b, -1), (q, b, 1), (q, a, -1)]
     rhs = Fraction(1)
@@ -483,8 +481,8 @@ def build_gamma_ratio_term(seq: MultiplicativeSequence, a_list, b_list) -> tuple
     theta-weighted product of prod_i (n+a_i)/(n+b_i), plus its Gamma RHS log."""
     from .gammafn import log_gamma
 
-    a_list = [_as_fraction(x) for x in a_list]
-    b_list = [_as_fraction(x) for x in b_list]
+    a_list = [as_fraction(x) for x in a_list]
+    b_list = [as_fraction(x) for x in b_list]
     if len(a_list) != len(b_list):
         raise ValueError("parameter lists must have equal lengths")
     if sum(a_list) != sum(b_list):
@@ -528,17 +526,18 @@ def verify_functional_equation(kind: str, q: int, theta_bits, params: dict,
     """
     from .sequences import make_sequence
 
+    eps = _verify_eps(tol)
     seq = make_sequence("gtm", q, bits=theta_bits)
     if kind == "thm_f":
-        a, b = _as_fraction(params["a"]), _as_fraction(params["b"])
+        a, b = as_fraction(params["a"]), as_fraction(params["b"])
         if a <= 0 or b <= 0:
             raise ValueError("thm_f needs a, b > 0")
         term, rhs = build_scaling_term(seq, a, b)
         rhs_log = math.log(float(rhs))
         mode = "delta"
     elif kind == "thm_frak":
-        a_list = [_as_fraction(x) for x in params["a_list"]]
-        b_list = [_as_fraction(x) for x in params["b_list"]]
+        a_list = [as_fraction(x) for x in params["a_list"]]
+        b_list = [as_fraction(x) for x in params["b_list"]]
         if any(x <= 0 for x in a_list + b_list):
             raise ValueError("thm_frak needs positive parameters")
         term, rhs_log = build_gamma_ratio_term(seq, a_list, b_list)
@@ -546,7 +545,7 @@ def verify_functional_equation(kind: str, q: int, theta_bits, params: dict,
     else:
         raise ValueError(f"unknown functional equation kind {kind!r}")
     spec = ProductSpec(seq, mode, 1, term)
-    res = evaluate_product(spec, eps=max(tol / 10.0, 1e-12), cache=cache)
+    res = evaluate_product(spec, eps=eps, cache=cache)
     dlog = abs(res.log_value - rhs_log)
     return FunctionalEquationReport(dlog <= tol + res.est_error, kind,
                                     res.value, math.exp(rhs_log), dlog,
@@ -556,7 +555,7 @@ def verify_functional_equation(kind: str, q: int, theta_bits, params: dict,
 def telescoping_partial_closed(q: int, a, N: int) -> Fraction:
     """Exact partial product of the alternating telescoping identity:
     P_N = (1/q) * ((a+(N+1)q)/(qa+(N+1)q))^(+-1), sign (-1)^N."""
-    a = _as_fraction(a)
+    a = as_fraction(a)
     ratio = Fraction(a + (N + 1) * q, q * a + (N + 1) * q)
     return Fraction(1, q) * (ratio if N % 2 == 0 else 1 / ratio)
 
@@ -569,7 +568,7 @@ def telescoping_limit(q: int, a, N: int = 100_000) -> float:
     """
     if q < 2:
         raise ValueError("q must be >= 2")
-    a = _as_fraction(a)
+    a = as_fraction(a)
     if a <= 0:
         raise ValueError("a must be positive")
     n = np.arange(0, N + 1, dtype=np.float64)

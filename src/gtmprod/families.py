@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .evaluator import build_gamma_ratio_term, build_scaling_term
 from .gammafn import log_gamma
-from .ratfun import factor_list
+from .ratfun import as_fraction, factor_list
 from .sequences import MultiplicativeSequence, make_sequence
 
 _TM = None
@@ -26,12 +26,6 @@ def _tm() -> MultiplicativeSequence:
     return _TM
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    raise TypeError(f"expected rational parameter, got {type(x).__name__}")
-
-
 def _lg(x: Fraction) -> float:
     return log_gamma(complex(Fraction(x))).real
 
@@ -40,14 +34,14 @@ def shifted_ratio_family(seq, a, b, c):
     """Theta-weighted product with parameters (a, b, c); RHS is the Gamma
     ratio over digits k with theta_k = 1.  Specialization a_list=(a, b+c),
     b_list=(b, a+c) of the Gamma-ratio self-similarity."""
-    a, b, c = _frac(a), _frac(b), _frac(c)
+    a, b, c = as_fraction(a), as_fraction(b), as_fraction(c)
     term, rhs_log = build_gamma_ratio_term(seq, [a, b + c], [b, a + c])
     return seq, "theta", term, rhs_log
 
 
 def zero_sum_family(seq, a_list):
     """Theta-weighted product for parameters summing to zero (all b_i = 0)."""
-    a_list = [_frac(x) for x in a_list]
+    a_list = [as_fraction(x) for x in a_list]
     if sum(a_list) != 0:
         raise ValueError("parameters must sum to zero exactly")
     if any(x <= -1 for x in a_list):
@@ -58,7 +52,7 @@ def zero_sum_family(seq, a_list):
 
 def symmetric_pair_family(seq, a):
     """Theta-weighted product for the (a, -a) zero-sum pair."""
-    a = _frac(a)
+    a = as_fraction(a)
     if not 0 < abs(a) < 1:
         raise ValueError("parameter must satisfy 0 < |a| < 1")
     return zero_sum_family(seq, [a, -a])
@@ -78,7 +72,7 @@ def tm_three_parameter_family(a, b, c):
 def tm_beta_like_family(a, b):
     """2(n+a)(n+b)(2n+a+1)(2n+b+1)(2n+a+b) over
     (2n+1)(n+a+b)(2n+a)(2n+b)(2n+a+b+1): sqrt(pi)-normalized Gamma ratio."""
-    a, b = _frac(a), _frac(b)
+    a, b = as_fraction(a), as_fraction(b)
     if a <= 0 or b <= 0:
         raise ValueError("parameters must be positive rationals")
     term = factor_list([
@@ -93,7 +87,7 @@ def tm_beta_like_family(a, b):
 def tm_beta_like_reciprocal_family(a, b):
     """(n+a+b)(2n+a+2)(2n+2a+1)(2n+b)(2n+a+b+1) over
     (n+2a+1)(2n+a+1)(2n+b+1)(2n+2b)(2n+a+b): 2^a-weighted Gamma ratio."""
-    a, b = _frac(a), _frac(b)
+    a, b = as_fraction(a), as_fraction(b)
     if a <= 0 or b <= 0:
         raise ValueError("parameters must be positive rationals")
     term = factor_list([
@@ -107,7 +101,7 @@ def tm_beta_like_reciprocal_family(a, b):
 
 def tm_power_of_two_family(a):
     """(n+a)(2n+a+2)(2n+2a+1) / ((n+2a+1)(2n+1)(2n+a)) -> 2^a."""
-    a = _frac(a)
+    a = as_fraction(a)
     if a <= 0:
         raise ValueError("parameter must be a positive rational")
     term = factor_list([
@@ -120,7 +114,7 @@ def tm_power_of_two_family(a):
 def tm_power_over_linear_family(a):
     """(n+1)(n+a+2)(2n+a+3)(2n+2a+1) / ((n+2)(n+2a+1)(2n+3)(2n+a+1))
     -> 2^a / (a+1)."""
-    a = _frac(a)
+    a = as_fraction(a)
     if a <= 0:
         raise ValueError("parameter must be a positive rational")
     term = factor_list([
@@ -132,7 +126,7 @@ def tm_power_over_linear_family(a):
 
 def tm_cosine_family(a):
     """(2n+a+1)(2n-a+1)(2n+2a)(2n-2a) / ((2n+1)^2(2n+a)(2n-a)) -> cos(pi a/2)."""
-    a = _frac(a)
+    a = as_fraction(a)
     if not 0 < a < 1:
         raise ValueError("parameter must lie in (0, 1)")
     term = factor_list([
@@ -145,7 +139,7 @@ def tm_cosine_family(a):
 def tm_scaled_cosine_family(a):
     """(2n+a+1)(2n-a+1)(2n+2a)(2n-4a+2) / ((2n+1)(2n+a)(2n-a+2)(2n-2a+1))
     -> 2^a cos(pi a/2)."""
-    a = _frac(a)
+    a = as_fraction(a)
     if not 0 < a < 1:
         raise ValueError("parameter must lie in (0, 1)")
     term = factor_list([
@@ -159,7 +153,7 @@ def tm_scaled_cosine_family(a):
 def tm_quartic_reflection_family(a):
     """(2n+a+1)(2n-a+1)(4n+a+3)(4n-a+3) / ((2n+2)^2(4n+a+1)(4n-a+1))
     -> sqrt(pi) / (Gamma((3+a)/4) Gamma((3-a)/4))."""
-    a = _frac(a)
+    a = as_fraction(a)
     if not 0 < a < 1:
         raise ValueError("parameter must lie in (0, 1)")
     term = factor_list([

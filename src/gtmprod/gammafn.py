@@ -13,6 +13,8 @@ import cmath
 import math
 from fractions import Fraction
 
+from .ratfun import as_fraction
+
 _LANCZOS_G = 7.0
 _LANCZOS_C = (
     0.99999999999980993,
@@ -88,12 +90,6 @@ def gamma(z) -> complex:
     return out
 
 
-def _coerce_exact(x) -> Fraction:
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    raise TypeError(f"expected exact rational input, got {type(x).__name__}")
-
-
 def log_gamma_product(a_list, b_list) -> complex:
     """log of Gamma(b_1)...Gamma(b_d) / (Gamma(a_1)...Gamma(a_d)).
 
@@ -101,8 +97,8 @@ def log_gamma_product(a_list, b_list) -> complex:
     {0, -1, -2, ...}; this is the closed form of the plain product
     prod_n prod_i (n+a_i)/(n+b_i).
     """
-    a = [_coerce_exact(x) for x in a_list]
-    b = [_coerce_exact(x) for x in b_list]
+    a = [as_fraction(x) for x in a_list]
+    b = [as_fraction(x) for x in b_list]
     if len(a) != len(b):
         raise ValueError("parameter lists must have equal lengths")
     sa, sb = sum(a), sum(b)

@@ -42,10 +42,9 @@ class EvaluationError(ValueError):
     """A factor hit zero, or a real evaluation produced a non-positive value."""
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
+def as_fraction(x) -> Fraction:
+    """An exact rational parameter: int or Fraction; anything else is a TypeError."""
+    if isinstance(x, (int, Fraction)):
         return Fraction(x)
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
@@ -86,13 +85,13 @@ class FactorList:
 
 
 def make_factor(alpha: int, beta, exponent: int) -> Factor:
-    return Factor(int(alpha), _frac(beta), int(exponent))
+    return Factor(int(alpha), as_fraction(beta), int(exponent))
 
 
 def factor_list(triples, constant=Fraction(1)) -> FactorList:
     """Build a FactorList from (alpha, beta, exponent) triples."""
     return FactorList(tuple(make_factor(a, b, e) for a, b, e in triples),
-                      _frac(constant))
+                      as_fraction(constant))
 
 
 # ---------------------------------------------------------------------------

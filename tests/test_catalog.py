@@ -9,7 +9,8 @@ from gtmprod.catalog import (
     parse_catalog_line,
     run_catalog,
 )
-from gtmprod.evaluator import evaluate_product
+from gtmprod.dirichlet import DirichletCache
+from gtmprod.evaluator import evaluate_product, verify_identity
 from gtmprod.ratfun import format_product_term, parse_product_term
 
 
@@ -118,6 +119,25 @@ class TestRunCatalog:
         assert report.total == 2
         assert {r.method for r in report.results} == {"accel", "direct"}
         assert report.all_passed
+
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
+    def test_rejects_bad_tol_before_any_work(self, records, tol):
+        fresh = DirichletCache()
+        with pytest.raises(ValueError):
+            run_catalog(records, filter="wr", tol=tol, cache=fresh)
+        assert fresh.mp_lookup("gtm:2:1", 1) is None
+
+    @pytest.mark.parametrize("method, tol", [("accel", 1e-4), ("direct", 1e-4),
+                                             ("accel", 1e-20)])  # the last cannot certify
+    def test_record_result_is_the_identity_report(self, records, method, tol, cache):
+        wr = next(r for r in records if r.id == "wr")
+        (res,) = run_catalog([wr], tol=tol, method=method, cache=cache,
+                             direct_n=1 << 16).results
+        rep = verify_identity(wr.product_spec(), wr.rhs_value(), tol, cache, method, 1 << 16)
+        assert (res.passed, res.lhs_value, res.rhs_value, res.abs_dlog, res.est_error,
+                res.terms_used, res.reason) == (rep.ok, rep.lhs_value, rep.rhs_value,
+                                                rep.abs_dlog, rep.est_error, rep.terms_used,
+                                                rep.reason)
 
     def test_failures_are_data(self, records, cache):
         bad = replace(records[0], rhs="2/3")

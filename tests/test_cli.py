@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 
 import pytest
 
@@ -88,7 +89,19 @@ class TestEval:
                            "--mode", "delta", "--term", "(2n+1)/(2n+2)")
         doc = json.loads(out)
         assert code == 0 and abs(doc["value"] - 0.7071067811865476) < 1e-10
-        assert doc["terms_used"] >= 20000
+        assert abs(doc["log_value"] + 0.5 * math.log(2.0)) <= doc["est_error"] <= 1e-9
+
+    @pytest.mark.parametrize("tol", ["1e-12", "1e-13"])
+    def test_tight_tol_certifies(self, capsys, cache_env, tol):
+        code, out, _ = run(capsys, "--format", "json", "eval", "--seq", "gtm:2:1",
+                           "--mode", "delta", "--term", "(2n+1)/(2n+2)", "--tol", tol)
+        assert code == 0 and json.loads(out)["est_error"] <= float(tol)
+
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1"])
+    def test_bad_tol_exit_2(self, capsys, cache_env, tol):
+        code, out, err = run(capsys, "eval", "--seq", "gtm:2:1", "--mode", "delta",
+                             "--term", "(2n+1)/(2n+2)", "--tol", tol)
+        assert code == 2 and out == "" and "must be a positive finite number" in err
 
 
 class TestDirichlet:

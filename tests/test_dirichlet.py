@@ -107,6 +107,13 @@ class TestLadder:
         tail = 1.0 / (2.0 * N * N)  # |sum_{n>N} delta_n n^-3| <= int_N^inf x^-3 dx
         assert abs(value - plain) <= tail + eps + 1e-15
 
+    @pytest.mark.parametrize("eps", [math.nan, 0.0, -1.0])
+    def test_rejects_bad_eps_before_any_work(self, eps):
+        fresh = DirichletCache()
+        with pytest.raises(ValueError):
+            dirichlet_value(parse_seq_spec("gtm:2:1"), 3, eps=eps, cache=fresh)
+        assert fresh.mp_lookup("gtm:2:1", 3) is None
+
     def test_monotone_under_tighter_internal_caps(self, cache, monkeypatch):
         import gtmprod.dirichlet as dmod
         seq = parse_seq_spec("gtm:3:11")

@@ -1,14 +1,19 @@
 import math
 import random
+import re
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 from gtmprod import families
-from gtmprod.dirichlet import EpsUnachievableError
+from gtmprod.catalog import load_catalog
+from gtmprod.dirichlet import DirichletCache, EpsUnachievableError
 from gtmprod.evaluator import (
     ProductRejectedError,
     ProductSpec,
+    build_gamma_ratio_term,
+    build_scaling_term,
     check_product,
     evaluate_direct,
     evaluate_product,
@@ -18,6 +23,7 @@ from gtmprod.evaluator import (
     verify_functional_equation,
     verify_identity,
 )
+from gtmprod.evaluator import _tail_bound
 from gtmprod.gammafn import gamma
 from gtmprod.ratfun import parse_product_term
 from gtmprod.sequences import make_sequence, parse_seq_spec
@@ -115,9 +121,92 @@ class TestAcceleratedEvaluator:
         with pytest.raises(EpsUnachievableError):
             evaluate_product(wr_spec(), eps=1e-18, cache=cache)
 
-    def test_escalation_reports_larger_terms(self, cache):
-        res = evaluate_product(wr_spec(), eps=1e-9, cache=cache)
-        assert res.terms_used >= 20_000 and res.dirichlet_orders >= 12
+    @pytest.mark.parametrize("eps", [math.nan, 0.0, -1.0, math.inf])
+    def test_rejects_bad_eps_before_any_work(self, eps):
+        fresh = DirichletCache()
+        with pytest.raises(ValueError):
+            evaluate_product(wr_spec(), eps=eps, cache=fresh)
+        assert fresh.mp_lookup(TM.spec, 1) is None
+
+    def test_refuses_past_max_n_before_summing(self, cache):
+        # the cutoff alone, 4M with M = 800003, is past MAX_N
+        spec = ProductSpec(TM, "delta", 0, parse_product_term("(n+400000)/(n+400001)"))
+        with pytest.raises(EpsUnachievableError, match="N <= 1000000"):
+            evaluate_product(spec, eps=1e-9, cache=cache)
+
+
+def _rhs_log_30(text: str):
+    """log of a catalog right-hand side, evaluated by mpmath at 30 digits.
+
+    The text is the builtin catalog's own: integers become mpf and ^ is **."""
+    src = re.sub(r"\d+", lambda m: f"mpf({m.group()})", text.replace("^", "**"))
+    names = {"mpf": mp.mpf, "sqrt": mp.sqrt, "gamma": mp.gamma, "cos": mp.cos, "pi": mp.pi}
+    with mp.workdps(30):
+        return mp.log(eval(src, {"__builtins__": {}}, names))
+
+
+def _ladder_specs():
+    q5 = make_sequence("gtm", 5, bits="1011")
+    q3 = make_sequence("gtm", 3, bits="01")
+    a = [Fraction(40), Fraction(1, 8)]
+    b = [Fraction(20, 3), sum(a) - Fraction(20, 3)]  # equal sums, offsets up to 40
+    records = {r.id: r.product_spec() for r in load_catalog("builtin")}
+    return {
+        "wr": wr_spec(),
+        "g1.q5.k4": records["g1.q5.k4"],
+        "cor1.10.5.16": records["cor1.10.5.16"],
+        "ex1.6.13": records["ex1.6.13"],
+        "thm_f-offset-59": ProductSpec(
+            q5, "delta", 1, build_scaling_term(q5, Fraction(59), Fraction(1, 12))[0]),
+        "thm_frak-offset-40": ProductSpec(q3, "theta", 1, build_gamma_ratio_term(q3, a, b)[0]),
+    }
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("J", [1, 4, 16])
+    @pytest.mark.parametrize("c", [Fraction(1, 2), Fraction(3), Fraction(15, 2)])
+    def test_tail_bound_is_proven_and_close(self, c, J):
+        # sum_{n>N} |ln(1 + c/n) - sum_{j<=J} (-1)^(j+1) (c/n)^j / j| at N = 4M
+        N = 4 * (math.ceil(2 * c) + 1)
+        with mp.workdps(60):
+            cm = mp.mpf(c.numerator) / c.denominator
+            true = mp.nsum(lambda n: abs(mp.log1p(cm / n) - mp.fsum(
+                (-1) ** (j + 1) * (cm / n) ** j / j for j in range(1, J + 1))), [N + 1, mp.inf])
+        bound = _tail_bound([(float(c), 2)], J, N) / 2
+        assert true <= bound <= 4 * true, (float(true), bound)
+
+    @pytest.mark.parametrize("eps", [2.5e-9, 1e-13])
+    def test_covers_true_error_on_catalog(self, eps, cache):
+        for record in load_catalog("builtin"):
+            res = evaluate_product(record.product_spec(), eps=eps, cache=cache)
+            with mp.workdps(30):
+                dlog = float(abs(mp.mpf(res.log_value) - _rhs_log_30(record.rhs)))
+            assert dlog <= res.est_error <= eps, (record.id, dlog, res.est_error)
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-9, 1e-11])
+    def test_wide_offsets_within_certificate(self, eps, cache):
+        # |beta_16| err_16 is about 1e-3 at offsets near 60: J has to come from the budget
+        q5 = make_sequence("gtm", 5, bits="1011")
+        term, rhs = build_scaling_term(q5, Fraction(59), Fraction(1, 12))
+        res = evaluate_product(ProductSpec(q5, "delta", 1, term), eps=eps, cache=cache)
+        with mp.workdps(30):
+            exact = mp.log(mp.mpf(rhs.numerator) / rhs.denominator)
+            dlog = float(abs(mp.mpf(res.log_value) - exact))
+        assert dlog <= res.est_error <= eps, (dlog, res.est_error)
+
+    @pytest.mark.parametrize("name", sorted(_ladder_specs()))
+    def test_certified_eps_form_upper_set(self, name, cache):
+        spec = _ladder_specs()[name]
+        certified = []
+        for eps in (10.0**-k for k in range(6, 16)):
+            try:
+                res = evaluate_product(spec, eps=eps, cache=cache)
+            except EpsUnachievableError:
+                certified.append(False)
+            else:
+                assert res.est_error <= eps
+                certified.append(True)
+        assert certified[0] and certified == sorted(certified, reverse=True), certified
 
 
 class TestDirectEvaluator:
@@ -172,6 +261,15 @@ class TestVerifyIdentity:
     def test_rhs_must_be_positive(self, cache):
         with pytest.raises(ValueError):
             verify_identity(wr_spec(), -1.0, 1e-8, cache=cache)
+
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
+    def test_rejects_bad_tol_before_any_work(self, tol):
+        fresh = DirichletCache()
+        with pytest.raises(ValueError):
+            verify_identity(wr_spec(), INV_SQRT2, tol, cache=fresh)
+        with pytest.raises(ValueError):
+            verify_functional_equation("thm_f", 2, "1", {"a": 1, "b": 2}, tol=tol, cache=fresh)
+        assert fresh.mp_lookup(TM.spec, 1) is None
 
 
 class TestFunctionalEquations:

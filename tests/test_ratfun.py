@@ -4,10 +4,14 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from gtmprod import families
+from gtmprod.evaluator import build_scaling_term, telescoping_limit
+from gtmprod.gammafn import log_gamma_product
 from gtmprod.ratfun import (
     EvaluationError,
     FactorList,
     ParseError,
+    as_fraction,
     evaluate_real,
     exact_real_value,
     factor_list,
@@ -17,6 +21,7 @@ from gtmprod.ratfun import (
     format_product_term,
     parse_product_term,
 )
+from gtmprod.sequences import make_sequence
 
 
 def triples(fl: FactorList):
@@ -248,3 +253,24 @@ class TestEvaluation:
             fl = random_factor_list(rng)
             n = rng.randint(21, 60)
             assert exact_real_value(fl, n) == polynomial_form_value(fl, n)
+
+
+def test_one_coercion_rule_for_rational_parameters():
+    """Every entry point that takes exact rationals coerces through
+    ratfun.as_fraction: int and Fraction pass, anything else is a TypeError
+    with one message."""
+    q3 = make_sequence("gtm", 3, bits="01")
+    calls = [
+        lambda x: as_fraction(x),
+        lambda x: factor_list([(1, x, 1), (1, 1, -1)]),
+        lambda x: families.tm_cosine_family(x),
+        lambda x: build_scaling_term(q3, x, 1),
+        lambda x: log_gamma_product([x], [x]),
+        lambda x: telescoping_limit(2, x, 10),
+    ]
+    for call in calls:
+        call(Fraction(1, 2))
+        for bad in (0.5, 1j, "1/2"):
+            with pytest.raises(TypeError, match="expected int or Fraction"):
+                call(bad)
+    assert as_fraction(3) == Fraction(3) and isinstance(as_fraction(3), Fraction)
