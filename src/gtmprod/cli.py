@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .catalog import CatalogError, load_catalog, run_catalog
-from .dirichlet import DirichletCache, EpsUnachievableError, dirichlet_value
+from .dirichlet import DirichletCache, EpsUnachievableError, check_eps, dirichlet_value
 from .evaluator import (
     PositivityError,
     ProductRejectedError,
@@ -143,6 +143,7 @@ def _cmd_eval(args) -> int:
     seq = parse_seq_spec(args.seq)
     term = parse_product_term(args.term)
     spec = ProductSpec(seq, args.mode, args.start, term)
+    check_eps(args.tol, "tol")  # both methods: direct ignores it, but a bad one is a usage error
     cache = _make_cache(args)
     if args.method == "accel":
         res = evaluate_product(spec, eps=args.tol, cache=cache)

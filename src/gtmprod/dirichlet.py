@@ -18,15 +18,19 @@ The sweep is exact integer fixed point: F(t) is held as an integer X with
 is an exact integer and q^-i an exact floor division, so each floor
 costs under one unit 2^-B.  err(s) is the sum of those units, the
 propagated sum_i |C(-s,i) c_i| q^-i err(s+i), and the truncation bound of
-_ladder_extent, each over q^s - c_0; reading X back into an mpf at
-_MP_DPS adds one relative rounding.  dirichlet_mp multiplies the result
-by a further safety factor of 4.
+_ladder_extent, each over q^s - c_0.  ``dirichlet_fixed`` hands out
+(X, B, err) with err times a further safety factor of 4.
 
-Extended precision matters because the consumers multiply F(j) by exactly
-computed expansion coefficients that grow geometrically; binary64
-intermediate values would silently lose the product's tail.  The
-persisted cache stores binary64 (that is its file contract); the extended
-values are memoized per cache object only, so a fresh cache is cold.
+The result stays in fixed point.  The accelerated evaluator multiplies
+X by exact expansion coefficients that grow geometrically, in integers;
+binary64 intermediate values would silently lose the product's tail.
+``dirichlet_value`` rounds X 2^-B straight to binary64, and only
+``dirichlet_mp`` and ``zeta_mp`` build an mpf from it (at _MP_DPS digits,
+which adds one relative rounding to their error), importing mpmath on
+demand.  numpy is imported only by the partial-summation oracle
+``dirichlet_direct``.  The persisted cache stores binary64 (that is its
+file contract); the fixed-point values are memoized per cache object
+only, so a fresh cache is cold.
 """
 
 from __future__ import annotations
@@ -38,18 +42,17 @@ import threading
 from dataclasses import dataclass
 from pathlib import Path
 
-import mpmath as mp
-import numpy as np
-
-from .sequences import MultiplicativeSequence, delta_prefix, make_sequence
+from .sequences import MultiplicativeSequence, delta_prefix, make_sequence, sign_prefix
 
 S_DIRECT = 16
 _MP_DPS = 40
 _MP_EPS = 1e-30
 _I_CAP = 20000
 _GUARD_BITS = 32  # fixed-point bits beyond _MP_DPS digits
+_BITS = math.ceil(_MP_DPS * math.log2(10)) + _GUARD_BITS  # the fixed point's B
 _ZBOUND = 1.7  # |F(sigma)| <= zeta(2) for sigma >= 2
 _ROUND_UP = 1.0 + 2.0**-30  # covers the binary64 rounding of error sums
+_ROW = 256  # dirichlet_direct sums rows of this many terms, then fsums the rows
 
 
 class EpsUnachievableError(ArithmeticError):
@@ -99,14 +102,15 @@ class DirichletCache:
 
     File lines are ``seqspec|s|hex-binary64|eps|method``; unknown or
     malformed lines are ignored on load.  A cached value is reused only if
-    its eps is at least as tight as the request.  Extended-precision
-    values live in memory only.
+    its eps is at least as tight as the request.  The extended-precision
+    memo (``mp_lookup``/``mp_store``) holds the fixed-point triples
+    (X, bits, err) of the ladder, in memory only.
     """
 
     def __init__(self, path: str | os.PathLike | None = None):
         self.path = Path(path) if path is not None else None
         self._entries: dict[tuple[str, int], CacheEntry] = {}
-        self._mp: dict[tuple[str, int], tuple[mp.mpf, float]] = {}
+        self._mp: dict[tuple[str, int], tuple[int, int, float]] = {}
         self._lock = threading.Lock()
         if self.path is not None and self.path.exists():
             self._load()
@@ -151,9 +155,9 @@ class DirichletCache:
         with self._lock:
             return self._mp.get((spec, s))
 
-    def mp_store(self, spec: str, s: int, value, err: float):
+    def mp_store(self, spec: str, s: int, x: int, bits: int, err: float):
         with self._lock:
-            self._mp[(spec, s)] = (value, err)
+            self._mp[(spec, s)] = (x, bits, err)
 
 
 def _moment_bound(q: int, i: int) -> float:
@@ -201,7 +205,7 @@ def _direct_fixed(seq: MultiplicativeSequence, orders: range,
     one sign prefix, as long as the lowest order needs, serves every order.
     """
     one = 1 << bits
-    signs = delta_prefix(seq, _direct_terms(orders[0]) + 1).tolist()
+    signs = sign_prefix(seq, _direct_terms(orders[0]) + 1)
     out = {}
     for t in orders:
         n_terms = _direct_terms(t)
@@ -249,12 +253,13 @@ def _ladder_fixed(seq: MultiplicativeSequence, bits: int) -> dict[int, tuple[int
     return {t: known[t] for t in levels}
 
 
-def dirichlet_mp(seq: MultiplicativeSequence, s: int,
-                 cache: DirichletCache | None = None) -> tuple[mp.mpf, float]:
-    """F(s) in extended precision (internal engine behind dirichlet_value).
+def dirichlet_fixed(seq: MultiplicativeSequence, s: int,
+                    cache: DirichletCache | None = None) -> tuple[int, int, float]:
+    """F(s) in fixed point: (X, bits, err) with |X 2^-bits - F(s)| <= err.
 
-    A miss below S_DIRECT sweeps the whole ladder of the sequence into the
-    cache; a miss at or above it sums F(s) directly.
+    err carries a x4 safety factor over the accounted error.  A miss below
+    S_DIRECT sweeps the whole ladder of the sequence into the cache's memo;
+    a miss at or above it sums F(s) directly.
     """
     if s < 1:
         raise ValueError("s must be a positive integer")
@@ -264,28 +269,44 @@ def dirichlet_mp(seq: MultiplicativeSequence, s: int,
         cache = DirichletCache()
     hit = cache.mp_lookup(seq.spec, s)
     if hit is None:
-        bits = math.ceil(_MP_DPS * math.log2(10)) + _GUARD_BITS
         if s >= S_DIRECT:
-            fixed = _direct_fixed(seq, range(s, s + 1), bits)
+            fixed = _direct_fixed(seq, range(s, s + 1), _BITS)
         else:
-            fixed = _ladder_fixed(seq, bits)
-        with mp.workdps(_MP_DPS):
-            rel = math.ldexp(1.0, 1 - mp.mp.prec)
-            for t, (x, e) in fixed.items():
-                value = mp.mpf((x, -bits))  # one rounding, within rel of x 2^-bits
-                entry = (value, e + abs(float(value)) * rel)
-                cache.mp_store(seq.spec, t, *entry)
-                if t == s:
-                    hit = entry
-    value, err = hit
-    return value, 4.0 * err  # a x4 safety factor over the accounted error
+            fixed = _ladder_fixed(seq, _BITS)
+        for t, (x, e) in fixed.items():
+            cache.mp_store(seq.spec, t, x, _BITS, e)
+        hit = (fixed[s][0], _BITS, fixed[s][1])
+    x, bits, err = hit
+    return x, bits, 4.0 * err  # a x4 safety factor over the accounted error
 
 
 _ALL_PLUS = make_sequence("gtm", 2, bits="0")
 
 
-def zeta_mp(s: int, cache: DirichletCache | None = None) -> tuple[mp.mpf, float]:
-    """zeta(s) for integer s >= 2 through the all-plus ladder."""
+def zeta_fixed(s: int, cache: DirichletCache | None = None) -> tuple[int, int, float]:
+    """zeta(s) for integer s >= 2 in fixed point, through the all-plus ladder."""
+    if s < 2:
+        raise ValueError("zeta ladder needs s >= 2")
+    return dirichlet_fixed(_ALL_PLUS, s, cache)
+
+
+def dirichlet_mp(seq: MultiplicativeSequence, s: int,
+                 cache: DirichletCache | None = None):
+    """F(s) as an mpmath mpf at _MP_DPS digits, with its certified error.
+
+    The one rounding of X 2^-bits adds a relative ulp of the value to the
+    error of dirichlet_fixed (the x4 factor applies to it too)."""
+    import mpmath as mp
+
+    x, bits, err = dirichlet_fixed(seq, s, cache)
+    with mp.workdps(_MP_DPS):
+        value = mp.mpf((x, -bits))
+        rel = math.ldexp(1.0, 1 - mp.mp.prec)
+    return value, err + 4.0 * abs(float(value)) * rel
+
+
+def zeta_mp(s: int, cache: DirichletCache | None = None):
+    """zeta(s) for integer s >= 2 through the all-plus ladder, as an mpf."""
     if s < 2:
         raise ValueError("zeta ladder needs s >= 2")
     return dirichlet_mp(_ALL_PLUS, s, cache)
@@ -293,7 +314,10 @@ def zeta_mp(s: int, cache: DirichletCache | None = None) -> tuple[mp.mpf, float]
 
 def dirichlet_value(seq: MultiplicativeSequence, s: int, eps: float = 1e-15,
                     cache: DirichletCache | None = None) -> tuple[float, float]:
-    """Binary64 F(s) with certified eps_achieved <= eps (cache-aware)."""
+    """Binary64 F(s) with certified eps_achieved <= eps (cache-aware).
+
+    X 2^-bits is rounded once, correctly, to binary64: half an ulp, which
+    the 2^-52 |value| term covers."""
     check_eps(eps)
     if cache is None:
         cache = DirichletCache()
@@ -301,8 +325,8 @@ def dirichlet_value(seq: MultiplicativeSequence, s: int, eps: float = 1e-15,
         hit = cache.lookup(seq.spec, s, eps)
         if hit is not None:
             return hit.value, hit.eps
-    value_mp, err = dirichlet_mp(seq, s, cache)
-    value = float(value_mp)
+    x, bits, err = dirichlet_fixed(seq, s, cache)
+    value = x / (1 << bits)
     eps_achieved = err + abs(value) * 2.0**-52 + 5e-324
     if eps_achieved > eps:
         raise EpsUnachievableError(
@@ -344,13 +368,18 @@ def dirichlet_direct(seq: MultiplicativeSequence, s: int, N: int) -> tuple[float
         raise ValueError("s must be a positive integer")
     if N < 4:
         raise ValueError("N must be at least 4")
-    signs = delta_prefix(seq, N + 1).astype(np.float64)
-    n = np.arange(1, N + 1, dtype=np.float64)
-    powers = n**(-float(s))
-    partial = float(np.einsum("i,i->", signs[1:], powers))
-    abs_sum = float(powers.sum())
+    import numpy as np
+
+    signs = delta_prefix(seq, N + 1)
+    terms = np.arange(1, N + 1, dtype=np.float64)
+    np.power(terms, -float(s), out=terms)
+    terms *= signs[1:]  # exact: the signs are +-1
+    whole = N - N % _ROW
+    rows = terms[:whole].reshape(-1, _ROW).sum(axis=1)
+    partial = math.fsum(rows.tolist() + terms[whole:].tolist())
     delta_next = int(signs.sum())  # exact: an integer below 2^53
-    value = partial - delta_next * float(N + 1) ** (-s)
+    boundary = delta_next * float(N + 1) ** (-s)
+    value = partial - boundary
 
     b1, alpha, log_bound = _pattern_delta_bound(seq)
     if b1 is not None:
@@ -360,8 +389,17 @@ def dirichlet_direct(seq: MultiplicativeSequence, s: int, N: int) -> tuple[float
         bound_at = log_bound(4.0 * N)
         err = s * bound_at * (N ** (-s)) / s + bound_at * N ** (-s - 1)
         err += bound_at * N ** (-s)  # slack for the slowly growing log factor
-    # accumulated float64 noise: elementwise pow error plus dot-product
-    # rounding, which behaves like a random walk over N terms
-    err_round = 2.0**-52 * abs_sum * (math.sqrt(N) + 8.0)
+    # Rounding, worst case, with u = 2^-53.  Each n^-s is good to 4 ulps, so
+    # off by 8u n^-s, and its sign multiplies it exactly; sum_{n<=N} n^-s <=
+    # A = 1 + ln N for s = 1 and 1 + 1/(s - 1) for s >= 2.  A row of _ROW
+    # terms summed in any order is off by gamma_(_ROW-1) times its absolute
+    # sum (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    # 4.2), and fsum rounds the exact sum of the rows once: u |partial|.  The
+    # boundary term takes a pow and a product, 9u |boundary|, and the
+    # difference u |value|.  (_ROW + 8) A and 10 |boundary| cover the
+    # second-order terms, _ROUND_UP the rounding of this bound.
+    A = 1.0 + (math.log(N) if s == 1 else 1.0 / (s - 1))
+    err_round = 2.0**-53 * _ROUND_UP * (
+        (_ROW + 8) * A + abs(partial) + 10.0 * abs(boundary) + abs(value))
     err = 2.0 * err + err_round + 1e-16 * abs(value)
     return value, err

@@ -6,21 +6,31 @@ criteria, and positivity of R(n) for every n >= start.  For a product
 term R with weights w_n = delta_n or theta_n = (1 - delta_n)/2 the
 accelerated evaluator writes
 
-    log P = head + sum_j beta_j * T_j + sum_{M<=n<=N} w_n rho_J(n) + tail,
+    log P = head + sum_j beta_j * T_j + tail,
 
-where beta_j are the exact coefficients of ln R(n) in powers of 1/n
-(a closed form in the factors' offsets), T_j is the Dirichlet tail
-sum_{n>=M} w_n n^-j (F(j) from the ladder, or (zeta(j) - F(j))/2 for
-theta, less the terms below the series cutoff M), and rho_J is the
-literal difference ln R(n) - sum_j beta_j n^-j.  The head below M is
-evaluated exactly, as quotients of integer products, which keeps the
-beta_j / T_j pairing free of the cancellation that ruins the naive split
-at n = 1.  (J, N) are read off eps in one step: J is the most orders
-whose Dirichlet errors fit in eps/4, and N >= 4M the fewest terms whose
-proven bound on the tail, from the normal form prod (n + c)^E, fits in
-eps/4.  The rest of the certificate is a worst-case rounding bound.
-The plain series uses zeta from the all-plus ladder rather than the
-Gamma closed form, so closed forms remain an independent cross-check.
+where the head is sum_{start<=n<=N} w_n ln R(n), beta_j are the exact
+coefficients of ln R(n) in powers of 1/n (a closed form in the factors'
+offsets), T_j is the Dirichlet tail sum_{n>N} w_n n^-j (F(j) from the
+ladder, or (zeta(j) - F(j))/2 for theta, less the terms up to N), and the
+tail sum_{n>N} w_n rho_J(n), with rho_J(n) = ln R(n) - sum_{j<=J} beta_j
+n^-j, is bounded, not summed.  Both sums are exact until one rounding:
+R(n) is a quotient of integer products, so the head is one log per run
+of exact products (``_head_logs``), and sum_j beta_j T_j is formed in the
+ladder's integer fixed point (``_series``).  Past the series cutoff M the
+pairing of beta_j and T_j is free of the cancellation that ruins the
+naive split at n = 1.  (J, N) are read off eps in one step: J is the most
+orders whose Dirichlet and fixed-point errors fit in eps/4, and N >= 4M
+the fewest terms whose proven bound on the tail, from the normal form
+prod (n + c)^E, fits in eps/4.  The rest of the certificate is a
+worst-case rounding bound of a few ulps.  The term's normal form is
+computed once per evaluation and feeds the check, the expansion, the
+head and the tail bound.  The plain series uses zeta from the all-plus
+ladder rather than the Gamma closed form, so closed forms remain an
+independent cross-check.
+
+The accelerated path runs on Python ints and floats, with its signs from
+``sign_prefix``.  numpy is imported only by the bulk routines,
+``evaluate_direct`` and ``telescoping_limit``, and mpmath not at all.
 
 The baseline evaluator sums terms outright, averages the partial
 log-sums over the final base-q block, and certifies the result from the
@@ -28,8 +38,8 @@ spread of the last few block-boundary partial sums.  It takes its signs
 block by block from one prefix of B = q^m <= 2^17 signs (delta over
 [kB, (k+1)B) is delta_k times delta over [0, B)), so memory is O(B) for
 every N; fl_round bounds the rounding of every sum in the worst case.
-Past the roots both evaluators take ln R(n) as one log1p per
-numerator/denominator pair (``_log_terms``).
+Past the roots it takes ln R(n) as one log1p per numerator/denominator
+pair (``_log1p_pairs``).
 """
 
 from __future__ import annotations
@@ -38,16 +48,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath as mp
-import numpy as np
-
 from .dirichlet import (
     _ROUND_UP,
     DirichletCache,
     EpsUnachievableError,
     check_eps,
-    dirichlet_mp,
-    zeta_mp,
+    dirichlet_fixed,
+    zeta_fixed,
 )
 from .ratfun import (
     EvaluationError,
@@ -60,11 +67,13 @@ from .ratfun import (
     factored_normal_form,
     factored_zeros_poles,
     first_non_positive,
+    integer_offsets,
 )
-from .sequences import MultiplicativeSequence, delta_prefix, sign_at
+from .sequences import MultiplicativeSequence, delta_prefix, sign_at, sign_prefix
 
 MAX_J = 16
 MAX_N = 1_000_000
+_HEAD_RUN = 64  # the most terms whose exact product is rounded at once
 
 
 class ProductRejectedError(ValueError):
@@ -112,11 +121,12 @@ class EvalResult:
     dirichlet_orders: int
 
 
-def check_product(spec: ProductSpec) -> ProductCheck:
+def check_product(spec: ProductSpec, normal_form=None) -> ProductCheck:
     """Enforce every ProductSpec invariant, reporting the first violation.
 
     Every decision is exact and read off the term's factors; positivity is
-    decided for every n >= start, not sampled.
+    decided for every n >= start, not sampled.  ``normal_form`` is the
+    term's ``factored_normal_form``, when the caller has it.
     """
     if not spec.seq.nontrivial:
         return ProductCheck(False, "trivial-pattern")
@@ -125,7 +135,7 @@ def check_product(spec: ProductSpec) -> ProductCheck:
     offenders = factored_zeros_poles(spec.term, spec.start)
     if offenders:
         return ProductCheck(False, f"zero-or-pole at n={offenders[0]}")
-    verdict = factored_convergence(spec.term, spec.mode)
+    verdict = factored_convergence(spec.term, spec.mode, normal_form)
     if not verdict:
         return ProductCheck(False, verdict.reason)
     if spec.term.constant <= 0:
@@ -136,8 +146,8 @@ def check_product(spec: ProductSpec) -> ProductCheck:
     return ProductCheck(True)
 
 
-def _require_ok(spec: ProductSpec):
-    chk = check_product(spec)
+def _require_ok(spec: ProductSpec, normal_form=None):
+    chk = check_product(spec, normal_form)
     if not chk:
         raise ProductRejectedError(chk.reason)
 
@@ -145,27 +155,6 @@ def _require_ok(spec: ProductSpec):
 def _series_cutoff(term: FactorList) -> int:
     """First index where the 1/n expansion terms are uniformly below 2^-j."""
     return int(math.ceil(2.0 * max(1.0, term.max_root_magnitude()))) + 1
-
-
-def _log1p_pairs(term: FactorList) -> list[tuple[float, Fraction]]:
-    """Pairs (d_i, b_i) with ln R(n) = sum_i log1p(d_i/(n + b_i)): the sorted
-    numerator offsets a_i of the normal form matched with the sorted
-    denominator offsets b_i, d_i = a_i - b_i (a checked term has K' = 1)."""
-    _, merged = factored_normal_form(term)
-    num = sorted(c for c, e in merged.items() for _ in range(e))
-    den = sorted(c for c, e in merged.items() for _ in range(-e))
-    return [(float(a - b), b) for a, b in zip(num, den)]
-
-
-def _log_terms(pairs, n: np.ndarray, shift: int, out: np.ndarray,
-               tmp: np.ndarray) -> np.ndarray:
-    """out = ln R(n + shift), one log1p per pair of _log1p_pairs; each offset
-    shift + b_i is formed exactly and rounded once."""
-    out[:] = 0.0
-    for d, b in pairs:
-        x = np.add(n, float(shift + b), out=tmp)
-        out += np.log1p(np.divide(d, x, out=x), out=x)
-    return out
 
 
 def _tail_bound(offsets, J: int, N: int) -> float:
@@ -181,7 +170,90 @@ def _tail_bound(offsets, J: int, N: int) -> float:
                            for c, e in offsets)
 
 
-def _accel_components(spec: ProductSpec, eps: float, cache: DirichletCache):
+def _dirichlet_orders(spec: ProductSpec, betas, budget: float, cache: DirichletCache):
+    """(J, orders, err): J is the most orders whose charges fit in budget,
+    orders holds (j, beta_j, X_j, bits) for each nonzero beta_j up to J, with
+    X_j 2^-bits the fixed-point G_j = sum_{n>=1} w_n n^-j, and err is the sum
+    of the charges, which bounds the error of _series over those orders."""
+    J, orders, err = 0, [], 0.0
+    for j, bj in enumerate(betas, start=1):
+        if bj:
+            x, bits, e = dirichlet_fixed(spec.seq, j, cache)
+            if spec.mode == "theta":  # sum theta_n n^-j = (zeta - F)/2; beta_1 = 0 here
+                z, _, ze = zeta_fixed(j, cache)
+                x, bits, e = z - x, bits + 1, (ze + e) / 2
+            charge = abs(float(bj)) * (e + math.ldexp(MAX_N, -bits)) + math.ldexp(1.0, -bits)
+            if err + charge > budget:
+                break
+            err += charge
+            orders.append((j, bj, x, bits))
+        J = j
+    return J, orders, err
+
+
+def _series(orders, w) -> float:
+    """sum_j beta_j T_j over the orders of _dirichlet_orders, where
+    T_j = G_j - sum_{0<n<=N} w_n n^-j = sum_{n>N} w_n n^-j and w holds
+    w_0..w_N (N < MAX_N); exact fixed point, rounded to binary64 once.
+
+    With B the orders' bits, T_j is X_j - sum_n w_n floor(2^B / n^j).  One
+    pass over n builds every j, as floor(floor(2^B / n^(j-1)) / n) =
+    floor(2^B / n^j); each floor loses less than one unit 2^-B (n = 1 is
+    exact), so T_j is off by err_j plus fewer than MAX_N units.  The series
+    is sum_j floor(p_j T_j / r_j) for beta_j = p_j/r_j, which loses less than
+    one unit per order.  That is the charge |beta_j| (err_j + MAX_N 2^-B) +
+    2^-B of _dirichlet_orders; the final division rounds once more.
+    """
+    if not orders:
+        return 0.0
+    bits, top = orders[0][3], orders[-1][0]
+    t = {j: x for j, _, x, _ in orders}
+    for n in range(1, len(w)):
+        if w[n]:
+            p = 1 << bits
+            for j in range(1, top + 1):
+                p //= n
+                if j in t:
+                    t[j] -= w[n] * p
+    total = sum(bj.numerator * t[j] // bj.denominator for j, bj, _, _ in orders)
+    return total / (1 << bits)
+
+
+def _head_logs(merged: dict, start: int, w) -> list[float]:
+    """sum_{start<=n<=N} w_n ln R(n) for w = w_0..w_N, as one log per run of
+    at most _HEAD_RUN indices, each of the run's exact product rounded to
+    binary64 once.  A run also ends before its quotient leaves (2^-961,
+    2^961), inside binary64's normal range.
+
+    A checked term is prod (n + c)^E over the normal form {c: E}, with
+    K' = 1 and sum E = 0; with every c = m/L over one common denominator,
+    R(n) = prod (L n + m)^E, a quotient of integer products.
+    """
+    L, offsets = integer_offsets(merged)
+    ups = [(m, e) for m, e in offsets if e > 0]
+    downs = [(m, -e) for m, e in offsets if e < 0]
+    logs, num, den, size = [], 1, 1, 0
+    for n in range(start, len(w)):
+        if not w[n]:
+            continue
+        p = q = 1
+        for m, e in ups:
+            p *= (L * n + m) ** e
+        for m, e in downs:
+            q *= (L * n + m) ** e
+        if w[n] < 0:
+            p, q = q, p
+        if size and (size == _HEAD_RUN
+                     or abs((num * p).bit_length() - (den * q).bit_length()) > 960):
+            logs.append(math.log(num / den))
+            num, den, size = 1, 1, 0
+        num, den, size = num * p, den * q, size + 1
+    if size:
+        logs.append(math.log(num / den))
+    return logs
+
+
+def _accel_components(spec: ProductSpec, eps: float, cache: DirichletCache, normal_form):
     """(log P, est, N, J) for a checked spec, with (J, N) read off eps."""
     seq, term = spec.seq, spec.term
     M = _series_cutoff(term)
@@ -189,32 +261,12 @@ def _accel_components(spec: ProductSpec, eps: float, cache: DirichletCache):
     refusal = f"eps {eps:g} cannot be certified with N <= {MAX_N}"
     if lo > hi:
         raise EpsUnachievableError(refusal)
-    betas = factored_log_expansion(term, MAX_J)
+    betas = factored_log_expansion(term, MAX_J, normal_form)
     budget = eps / 4.0
-    with mp.workdps(40):
-        # J: the most orders whose errors fit in eps/4: the ladder's err_j of
-        # G_j = sum_{n>=1} w_n n^-j, and the mp rounding of beta_j T_j below.
-        # That rounds G_j, each n^-j, the head sum (taken as recursive), G_j -
-        # head, beta_j, the product and the outer sum: with a_j = sum_{n<M}
-        # n^-j <= 1 + ln M and |G_j - head| <= |G_j| + a_j, it is off by less
-        # than (M + 24) ulp |beta_j| (a_j + |G_j|), ulp = 2^(1 - prec).
-        ulp = math.ldexp(1.0, 1 - mp.mp.prec)
-        J, orders, mp_err = 0, [], 0.0
-        for j, bj in enumerate(betas, start=1):
-            if bj:
-                g, err = dirichlet_mp(seq, j, cache)
-                if spec.mode == "theta":  # sum theta_n n^-j; beta_1 = 0 here
-                    z, zerr = zeta_mp(j, cache)
-                    g, err = (z - g) / 2, (zerr + err) / 2
-                charge = abs(float(bj)) * (
-                    err + (M + 24) * ulp * (1.0 + math.log(M) + abs(float(g))))
-                if mp_err + charge > budget:
-                    break
-                mp_err += charge
-                orders.append((j, bj, g))
-            J = j
+    # J: the most orders whose errors fit in eps/4 (the ladder's and _series')
+    J, orders, series_err = _dirichlet_orders(spec, betas, budget, cache)
     # N: the fewest terms, at least 4M, whose tail bound fits in eps/4
-    _, merged = factored_normal_form(term)
+    merged = normal_form[1]
     offsets = [(abs(float(c)), abs(e)) for c, e in merged.items() if c and e]
     if J == 0 or _tail_bound(offsets, J, hi) > budget:
         raise EpsUnachievableError(refusal)
@@ -222,49 +274,19 @@ def _accel_components(spec: ProductSpec, eps: float, cache: DirichletCache):
         mid = (lo + hi) // 2
         lo, hi = (mid + 1, hi) if _tail_bound(offsets, J, mid) > budget else (lo + 1, mid)
     N = lo
-    w = delta_prefix(seq, N + 1).astype(np.float64)
+    w = sign_prefix(seq, N + 1)
     if spec.mode == "theta":
-        w = 0.5 - 0.5 * w  # theta_n, exactly 0 or 1
-    wl = w[:M].astype(int).tolist()
-    with mp.workdps(40):
-        # sum_j beta_j T_j with T_j = G_j - sum_{n<M} w_n n^-j = sum_{n>=M} w_n n^-j
-        series = float(mp.fsum(
-            mp.mpf(bj.numerator) / bj.denominator
-            * (g - mp.fsum(wl[n] * mp.power(n, -j) for n in range(1, M) if wl[n]))
-            for j, bj, g in orders))
-
-    # n < M exactly (theta_0 = 0, so start 0 and 1 agree in theta mode)
-    try:
-        head = [wl[n] * math.log(evaluate_real(term, n)) for n in range(spec.start, M) if wl[n]]
-    except EvaluationError as exc:
-        raise PositivityError(str(exc)) from None
-    # n in [M, N]: the literal remainder rho_J(n) = ln R(n) - sum_j beta_j n^-j
-    n = np.arange(M, N + 1, dtype=np.float64)
-    pairs = _log1p_pairs(term)
-    x, poly, size = 1.0 / n, np.zeros_like(n), np.zeros_like(n)
-    for bj in reversed(betas[:J]):
-        poly = (poly + float(bj)) * x
-        size = (size + abs(float(bj))) * x
-    rho = _log_terms(pairs, n, 0, np.empty_like(n), np.empty_like(n)) - poly
-    log_value = math.fsum(head + [series] + (w[M:] * rho).tolist())
-
-    # Rounding, with u = 2^-53.  Each head term rounds R(n) and takes a log
-    # good to 4 ulps: off by <= 2u + 8u|t|; float(series) adds u|series|.  In
-    # the remainder |b| < n/2, so rounding d, b, n + b and the quotient moves
-    # x = d/(n + b) by 4u|x|, hence log1p(x) by 4u|d|/(n + m), m = min(a, b);
-    # log1p's own 4 ulps of |log1p(x)| <= |d|/(n + m) add 8u|d|/(n + m), and
-    # adding up P pairs (P - 1)u of the same: ln R(n) is off by (P + 11)u L_n,
-    # L_n = sum_i |d_i|/(n + m_i).  Horner with x = fl(1/n) and rounded beta_j
-    # is off by gamma_(3J+1) S_n <= (3J + 2)u S_n, S_n = sum_j |beta_j| n^-j
-    # (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 5.1),
-    # and the difference adds u|rho_n|.  The weights are exact and fsum
-    # rounds the exact sum once: u|log P|.  _ROUND_UP covers the second-order
-    # terms and the rounding of this bound.
-    bulk = sum(abs(d) / (n + (float(b) + min(d, 0.0))) for d, b in pairs)
-    mag = (len(pairs) + 11) * bulk + (3 * J + 2) * size + np.abs(rho)
+        w = [(1 - s) // 2 for s in w]  # theta_n, 0 or 1
+    head = _head_logs(merged, spec.start, w)
+    series = _series(orders, w)
+    log_value = math.fsum(head + [series])
+    # Rounding, with u = 2^-53.  Each head run rounds its exact product once,
+    # which moves its log by at most 2u, and takes a log good to 4 ulps: off
+    # by <= 2u + 8u|t|.  float(series) adds u|series|, and fsum rounds the
+    # exact sum once: u|log P|.  _ROUND_UP covers the rounding of this bound.
     fl_round = 2.0**-53 * _ROUND_UP * math.fsum(
-        [2 * len(head), 8 * sum(map(abs, head)), abs(series), abs(log_value), float(mag.sum())])
-    return log_value, _tail_bound(offsets, J, N) + mp_err + fl_round, N, J
+        [2 * len(head), 8 * sum(map(abs, head)), abs(series), abs(log_value)])
+    return log_value, _tail_bound(offsets, J, N) + series_err + fl_round, N, J
 
 
 def evaluate_product(spec: ProductSpec, eps: float = 1e-9,
@@ -272,16 +294,17 @@ def evaluate_product(spec: ProductSpec, eps: float = 1e-9,
     """Accelerated evaluation with certified absolute error on the logarithm.
 
     (J, N) are chosen once from eps: J is the largest order <= MAX_J whose
-    Dirichlet and mp errors fit in eps/4, N the smallest N >= 4M whose
+    Dirichlet and fixed-point errors fit in eps/4, N the smallest N >= 4M whose
     proven tail bound fits in eps/4.  Raises EpsUnachievableError, before
     any summing, if that N would exceed MAX_N, and after it if the rounding
     bound takes the certified error past eps.
     """
     check_eps(eps)
-    _require_ok(spec)
+    normal_form = factored_normal_form(spec.term)
+    _require_ok(spec, normal_form)
     if cache is None:
         cache = DirichletCache()
-    log_value, est, n, j = _accel_components(spec, eps, cache)
+    log_value, est, n, j = _accel_components(spec, eps, cache, normal_form)
     if est > eps:
         raise EpsUnachievableError(f"certified error {est:g} exceeds eps {eps:g}")
     return EvalResult(math.exp(log_value), log_value, est, "accel", n, j)
@@ -294,14 +317,26 @@ def _top_exponent(q: int, n: int) -> int:
     return next(k for k in range(n.bit_length()) if q ** (k + 1) > n)
 
 
+def _log1p_pairs(merged: dict) -> list[tuple[float, Fraction]]:
+    """Pairs (d_i, b_i) with ln R(n) = sum_i log1p(d_i/(n + b_i)), from the
+    offsets {c: E} of the normal form: the sorted numerator offsets a_i
+    matched with the sorted denominator offsets b_i, d_i = a_i - b_i (a
+    checked term has K' = 1)."""
+    num = sorted(c for c, e in merged.items() for _ in range(e))
+    den = sorted(c for c, e in merged.items() for _ in range(-e))
+    return [(float(a - b), b) for a, b in zip(num, den)]
+
+
 def _direct_sums(spec: ProductSpec, K: int):
     """Partial sums S_m = sum_{start <= n < m} w_n ln R(n): ({m: S_m} for
     m = q^1..q^K and every block start, the mean of S_(n+1) over [q^(K-1),
     q^K), fl_round), where fl_round bounds the rounding error of each."""
+    import numpy as np
+
     seq, term, start, q = spec.seq, spec.term, spec.start, spec.seq.q
     n_used, fb_lo = q**K, q ** (K - 1)
     n_safe = max(start, int(math.floor(term.max_root_magnitude())) + 1)
-    pairs = _log1p_pairs(term)
+    pairs = _log1p_pairs(factored_normal_form(term)[1])
     # delta over [kB, (k+1)B) is delta_k times delta over [0, B)
     B = q ** min(K - 1, _top_exponent(q, _BLOCK_CAP))  # divides fb_lo
     base = delta_prefix(seq, B).astype(np.float64)
@@ -324,7 +359,13 @@ def _direct_sums(spec: ProductSpec, K: int):
             except EvaluationError as exc:
                 raise PositivityError(str(exc)) from None
             abs_head += float(np.abs(lv[:e - pos]).sum())
-        _log_terms(pairs, j_all[e - lo:], lo, lv[e - pos:], tmp[e - lo:])  # n = j + kB
+        # ln R(n) for n = j + kB in [e, hi), one log1p per pair; each offset
+        # kB + b_i is formed exactly and rounded once
+        out, x = lv[e - pos:], tmp[e - lo:]
+        out[:] = 0.0
+        for d, b in pairs:
+            np.add(j_all[e - lo:], float(lo + b), out=x)
+            out += np.log1p(np.divide(d, x, out=x), out=x)
         w = weights[s][j0:]
         if pos < B:  # chunk 0 holds the boundaries below B
             cs = running + np.cumsum(w * lv)
@@ -571,6 +612,8 @@ def telescoping_limit(q: int, a, N: int = 100_000) -> float:
     a = as_fraction(a)
     if a <= 0:
         raise ValueError("a must be positive")
+    import numpy as np
+
     n = np.arange(0, N + 1, dtype=np.float64)
     af = float(a)
     total = (np.log(q * n + af) + np.log(q * n + af + q)

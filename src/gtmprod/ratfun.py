@@ -321,14 +321,23 @@ def factored_normal_form(f: FactorList) -> tuple[Fraction, dict]:
     return scale, merged
 
 
-def factored_convergence(f: FactorList, mode: str) -> ConvergenceVerdict:
+def integer_offsets(merged: dict) -> tuple[int, list[tuple[int, int]]]:
+    """(L, [(m, E)]) for a normal form {c: E}: every offset over one common
+    denominator L, c = m/L, for the entries with E != 0."""
+    L = math.lcm(*(c.denominator for c in merged))
+    return L, [(c.numerator * (L // c.denominator), e) for c, e in merged.items() if e]
+
+
+def factored_convergence(f: FactorList, mode: str,
+                         normal_form: tuple[Fraction, dict] | None = None) -> ConvergenceVerdict:
     """The paper's criteria, read off the factors.  Delta exponents need
     equal degrees (the exponents sum to 0) and equal leading coefficients
     (K * prod alpha^e = 1); theta exponents also need equal root sums
-    (sum e * beta/alpha = 0).  A failure names the first criterion missed."""
+    (sum e * beta/alpha = 0).  A failure names the first criterion missed.
+    ``normal_form`` is f's ``factored_normal_form``, when the caller has it."""
     if mode not in ("delta", "theta"):
         raise ValueError(f"mode must be 'delta' or 'theta', got {mode!r}")
-    scale, merged = factored_normal_form(f)
+    scale, merged = normal_form or factored_normal_form(f)
     if sum(merged.values()) != 0:
         return ConvergenceVerdict(False, "degree")
     if scale != 1:
@@ -361,28 +370,32 @@ def first_non_positive(f: FactorList, n_start: int) -> int | None:
     return None
 
 
-def factored_log_expansion(f: FactorList, J: int) -> list[Fraction]:
+def factored_log_expansion(f: FactorList, J: int,
+                           normal_form: tuple[Fraction, dict] | None = None) -> list[Fraction]:
     """Exact beta_1..beta_J with ln R(n) = sum_j beta_j n^-j + O(n^-(J+1)).
 
     Each factor contributes ln(alpha n) + ln(1 + c/n) with c = beta/alpha,
     so beta_j = (-1)^(j+1)/j * sum_f e_f c_f^j once the delta-mode criteria
-    (required) have cancelled the ln n and constant terms.
+    (required) have cancelled the ln n and constant terms.  With every
+    offset written as c = m/L over one common denominator L, the power sums
+    are the integers sum E m^j, and each beta_j is one Fraction over j L^j.
+    ``normal_form`` is f's ``factored_normal_form``, when the caller has it.
     """
     if J < 0:
         raise ValueError("J must be >= 0")
-    verdict = factored_convergence(f, "delta")
+    normal_form = normal_form or factored_normal_form(f)
+    verdict = factored_convergence(f, "delta", normal_form)
     if not verdict:
         raise ValueError(f"expansion needs delta-convergent R ({verdict.reason})")
-    _, merged = factored_normal_form(f)
-    sums = [0] * J
-    for c, e in merged.items():
-        if e == 0 or c == 0:
-            continue
-        power = e
-        for j in range(J):
-            power = power * c
-            sums[j] += power
-    return [s * Fraction(-1 if j % 2 else 1, j + 1) for j, s in enumerate(sums)]
+    L, offsets = integer_offsets(normal_form[1])
+    m = [mi for mi, _ in offsets]
+    powers = [e for _, e in offsets]  # E m^j, j = 0 so far
+    out = []
+    for j in range(1, J + 1):
+        powers = [p * mi for p, mi in zip(powers, m)]
+        total = sum(powers)
+        out.append(Fraction(total if j % 2 else -total, j * L**j))
+    return out
 
 
 def exact_real_value(f: FactorList, n: int) -> Fraction:

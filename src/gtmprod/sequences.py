@@ -2,11 +2,16 @@
 
 A sequence here is a map n -> delta_n in {+1, -1} with delta_0 = +1 and
 delta_{nq+k} = delta_n * delta_k for every base-q digit k.  It is fully
-determined by its first q signs, so we never materialize terms: element
-access and partial sums walk the base-q digits of n in O(log n) exact
-integer arithmetic.  The only materialized form is the substitution
-fixed point produced by ``morphism_prefix``, which serves as an
-independent oracle in tests.
+determined by its first q signs: element access and partial sums walk
+the base-q digits of n in O(log n) exact integer arithmetic, with no
+array.  Three routines materialize signs: ``sign_prefix`` builds a short
+list for the accelerated evaluator and the ladder's direct sums,
+``delta_prefix`` grows a numpy prefix block by block for the bulk sums
+(the direct oracles and the partial-sum and extremal enumerations), and
+``morphism_prefix`` iterates the substitution itself as an independent
+oracle in tests.  numpy is imported only inside the bulk routines
+(``delta_prefix``, ``partial_sums_upto`` and ``extremal_partial_sums``),
+so digit access loads no array library.
 
 Supported families:
 
@@ -22,8 +27,10 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as _cartesian
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 MORPHISM_PREFIX_CAP = 10**7
 EXTREMAL_Q_CAP = 6
@@ -203,6 +210,17 @@ def sign_at(seq: MultiplicativeSequence, n: int) -> int:
     return out
 
 
+def sign_prefix(seq: MultiplicativeSequence, length: int) -> list[int]:
+    """delta_0 .. delta_(length-1) as a list, from delta_(nq+k) = delta_n delta_k."""
+    if length < 0:
+        raise ValueError("length must be >= 0")
+    q, signs = seq.q, seq.signs
+    out = [1]
+    for n in range(1, length):
+        out.append(out[n // q] * signs[n % q])
+    return out[:length]
+
+
 def theta_at(seq: MultiplicativeSequence, n: int) -> int:
     """theta_n = (1 - delta_n) / 2 in {0, 1}."""
     return (1 - sign_at(seq, n)) // 2
@@ -229,6 +247,8 @@ def partial_sum(seq: MultiplicativeSequence, n: int) -> int:
 
 def partial_sums_upto(seq: MultiplicativeSequence, n_max: int) -> np.ndarray:
     """Vectorized Delta_0..Delta_{n_max} (same digit recursion, all n at once)."""
+    import numpy as np
+
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     q = seq.q
@@ -251,6 +271,8 @@ def delta_prefix(seq: MultiplicativeSequence, length: int) -> np.ndarray:
 
     Uses delta over [k*q^m, (k+1)*q^m) = delta_k * (delta over [0, q^m)).
     """
+    import numpy as np
+
     if length < 0:
         raise ValueError("length must be >= 0")
     arr = np.array([1], dtype=np.int8)
@@ -314,6 +336,8 @@ def extremal_partial_sums(q: int, k: int) -> tuple[int, int]:
     over every (delta_1..delta_{q-1}) != (+1,...,+1).  No closed formulas
     are used here; matching them is left to the tests.
     """
+    import numpy as np
+
     if q < 2 or k < 0:
         raise ValueError("need q >= 2 and k >= 0")
     if q > EXTREMAL_Q_CAP or k > EXTREMAL_K_CAP:

@@ -2,6 +2,11 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -97,10 +102,12 @@ class TestEval:
                            "--mode", "delta", "--term", "(2n+1)/(2n+2)", "--tol", tol)
         assert code == 0 and json.loads(out)["est_error"] <= float(tol)
 
-    @pytest.mark.parametrize("tol", ["nan", "0", "-1"])
-    def test_bad_tol_exit_2(self, capsys, cache_env, tol):
+    @pytest.mark.parametrize("tol,method", [
+        pytest.param(tol, method, id=tol if method == "accel" else f"{tol}-{method}")
+        for method in ("accel", "direct") for tol in ("nan", "0", "-1")])
+    def test_bad_tol_exit_2(self, capsys, cache_env, tol, method):
         code, out, err = run(capsys, "eval", "--seq", "gtm:2:1", "--mode", "delta",
-                             "--term", "(2n+1)/(2n+2)", "--tol", tol)
+                             "--term", "(2n+1)/(2n+2)", "--tol", tol, "--method", method)
         assert code == 2 and out == "" and "must be a positive finite number" in err
 
 
@@ -180,3 +187,40 @@ class TestUsage:
                            "--term", "(2n+1)/(2n+2)")
         doc = json.loads(out)
         assert code == 0 and abs(doc["value"] - 0.7071067811865476) < 1e-10
+
+
+class TestLazyImports:
+    def test_commands_load_neither_numpy_nor_mpmath(self, tmp_path):
+        # a fresh interpreter: check, eval (accel), dirichlet and a one-record
+        # verify run on ints and floats; the bulk routines still import numpy
+        script = textwrap.dedent("""
+            import json, math, sys
+            from gtmprod.cli import main
+            codes = [main(argv) for argv in (
+                ["check", "--term", "(2n+1)/(2n+2)", "--mode", "delta"],
+                ["eval", "--seq", "gtm:3:01", "--mode", "delta", "--term", "(2n+1)/(2n+2)"],
+                ["dirichlet", "--seq", "gtm:3:01", "--s", "3"],
+                ["verify", "--filter", "wr"])]
+            before = sorted(m for m in ("numpy", "mpmath") if m in sys.modules)
+            from gtmprod import (ProductSpec, evaluate_direct, parse_product_term,
+                                 parse_seq_spec, partial_sums_upto)
+            seq = parse_seq_spec("gtm:2:1")
+            res = evaluate_direct(ProductSpec(seq, "delta", 0, parse_product_term("(2n+1)/(2n+2)")),
+                                  2**12)
+            print(json.dumps({
+                "codes": codes, "before": before,
+                "direct_ok": abs(res.log_value + 0.5 * math.log(2)) <= res.est_error,
+                "partial_sums": partial_sums_upto(seq, 8).tolist(),
+                "numpy_after": "numpy" in sys.modules}))
+        """)
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), GTMPROD_CACHE_DIR=str(tmp_path),
+                   GTMPROD_CONFIG=str(tmp_path / "absent.json"))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout.splitlines()[-1])
+        assert doc["codes"] == [0, 0, 0, 0]
+        assert doc["before"] == []
+        assert doc["direct_ok"] and doc["numpy_after"]
+        assert doc["partial_sums"] == [0, 1, 0, -1, 0, -1, 0, 1, 0]

@@ -257,6 +257,26 @@ class TestDirectOracle:
                     v, err = dirichlet_direct(seq, s, 10**5)
                     assert abs(v - float(truth)) <= err + 4 * terr, (spec, s)
 
+    def test_error_covers_40_digit_reference(self, cache):
+        # the (sequence, s, N) cases of the direct-oracle checks here and in
+        # acceptance criterion 7; the reference is the ladder at 40 digits
+        # (zeta(3) for the all-plus case), whose own error counts against err
+        cases = {(spec, s, 2 * 10**5)
+                 for spec in ("gtm:2:1", "gtm:3:01", "gtm:3:11", "gtm:3:10", "gtm:4:011",
+                              "dcount:4:2", "dcount:5:1", "dparity:4", "dparity:5", "gtm:5:0111")
+                 for s in range(1, 9)}
+        cases |= {(spec, s, 2 * 10**5) for spec in ("gtm:2:1", "gtm:3:01", "dcount:4:3", "dparity:5")
+                  for s in (1, 2, 3, 4)}
+        cases |= {(spec, s, 10**5) for spec in ("gtm:2:1", "gtm:4:010", "dcount:3:2") for s in (1, 2)}
+        cases.add(("gtm:3:00", 3, 10**4))
+        assert len(cases) == 91
+        for spec, s, N in sorted(cases):
+            seq = parse_seq_spec(spec)
+            value, err = dirichlet_direct(seq, s, N)
+            with mp.workdps(40):
+                truth, terr = dirichlet_mp(seq, s, cache) if seq.nontrivial else (mp.zeta(s), 0.0)
+                assert float(abs(mp.mpf(value) - truth)) + terr <= err, (spec, s, N)
+
     def test_input_validation(self):
         seq = parse_seq_spec("gtm:2:1")
         with pytest.raises(ValueError):

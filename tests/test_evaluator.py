@@ -23,10 +23,18 @@ from gtmprod.evaluator import (
     verify_functional_equation,
     verify_identity,
 )
-from gtmprod.evaluator import _tail_bound
+from gtmprod.evaluator import (
+    _HEAD_RUN,
+    MAX_J,
+    _dirichlet_orders,
+    _head_logs,
+    _series,
+    _series_cutoff,
+    _tail_bound,
+)
 from gtmprod.gammafn import gamma
-from gtmprod.ratfun import parse_product_term
-from gtmprod.sequences import make_sequence, parse_seq_spec
+from gtmprod.ratfun import factored_log_expansion, parse_product_term
+from gtmprod.sequences import make_sequence, parse_seq_spec, sign_at
 
 TM = parse_seq_spec("gtm:2:1")
 G3 = parse_seq_spec("gtm:3:001")
@@ -162,7 +170,102 @@ def _ladder_specs():
     }
 
 
+_M0 = 16
+
+
+def _reference_dirichlet(seq, t, memo):
+    """F(t) = sum_{n>=1} delta_n n^-t at the working precision, apart from the
+    ladder: the direct sum below q M0, and for n = qm + k with m >= M0 the
+    binomial expansion of (qm + k)^-t, whose ratio is below 1/M0.  With
+    H_s = sum_{m<M0} delta_m m^-s and c_i = sum_k delta_k k^i,
+    F(t) (1 - c_0 q^-t) = sum_{n<q M0} delta_n n^-t - c_0 q^-t H_t
+                          + sum_{i>=1} C(-t,i) c_i q^-(t+i) (F(t+i) - H_(t+i)).
+    Orders t >= 40 are summed directly."""
+    if t in memo:
+        return memo[t]
+    q, signs = seq.q, seq.signs
+    floor = mp.mpf(10) ** -(mp.mp.dps + 10)
+
+    def head(s, n_max):
+        if (s, n_max) not in memo:
+            memo[s, n_max] = mp.fsum(mp.mpf(sign_at(seq, n)) / n**s for n in range(1, n_max))
+        return memo[s, n_max]
+
+    if t >= 40:  # n^-t is below floor past n_max
+        value = head(t, int(floor ** (-1.0 / t)) + 2)
+    else:
+        c0 = sum(signs)
+        value = head(t, q * _M0) - c0 * head(t, _M0) / mp.mpf(q) ** t
+        i, binom = 0, 1
+        while True:
+            i += 1
+            binom = binom * (-t - i + 1) // i  # C(-t, i)
+            c = sum(s * k**i for k, s in enumerate(signs))
+            if c:
+                tail = _reference_dirichlet(seq, t + i, memo) - head(t + i, _M0)
+                value += tail * (binom * c) / q ** (t + i)
+            # the i-th term is at most |C(-t,i)| (q-1)^(i+1) (1 + M0) (q M0)^-(t+i),
+            # and past i = t the ratio of these bounds is below 1/8
+            if i > t and abs(binom) * (q - 1) ** (i + 1) * (1 + _M0) < floor * (q * _M0) ** (t + i):
+                break
+        value /= 1 - c0 / mp.mpf(q) ** t
+    memo[t] = value
+    return value
+
+
+def _series_specs():
+    """The catalog records, and theta-weighted thm_frak instances for q = 2..5."""
+    specs = [r.product_spec() for r in load_catalog("builtin")]
+    rng = random.Random(4242)
+    for bits in ("1", "01", "11", "011", "101", "1011", "0110"):
+        seq = make_sequence("gtm", len(bits) + 1, bits=bits)
+        a = [Fraction(rng.randint(1, 40), rng.randint(1, 6)) for _ in range(2)]
+        b = [Fraction(rng.randint(1, 20), rng.randint(1, 6))]
+        b.append(sum(a) - b[0])
+        specs.append(ProductSpec(seq, "theta", 1, build_gamma_ratio_term(seq, a, b)[0]))
+    return specs
+
+
 class TestCertificate:
+    def test_series_within_charge_of_60_digit_reference(self, cache):
+        # sum_j beta_j T_j, T_j = sum_{n>N} w_n n^-j at N = 4M (the least N the
+        # evaluator takes), against mpmath at 60 digits with F(j) from
+        # _reference_dirichlet and zeta(j) from mpmath
+        memos = {}
+        with mp.workdps(60):
+            for spec in _series_specs():
+                N = 4 * _series_cutoff(spec.term)
+                betas = factored_log_expansion(spec.term, MAX_J)
+                J, orders, charge = _dirichlet_orders(spec, betas, math.inf, cache)
+                assert J == MAX_J and orders
+                w = [sign_at(spec.seq, n) for n in range(N + 1)]
+                if spec.mode == "theta":
+                    w = [(1 - x) // 2 for x in w]
+                series = _series(orders, w)
+                memo = memos.setdefault(spec.seq.spec, {})
+                ref = mp.mpf(0)
+                for j, bj, _, _ in orders:
+                    g = _reference_dirichlet(spec.seq, j, memo)
+                    if spec.mode == "theta":
+                        g = (mp.zeta(j) - g) / 2
+                    t = g - mp.fsum(mp.mpf(w[n]) / n**j for n in range(1, N + 1))
+                    ref += mp.mpf(bj.numerator) / bj.denominator * t
+                # the charge bounds the fixed-point sum; the division rounds once more
+                dev = float(abs(mp.mpf(series) - ref))
+                assert dev <= charge + 2.0**-53 * abs(series), (spec, dev, charge)
+
+    def test_head_runs_stay_inside_binary64(self):
+        # ((n+1)/(n+2))^300 over n = 0..9 multiplies to 11^-300, about 2^-1038,
+        # which binary64 cannot hold: the run has to end early
+        merged = {Fraction(1): 300, Fraction(2): -300}
+        for sign in (1, -1):
+            logs = _head_logs(merged, 0, [sign] * 10)
+            assert len(logs) > 1
+            assert abs(math.fsum(logs) + sign * 300 * math.log(11)) <= 1e-12
+        logs = _head_logs({Fraction(1): 1, Fraction(2): -1}, 0, [1] * 200)
+        assert len(logs) == math.ceil(200 / _HEAD_RUN)
+        assert abs(math.fsum(logs) + math.log(201)) <= 1e-14
+
     @pytest.mark.parametrize("J", [1, 4, 16])
     @pytest.mark.parametrize("c", [Fraction(1, 2), Fraction(3), Fraction(15, 2)])
     def test_tail_bound_is_proven_and_close(self, c, J):

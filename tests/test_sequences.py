@@ -20,6 +20,7 @@ from gtmprod.sequences import (
     partial_sum,
     partial_sums_upto,
     sign_at,
+    sign_prefix,
     theta_at,
 )
 
@@ -91,6 +92,16 @@ class TestElementAccess:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             sign_at(parse_seq_spec("gtm:2:1"), -1)
+
+    @pytest.mark.parametrize("spec", ["gtm:2:1", "gtm:3:01", "dcount:5:3", "dparity:16"])
+    def test_sign_prefix_matches_digit_access(self, spec):
+        seq = parse_seq_spec(spec)
+        for length in (0, 1, seq.q, 1000):
+            want = [sign_at(seq, n) for n in range(length)]
+            assert sign_prefix(seq, length) == want
+            assert delta_prefix(seq, length).tolist() == want
+        with pytest.raises(ValueError):
+            sign_prefix(seq, -1)
 
 
 class TestMorphismOracle:
