@@ -20,7 +20,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .catalog import CatalogError, load_catalog, run_catalog
-from .dirichlet import DirichletCache, EpsUnachievableError, check_eps, dirichlet_value
+from .dirichlet import (
+    DirichletCache,
+    EpsUnachievableError,
+    check_eps,
+    default_cache_path,
+    dirichlet_value,
+)
 from .evaluator import (
     PositivityError,
     ProductRejectedError,
@@ -36,6 +42,7 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_REJECTED = 3
 EXIT_NUMERIC = 4
+FORMATS = ("text", "json", "csv")
 
 
 @dataclass
@@ -54,18 +61,27 @@ def _config_path() -> Path | None:
 
 
 def load_config() -> CliConfig:
+    """The config file's defaults; ValueError if the file or a value it sets is bad."""
     cfg = CliConfig()
     path = _config_path()
     if path is not None and path.exists():
         try:
             data = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            return cfg
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"config {path} is not JSON: {exc}") from None
+        if not isinstance(data, dict):
+            raise ValueError(f"config {path} must hold a JSON object")
         for key in ("tol", "cache_dir", "format"):
             if key in data:
                 setattr(cfg, key, data[key])
-    if cfg.tol <= 0:
-        cfg.tol = 1e-9
+    if isinstance(cfg.tol, bool) or not isinstance(cfg.tol, (int, float)):
+        raise ValueError(f"config tol must be a number, got {cfg.tol!r}")
+    check_eps(cfg.tol, "config tol")
+    if cfg.format not in FORMATS:
+        raise ValueError(f"config format must be one of {', '.join(FORMATS)}, "
+                         f"got {cfg.format!r}")
+    if cfg.cache_dir is not None and not isinstance(cfg.cache_dir, str):
+        raise ValueError(f"config cache_dir must be a string or null, got {cfg.cache_dir!r}")
     return cfg
 
 
@@ -92,9 +108,7 @@ def _emit(args, payload: dict, text_lines: list[str], csv_rows: list[dict]):
 def _make_cache(args) -> DirichletCache:
     if args.cache_dir:
         return DirichletCache(Path(args.cache_dir) / "dirichlet.cache")
-    if os.environ.get("GTMPROD_CACHE_DIR"):
-        return DirichletCache(Path(os.environ["GTMPROD_CACHE_DIR"]) / "dirichlet.cache")
-    return DirichletCache()
+    return DirichletCache(default_cache_path())
 
 
 def _cmd_seq(args) -> int:
@@ -215,7 +229,7 @@ def build_parser(config: CliConfig) -> argparse.ArgumentParser:
         prog="gtmprod",
         description="Generalized Thue-Morse sequences and sign-weighted "
                     "infinite products of rational terms.")
-    parser.add_argument("--format", choices=("text", "json", "csv"),
+    parser.add_argument("--format", choices=FORMATS,
                         default=config.format)
     parser.add_argument("--cache-dir", default=config.cache_dir,
                         help="directory for the Dirichlet constant cache")
@@ -264,14 +278,11 @@ def build_parser(config: CliConfig) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    config = load_config()
-    parser = build_parser(config)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
+        args = build_parser(load_config()).parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # argparse: --help, or a usage error it has printed
+        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     except ProductRejectedError as exc:
         print(f"rejected: {exc.reason}", file=sys.stderr)
         return EXIT_REJECTED

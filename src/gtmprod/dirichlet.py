@@ -28,18 +28,18 @@ binary64 intermediate values would silently lose the product's tail.
 ``dirichlet_mp`` and ``zeta_mp`` build an mpf from it (at _MP_DPS digits,
 which adds one relative rounding to their error), importing mpmath on
 demand.  numpy is imported only by the partial-summation oracle
-``dirichlet_direct``.  The persisted cache stores binary64 (that is its
-file contract); the fixed-point values are memoized per cache object
-only, so a fresh cache is cold.
+``dirichlet_direct``.  ``DirichletCache`` memoizes the triples (X, B, err)
+and, given a path, persists them: every sweep or direct sum that grows
+the memo rewrites the file, and a later cache on the same path starts
+warm.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import struct
+import tempfile
 import threading
-from dataclasses import dataclass
 from pathlib import Path
 
 from .sequences import MultiplicativeSequence, delta_prefix, make_sequence, sign_prefix
@@ -76,40 +76,25 @@ def power_moments(seq: MultiplicativeSequence, i: int) -> int:
     return total
 
 
-@dataclass
-class CacheEntry:
-    value: float
-    eps: float
-    method: str
-
-
 def default_cache_path() -> Path:
     env = os.environ.get("GTMPROD_CACHE_DIR")
     base = Path(env) if env else Path.home() / ".cache" / "gtmprod"
     return base / "dirichlet.cache"
 
 
-def _encode_value(v: float) -> str:
-    return struct.pack(">d", v).hex()
-
-
-def _decode_value(text: str) -> float:
-    return struct.unpack(">d", bytes.fromhex(text))[0]
-
-
 class DirichletCache:
-    """Float64 cache of F(s) values with optional line-oriented persistence.
+    """Memo of the ladder's fixed-point triples, persisted when given a path.
 
-    File lines are ``seqspec|s|hex-binary64|eps|method``; unknown or
-    malformed lines are ignored on load.  A cached value is reused only if
-    its eps is at least as tight as the request.  The extended-precision
-    memo (``mp_lookup``/``mp_store``) holds the fixed-point triples
-    (X, bits, err) of the ladder, in memory only.
+    An entry maps (seqspec, s) to (X, bits, err), |X 2^-bits - F(s)| <= err,
+    before the x4 factor of ``dirichlet_fixed``.  A file line is one entry,
+    ``seqspec|s|hex(X)|bits|float.hex(err)``, so a reload is bitwise exact.
+    A line is skipped if it does not parse, if its err is not finite and
+    non-negative, or if its bits differ from _BITS (the series takes one
+    bits for every order); files in any other format therefore load cold.
     """
 
     def __init__(self, path: str | os.PathLike | None = None):
         self.path = Path(path) if path is not None else None
-        self._entries: dict[tuple[str, int], CacheEntry] = {}
         self._mp: dict[tuple[str, int], tuple[int, int, float]] = {}
         self._lock = threading.Lock()
         if self.path is not None and self.path.exists():
@@ -120,36 +105,38 @@ class DirichletCache:
             parts = line.strip().split("|")
             if len(parts) != 5:
                 continue
-            spec, s_text, v_text, eps_text, method = parts
+            spec, s_text, x_text, bits_text, err_text = parts
             try:
                 key = (spec, int(s_text))
-                entry = CacheEntry(_decode_value(v_text), float(eps_text), method)
-            except (ValueError, struct.error):
+                x, bits, err = int(x_text, 16), int(bits_text), float.fromhex(err_text)
+            except ValueError:
                 continue
-            self._entries[key] = entry
+            if bits == _BITS and 0.0 <= err < math.inf:
+                self._mp[key] = (x, bits, err)
 
     def save(self):
+        """Rewrite the file from the memo; a no-op without a path.
+
+        The text goes to a temporary file of this writer's own in the same
+        directory, renamed over the file, so that a reader sees the old file
+        or the new one and writers sharing the directory never rename each
+        other's half-written file."""
         if self.path is None:
             return
+        with self._lock:
+            entries = sorted(self._mp.items())
+        text = "".join(f"{spec}|{s}|{x:x}|{bits}|{err.hex()}\n"
+                       for (spec, s), (x, bits, err) in entries)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        lines = []
-        for (spec, s), e in sorted(self._entries.items()):
-            lines.append(f"{spec}|{s}|{_encode_value(e.value)}|{e.eps!r}|{e.method}")
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        tmp.write_text("\n".join(lines) + ("\n" if lines else ""))
-        os.replace(tmp, self.path)
-
-    def lookup(self, spec: str, s: int, eps: float) -> CacheEntry | None:
-        with self._lock:
-            entry = self._entries.get((spec, s))
-        if entry is not None and entry.eps <= eps:
-            return entry
-        return None
-
-    def store(self, spec: str, s: int, value: float, eps: float, method: str):
-        with self._lock:
-            self._entries[(spec, s)] = CacheEntry(value, eps, method)
-        self.save()
+        fd, tmp = tempfile.mkstemp(dir=self.path.parent, prefix=self.path.name + ".",
+                                   suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, self.path)
+        except BaseException:
+            Path(tmp).unlink(missing_ok=True)
+            raise
 
     def mp_lookup(self, spec: str, s: int):
         with self._lock:
@@ -259,7 +246,8 @@ def dirichlet_fixed(seq: MultiplicativeSequence, s: int,
 
     err carries a x4 safety factor over the accounted error.  A miss below
     S_DIRECT sweeps the whole ladder of the sequence into the cache's memo;
-    a miss at or above it sums F(s) directly.
+    a miss at or above it sums F(s) directly.  Either way the cache then
+    saves, once.
     """
     if s < 1:
         raise ValueError("s must be a positive integer")
@@ -275,6 +263,7 @@ def dirichlet_fixed(seq: MultiplicativeSequence, s: int,
             fixed = _ladder_fixed(seq, _BITS)
         for t, (x, e) in fixed.items():
             cache.mp_store(seq.spec, t, x, _BITS, e)
+        cache.save()
         hit = (fixed[s][0], _BITS, fixed[s][1])
     x, bits, err = hit
     return x, bits, 4.0 * err  # a x4 safety factor over the accounted error
@@ -314,24 +303,17 @@ def zeta_mp(s: int, cache: DirichletCache | None = None):
 
 def dirichlet_value(seq: MultiplicativeSequence, s: int, eps: float = 1e-15,
                     cache: DirichletCache | None = None) -> tuple[float, float]:
-    """Binary64 F(s) with certified eps_achieved <= eps (cache-aware).
+    """Binary64 F(s) with certified eps_achieved <= eps.
 
     X 2^-bits is rounded once, correctly, to binary64: half an ulp, which
     the 2^-52 |value| term covers."""
     check_eps(eps)
-    if cache is None:
-        cache = DirichletCache()
-    if s >= 1 and (seq.nontrivial or s >= 2):
-        hit = cache.lookup(seq.spec, s, eps)
-        if hit is not None:
-            return hit.value, hit.eps
     x, bits, err = dirichlet_fixed(seq, s, cache)
     value = x / (1 << bits)
     eps_achieved = err + abs(value) * 2.0**-52 + 5e-324
     if eps_achieved > eps:
         raise EpsUnachievableError(
             f"achieved eps {eps_achieved:g} exceeds requested {eps:g}")
-    cache.store(seq.spec, s, value, eps_achieved, "ladder")
     return value, eps_achieved
 
 

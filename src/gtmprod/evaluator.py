@@ -59,6 +59,7 @@ from .dirichlet import (
 from .ratfun import (
     EvaluationError,
     FactorList,
+    ProductCheck,
     as_fraction,
     evaluate_real,
     factor_list,
@@ -103,15 +104,6 @@ class ProductSpec:
 
 
 @dataclass(frozen=True)
-class ProductCheck:
-    ok: bool
-    reason: str | None = None
-
-    def __bool__(self):
-        return self.ok
-
-
-@dataclass(frozen=True)
 class EvalResult:
     value: float
     log_value: float
@@ -137,7 +129,7 @@ def check_product(spec: ProductSpec, normal_form=None) -> ProductCheck:
         return ProductCheck(False, f"zero-or-pole at n={offenders[0]}")
     verdict = factored_convergence(spec.term, spec.mode, normal_form)
     if not verdict:
-        return ProductCheck(False, verdict.reason)
+        return verdict
     if spec.term.constant <= 0:
         return ProductCheck(False, "non-positive-term")
     n = first_non_positive(spec.term, spec.start)

@@ -14,16 +14,9 @@ from fractions import Fraction
 from .evaluator import build_gamma_ratio_term, build_scaling_term
 from .gammafn import log_gamma
 from .ratfun import as_fraction, factor_list
-from .sequences import MultiplicativeSequence, make_sequence
+from .sequences import make_sequence
 
-_TM = None
-
-
-def _tm() -> MultiplicativeSequence:
-    global _TM
-    if _TM is None:
-        _TM = make_sequence("gtm", 2, bits="1")
-    return _TM
+_TM = make_sequence("gtm", 2, bits="1")
 
 
 def _lg(x: Fraction) -> float:
@@ -61,12 +54,12 @@ def symmetric_pair_family(seq, a):
 def tm_gamma_ratio_family(a_list, b_list):
     """Classical-sequence Gamma-ratio family: per index i the term is
     (n+a_i)(2n+b_i)(2n+a_i+1) / ((n+b_i)(2n+a_i)(2n+b_i+1))."""
-    term, rhs_log = build_gamma_ratio_term(_tm(), a_list, b_list)
-    return _tm(), "theta", term, rhs_log
+    term, rhs_log = build_gamma_ratio_term(_TM, a_list, b_list)
+    return _TM, "theta", term, rhs_log
 
 
 def tm_three_parameter_family(a, b, c):
-    return shifted_ratio_family(_tm(), a, b, c)
+    return shifted_ratio_family(_TM, a, b, c)
 
 
 def tm_beta_like_family(a, b):
@@ -81,7 +74,7 @@ def tm_beta_like_family(a, b):
     ], constant=Fraction(2))
     rhs_log = 0.5 * math.log(math.pi) + _lg((a + b + 1) / 2) \
         - _lg((a + 1) / 2) - _lg((b + 1) / 2)
-    return _tm(), "theta", term, rhs_log
+    return _TM, "theta", term, rhs_log
 
 
 def tm_beta_like_reciprocal_family(a, b):
@@ -96,7 +89,7 @@ def tm_beta_like_reciprocal_family(a, b):
     ])
     rhs_log = float(a) * math.log(2.0) + _lg((a + 1) / 2) + _lg((b + 1) / 2) \
         - 0.5 * math.log(math.pi) - _lg((a + b + 1) / 2)
-    return _tm(), "theta", term, rhs_log
+    return _TM, "theta", term, rhs_log
 
 
 def tm_power_of_two_family(a):
@@ -108,7 +101,7 @@ def tm_power_of_two_family(a):
         (1, a, 1), (2, a + 2, 1), (2, 2 * a + 1, 1),
         (1, 2 * a + 1, -1), (2, 1, -1), (2, a, -1),
     ])
-    return _tm(), "theta", term, float(a) * math.log(2.0)
+    return _TM, "theta", term, float(a) * math.log(2.0)
 
 
 def tm_power_over_linear_family(a):
@@ -121,7 +114,7 @@ def tm_power_over_linear_family(a):
         (1, 1, 1), (1, a + 2, 1), (2, a + 3, 1), (2, 2 * a + 1, 1),
         (1, 2, -1), (1, 2 * a + 1, -1), (2, 3, -1), (2, a + 1, -1),
     ])
-    return _tm(), "theta", term, float(a) * math.log(2.0) - math.log(float(a) + 1.0)
+    return _TM, "theta", term, float(a) * math.log(2.0) - math.log(float(a) + 1.0)
 
 
 def tm_cosine_family(a):
@@ -133,7 +126,7 @@ def tm_cosine_family(a):
         (2, a + 1, 1), (2, 1 - a, 1), (2, 2 * a, 1), (2, -2 * a, 1),
         (2, 1, -2), (2, a, -1), (2, -a, -1),
     ])
-    return _tm(), "theta", term, math.log(math.cos(math.pi * float(a) / 2.0))
+    return _TM, "theta", term, math.log(math.cos(math.pi * float(a) / 2.0))
 
 
 def tm_scaled_cosine_family(a):
@@ -147,7 +140,7 @@ def tm_scaled_cosine_family(a):
         (2, 1, -1), (2, a, -1), (2, 2 - a, -1), (2, 1 - 2 * a, -1),
     ])
     rhs_log = float(a) * math.log(2.0) + math.log(math.cos(math.pi * float(a) / 2.0))
-    return _tm(), "theta", term, rhs_log
+    return _TM, "theta", term, rhs_log
 
 
 def tm_quartic_reflection_family(a):
@@ -161,7 +154,7 @@ def tm_quartic_reflection_family(a):
         (2, 2, -2), (4, a + 1, -1), (4, 1 - a, -1),
     ])
     rhs_log = 0.5 * math.log(math.pi) - _lg((3 + a) / 4) - _lg((3 - a) / 4)
-    return _tm(), "theta", term, rhs_log
+    return _TM, "theta", term, rhs_log
 
 
 def tm_factorial_family(d: int):
@@ -174,7 +167,7 @@ def tm_factorial_family(d: int):
         (1, d, -1), (2, d + 1, -1), (2, 1, -(2 * d - 1)),
     ])
     rhs_log = 0.5 * (d - 1) * math.log(math.pi) + _lg(Fraction(d + 1, 2))
-    return _tm(), "theta", term, rhs_log
+    return _TM, "theta", term, rhs_log
 
 
 def scaling_family(seq, a, b):

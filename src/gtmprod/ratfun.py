@@ -281,7 +281,8 @@ def format_product_term(f: FactorList) -> str:
 
 
 @dataclass(frozen=True)
-class ConvergenceVerdict:
+class ProductCheck:
+    """An exact verdict: ok, or the first criterion missed as ``reason``."""
     ok: bool
     reason: str | None = None
 
@@ -329,7 +330,7 @@ def integer_offsets(merged: dict) -> tuple[int, list[tuple[int, int]]]:
 
 
 def factored_convergence(f: FactorList, mode: str,
-                         normal_form: tuple[Fraction, dict] | None = None) -> ConvergenceVerdict:
+                         normal_form: tuple[Fraction, dict] | None = None) -> ProductCheck:
     """The paper's criteria, read off the factors.  Delta exponents need
     equal degrees (the exponents sum to 0) and equal leading coefficients
     (K * prod alpha^e = 1); theta exponents also need equal root sums
@@ -339,12 +340,12 @@ def factored_convergence(f: FactorList, mode: str,
         raise ValueError(f"mode must be 'delta' or 'theta', got {mode!r}")
     scale, merged = normal_form or factored_normal_form(f)
     if sum(merged.values()) != 0:
-        return ConvergenceVerdict(False, "degree")
+        return ProductCheck(False, "degree")
     if scale != 1:
-        return ConvergenceVerdict(False, "leading-coefficient")
+        return ProductCheck(False, "leading-coefficient")
     if mode == "theta" and sum(e * c for c, e in merged.items()) != 0:
-        return ConvergenceVerdict(False, "sum-of-roots")
-    return ConvergenceVerdict(True)
+        return ProductCheck(False, "sum-of-roots")
+    return ProductCheck(True)
 
 
 def first_non_positive(f: FactorList, n_start: int) -> int | None:

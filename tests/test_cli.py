@@ -189,6 +189,71 @@ class TestUsage:
         assert code == 0 and abs(doc["value"] - 0.7071067811865476) < 1e-10
 
 
+class TestConfigErrors:
+    @pytest.mark.parametrize("config", [
+        pytest.param({"tol": "1e-9"}, id="tol-string"),
+        pytest.param({"tol": True}, id="tol-bool"),
+        pytest.param({"tol": 0}, id="tol-zero"),
+        pytest.param({"tol": -1e-9}, id="tol-negative"),
+        pytest.param({"format": "xml"}, id="format"),
+        pytest.param({"cache_dir": 5}, id="cache_dir"),
+        pytest.param(["tol"], id="not-an-object"),
+        pytest.param('{"tol": 1e-3,', id="not-json"),
+    ])
+    def test_bad_config_exit_2(self, capsys, cache_env, tmp_path, monkeypatch, config):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(config if isinstance(config, str) else json.dumps(config))
+        monkeypatch.setenv("GTMPROD_CONFIG", str(cfg))
+        code, out, err = run(capsys, "sum", "--seq", "gtm:2:1", "--n", "5")
+        assert code == 2 and out == "" and err.startswith("error: config")
+
+
+class TestCacheFile:
+    def test_default_location_under_home(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("HOME", str(tmp_path))
+        monkeypatch.delenv("GTMPROD_CACHE_DIR", raising=False)
+        monkeypatch.delenv("GTMPROD_CONFIG", raising=False)
+        code, _, _ = run(capsys, "eval", "--seq", "gtm:2:1", "--mode", "delta",
+                         "--term", "(2n+1)/(2n+2)")
+        assert code == 0
+        assert (tmp_path / ".cache" / "gtmprod" / "dirichlet.cache").is_file()
+
+    def test_second_process_runs_no_sweep(self, tmp_path):
+        # eval, a one-record verify and dirichlet, each on its own sequence,
+        # in two processes sharing --cache-dir: the second sweeps nothing
+        script = textwrap.dedent("""
+            import json, sys
+            import gtmprod.dirichlet as dmod
+            from gtmprod.cli import main
+            sweeps = []
+            ladder = dmod._ladder_fixed
+            def counted(seq, bits):
+                sweeps.append(seq.spec)
+                return ladder(seq, bits)
+            dmod._ladder_fixed = counted
+            cache = ["--format", "json", "--cache-dir", sys.argv[1]]
+            codes = [main(cache + argv) for argv in (
+                ["eval", "--seq", "gtm:5:0110", "--mode", "delta", "--term", "(2n+1)/(2n+2)"],
+                ["verify", "--filter", "wr"],
+                ["dirichlet", "--seq", "gtm:3:01", "--s", "3"])]
+            print(json.dumps({"codes": codes, "sweeps": sweeps}))
+        """)
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {k: v for k, v in os.environ.items() if k != "GTMPROD_CACHE_DIR"}
+        env.update(PYTHONPATH=str(src), HOME=str(tmp_path),
+                   GTMPROD_CONFIG=str(tmp_path / "absent.json"))
+        outs = []
+        for _ in range(2):
+            proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "cache")],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout.splitlines())
+        first, second = (json.loads(out[-1]) for out in outs)
+        assert first == {"codes": [0, 0, 0], "sweeps": ["gtm:5:0110", "gtm:2:1", "gtm:3:01"]}
+        assert second == {"codes": [0, 0, 0], "sweeps": []}
+        assert outs[0][:-1] == outs[1][:-1] and len(outs[0]) == 4
+
+
 class TestLazyImports:
     def test_commands_load_neither_numpy_nor_mpmath(self, tmp_path):
         # a fresh interpreter: check, eval (accel), dirichlet and a one-record

@@ -1,4 +1,5 @@
 import math
+import os
 import struct
 from fractions import Fraction
 
@@ -6,17 +7,22 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import gtmprod.dirichlet as dmod
+from gtmprod.catalog import load_catalog
 from gtmprod.dirichlet import (
+    _BITS,
     _ZBOUND,
     DirichletCache,
     _ladder_extent,
     _moment_bound,
     dirichlet_direct,
+    dirichlet_fixed,
     dirichlet_mp,
     dirichlet_value,
     power_moments,
     zeta_mp,
 )
+from gtmprod.evaluator import evaluate_product
 from gtmprod.sequences import make_sequence, parse_seq_spec
 
 
@@ -196,49 +202,128 @@ class TestSweep:
         assert all(cache.mp_lookup(seq.spec, s) is not None for s in range(1, 16))
 
 
-class TestCache:
-    def test_round_trip_bit_identical(self, tmp_path):
-        path = tmp_path / "dirichlet.cache"
-        c1 = DirichletCache(path)
-        seq = parse_seq_spec("gtm:2:1")
-        v1, e1 = dirichlet_value(seq, 3, cache=c1)
-        c2 = DirichletCache(path)
-        hit = c2.lookup(seq.spec, 3, 1e-10)
-        assert hit is not None
-        assert struct.pack(">d", hit.value) == struct.pack(">d", v1)
-        assert hit.eps == e1
+def _swept_entry(spec: str, s: int):
+    cache = DirichletCache()
+    dirichlet_fixed(parse_seq_spec(spec), s, cache)
+    return cache.mp_lookup(spec, s)
 
-    def test_eps_gating(self, tmp_path):
+
+class TestCache:
+    def test_round_trip_bit_identical(self, tmp_path, monkeypatch):
+        # every (X, bits, err) and every catalog answer is bitwise the same
+        # from the swept cache and from a reload of its file, with no sweep
         path = tmp_path / "dirichlet.cache"
-        c = DirichletCache(path)
-        c.store("gtm:2:1", 5, 1.25, 1e-6, "ladder")
-        assert c.lookup("gtm:2:1", 5, 1e-5) is not None
-        assert c.lookup("gtm:2:1", 5, 1e-9) is None
-        seq = parse_seq_spec("gtm:2:1")
-        v, eps = dirichlet_value(seq, 5, eps=1e-12, cache=c)
-        assert eps <= 1e-12 and v != 1.25
+        specs = [r.product_spec() for r in load_catalog("builtin")]
+        assert len(specs) == 79
+
+        def answers(cache):
+            out = []
+            for spec in specs:
+                res = evaluate_product(spec, eps=2.5e-9, cache=cache)
+                out.append((res.log_value.hex(), res.est_error.hex(), res.terms_used,
+                            res.dirichlet_orders))
+            return out
+
+        swept = DirichletCache(path)
+        first = answers(swept)
+        monkeypatch.setattr(dmod, "_ladder_fixed", None)  # a sweep would raise
+        reloaded = DirichletCache(path)
+        assert sorted(reloaded._mp) == sorted(swept._mp)
+        for (spec, s), (x, bits, err) in swept._mp.items():
+            x2, bits2, err2 = reloaded.mp_lookup(spec, s)
+            assert (x2, bits2, err2.hex()) == (x, bits, err.hex()), (spec, s)
+        assert answers(reloaded) == first
+
+    @pytest.mark.parametrize("kind", ["binary64", "bits", "negative-err", "nan-err", "inf-err"])
+    def test_foreign_lines_load_cold(self, tmp_path, kind):
+        x, bits, err = _swept_entry("gtm:2:1", 3)
+        line = {
+            "binary64": f"gtm:2:1|3|{struct.pack('>d', x / (1 << bits)).hex()}|1e-16|ladder",
+            "bits": f"gtm:2:1|3|{x >> 1:x}|{bits - 1}|{err.hex()}",
+            "negative-err": f"gtm:2:1|3|{x:x}|{bits}|{(-err).hex()}",
+            "nan-err": f"gtm:2:1|3|{x:x}|{bits}|nan",
+            "inf-err": f"gtm:2:1|3|{x:x}|{bits}|inf",
+        }[kind]
+        path = tmp_path / "dirichlet.cache"
+        path.write_text(line + "\n")
+        assert DirichletCache(path).mp_lookup("gtm:2:1", 3) is None
 
     def test_unknown_lines_ignored(self, tmp_path):
+        x, bits, err = _swept_entry("gtm:2:1", 2)
+        assert bits == _BITS
+        good = f"gtm:2:1|2|{x:x}|{bits}|{err.hex()}"
         path = tmp_path / "dirichlet.cache"
-        good = f"gtm:2:1|2|{struct.pack('>d', -1.5).hex()}|1e-10|ladder"
-        path.write_text("# comment\nnot a record\na|b|c\n" + good + "\nbad|x|zz|1e-3|m\n")
+        path.write_text("# comment\nnot a record\na|b|c\n" + good
+                        + "\nbad|x|zz|1|0x0p+0\ngtm:2:1|3|zz|1|0x0p+0\n")
         c = DirichletCache(path)
-        assert c.lookup("gtm:2:1", 2, 1e-9).value == -1.5
-        assert c.lookup("a", 0, 1.0) is None
+        assert c.mp_lookup("gtm:2:1", 2) == (x, bits, err)
+        assert c.mp_lookup("gtm:2:1", 3) is None
+        assert len(c._mp) == 1
 
     def test_env_var_default_location(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GTMPROD_CACHE_DIR", str(tmp_path))
         from gtmprod.dirichlet import default_cache_path
         assert default_cache_path() == tmp_path / "dirichlet.cache"
 
-    def test_atomic_rewrite(self, tmp_path):
+    def test_atomic_rewrite(self, tmp_path, monkeypatch):
+        # one rename over the file per sweep or direct sum, none on a hit
+        renames = []
+        real_replace = os.replace
+
+        def replace(src, dst):
+            renames.append(dst)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(dmod.os, "replace", replace)
         path = tmp_path / "dirichlet.cache"
         c = DirichletCache(path)
-        c.store("gtm:2:1", 2, 0.5, 1e-10, "ladder")
-        c.store("gtm:2:1", 3, 0.25, 1e-10, "ladder")
-        lines = path.read_text().splitlines()
-        assert len(lines) == 2
-        assert not (tmp_path / "dirichlet.cache.tmp").exists()
+        seq = parse_seq_spec("gtm:2:1")
+        dirichlet_fixed(seq, 3, c)  # sweeps orders 1..15
+        dirichlet_fixed(seq, 5, c)
+        assert renames == [path] and len(path.read_text().splitlines()) == 15
+        dirichlet_fixed(seq, 20, c)  # a direct sum
+        assert renames == [path, path] and len(path.read_text().splitlines()) == 16
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dirichlet.cache"]
+
+    def test_concurrent_writers_do_not_collide(self, tmp_path, monkeypatch):
+        # the first writer's rename waits until the second has written and renamed
+        path = tmp_path / "dirichlet.cache"
+        first, second = DirichletCache(path), DirichletCache(path)
+        first.mp_store("gtm:2:1", 3, 12345, _BITS, 1e-40)
+        second.mp_store("gtm:3:01", 3, -678, _BITS, 2e-40)
+        real_replace = os.replace
+        deferred = []
+
+        def replace(src, dst):
+            if not deferred:
+                deferred.append(src)
+                second.save()
+            real_replace(src, dst)
+
+        monkeypatch.setattr(dmod.os, "replace", replace)
+        first.save()
+        assert len(deferred) == 1
+        loaded = DirichletCache(path)
+        assert loaded.mp_lookup("gtm:2:1", 3) == (12345, _BITS, 1e-40)
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_failed_save_leaves_no_temporary(self, tmp_path, monkeypatch):
+        def replace(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(dmod.os, "replace", replace)
+        c = DirichletCache(tmp_path / "dirichlet.cache")
+        c.mp_store("gtm:2:1", 3, 1, _BITS, 0.0)
+        with pytest.raises(OSError, match="rename refused"):
+            c.save()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_save_without_path_is_a_no_op(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        c = DirichletCache()
+        dirichlet_fixed(parse_seq_spec("gtm:2:1"), 20, c)
+        c.save()
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestDirectOracle:
