@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fnmatch import fnmatch
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -46,10 +47,20 @@ class IdentityRecord:
     tags: tuple[str, ...]
 
     def product_spec(self) -> ProductSpec:
+        return self._spec
+
+    def rhs_value(self) -> float:
+        return self._rhs
+
+    # Parsed on first use and kept on the record, so that the validation in
+    # load_catalog and the later run parse each record once.
+    @cached_property
+    def _spec(self) -> ProductSpec:
         return ProductSpec(parse_seq_spec(self.seqspec), self.mode, self.start,
                            parse_product_term(self.lhs))
 
-    def rhs_value(self) -> float:
+    @cached_property
+    def _rhs(self) -> float:
         return eval_expr(parse_expr(self.rhs))
 
     def to_line(self) -> str:

@@ -2,24 +2,30 @@
 
 Splitting the index as n = q*m + k and expanding (qm+k)^-s binomially
 turns strong q-multiplicativity into the functional equation of Allouche
-and Cohen (Bull. LMS 17, 1985)
+and Cohen (Bull. LMS 17, 1985).  Expanding only the m >= M0 part, where
+k/(qm) <= (q-1)/(q M0), gives the shifted form
 
-    F(s) (q^s - c_0) = q^s P(s) + sum_{i>=1} C(-s,i) q^-i c_i F(s+i)
+    F(s) (q^s - c_0) = sum_{n<q M0} delta_n (q/n)^s - c_0 H(s)
+                       + sum_{i>=1} C(-s,i) c_i q^-i T(s+i)
 
-with c_i = sum_k delta_k k^i and P(s) = sum_{k=1}^{q-1} delta_k k^-s.
-Orders s >= S_DIRECT are summed directly (the tail is below
+with c_i = sum_k delta_k k^i, H(t) = sum_{m<M0} delta_m m^-t and
+T(t) = F(t) - H(t) = sum_{m>=M0} delta_m m^-t.  Its terms fall like
+((q-1)/(q M0))^i, so an order takes a few dozen of them for every base
+q <= 16.  Orders s >= S_DIRECT are summed directly (the tail is below
 N^(1-s)/(s-1)).  A miss below S_DIRECT runs one sweep that fills the
 whole ladder of the sequence, from S_DIRECT - 1 down to order 1 (2 for
 the all-plus pattern, which supplies zeta), with the moments c_i, the
-powers q^i and one sign prefix for the direct sums computed once.
+powers q^i and one sign prefix computed once; T(t) comes from a direct
+sum from M0 at t >= S_DIRECT and from F(t) - H(t) below it.
 
 The sweep is exact integer fixed point: F(t) is held as an integer X with
 |X 2^-B - F(t)| <= err(t), B = _MP_DPS digits plus _GUARD_BITS.  C(-s,i)
 is an exact integer and q^-i an exact floor division, so each floor
-costs under one unit 2^-B.  err(s) is the sum of those units, the
-propagated sum_i |C(-s,i) c_i| q^-i err(s+i), and the truncation bound of
-_ladder_extent, each over q^s - c_0.  ``dirichlet_fixed`` hands out
-(X, B, err) with err times a further safety factor of 4.
+costs under one unit 2^-B.  err(s) is the sum of those units (the head,
+c_0 H(s) and the series), the propagated sum_i |C(-s,i) c_i| q^-i
+err_T(s+i), and the truncation bound of _ladder_extent, each over
+q^s - c_0.  ``dirichlet_fixed`` hands out (X, B, err) with err times a
+further safety factor of 4.
 
 The result stays in fixed point.  The accelerated evaluator multiplies
 X by exact expansion coefficients that grow geometrically, in integers;
@@ -30,8 +36,8 @@ which adds one relative rounding to their error), importing mpmath on
 demand.  numpy is imported only by the partial-summation oracle
 ``dirichlet_direct``.  ``DirichletCache`` memoizes the triples (X, B, err)
 and, given a path, persists them: every sweep or direct sum that grows
-the memo rewrites the file, and a later cache on the same path starts
-warm.
+the memo merges the file's entries and rewrites it, and a later cache on
+the same path starts warm.
 """
 
 from __future__ import annotations
@@ -50,8 +56,8 @@ _MP_EPS = 1e-30
 _I_CAP = 20000
 _GUARD_BITS = 32  # fixed-point bits beyond _MP_DPS digits
 _BITS = math.ceil(_MP_DPS * math.log2(10)) + _GUARD_BITS  # the fixed point's B
-_ZBOUND = 1.7  # |F(sigma)| <= zeta(2) for sigma >= 2
-_ROUND_UP = 1.0 + 2.0**-30  # covers the binary64 rounding of error sums
+_M0 = 8  # the sweep expands (qm + k)^-s binomially only for m >= _M0
+_ROUND_UP = 1.0 + 2.0**-30  # covers the binary64 rounding of error bounds
 _ROW = 256  # dirichlet_direct sums rows of this many terms, then fsums the rows
 
 
@@ -95,13 +101,19 @@ class DirichletCache:
 
     def __init__(self, path: str | os.PathLike | None = None):
         self.path = Path(path) if path is not None else None
-        self._mp: dict[tuple[str, int], tuple[int, int, float]] = {}
+        self._mp: dict[tuple[str, int], tuple[int, int, float]] = self._read()
         self._lock = threading.Lock()
-        if self.path is not None and self.path.exists():
-            self._load()
 
-    def _load(self):
-        for line in self.path.read_text().splitlines():
+    def _read(self) -> dict[tuple[str, int], tuple[int, int, float]]:
+        """The valid entries of the file; none without a path or a file."""
+        entries = {}
+        if self.path is None:
+            return entries
+        try:
+            text = self.path.read_text()
+        except FileNotFoundError:
+            return entries
+        for line in text.splitlines():
             parts = line.strip().split("|")
             if len(parts) != 5:
                 continue
@@ -112,21 +124,25 @@ class DirichletCache:
             except ValueError:
                 continue
             if bits == _BITS and 0.0 <= err < math.inf:
-                self._mp[key] = (x, bits, err)
+                entries[key] = (x, bits, err)
+        return entries
 
     def save(self):
-        """Rewrite the file from the memo; a no-op without a path.
+        """Merge the file's entries under the memo's and rewrite it; a no-op without a path.
 
-        The text goes to a temporary file of this writer's own in the same
-        directory, renamed over the file, so that a reader sees the old file
-        or the new one and writers sharing the directory never rename each
-        other's half-written file."""
+        An entry only another writer has saved since this cache loaded is
+        kept.  The text goes to a temporary file of this writer's own in the
+        same directory, renamed over the file, so that a reader sees the old
+        file or the new one and writers sharing the directory never rename
+        each other's half-written file; of two saves whose read and rename
+        interleave, the last rename wins."""
         if self.path is None:
             return
+        merged = self._read()
         with self._lock:
-            entries = sorted(self._mp.items())
+            merged.update(self._mp)
         text = "".join(f"{spec}|{s}|{x:x}|{bits}|{err.hex()}\n"
-                       for (spec, s), (x, bits, err) in entries)
+                       for (spec, s), (x, bits, err) in sorted(merged.items()))
         self.path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=self.path.parent, prefix=self.path.name + ".",
                                    suffix=".tmp")
@@ -159,22 +175,25 @@ def _moment_bound(q: int, i: int) -> float:
 def _ladder_extent(q: int, s: int, denom: int) -> tuple[int, float]:
     """Last index I of the ladder sum for F(s), and a bound on what follows.
 
-    The i-th term over ``denom`` = q^s - c_0 is at most b_i / denom with
-    b_i = |C(-s,i)| _moment_bound(q, i) _ZBOUND.  Past the peak the ratio
-    r(i) = b_{i+1}/b_i = (s+i)/(i+1) * (q-1)/q is below 1 and falls with i,
-    so the terms after I sum to at most b_I r(I) / (1 - r(I)) / denom.
+    The i-th term over ``denom`` = q^s - c_0 is |C(-s,i) c_i| q^-i |T(s+i)|
+    / denom <= b_i / denom, with |c_i| <= (q-1)^(i+1), |T(t)| <= M0^-t
+    (1 + M0/(t-1)) (the sum from M0 against the integral past it), so
+    b_i = |C(-s,i)| _moment_bound(q, i) M0^-(s+i) (1 + M0/(s+i-1)).  The
+    ratio b_{i+1}/b_i is below r(i) = (s+i)/(i+1) (q-1)/(q M0), which falls
+    with i, so once r(I) < 1 the terms after I sum to at most
+    b_I r(I) / (1 - r(I)) / denom.
     """
-    i = max(1, s * (q - 1) - q)  # the peak; the sum stops only past it
-    binom = math.comb(s + i - 1, i)  # |C(-s,i)|
+    i, binom = 0, 1  # |C(-s,i)|
     while True:
         i += 1
         binom = binom * (s + i - 1) // i
-        bound = binom * _moment_bound(q, i) * _ZBOUND / denom
-        if bound < _MP_EPS / 10.0:
+        t = s + i
+        bound = binom * _moment_bound(q, i) * (1.0 + _M0 / (t - 1)) / _M0**t / denom
+        r = t / (i + 1) * (q - 1) / (q * _M0)
+        if bound < _MP_EPS / 10.0 and r < 1.0:
             break
         if i > _I_CAP:
             raise EpsUnachievableError(f"ladder series did not converge by i={_I_CAP}")
-    r = (s + i) / (i + 1) * (q - 1) / q
     return i, bound * r / (1.0 - r) * _ROUND_UP
 
 
@@ -184,60 +203,73 @@ def _direct_terms(t: int) -> int:
     return max(4, int(math.ceil((10.0 / (target * (t - 1))) ** (1.0 / (t - 1)))))
 
 
-def _direct_fixed(seq: MultiplicativeSequence, orders: range,
-                  bits: int) -> dict[int, tuple[int, float]]:
-    """Fixed-point F(t) by plain summation for each t in ``orders`` (all >= 2).
+def _direct_fixed(seq: MultiplicativeSequence, orders: range, bits: int,
+                  start: int = 1) -> dict[int, tuple[int, float]]:
+    """Fixed-point sum_{n>=start} delta_n n^-t for each t in ``orders`` (all >= 2).
 
     Each floor of 2^bits / n^t loses less than one unit (n = 1 is exact);
     one sign prefix, as long as the lowest order needs, serves every order.
     """
     one = 1 << bits
-    signs = sign_prefix(seq, _direct_terms(orders[0]) + 1)
+    signs = sign_prefix(seq, max(start, _direct_terms(orders[0])) + 1)
     out = {}
     for t in orders:
-        n_terms = _direct_terms(t)
-        x = sum(signs[n] * (one // n**t) for n in range(1, n_terms + 1))
-        out[t] = (x, math.ldexp(n_terms - 1, -bits) + float(n_terms) ** (1 - t) / (t - 1))
+        n_max = max(start, _direct_terms(t))
+        x = sum(signs[n] * (one // n**t) for n in range(start, n_max + 1))
+        floors = n_max + 1 - max(start, 2)
+        tail = float(n_max) ** (1 - t) / (t - 1)
+        out[t] = (x, (math.ldexp(floors, -bits) + tail) * _ROUND_UP)
     return out
 
 
 def _ladder_fixed(seq: MultiplicativeSequence, bits: int) -> dict[int, tuple[int, float]]:
     """Fixed-point F(t) for every t from the lowest order up to S_DIRECT - 1.
 
-    Orders are computed top down, so every F(t+i) exists when F(t) needs
-    it; orders t + i >= S_DIRECT come from direct sums.
+    Orders are computed top down by the shifted equation, so every
+    T(t+i) exists when F(t) needs it: a direct sum from M0 for
+    t + i >= S_DIRECT, F(t+i) - H(t+i) below, whose error is err(t+i)
+    plus the M0 - 2 floors of H.  F(t) takes q M0 - 2 floors for the head
+    sum_{n<q M0} delta_n (q/n)^t and |c_0| (M0 - 2) for c_0 H(t) (n = 1
+    and m = 1 are exact), one per series term and one for the division
+    by q^t - c_0.
     """
     q = seq.q
     c0 = power_moments(seq, 0)
     levels = range(S_DIRECT - 1, 0 if seq.nontrivial else 1, -1)
     extents = {t: _ladder_extent(q, t, q**t - c0) for t in levels}
     top = max(t + n_terms for t, (n_terms, _) in extents.items())
-    known = _direct_fixed(seq, range(S_DIRECT, top + 1), bits)
+    tails = _direct_fixed(seq, range(S_DIRECT, top + 1), bits, start=_M0)
 
     i_max = max(n_terms for n_terms, _ in extents.values())
     moments = [c0] + [power_moments(seq, i) for i in range(1, i_max + 1)]
     q_pows = [q**i for i in range(i_max + 1)]
     moment_sizes = [abs(c) / qi for c, qi in zip(moments, q_pows)]  # |c_i| q^-i
+    signs = sign_prefix(seq, q * _M0)
     one = 1 << bits
+    head_units = q * _M0 - 2 + abs(c0) * (_M0 - 2)
+    known = {}
     for t in levels:
         n_terms, trunc = extents[t]
         denom = q**t - c0  # > 0: c_0 <= q, with equality only for the all-plus pattern
-        # 2^bits q^t P(t), P(t) = sum_{k=1}^{q-1} delta_k k^-t
-        acc = sum(seq.signs[k] * (one * q**t // k**t) for k in range(1, q))
-        units = q - 2  # floors taken so far (k = 1 is exact)
+        h = sum(signs[m] * (one // m**t) for m in range(1, _M0))  # 2^bits H(t)
+        scaled = one * q**t
+        acc = sum(signs[n] * (scaled // n**t) for n in range(1, q * _M0)) - c0 * h
+        units = head_units
         carried = 0.0
         binom = 1  # C(-t, i)
         for i in range(1, n_terms + 1):
             binom = binom * (-t - i + 1) // i
             if moments[i]:
-                x, e = known[t + i]
+                x, e = tails[t + i]
                 acc += binom * moments[i] * x // q_pows[i]
                 carried += abs(binom) * moment_sizes[i] * e
                 units += 1
-        # F(t) = (q^t P(t) + sum_i C(-t,i) c_i q^-i F(t+i)) / (q^t - c_0)
-        known[t] = (acc // denom, math.ldexp(1.0 + units / denom, -bits)
-                    + carried * _ROUND_UP / denom + trunc)
-    return {t: known[t] for t in levels}
+        # F(t) = (head - c_0 H(t) + sum_i C(-t,i) c_i q^-i T(t+i)) / (q^t - c_0)
+        x = acc // denom
+        err = (math.ldexp(1.0 + units / denom, -bits) + carried / denom + trunc) * _ROUND_UP
+        known[t] = (x, err)
+        tails[t] = (x - h, err + math.ldexp(_M0 - 2, -bits))
+    return known
 
 
 def dirichlet_fixed(seq: MultiplicativeSequence, s: int,

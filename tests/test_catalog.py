@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+import gtmprod.catalog as catalog_mod
 from gtmprod.catalog import (
     CatalogError,
     load_catalog,
@@ -138,6 +139,28 @@ class TestRunCatalog:
                 res.terms_used, res.reason) == (rep.ok, rep.lhs_value, rep.rhs_value,
                                                 rep.abs_dlog, rep.est_error, rep.terms_used,
                                                 rep.reason)
+
+    def test_loaded_records_are_not_parsed_again(self, cache, monkeypatch):
+        # load_catalog parses every record to validate it; run_catalog reuses that
+        loaded = load_catalog("builtin")
+        calls = []
+
+        def counted(parse):
+            def wrapper(text):
+                calls.append(text)
+                return parse(text)
+            return wrapper
+
+        monkeypatch.setattr(catalog_mod, "parse_product_term", counted(parse_product_term))
+        monkeypatch.setattr(catalog_mod, "parse_expr", counted(catalog_mod.parse_expr))
+        report = run_catalog(loaded, filter="ex1.5*", cache=cache)
+        assert report.total == 16 and report.all_passed
+        assert calls == []
+        # a record built from a line is parsed on first use, once
+        wr = parse_catalog_line(next(r for r in loaded if r.id == "wr").to_line())
+        assert run_catalog([wr], cache=cache).all_passed
+        assert run_catalog([wr], cache=cache).all_passed
+        assert calls == [wr.rhs, wr.lhs]
 
     def test_failures_are_data(self, records, cache):
         bad = replace(records[0], rhs="2/3")

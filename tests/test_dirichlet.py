@@ -11,9 +11,12 @@ import gtmprod.dirichlet as dmod
 from gtmprod.catalog import load_catalog
 from gtmprod.dirichlet import (
     _BITS,
-    _ZBOUND,
+    _M0,
+    S_DIRECT,
     DirichletCache,
+    _direct_terms,
     _ladder_extent,
+    _ladder_fixed,
     _moment_bound,
     dirichlet_direct,
     dirichlet_fixed,
@@ -23,7 +26,7 @@ from gtmprod.dirichlet import (
     zeta_mp,
 )
 from gtmprod.evaluator import evaluate_product
-from gtmprod.sequences import make_sequence, parse_seq_spec
+from gtmprod.sequences import make_sequence, parse_seq_spec, sign_prefix
 
 
 class TestPowerMoments:
@@ -130,27 +133,98 @@ class TestLadder:
         assert abs(v1 - v2) <= eps1
 
 
+def _interval_ladder(seq):
+    """F(t) for t = 1..S_DIRECT-1 from the shifted equation in mpmath.iv, with
+    the sweep's extents and direct-sum lengths, each widened by its truncation
+    bound: the head sum_{n<q M0} delta_n (q/n)^t, c_0 H(t), and the series over
+    T(t+i), a sum from M0 (plus its tail interval) at t+i >= S_DIRECT and
+    F(t+i) - H(t+i) below it."""
+    iv = mp.iv
+    q, c0 = seq.q, power_moments(seq, 0)
+    levels = range(S_DIRECT - 1, 0 if seq.nontrivial else 1, -1)
+    extents = {t: _ladder_extent(q, t, q**t - c0) for t in levels}
+    top = max(t + n for t, (n, _) in extents.items())
+    signs = sign_prefix(seq, max(q * _M0, _direct_terms(S_DIRECT)) + 1)
+
+    def plus_minus(x):
+        return iv.mpf([-x, x])
+
+    def power_sum(t, lo, hi):  # sum_{lo<=n<=hi} delta_n n^-t
+        return sum((signs[n] / iv.mpf(n) ** t for n in range(lo, hi + 1)), iv.mpf(0))
+
+    tails = {}
+    for t in range(S_DIRECT, top + 1):
+        n_max = max(_M0, _direct_terms(t))
+        tails[t] = power_sum(t, _M0, n_max) + plus_minus(iv.mpf(n_max) ** (1 - t) / (t - 1))
+    values = {}
+    for t in levels:
+        n_terms, trunc = extents[t]
+        h = power_sum(t, 1, _M0 - 1)
+        acc = iv.mpf(q) ** t * power_sum(t, 1, q * _M0 - 1) - c0 * h
+        binom = 1
+        for i in range(1, n_terms + 1):
+            binom = binom * (-t - i + 1) // i
+            acc += binom * power_moments(seq, i) * tails[t + i] / iv.mpf(q) ** i
+        values[t] = acc / (q**t - c0) + plus_minus(trunc)
+        tails[t] = values[t] - h
+    return values
+
+
+def _exact(raw):
+    """An mpmath interval endpoint as a Fraction."""
+    sign, man, exp, _ = raw
+    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+
+
 class TestSweep:
     @pytest.mark.parametrize("q", range(2, 17))
     def test_truncation_covers_remaining_terms(self, q):
-        # the term bounds b_j = C(s+j-1, j) (q-1)^(j+1) q^-j _ZBOUND past the
-        # break index, summed exactly until they fall below 1e-25 of the first of them
+        # the term bounds b_j = C(s+j-1, j) (q-1)^(j+1) q^-j M0^-(s+j) (1 + M0/(s+j-1))
+        # past the break index, summed exactly until they fall below 1e-25 of the first of them
         c0 = power_moments(parse_seq_spec(f"gtm:{q}:" + "1" * (q - 1)), 0)
-        zb = Fraction(_ZBOUND)
         for s in range(1, 16):
             denom = q**s - c0
             stop, trunc = _ladder_extent(q, s, denom)
 
-            def log_b(j):
-                return (math.lgamma(s + j) - math.lgamma(s) - math.lgamma(j + 1)
-                        + (j + 1) * math.log(q - 1) - j * math.log(q))
+            def b(j):
+                t = s + j
+                return Fraction(math.comb(t - 1, j) * (q - 1) ** (j + 1) * (t - 1 + _M0),
+                                q**j * _M0**t * (t - 1))
 
-            last = stop + 1
-            while log_b(last) > log_b(stop + 1) - 25 * math.log(10):
-                last += 1
-            total = sum(math.comb(s + k - 1, k) * (q - 1) ** (k + 1) * q ** (last - k)
-                        for k in range(stop + 1, last + 1))
-            assert Fraction(trunc) * q**last * denom >= zb * total, (q, s)
+            first = b(stop + 1)
+            total, j = Fraction(0), stop + 1
+            while b(j) > first / 10**25:
+                total += b(j)
+                j += 1
+            assert Fraction(trunc) * denom >= total, (q, s)
+
+    def test_extent_stays_within_64_terms(self):
+        # every base up to 16, order below S_DIRECT and c_0 = sum_k delta_k
+        # (delta_0 = 1, so c_0 is q, q - 2, ..., 2 - q; q only for the all-plus pattern)
+        for q in range(2, 17):
+            for c0 in range(2 - q, q + 1, 2):
+                for s in range(1 if c0 < q else 2, S_DIRECT):
+                    stop, _ = _ladder_extent(q, s, q**s - c0)
+                    assert stop <= 64, (q, c0, s, stop)
+
+    @pytest.mark.parametrize("spec", ["gtm:2:1", "gtm:2:0", "gtm:3:01", "gtm:5:0110",
+                                      "gtm:16:010011101100101"])
+    def test_accounting_contains_interval_recurrence(self, spec):
+        # X 2^-B +- err, before the x4 factor, holds the whole 70-digit interval
+        seq = parse_seq_spec(spec)
+        swept = _ladder_fixed(seq, _BITS)
+        prec = mp.iv.prec
+        mp.iv.dps = 70
+        try:
+            values = _interval_ladder(seq)
+        finally:
+            mp.iv.prec = prec
+        assert sorted(values) == sorted(swept)
+        for t, (x, err) in swept.items():
+            lo, hi = (_exact(e) for e in values[t]._mpi_)
+            mid = Fraction(x, 1 << _BITS)
+            assert mid - Fraction(err) <= lo and hi <= mid + Fraction(err), (spec, t)
+            assert hi - lo > Fraction(err), (spec, t)  # and is at most twice as wide
 
     @pytest.mark.parametrize("q", range(3, 16, 2))
     def test_alternating_closed_forms_at_1e30(self, q):
@@ -248,6 +322,18 @@ class TestCache:
         path.write_text(line + "\n")
         assert DirichletCache(path).mp_lookup("gtm:2:1", 3) is None
 
+    def test_line_of_the_unshifted_ladder_is_used(self, tmp_path, monkeypatch):
+        # F(1) of gtm:2:1 as the functional equation expanded over every m >= 1 wrote it
+        x_old, err_old = -0x2647f3d720ee62ec5dcbf1e7c15d75ae73755152a2, float.fromhex(
+            "0x1.e6bd14d8be38ep-103")
+        path = tmp_path / "dirichlet.cache"
+        path.write_text(f"gtm:2:1|1|{x_old:x}|{_BITS}|{err_old.hex()}\n")
+        x_new, _, err_new = _swept_entry("gtm:2:1", 1)
+        assert abs(x_old - x_new) <= (err_old + err_new) * 2.0**_BITS
+        monkeypatch.setattr(dmod, "_ladder_fixed", None)  # a sweep would raise
+        seq = parse_seq_spec("gtm:2:1")
+        assert dirichlet_fixed(seq, 1, DirichletCache(path)) == (x_old, _BITS, 4.0 * err_old)
+
     def test_unknown_lines_ignored(self, tmp_path):
         x, bits, err = _swept_entry("gtm:2:1", 2)
         assert bits == _BITS
@@ -306,6 +392,17 @@ class TestCache:
         loaded = DirichletCache(path)
         assert loaded.mp_lookup("gtm:2:1", 3) == (12345, _BITS, 1e-40)
         assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_save_merges_entries_saved_by_another_cache(self, tmp_path):
+        # both caches load the empty file, then save one after the other
+        path = tmp_path / "dirichlet.cache"
+        first, second = DirichletCache(path), DirichletCache(path)
+        dirichlet_fixed(parse_seq_spec("gtm:2:1"), 3, first)
+        dirichlet_fixed(parse_seq_spec("gtm:3:01"), 3, second)
+        loaded = DirichletCache(path)
+        assert loaded.mp_lookup("gtm:2:1", 3) == first.mp_lookup("gtm:2:1", 3)
+        assert loaded.mp_lookup("gtm:3:01", 3) == second.mp_lookup("gtm:3:01", 3)
+        assert len(loaded._mp) == 30 and second.mp_lookup("gtm:2:1", 3) is None
 
     def test_failed_save_leaves_no_temporary(self, tmp_path, monkeypatch):
         def replace(src, dst):
