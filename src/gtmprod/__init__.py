@@ -71,7 +71,6 @@ from .ratfun import (
 from .sequences import (
     MultiplicativeSequence,
     SequenceError,
-    SignPattern,
     asymptotic_exponent,
     delta_prefix,
     digit_stats,

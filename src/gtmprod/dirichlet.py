@@ -11,12 +11,13 @@ k/(qm) <= (q-1)/(q M0), gives the shifted form
 with c_i = sum_k delta_k k^i, H(t) = sum_{m<M0} delta_m m^-t and
 T(t) = F(t) - H(t) = sum_{m>=M0} delta_m m^-t.  Its terms fall like
 ((q-1)/(q M0))^i, so an order takes a few dozen of them for every base
-q <= 16.  Orders s >= S_DIRECT are summed directly (the tail is below
-N^(1-s)/(s-1)).  A miss below S_DIRECT runs one sweep that fills the
-whole ladder of the sequence, from S_DIRECT - 1 down to order 1 (2 for
+q <= 16.  Orders s > S_DIRECT are summed directly (the tail is below
+N^(1-s)/(s-1)).  A miss at or below S_DIRECT runs one sweep that fills
+the whole ladder of the sequence, from S_DIRECT down to order 1 (2 for
 the all-plus pattern, which supplies zeta), with the moments c_i, the
 powers q^i and one sign prefix computed once; T(t) comes from a direct
-sum from M0 at t >= S_DIRECT and from F(t) - H(t) below it.
+sum from M0 at t >= S_DIRECT and from F(t) - H(t) below it, and
+F(S_DIRECT) is H(S_DIRECT) + T(S_DIRECT).
 
 The sweep is exact integer fixed point: F(t) is held as an integer X with
 |X 2^-B - F(t)| <= err(t), B = _MP_DPS digits plus _GUARD_BITS.  C(-s,i)
@@ -35,9 +36,9 @@ binary64 intermediate values would silently lose the product's tail.
 which adds one relative rounding to their error), importing mpmath on
 demand.  numpy is imported only by the partial-summation oracle
 ``dirichlet_direct``.  ``DirichletCache`` memoizes the triples (X, B, err)
-and, given a path, persists them: every sweep or direct sum that grows
-the memo merges the file's entries and rewrites it, and a later cache on
-the same path starts warm.
+under the pattern's gtm spec and, given a path, persists them: every sweep
+or direct sum that grows the memo merges the file's entries and rewrites
+it, and a later cache on the same path starts warm.
 """
 
 from __future__ import annotations
@@ -92,7 +93,8 @@ class DirichletCache:
     """Memo of the ladder's fixed-point triples, persisted when given a path.
 
     An entry maps (seqspec, s) to (X, bits, err), |X 2^-bits - F(s)| <= err,
-    before the x4 factor of ``dirichlet_fixed``.  A file line is one entry,
+    before the x4 factor of ``dirichlet_fixed``; seqspec is the pattern's
+    ``gtm_spec``, which all of its names share.  A file line is one entry,
     ``seqspec|s|hex(X)|bits|float.hex(err)``, so a reload is bitwise exact.
     A line is skipped if it does not parse, if its err is not finite and
     non-negative, or if its bits differ from _BITS (the series takes one
@@ -203,6 +205,11 @@ def _direct_terms(t: int) -> int:
     return max(4, int(math.ceil((10.0 / (target * (t - 1))) ** (1.0 / (t - 1)))))
 
 
+def _direct_err(t: int, n_max: int, floors: int, bits: int) -> float:
+    """Error of a fixed-point sum of delta_n n^-t up to n_max: its floors and the tail past n_max."""
+    return (math.ldexp(floors, -bits) + float(n_max) ** (1 - t) / (t - 1)) * _ROUND_UP
+
+
 def _direct_fixed(seq: MultiplicativeSequence, orders: range, bits: int,
                   start: int = 1) -> dict[int, tuple[int, float]]:
     """Fixed-point sum_{n>=start} delta_n n^-t for each t in ``orders`` (all >= 2).
@@ -216,16 +223,16 @@ def _direct_fixed(seq: MultiplicativeSequence, orders: range, bits: int,
     for t in orders:
         n_max = max(start, _direct_terms(t))
         x = sum(signs[n] * (one // n**t) for n in range(start, n_max + 1))
-        floors = n_max + 1 - max(start, 2)
-        tail = float(n_max) ** (1 - t) / (t - 1)
-        out[t] = (x, (math.ldexp(floors, -bits) + tail) * _ROUND_UP)
+        out[t] = (x, _direct_err(t, n_max, n_max + 1 - max(start, 2), bits))
     return out
 
 
 def _ladder_fixed(seq: MultiplicativeSequence, bits: int) -> dict[int, tuple[int, float]]:
-    """Fixed-point F(t) for every t from the lowest order up to S_DIRECT - 1.
+    """Fixed-point F(t) for every t from the lowest order up to S_DIRECT.
 
-    Orders are computed top down by the shifted equation, so every
+    F(S_DIRECT) is H(S_DIRECT) plus the direct sum of T(S_DIRECT) from M0,
+    the same sum and the same accounting as a direct sum from n = 1.  The
+    lower orders are computed top down by the shifted equation, so every
     T(t+i) exists when F(t) needs it: a direct sum from M0 for
     t + i >= S_DIRECT, F(t+i) - H(t+i) below, whose error is err(t+i)
     plus the M0 - 2 floors of H.  F(t) takes q M0 - 2 floors for the head
@@ -247,7 +254,10 @@ def _ladder_fixed(seq: MultiplicativeSequence, bits: int) -> dict[int, tuple[int
     signs = sign_prefix(seq, q * _M0)
     one = 1 << bits
     head_units = q * _M0 - 2 + abs(c0) * (_M0 - 2)
-    known = {}
+    n_top = _direct_terms(S_DIRECT)
+    h_top = sum(signs[m] * (one // m**S_DIRECT) for m in range(1, _M0))
+    known = {S_DIRECT: (h_top + tails[S_DIRECT][0],
+                        _direct_err(S_DIRECT, n_top, n_top - 1, bits))}
     for t in levels:
         n_terms, trunc = extents[t]
         denom = q**t - c0  # > 0: c_0 <= q, with equality only for the all-plus pattern
@@ -276,9 +286,9 @@ def dirichlet_fixed(seq: MultiplicativeSequence, s: int,
                     cache: DirichletCache | None = None) -> tuple[int, int, float]:
     """F(s) in fixed point: (X, bits, err) with |X 2^-bits - F(s)| <= err.
 
-    err carries a x4 safety factor over the accounted error.  A miss below
-    S_DIRECT sweeps the whole ladder of the sequence into the cache's memo;
-    a miss at or above it sums F(s) directly.  Either way the cache then
+    err carries a x4 safety factor over the accounted error.  A miss at or
+    below S_DIRECT sweeps the whole ladder of the sequence into the cache's
+    memo; a miss above it sums F(s) directly.  Either way the cache then
     saves, once.
     """
     if s < 1:
@@ -287,14 +297,14 @@ def dirichlet_fixed(seq: MultiplicativeSequence, s: int,
         raise ValueError("the all-plus pattern needs s >= 2 (zeta pole at s=1)")
     if cache is None:
         cache = DirichletCache()
-    hit = cache.mp_lookup(seq.spec, s)
+    hit = cache.mp_lookup(seq.gtm_spec, s)
     if hit is None:
-        if s >= S_DIRECT:
+        if s > S_DIRECT:
             fixed = _direct_fixed(seq, range(s, s + 1), _BITS)
         else:
             fixed = _ladder_fixed(seq, _BITS)
         for t, (x, e) in fixed.items():
-            cache.mp_store(seq.spec, t, x, _BITS, e)
+            cache.mp_store(seq.gtm_spec, t, x, _BITS, e)
         cache.save()
         hit = (fixed[s][0], _BITS, fixed[s][1])
     x, bits, err = hit
@@ -356,7 +366,7 @@ def _pattern_delta_bound(seq: MultiplicativeSequence):
     A = max_{s<q} |Delta_s|: geometric growth when D >= 2, additive in the
     digit count when D <= 1 (covered by a generous constant).
     """
-    A = max(abs(x) for x in seq.pattern.prefix_sums[: seq.q])
+    A = max(abs(x) for x in seq.prefix_sums[: seq.q])
     A = max(A, 1)
     D = abs(seq.delta_q)
     if D >= 2:

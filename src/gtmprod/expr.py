@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .gammafn import gamma
-from .ratfun import ParseError
+from .ratfun import ParseError, _Cursor
 
 
 class ExprDomainError(ValueError):
@@ -61,30 +61,7 @@ Expr = Num | Pi | Neg | BinOp | Call
 _FUNCTIONS = ("sqrt", "gamma", "cos")
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self) -> str:
-        c = self.peek()
-        if c:
-            self.pos += 1
-        return c
-
-    def expect(self, ch: str):
-        if self.peek() != ch:
-            raise ParseError(f"expected {ch!r}", self.pos)
-        self.pos += 1
-
+class _Scanner(_Cursor):
     def match_word(self) -> str | None:
         self.skip_ws()
         start = self.pos

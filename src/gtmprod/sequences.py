@@ -2,7 +2,8 @@
 
 A sequence here is a map n -> delta_n in {+1, -1} with delta_0 = +1 and
 delta_{nq+k} = delta_n * delta_k for every base-q digit k.  It is fully
-determined by its first q signs: element access and partial sums walk
+determined by its first q signs, so a ``MultiplicativeSequence`` is
+``(q, signs)`` plus the ``spec`` it was named by.  Element access and partial sums walk
 the base-q digits of n in O(log n) exact integer arithmetic, with no
 array.  Three routines materialize signs: ``sign_prefix`` builds a short
 list for the accelerated evaluator and the ladder's direct sums,
@@ -13,18 +14,21 @@ oracle in tests.  numpy is imported only inside the bulk routines
 (``delta_prefix``, ``partial_sums_upto`` and ``extremal_partial_sums``),
 so digit access loads no array library.
 
-Supported families:
+Supported names:
 
 * ``gtm``     -- fixed point of 0 -> 0 t_1 .. t_{q-1}, 1 -> complement,
                  read through (-1)^theta;
 * ``dcount``  -- parity of the number of occurrences of one digit k;
 * ``dparity`` -- parity of the base-q digit sum.
+
+The last two name gtm patterns: ``dcount:3:1``, ``dparity:3`` and
+``gtm:3:10`` are all (-1)^n, one sequence whose ``gtm_spec`` is gtm:3:10.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product as _cartesian
 from typing import TYPE_CHECKING
@@ -69,12 +73,22 @@ def normalize_gtm_bits(q: int, bits) -> tuple[int, ...]:
     )
 
 
+def _gtm_spec(q: int, signs) -> str:
+    """The ``gtm:<q>:<bits>`` spec of a sign pattern (theta_k = 1 where delta_k = -1)."""
+    return "gtm:%d:%s" % (q, "".join("1" if s < 0 else "0" for s in signs[1:]))
+
+
 @dataclass(frozen=True)
-class SignPattern:
-    """First q signs (delta_0 .. delta_{q-1}) of a sequence; delta_0 = +1."""
+class MultiplicativeSequence:
+    """A strongly q-multiplicative +-1 sequence, delta_0 .. delta_{q-1} = ``signs``.
+
+    Equality and hashing read ``(q, signs)`` only; ``spec`` is the name it
+    was given and is shown by.
+    """
 
     q: int
     signs: tuple[int, ...]
+    spec: str = field(compare=False)
 
     def __post_init__(self):
         if self.q < 2:
@@ -102,36 +116,10 @@ class SignPattern:
     def delta_q(self) -> int:
         return self.prefix_sums[self.q]
 
-
-@dataclass(frozen=True)
-class MultiplicativeSequence:
-    """A strongly q-multiplicative +-1 sequence plus its construction tag."""
-
-    pattern: SignPattern
-    kind: str
-    spec: str
-
-    @property
-    def q(self) -> int:
-        return self.pattern.q
-
-    @property
-    def signs(self) -> tuple[int, ...]:
-        return self.pattern.signs
-
-    @property
-    def nontrivial(self) -> bool:
-        return self.pattern.nontrivial
-
-    @property
-    def delta_q(self) -> int:
-        return self.pattern.delta_q
-
-    def sign_at(self, n: int) -> int:
-        return sign_at(self, n)
-
-    def theta_at(self, n: int) -> int:
-        return theta_at(self, n)
+    @cached_property
+    def gtm_spec(self) -> str:
+        """The gtm spec of the pattern, shared by all of its names."""
+        return _gtm_spec(self.q, self.signs)
 
     def partial_sum(self, n: int) -> int:
         return partial_sum(self, n)
@@ -153,9 +141,8 @@ def make_sequence(kind: str, q: int, *, bits=None, k: int | None = None) -> Mult
     if kind == "gtm":
         if bits is None:
             raise SequenceError("gtm sequence needs theta bits")
-        tail = normalize_gtm_bits(q, bits)
-        signs = (1,) + tuple(1 - 2 * b for b in tail)
-        spec = "gtm:%d:%s" % (q, "".join(str(b) for b in tail))
+        signs = (1,) + tuple(1 - 2 * b for b in normalize_gtm_bits(q, bits))
+        spec = _gtm_spec(q, signs)
     elif kind == "dcount":
         if k is None or not 1 <= k <= q - 1:
             raise SequenceError(f"dcount digit k must satisfy 1 <= k <= q-1, got {k}")
@@ -166,7 +153,7 @@ def make_sequence(kind: str, q: int, *, bits=None, k: int | None = None) -> Mult
         spec = f"dparity:{q}"
     else:
         raise SequenceError(f"unknown sequence kind {kind!r}")
-    return MultiplicativeSequence(SignPattern(q, signs), kind, spec)
+    return MultiplicativeSequence(q, signs, spec)
 
 
 def parse_seq_spec(text: str) -> MultiplicativeSequence:
@@ -235,7 +222,7 @@ def partial_sum(seq: MultiplicativeSequence, n: int) -> int:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    pre = seq.pattern.prefix_sums
+    pre = seq.prefix_sums
     dq = seq.delta_q
     signs = seq.signs
     total, s = 0, 1
@@ -252,7 +239,7 @@ def partial_sums_upto(seq: MultiplicativeSequence, n_max: int) -> np.ndarray:
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     q = seq.q
-    pre = np.array(seq.pattern.prefix_sums[: q], dtype=np.int64)
+    pre = np.array(seq.prefix_sums[: q], dtype=np.int64)
     sgn = np.array(seq.signs, dtype=np.int64)
     dq = seq.delta_q
     n = np.arange(n_max + 1, dtype=np.int64)
@@ -350,7 +337,7 @@ def extremal_partial_sums(q: int, k: int) -> tuple[int, int]:
     for tail in _cartesian((1, -1), repeat=q - 1):
         if all(s == 1 for s in tail):
             continue
-        seq = MultiplicativeSequence(SignPattern(q, (1,) + tail), "gtm", "enum")
+        seq = MultiplicativeSequence(q, (1,) + tail, "enum")
         best_at_power = max(best_at_power, abs(partial_sum(seq, n_top)))
         deltas = np.concatenate(
             ([0], np.cumsum(delta_prefix(seq, n_top), dtype=np.int64))

@@ -47,6 +47,20 @@ class TestSum:
         assert code == 0 and out.strip() == "2"
 
 
+class TestAliasNames:
+    # an alias shares the ladder of its gtm pattern but is echoed by the name given
+    def test_sum_echoes_given_name(self, capsys, cache_env):
+        code, out, _ = run(capsys, "--format", "json", "sum", "--seq", "dcount:3:1", "--n", "10")
+        doc = json.loads(out)
+        assert code == 0 and doc["seq"] == "dcount:3:1" and doc["partial_sum"] == 0
+
+    def test_dirichlet_echoes_given_name(self, capsys, cache_env):
+        code, out, _ = run(capsys, "--format", "json", "dirichlet", "--seq", "dparity:3", "--s", "2")
+        assert code == 0 and json.loads(out)["seq"] == "dparity:3"
+        lines = (cache_env / "dirichlet.cache").read_text().splitlines()
+        assert lines and all(line.startswith("gtm:3:10|") for line in lines)
+
+
 class TestCheck:
     def test_ok(self, capsys, cache_env):
         code, out, _ = run(capsys, "check", "--term", "(2n+1)/(2n+2)",

@@ -138,7 +138,7 @@ def _interval_ladder(seq):
     the sweep's extents and direct-sum lengths, each widened by its truncation
     bound: the head sum_{n<q M0} delta_n (q/n)^t, c_0 H(t), and the series over
     T(t+i), a sum from M0 (plus its tail interval) at t+i >= S_DIRECT and
-    F(t+i) - H(t+i) below it."""
+    F(t+i) - H(t+i) below it; and F(S_DIRECT) = H(S_DIRECT) + T(S_DIRECT)."""
     iv = mp.iv
     q, c0 = seq.q, power_moments(seq, 0)
     levels = range(S_DIRECT - 1, 0 if seq.nontrivial else 1, -1)
@@ -156,7 +156,7 @@ def _interval_ladder(seq):
     for t in range(S_DIRECT, top + 1):
         n_max = max(_M0, _direct_terms(t))
         tails[t] = power_sum(t, _M0, n_max) + plus_minus(iv.mpf(n_max) ** (1 - t) / (t - 1))
-    values = {}
+    values = {S_DIRECT: power_sum(S_DIRECT, 1, _M0 - 1) + tails[S_DIRECT]}
     for t in levels:
         n_terms, trunc = extents[t]
         h = power_sum(t, 1, _M0 - 1)
@@ -334,6 +334,20 @@ class TestCache:
         seq = parse_seq_spec("gtm:2:1")
         assert dirichlet_fixed(seq, 1, DirichletCache(path)) == (x_old, _BITS, 4.0 * err_old)
 
+    def test_aliases_share_one_ladder(self, tmp_path, monkeypatch):
+        # dcount:3:1, dparity:3 and gtm:3:10 are all (-1)^n: one sweep, filed under gtm:3:10
+        path = tmp_path / "dirichlet.cache"
+        cache = DirichletCache(path)
+        first = dirichlet_fixed(parse_seq_spec("dcount:3:1"), 2, cache)
+        monkeypatch.setattr(dmod, "_ladder_fixed", None)  # a second sweep would raise
+        monkeypatch.setattr(dmod, "_direct_fixed", None)  # so would a direct sum
+        for spec in ("dparity:3", "gtm:3:10"):
+            assert dirichlet_fixed(parse_seq_spec(spec), 2, cache) == first
+            assert cache.mp_lookup(parse_seq_spec(spec).gtm_spec, S_DIRECT) is not None
+        lines = path.read_text().splitlines()
+        assert len(lines) == S_DIRECT and all(line.startswith("gtm:3:10|") for line in lines)
+        assert dirichlet_fixed(parse_seq_spec("dparity:3"), 2, DirichletCache(path)) == first
+
     def test_unknown_lines_ignored(self, tmp_path):
         x, bits, err = _swept_entry("gtm:2:1", 2)
         assert bits == _BITS
@@ -364,11 +378,12 @@ class TestCache:
         path = tmp_path / "dirichlet.cache"
         c = DirichletCache(path)
         seq = parse_seq_spec("gtm:2:1")
-        dirichlet_fixed(seq, 3, c)  # sweeps orders 1..15
+        dirichlet_fixed(seq, 3, c)  # sweeps orders 1..16
         dirichlet_fixed(seq, 5, c)
-        assert renames == [path] and len(path.read_text().splitlines()) == 15
+        dirichlet_fixed(seq, 16, c)
+        assert renames == [path] and len(path.read_text().splitlines()) == 16
         dirichlet_fixed(seq, 20, c)  # a direct sum
-        assert renames == [path, path] and len(path.read_text().splitlines()) == 16
+        assert renames == [path, path] and len(path.read_text().splitlines()) == 17
         assert sorted(p.name for p in tmp_path.iterdir()) == ["dirichlet.cache"]
 
     def test_concurrent_writers_do_not_collide(self, tmp_path, monkeypatch):
@@ -402,7 +417,7 @@ class TestCache:
         loaded = DirichletCache(path)
         assert loaded.mp_lookup("gtm:2:1", 3) == first.mp_lookup("gtm:2:1", 3)
         assert loaded.mp_lookup("gtm:3:01", 3) == second.mp_lookup("gtm:3:01", 3)
-        assert len(loaded._mp) == 30 and second.mp_lookup("gtm:2:1", 3) is None
+        assert len(loaded._mp) == 32 and second.mp_lookup("gtm:2:1", 3) is None
 
     def test_failed_save_leaves_no_temporary(self, tmp_path, monkeypatch):
         def replace(src, dst):

@@ -54,6 +54,18 @@ class TestConstruction:
         for n in range(200):
             assert sign_at(seq, n) == (-1) ** n
 
+    def test_aliases_are_one_sequence(self):
+        # equality and hash read (q, signs); the name stays the one given
+        names = ["dcount:3:1", "dparity:3", "gtm:3:10", "gtm:3:010"]
+        seqs = [parse_seq_spec(name) for name in names]
+        assert all(seq == seqs[0] for seq in seqs) and len(set(seqs)) == 1
+        assert len({hash(seq) for seq in seqs}) == 1
+        assert [seq.spec for seq in seqs] == ["dcount:3:1", "dparity:3", "gtm:3:10", "gtm:3:10"]
+        assert [str(seq) for seq in seqs] == [seq.spec for seq in seqs]
+        assert {seq.gtm_spec for seq in seqs} == {"gtm:3:10"}
+        assert parse_seq_spec("dcount:3:2") != seqs[0]
+        assert parse_seq_spec("dcount:3:2").gtm_spec == "gtm:3:01"
+
     def test_all_plus_is_trivial_but_constructible(self):
         seq = make_sequence("gtm", 4, bits="000")
         assert not seq.nontrivial
