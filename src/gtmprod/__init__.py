@@ -39,17 +39,14 @@ from .evaluator import (
     evaluate_direct,
     evaluate_product,
     plain_product_log_closed,
-    telescoping_limit,
-    telescoping_partial_closed,
     verify_functional_equation,
     verify_identity,
 )
-from .expr import eval_expr, eval_expr_text, format_expr, parse_expr
+from .expr import eval_expr, parse_expr
 from .gammafn import (
     GammaDomainError,
     check_gamma_identity,
     gamma,
-    gamma_product_closed_form,
     log_gamma,
     log_gamma_product,
 )
@@ -73,12 +70,10 @@ from .sequences import (
     SequenceError,
     asymptotic_exponent,
     delta_prefix,
-    digit_stats,
     extremal_partial_sums,
     geometric_bound,
     k0_threshold,
     make_sequence,
-    morphism_prefix,
     parse_seq_spec,
     partial_sum,
     partial_sums_upto,

@@ -4,7 +4,7 @@ One record per line, pipe-separated and diff-friendly:
 
     id|source|seqspec|mode|from|lhs-product-term|rhs-expression|tags
 
-The builtin catalog ships as package data (77+ concrete closed-form
+The builtin catalog ships as package data (79 concrete closed-form
 equalities) and every record is fully validated at load time: both
 mini-languages must parse and the resulting product spec must pass
 ``check_product``.

@@ -3,7 +3,8 @@
 Subcommands: seq, sum, check, eval, dirichlet, verify.  Exit codes:
 0 success / all records pass, 1 verification failure, 2 usage or parse
 error, 3 convergence precondition rejected, 4 numeric failure.  Output
-formats: text (default), json (one document per invocation), csv (stable
+formats: text (default), json (one document per invocation, an error
+document for exit codes 2-4 once the arguments are parsed), csv (stable
 header row).  Numeric output carries 15 significant digits plus the error
 estimate so reports are self-certifying.
 """
@@ -35,7 +36,7 @@ from .evaluator import (
     evaluate_product,
 )
 from .ratfun import ParseError, factored_convergence, parse_product_term
-from .sequences import SequenceError, parse_seq_spec, theta_at
+from .sequences import SequenceError, parse_seq_spec, partial_sum, theta_at
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -134,7 +135,7 @@ def _cmd_sum(args) -> int:
     seq = parse_seq_spec(args.seq)
     if args.n < 0:
         raise SequenceError("n must be >= 0")
-    value = seq.partial_sum(args.n)
+    value = partial_sum(seq, args.n)
     _emit(args,
           {"command": "sum", "seq": seq.spec, "n": args.n, "partial_sum": value},
           [str(value)],
@@ -277,21 +278,29 @@ def build_parser(config: CliConfig) -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(args, code: int, kind: str, message: str) -> int:
+    """Print message on stderr and, once the arguments are parsed in json
+    format, one error document on stdout; return the exit code."""
+    print(message, file=sys.stderr)
+    if args is not None and args.format == "json":
+        print(json.dumps({"command": args.command, "error": {
+            "exit_code": code, "kind": kind, "message": message}}, sort_keys=True))
+    return code
+
+
 def main(argv=None) -> int:
+    args = None
     try:
         args = build_parser(load_config()).parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # argparse: --help, or a usage error it has printed
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     except ProductRejectedError as exc:
-        print(f"rejected: {exc.reason}", file=sys.stderr)
-        return EXIT_REJECTED
+        return _fail(args, EXIT_REJECTED, "rejected", f"rejected: {exc.reason}")
     except (PositivityError, EpsUnachievableError, ArithmeticError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return _fail(args, EXIT_NUMERIC, "numeric", f"numeric failure: {exc}")
     except (ParseError, SequenceError, CatalogError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(args, EXIT_USAGE, "usage", f"error: {exc}")
 
 
 def console_main():

@@ -29,8 +29,8 @@ ladder rather than the Gamma closed form, so closed forms remain an
 independent cross-check.
 
 The accelerated path runs on Python ints and floats, with its signs from
-``sign_prefix``.  numpy is imported only by the bulk routines,
-``evaluate_direct`` and ``telescoping_limit``, and mpmath not at all.
+``sign_prefix``.  In this module numpy is imported only by the baseline
+``evaluate_direct``, and mpmath not at all.
 
 The baseline evaluator sums terms outright, averages the partial
 log-sums over the final base-q block, and certifies the result from the
@@ -402,9 +402,10 @@ def evaluate_direct(spec: ProductSpec, N: int,
     """Baseline oracle: sum weighted logs to the largest q^K <= N.
 
     The log is the mean of the partial sums over the final block; the
-    estimate is the spread of the last few block-boundary partial sums times
-    q, the worst-case ratio implied by the n^(log_q(q-1)) growth of the
-    partial sums of the exponents, plus fl_round."""
+    estimate is the spread of the last few block-boundary partial sums, plus
+    the gap between the last of them and the mean, times 2q (q is the
+    worst-case ratio implied by the n^(log_q(q-1)) growth of the partial
+    sums of the exponents), plus fl_round."""
     _require_ok(spec)
     q = spec.seq.q
     if N < q * q:
@@ -583,32 +584,3 @@ def verify_functional_equation(kind: str, q: int, theta_bits, params: dict,
     return FunctionalEquationReport(dlog <= tol + res.est_error, kind,
                                     res.value, math.exp(rhs_log), dlog,
                                     res.est_error)
-
-
-def telescoping_partial_closed(q: int, a, N: int) -> Fraction:
-    """Exact partial product of the alternating telescoping identity:
-    P_N = (1/q) * ((a+(N+1)q)/(qa+(N+1)q))^(+-1), sign (-1)^N."""
-    a = as_fraction(a)
-    ratio = Fraction(a + (N + 1) * q, q * a + (N + 1) * q)
-    return Fraction(1, q) * (ratio if N % 2 == 0 else 1 / ratio)
-
-
-def telescoping_limit(q: int, a, N: int = 100_000) -> float:
-    """Partial product at N of prod ((qn+a)(qn+a+q)/((qn+qa)(qn+qa+q)))^(-1)^n.
-
-    The limit is 1/q; partial products collapse in pairs, so the value at
-    N is within O(1/N) of the limit.
-    """
-    if q < 2:
-        raise ValueError("q must be >= 2")
-    a = as_fraction(a)
-    if a <= 0:
-        raise ValueError("a must be positive")
-    import numpy as np
-
-    n = np.arange(0, N + 1, dtype=np.float64)
-    af = float(a)
-    total = (np.log(q * n + af) + np.log(q * n + af + q)
-             - np.log(q * n + q * af) - np.log(q * n + q * af + q))
-    signs = 1.0 - 2.0 * (np.arange(0, N + 1) % 2)
-    return math.exp(float(np.einsum("i,i->", signs, total)))

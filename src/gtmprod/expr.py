@@ -188,21 +188,3 @@ def eval_expr(node: Expr) -> float:
             raise ExprDomainError(f"gamma pole at {x}")
         return gamma(x).real
     raise TypeError(f"not an expression node: {node!r}")
-
-
-def format_expr(node: Expr) -> str:
-    """Parenthesized rendering; reparsing is value-identical."""
-    if isinstance(node, Num):
-        v = node.value
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-    if isinstance(node, Pi):
-        return "pi"
-    if isinstance(node, Neg):
-        return f"-{format_expr(node.arg)}"
-    if isinstance(node, BinOp):
-        return f"({format_expr(node.left)}{node.op}{format_expr(node.right)})"
-    return f"{node.fn}({format_expr(node.arg)})"
-
-
-def eval_expr_text(text: str) -> float:
-    return eval_expr(parse_expr(text))

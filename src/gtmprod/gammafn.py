@@ -115,10 +115,6 @@ def log_gamma_product(a_list, b_list) -> complex:
     return total
 
 
-def gamma_product_closed_form(a_list, b_list) -> complex:
-    return cmath.exp(log_gamma_product(a_list, b_list))
-
-
 def _wrap_angle(x: float) -> float:
     """Reduce to (-pi, pi]."""
     y = math.fmod(x, _TWO_PI)

@@ -5,14 +5,12 @@ delta_{nq+k} = delta_n * delta_k for every base-q digit k.  It is fully
 determined by its first q signs, so a ``MultiplicativeSequence`` is
 ``(q, signs)`` plus the ``spec`` it was named by.  Element access and partial sums walk
 the base-q digits of n in O(log n) exact integer arithmetic, with no
-array.  Three routines materialize signs: ``sign_prefix`` builds a short
-list for the accelerated evaluator and the ladder's direct sums,
+array.  Two routines materialize signs: ``sign_prefix`` builds a short
+list for the accelerated evaluator and the ladder's direct sums, and
 ``delta_prefix`` grows a numpy prefix block by block for the bulk sums
-(the direct oracles and the partial-sum and extremal enumerations), and
-``morphism_prefix`` iterates the substitution itself as an independent
-oracle in tests.  numpy is imported only inside the bulk routines
-(``delta_prefix``, ``partial_sums_upto`` and ``extremal_partial_sums``),
-so digit access loads no array library.
+(the direct oracles and the extremal enumeration).  numpy is imported
+only inside the bulk routines (``delta_prefix``, ``partial_sums_upto``
+and ``extremal_partial_sums``), so digit access loads no array library.
 
 Supported names:
 
@@ -36,7 +34,6 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     import numpy as np
 
-MORPHISM_PREFIX_CAP = 10**7
 EXTREMAL_Q_CAP = 6
 EXTREMAL_K_CAP = 6
 
@@ -100,7 +97,7 @@ class MultiplicativeSequence:
         if self.signs[0] != 1:
             raise SequenceError("signs[0] must be +1")
 
-    @property
+    @cached_property
     def nontrivial(self) -> bool:
         return any(s == -1 for s in self.signs)
 
@@ -120,9 +117,6 @@ class MultiplicativeSequence:
     def gtm_spec(self) -> str:
         """The gtm spec of the pattern, shared by all of its names."""
         return _gtm_spec(self.q, self.signs)
-
-    def partial_sum(self, n: int) -> int:
-        return partial_sum(self, n)
 
     def __str__(self) -> str:
         return self.spec
@@ -270,42 +264,6 @@ def delta_prefix(seq: MultiplicativeSequence, length: int) -> np.ndarray:
             out[i * arr.size:(i + 1) * arr.size] = s * arr if s < 0 else arr
         arr = out
     return arr[:length]
-
-
-def morphism_prefix(q: int, theta_bits, length: int, cap: int = MORPHISM_PREFIX_CAP) -> list[int]:
-    """First ``length`` letters of the substitution fixed point (theta values).
-
-    Independent oracle: iterates 0 -> 0 t_1 .. t_{q-1}, 1 -> complemented
-    image, starting from the letter 0, with no digit arithmetic.
-    """
-    if length < 0:
-        raise ValueError("length must be >= 0")
-    if length > cap:
-        raise ValueError(f"requested prefix length {length} exceeds cap {cap}")
-    tail = normalize_gtm_bits(q, theta_bits)
-    img = ((0,) + tail, (1,) + tuple(1 - b for b in tail))
-    word = [0]
-    while len(word) < length:
-        word = [b for letter in word for b in img[letter]]
-    return word[:length]
-
-
-def digit_stats(q: int, n: int) -> tuple[tuple[int, ...], int]:
-    """Counts of each nonzero digit in base q plus the weighted digit sum.
-
-    Returns ((N_1, ..., N_{q-1}), sum of digits).
-    """
-    if q < 2:
-        raise SequenceError(f"q must be >= 2, got {q}")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    counts = [0] * q
-    s = 0
-    while n:
-        n, d = divmod(n, q)
-        counts[d] += 1
-        s += d
-    return tuple(counts[1:]), s
 
 
 def geometric_bound(q: int, k: int) -> int:

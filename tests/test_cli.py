@@ -222,6 +222,28 @@ class TestConfigErrors:
         assert code == 2 and out == "" and err.startswith("error: config")
 
 
+class TestJsonErrors:
+    # exit codes 2-4 in json mode: stderr keeps its text, stdout holds one error document
+    @pytest.mark.parametrize("code,kind,argv,message", [
+        (2, "usage", ("--seq", "gtm:2:1", "--tol", "-1"),
+         "error: tol must be a positive finite number, got -1.0"),
+        (3, "rejected", ("--seq", "gtm:2:0"), "rejected: trivial-pattern"),
+        (4, "numeric", ("--seq", "gtm:2:1", "--tol", "1e-17"),
+         "numeric failure: certified error "),
+    ], ids=["exit2", "exit3", "exit4"])
+    def test_error_document(self, capsys, cache_env, code, kind, argv, message):
+        args = ("eval", "--mode", "delta", "--term", "(2n+1)/(2n+2)", *argv)
+        got, out, err = run(capsys, "--format", "json", *args)
+        assert got == code and out.count("\n") == 1 and err.startswith(message)
+        assert json.loads(out) == {"command": "eval", "error": {
+            "exit_code": code, "kind": kind, "message": err.rstrip("\n")}}
+        assert run(capsys, *args) == (code, "", err)  # text mode: the same stderr only
+
+    def test_unparsed_usage_error_emits_nothing(self, capsys, cache_env):
+        code, out, err = run(capsys, "--format", "json", "eval", "--seq", "gtm:2:1")
+        assert code == 2 and out == "" and "required" in err
+
+
 class TestCacheFile:
     def test_default_location_under_home(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("HOME", str(tmp_path))

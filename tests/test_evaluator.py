@@ -18,8 +18,6 @@ from gtmprod.evaluator import (
     evaluate_direct,
     evaluate_product,
     plain_product_log_closed,
-    telescoping_limit,
-    telescoping_partial_closed,
     verify_functional_equation,
     verify_identity,
 )
@@ -33,7 +31,7 @@ from gtmprod.evaluator import (
     _tail_bound,
 )
 from gtmprod.gammafn import gamma
-from gtmprod.ratfun import factored_log_expansion, parse_product_term
+from gtmprod.ratfun import factor_list, factored_log_expansion, parse_product_term
 from gtmprod.sequences import make_sequence, parse_seq_spec, sign_at
 
 TM = parse_seq_spec("gtm:2:1")
@@ -456,22 +454,14 @@ class TestModeConsistency:
 
 
 class TestTelescoping:
-    def test_limit_examples(self):
-        assert abs(telescoping_limit(3, 2, 10**5) - 1.0 / 3.0) < 1e-4
-        assert abs(telescoping_limit(2, 1, 10**5) - 0.5) < 1e-4
-
-    def test_matches_exact_partial_products(self):
-        for q, a in ((2, Fraction(1)), (3, Fraction(2)), (5, Fraction(3, 2))):
-            for N in (10, 11, 200, 201):
-                exact = telescoping_partial_closed(q, a, N)
-                got = telescoping_limit(q, a, N)
-                assert abs(got - float(exact)) < 1e-11 * max(1.0, float(exact))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            telescoping_limit(1, 1)
-        with pytest.raises(ValueError):
-            telescoping_limit(3, Fraction(-1, 2))
+    @pytest.mark.parametrize("q,a", [(3, 2), (2, 1), (5, Fraction(1, 3)),
+                                     (7, Fraction(5, 2)), (16, 3)])
+    def test_identity_is_certified(self, q, a, cache):
+        # prod_{n>=0} ((qn+a)(qn+a+q)/((qn+qa)(qn+qa+q)))^((-1)^n) = 1/q
+        term = factor_list([(q, a, 1), (q, a + q, 1), (q, q * a, -1), (q, q * a + q, -1)])
+        spec = ProductSpec(parse_seq_spec("gtm:3:10"), "delta", 0, term)
+        res = evaluate_product(spec, eps=1e-14, cache=cache)
+        assert abs(res.log_value + math.log(q)) <= res.est_error <= 1e-14
 
 
 class TestFamilyBuilders:

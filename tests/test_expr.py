@@ -4,44 +4,63 @@ from fractions import Fraction
 import pytest
 
 from gtmprod.expr import (
+    BinOp,
     ExprDomainError,
+    Neg,
     Num,
+    Pi,
     eval_expr,
-    eval_expr_text,
-    format_expr,
     parse_expr,
 )
 from gtmprod.ratfun import ParseError
 
 
+def value_of(text: str) -> float:
+    return eval_expr(parse_expr(text))
+
+
+def format_expr(node) -> str:
+    """Parenthesized rendering; reparsing is value-identical."""
+    if isinstance(node, Num):
+        v = node.value
+        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+    if isinstance(node, Pi):
+        return "pi"
+    if isinstance(node, Neg):
+        return f"-{format_expr(node.arg)}"
+    if isinstance(node, BinOp):
+        return f"({format_expr(node.left)}{node.op}{format_expr(node.right)})"
+    return f"{node.fn}({format_expr(node.arg)})"
+
+
 class TestEvaluation:
     def test_catalog_style_values(self):
-        assert abs(eval_expr_text("1/sqrt(3)") - 0.5773502691896258) < 1e-15
-        assert abs(eval_expr_text("gamma(1/4)/(sqrt(2)*pi^(3/4))") - 1.086434811213308) < 1e-12
-        assert abs(eval_expr_text("sqrt(2*sqrt(2)-2)") - 0.9101797211244548) < 1e-12
-        assert abs(eval_expr_text("sqrt(3)*gamma(1/3)*gamma(1/6)/(4*pi^(3/2))")
+        assert abs(value_of("1/sqrt(3)") - 0.5773502691896258) < 1e-15
+        assert abs(value_of("gamma(1/4)/(sqrt(2)*pi^(3/4))") - 1.086434811213308) < 1e-12
+        assert abs(value_of("sqrt(2*sqrt(2)-2)") - 0.9101797211244548) < 1e-12
+        assert abs(value_of("sqrt(3)*gamma(1/3)*gamma(1/6)/(4*pi^(3/2))")
                    - 1.1595952669639284) < 1e-12
-        assert eval_expr_text("pi") == math.pi
-        assert eval_expr_text("1/(3*sqrt(3))") == 1 / (3 * math.sqrt(3))
+        assert value_of("pi") == math.pi
+        assert value_of("1/(3*sqrt(3))") == 1 / (3 * math.sqrt(3))
 
     def test_precedence(self):
-        assert abs(eval_expr_text("2^(2/3)") - 2 ** (2 / 3)) < 1e-15
-        assert eval_expr_text("2*3+4") == 10
-        assert eval_expr_text("2+3*4") == 14
-        assert eval_expr_text("-2^2") == -4          # power binds tighter than minus
-        assert eval_expr_text("2^-1") == 0.5          # unary allowed in exponents
-        assert eval_expr_text("3*2^(-5/3)") == 3 * 2 ** (-5 / 3)
-        assert eval_expr_text("2^3^2") == 512         # right associative
-        assert eval_expr_text("(2^3)^2") == 64
-        assert eval_expr_text("6/3/2") == 1.0         # division is left associative
+        assert abs(value_of("2^(2/3)") - 2 ** (2 / 3)) < 1e-15
+        assert value_of("2*3+4") == 10
+        assert value_of("2+3*4") == 14
+        assert value_of("-2^2") == -4          # power binds tighter than minus
+        assert value_of("2^-1") == 0.5          # unary allowed in exponents
+        assert value_of("3*2^(-5/3)") == 3 * 2 ** (-5 / 3)
+        assert value_of("2^3^2") == 512         # right associative
+        assert value_of("(2^3)^2") == 64
+        assert value_of("6/3/2") == 1.0         # division is left associative
 
     def test_rational_and_decimal_numbers(self):
         assert parse_expr("3/4") == Num(Fraction(3, 4))
-        assert eval_expr_text("0.25") == 0.25
-        assert eval_expr_text("10/4") == 2.5
+        assert value_of("0.25") == 0.25
+        assert value_of("10/4") == 2.5
 
     def test_cos(self):
-        assert abs(eval_expr_text("cos(pi/3)") - 0.5) < 1e-15
+        assert abs(value_of("cos(pi/3)") - 0.5) < 1e-15
 
 
 class TestErrors:
@@ -52,13 +71,13 @@ class TestErrors:
 
     def test_domain(self):
         with pytest.raises(ExprDomainError):
-            eval_expr_text("sqrt(0-1)")
+            value_of("sqrt(0-1)")
         with pytest.raises(ExprDomainError):
-            eval_expr_text("gamma(0-2)")
+            value_of("gamma(0-2)")
         with pytest.raises(ExprDomainError):
-            eval_expr_text("1/(2-2)")
+            value_of("1/(2-2)")
         with pytest.raises(ExprDomainError):
-            eval_expr_text("(0-2)^(1/2)")
+            value_of("(0-2)^(1/2)")
 
 
 class TestRoundTrip:

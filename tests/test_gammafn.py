@@ -11,7 +11,6 @@ from gtmprod.gammafn import (
     GammaDomainError,
     check_gamma_identity,
     gamma,
-    gamma_product_closed_form,
     log_gamma,
     log_gamma_product,
 )
@@ -119,10 +118,10 @@ class TestIdentities:
 
 class TestClosedFormProduct:
     def test_examples(self):
-        assert abs(gamma_product_closed_form([1, 3], [2, 2]) - 0.5) < 1e-14
+        assert abs(cmath.exp(log_gamma_product([1, 3], [2, 2])) - 0.5) < 1e-14
         x = Fraction(7, 3)
-        assert gamma_product_closed_form([x], [x]) == 1.0
-        v = gamma_product_closed_form([Fraction(1, 2), Fraction(3, 2)], [1, 1])
+        assert cmath.exp(log_gamma_product([x], [x])) == 1.0
+        v = cmath.exp(log_gamma_product([Fraction(1, 2), Fraction(3, 2)], [1, 1]))
         assert abs(v - 2.0 / math.pi) < 1e-14
 
     def test_validation(self):

@@ -5,7 +5,7 @@ import mpmath as mp
 import pytest
 
 from gtmprod import families
-from gtmprod.evaluator import build_scaling_term, telescoping_limit
+from gtmprod.evaluator import build_gamma_ratio_term, build_scaling_term
 from gtmprod.gammafn import log_gamma_product
 from gtmprod.ratfun import (
     EvaluationError,
@@ -266,7 +266,7 @@ def test_one_coercion_rule_for_rational_parameters():
         lambda x: families.tm_cosine_family(x),
         lambda x: build_scaling_term(q3, x, 1),
         lambda x: log_gamma_product([x], [x]),
-        lambda x: telescoping_limit(2, x, 10),
+        lambda x: build_gamma_ratio_term(q3, [x], [x]),
     ]
     for call in calls:
         call(Fraction(1, 2))

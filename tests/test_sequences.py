@@ -6,16 +6,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gtmprod.sequences import (
-    MORPHISM_PREFIX_CAP,
     SequenceError,
     asymptotic_exponent,
     delta_prefix,
-    digit_stats,
     extremal_partial_sums,
     geometric_bound,
     k0_threshold,
     make_sequence,
-    morphism_prefix,
+    normalize_gtm_bits,
     parse_seq_spec,
     partial_sum,
     partial_sums_upto,
@@ -28,6 +26,30 @@ from gtmprod.sequences import (
 def naive_partial_sums(seq, n_max):
     """Independent oracle: cumulative sums of the materialized sign prefix."""
     return np.concatenate(([0], np.cumsum(delta_prefix(seq, n_max), dtype=np.int64)))
+
+
+def morphism_prefix(q, theta_bits, length):
+    """Independent oracle: the first ``length`` letters (theta values) of the
+    fixed point of 0 -> 0 t_1 .. t_{q-1}, 1 -> complemented image, iterated
+    from the letter 0 with no digit arithmetic."""
+    tail = normalize_gtm_bits(q, theta_bits)
+    img = ((0,) + tail, (1,) + tuple(1 - b for b in tail))
+    word = [0]
+    while len(word) < length:
+        word = [b for letter in word for b in img[letter]]
+    return word[:length]
+
+
+def digit_stats(q, n):
+    """((N_1, ..., N_{q-1}), digit sum): counts of each nonzero base-q digit
+    of n, and their weighted sum."""
+    counts = [0] * q
+    s = 0
+    while n:
+        n, d = divmod(n, q)
+        counts[d] += 1
+        s += d
+    return tuple(counts[1:]), s
 
 
 def random_pattern(rng, q_max=6):
@@ -69,7 +91,7 @@ class TestConstruction:
     def test_all_plus_is_trivial_but_constructible(self):
         seq = make_sequence("gtm", 4, bits="000")
         assert not seq.nontrivial
-        assert seq.partial_sum(17) == 17
+        assert partial_sum(seq, 17) == 17
 
     @pytest.mark.parametrize("call", [
         lambda: make_sequence("gtm", 1, bits="1"),
@@ -121,10 +143,6 @@ class TestMorphismOracle:
         assert morphism_prefix(3, "001", 9) == [0, 0, 1, 0, 0, 1, 1, 1, 0]
         assert morphism_prefix(3, "011", 9) == [0, 1, 1, 1, 0, 0, 1, 0, 0]
         assert morphism_prefix(2, "1", 4) == [0, 1, 1, 0]
-
-    def test_cap(self):
-        with pytest.raises(ValueError):
-            morphism_prefix(2, "1", MORPHISM_PREFIX_CAP + 1)
 
     @pytest.mark.parametrize("q,bits", [(2, "1"), (3, "01"), (3, "11"),
                                         (4, "101"), (5, "0011")])
