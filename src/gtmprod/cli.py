@@ -12,15 +12,11 @@ estimate so reports are self-certifying.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
-from .catalog import CatalogError, load_catalog, run_catalog
 from .dirichlet import (
     DirichletCache,
     EpsUnachievableError,
@@ -46,11 +42,11 @@ EXIT_NUMERIC = 4
 FORMATS = ("text", "json", "csv")
 
 
-@dataclass
 class CliConfig:
-    tol: float = 1e-9
-    cache_dir: str | None = None
-    format: str = "text"
+    def __init__(self, tol: float = 1e-9, cache_dir: str | None = None, format: str = "text"):
+        self.tol = tol
+        self.cache_dir = cache_dir
+        self.format = format
 
 
 def _config_path() -> Path | None:
@@ -96,6 +92,9 @@ def _emit(args, payload: dict, text_lines: list[str], csv_rows: list[dict]):
     elif args.format == "csv":
         if not csv_rows:
             return
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(csv_rows[0].keys()), lineterminator="\n")
         writer.writeheader()
@@ -197,10 +196,12 @@ def _cmd_dirichlet(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    records = load_catalog(args.catalog)
+    from .catalog import load_catalog, run_catalog  # only verify loads expr and gammafn
+
+    records = load_catalog(args.catalog, filter=args.filter)
     cache = _make_cache(args)
-    report = run_catalog(records, filter=args.filter, tol=args.tol,
-                         method=args.method, cache=cache, direct_n=args.direct_n)
+    report = run_catalog(records, tol=args.tol, method=args.method, cache=cache,
+                         direct_n=args.direct_n)
     results = [{
         "id": r.id, "paper": r.paper, "method": r.method,
         "lhs_value": r.lhs_value, "rhs_value": r.rhs_value,
@@ -299,7 +300,7 @@ def main(argv=None) -> int:
         return _fail(args, EXIT_REJECTED, "rejected", f"rejected: {exc.reason}")
     except (PositivityError, EpsUnachievableError, ArithmeticError) as exc:
         return _fail(args, EXIT_NUMERIC, "numeric", f"numeric failure: {exc}")
-    except (ParseError, SequenceError, CatalogError, ValueError, OSError) as exc:
+    except (ParseError, SequenceError, ValueError, OSError) as exc:  # CatalogError is a ValueError
         return _fail(args, EXIT_USAGE, "usage", f"error: {exc}")
 
 

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import math
 import os
-import tempfile
 import threading
 from pathlib import Path
 
@@ -140,6 +139,8 @@ class DirichletCache:
         interleave, the last rename wins."""
         if self.path is None:
             return
+        import tempfile
+
         merged = self._read()
         with self._lock:
             merged.update(self._mp)

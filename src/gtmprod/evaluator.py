@@ -45,8 +45,8 @@ pair (``_log1p_pairs``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .dirichlet import (
     _ROUND_UP,
@@ -89,22 +89,42 @@ class PositivityError(ArithmeticError):
     """A term value failed to be a positive real during evaluation."""
 
 
-@dataclass(frozen=True)
 class ProductSpec:
-    """An infinite product: sequence, exponent mode, start index, and term."""
+    """An infinite product: sequence, exponent mode, start index, and term.
 
-    seq: MultiplicativeSequence
-    mode: str
-    start: int
-    term: FactorList
+    An immutable value: equal and hashed by ``(seq, mode, start, term)``."""
 
-    def __post_init__(self):
-        if self.mode not in ("delta", "theta"):
-            raise ValueError(f"mode must be 'delta' or 'theta', got {self.mode!r}")
+    def __init__(self, seq: MultiplicativeSequence, mode: str, start: int, term: FactorList):
+        if mode not in ("delta", "theta"):
+            raise ValueError(f"mode must be 'delta' or 'theta', got {mode!r}")
+        object.__setattr__(self, "seq", seq)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "term", term)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self):
+        return (self.seq, self.mode, self.start, self.term)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"ProductSpec(seq={self.seq!r}, mode={self.mode!r}, start={self.start!r}, "
+                f"term={self.term!r})")
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(NamedTuple):
     value: float
     log_value: float
     est_error: float
@@ -417,8 +437,7 @@ def evaluate_direct(spec: ProductSpec, N: int,
     return EvalResult(math.exp(log_value), log_value, est, "direct", q**K, 0)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     ok: bool
     lhs_value: float
     rhs_value: float
@@ -538,8 +557,7 @@ def build_gamma_ratio_term(seq: MultiplicativeSequence, a_list, b_list) -> tuple
     return factor_list(triples), rhs_log
 
 
-@dataclass(frozen=True)
-class FunctionalEquationReport:
+class FunctionalEquationReport(NamedTuple):
     ok: bool
     kind: str
     lhs_value: float

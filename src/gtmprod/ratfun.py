@@ -25,7 +25,6 @@ an exact comparison; floating point enters only through the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -55,23 +54,40 @@ class Factor(NamedTuple):
     exponent: int
 
 
-@dataclass(frozen=True)
 class FactorList:
-    """Product of (alpha*n + beta)^exponent factors times a rational constant."""
+    """Product of (alpha*n + beta)^exponent factors times a rational constant.
 
-    factors: tuple[Factor, ...]
-    constant: Fraction = Fraction(1)
+    An immutable value: equal and hashed by ``(factors, constant)``."""
 
-    def __post_init__(self):
-        for f in self.factors:
+    def __init__(self, factors: tuple[Factor, ...], constant: Fraction = Fraction(1)):
+        for f in factors:
             if f.alpha < 1:
                 raise ValueError(f"factor slope must be a positive integer, got {f.alpha}")
             if f.exponent == 0:
                 raise ValueError("factor exponents must be nonzero")
             if not isinstance(f.beta, Fraction):
                 raise TypeError("factor offsets must be Fraction")
-        if self.constant == 0:
+        if constant == 0:
             raise ValueError("constant multiplier must be nonzero")
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "constant", constant)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.factors, self.constant) == (other.factors, other.constant)
+
+    def __hash__(self):
+        return hash((self.factors, self.constant))
+
+    def __repr__(self) -> str:
+        return f"FactorList(factors={self.factors!r}, constant={self.constant!r})"
 
     def max_root_magnitude(self) -> float:
         """max |beta/alpha| over factors; the series radius of ln R(n)."""
@@ -280,8 +296,7 @@ def format_product_term(f: FactorList) -> str:
     return f"{num}/{den}"
 
 
-@dataclass(frozen=True)
-class ProductCheck:
+class ProductCheck(NamedTuple):
     """An exact verdict: ok, or the first criterion missed as ``reason``."""
     ok: bool
     reason: str | None = None

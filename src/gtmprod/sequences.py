@@ -26,7 +26,6 @@ The last two name gtm patterns: ``dcount:3:1``, ``dparity:3`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product as _cartesian
 from typing import TYPE_CHECKING
@@ -75,27 +74,42 @@ def _gtm_spec(q: int, signs) -> str:
     return "gtm:%d:%s" % (q, "".join("1" if s < 0 else "0" for s in signs[1:]))
 
 
-@dataclass(frozen=True)
 class MultiplicativeSequence:
     """A strongly q-multiplicative +-1 sequence, delta_0 .. delta_{q-1} = ``signs``.
 
-    Equality and hashing read ``(q, signs)`` only; ``spec`` is the name it
-    was given and is shown by.
+    An immutable value.  Equality and hashing read ``(q, signs)`` only;
+    ``spec`` is the name it was given and is shown by.
     """
 
-    q: int
-    signs: tuple[int, ...]
-    spec: str = field(compare=False)
-
-    def __post_init__(self):
-        if self.q < 2:
-            raise SequenceError(f"q must be >= 2, got {self.q}")
-        if len(self.signs) != self.q:
+    def __init__(self, q: int, signs: tuple[int, ...], spec: str):
+        if q < 2:
+            raise SequenceError(f"q must be >= 2, got {q}")
+        if len(signs) != q:
             raise SequenceError("need exactly q signs")
-        if any(s not in (1, -1) for s in self.signs):
+        if any(s not in (1, -1) for s in signs):
             raise SequenceError("signs must be +1 or -1")
-        if self.signs[0] != 1:
+        if signs[0] != 1:
             raise SequenceError("signs[0] must be +1")
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "signs", signs)
+        object.__setattr__(self, "spec", spec)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.q, self.signs) == (other.q, other.signs)
+
+    def __hash__(self):
+        return hash((self.q, self.signs))
+
+    def __repr__(self) -> str:
+        return f"MultiplicativeSequence(q={self.q!r}, signs={self.signs!r}, spec={self.spec!r})"
 
     @cached_property
     def nontrivial(self) -> bool:

@@ -100,6 +100,44 @@ class TestLoad:
             load_catalog(path)
 
 
+class TestFilteredLoad:
+    GOOD = "wr2|Eq.(W-R)|gtm:2:1|delta|0|(2n+1)/(2n+2)|1/sqrt(2)|x"
+    REJECTED = "bad|x|gtm:2:1|theta|0|(2n+1)/(2n+2)|1/sqrt(2)|y"
+
+    @pytest.mark.parametrize("line", [
+        "only|three|fields",
+        "b|x|gtm:2:1|sigma|0|(2n+1)/(2n+2)|1|y",
+        "b|x|gtm:2:1|delta|zero|(2n+1)/(2n+2)|1|y",
+        GOOD,
+    ], ids=["fields", "mode", "start", "duplicate"])
+    def test_builtin_line_checks_cover_every_line(self, monkeypatch, line):
+        monkeypatch.setattr(catalog_mod, "builtin_catalog_text", lambda: f"{self.GOOD}\n{line}\n")
+        with pytest.raises(CatalogError, match="line 2"):
+            load_catalog("builtin", filter="wr2")
+
+    def test_builtin_validates_only_the_records_that_match(self, monkeypatch):
+        monkeypatch.setattr(catalog_mod, "builtin_catalog_text",
+                            lambda: f"{self.GOOD}\n{self.REJECTED}\n")
+        assert [r.id for r in load_catalog("builtin", filter="wr2")] == ["wr2"]
+        assert load_catalog("builtin", filter="zzz*") == []
+        with pytest.raises(CatalogError, match="sum-of-roots"):
+            load_catalog("builtin")
+        with pytest.raises(CatalogError, match="sum-of-roots"):
+            load_catalog("builtin", filter="y")
+
+    def test_file_is_validated_whole(self, tmp_path):
+        path = tmp_path / "c.catalog"
+        path.write_text(f"{self.GOOD}\n{self.REJECTED}\n")
+        with pytest.raises(CatalogError, match="sum-of-roots"):
+            load_catalog(path, filter="wr2")
+
+    def test_filter_matches_ids_and_tags_as_run_catalog_does(self, records, cache):
+        for pattern in ("g2.*", "classic", "ex1.7.1*"):
+            loaded = load_catalog("builtin", filter=pattern)
+            assert (run_catalog(loaded, cache=cache).results
+                    == run_catalog(records, filter=pattern, cache=cache).results)
+
+
 class TestRunCatalog:
     def test_filter_and_summary(self, records, cache):
         report = run_catalog(records, filter="g2.*", tol=1e-8, cache=cache)

@@ -163,6 +163,27 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--catalog", "/nonexistent/zzz")
         assert code == 2
 
+    def test_builtin_filter_parses_only_the_records_that_run(self, capsys, cache_env,
+                                                             monkeypatch):
+        import gtmprod.catalog as catalog_mod
+
+        calls = []
+        for name in ("parse_product_term", "parse_expr"):
+            parse = getattr(catalog_mod, name)
+            monkeypatch.setattr(catalog_mod, name,
+                                lambda text, parse=parse: calls.append(text) or parse(text))
+        code, out, _ = run(capsys, "verify", "--filter", "wr")
+        assert code == 0 and out.startswith("pass  wr ")
+        assert calls == ["(2n+1)/(2n+2)", "1/sqrt(2)"]
+
+    def test_user_file_is_validated_whole(self, capsys, cache_env, tmp_path):
+        path = tmp_path / "c.catalog"
+        path.write_text("wr2|Eq.(W-R)|gtm:2:1|delta|0|(2n+1)/(2n+2)|1/sqrt(2)|x\n"
+                        "bad|x|gtm:2:1|theta|0|(2n+1)/(2n+2)|1/sqrt(2)|y\n")
+        code, out, err = run(capsys, "verify", "--catalog", str(path), "--filter", "wr2")
+        assert code == 2 and out == ""
+        assert err == "error: record 'bad' rejected: sum-of-roots (line 2)\n"
+
 
 class TestDeterminism:
     def test_repeat_invocations_byte_identical(self, capsys, cache_env):
@@ -238,6 +259,22 @@ class TestJsonErrors:
         assert json.loads(out) == {"command": "eval", "error": {
             "exit_code": code, "kind": kind, "message": err.rstrip("\n")}}
         assert run(capsys, *args) == (code, "", err)  # text mode: the same stderr only
+
+    @pytest.mark.parametrize("argv,message", [
+        (("check", "--term", "(2n+1", "--mode", "delta"),
+         "error: expected ')' (at position 5)"),
+        (("dirichlet", "--seq", "gtm:2:0", "--s", "1"),
+         "error: the all-plus pattern needs s >= 2 (zeta pole at s=1)"),
+        (("verify", "--catalog", "/nonexistent/zzz"),
+         "error: [Errno 2] No such file or directory: '/nonexistent/zzz'"),
+        (("seq", "--seq", "gtm:2:1", "--count", "-1"), "error: count must be >= 0"),
+    ], ids=["check", "dirichlet", "verify", "seq"])
+    def test_usage_error_document_per_command(self, capsys, cache_env, argv, message):
+        got, out, err = run(capsys, "--format", "json", *argv)
+        assert got == 2 and out.count("\n") == 1 and err == message + "\n"
+        assert json.loads(out) == {"command": argv[0], "error": {
+            "exit_code": 2, "kind": "usage", "message": message}}
+        assert run(capsys, *argv) == (2, "", err)  # text mode: the same stderr only
 
     def test_unparsed_usage_error_emits_nothing(self, capsys, cache_env):
         code, out, err = run(capsys, "--format", "json", "eval", "--seq", "gtm:2:1")
@@ -325,3 +362,36 @@ class TestLazyImports:
         assert doc["before"] == []
         assert doc["direct_ok"] and doc["numpy_after"]
         assert doc["partial_sums"] == [0, 1, 0, -1, 0, -1, 0, 1, 0]
+
+
+class TestImportSet:
+    def test_commands_load_only_what_they_run(self, tmp_path):
+        # a fresh interpreter: check, eval and dirichlet load five gtmprod
+        # modules and none of the modules below; verify loads the catalog
+        script = textwrap.dedent("""
+            import json, sys
+            preloaded = set(sys.modules)
+            from gtmprod.cli import main
+            codes = [main(argv) for argv in (
+                ["check", "--term", "(2n+1)/(2n+2)", "--mode", "delta"],
+                ["eval", "--seq", "gtm:3:01", "--mode", "delta", "--term", "(2n+1)/(2n+2)"],
+                ["dirichlet", "--seq", "gtm:3:01", "--s", "3"])]
+            absent = ("dataclasses", "inspect", "csv", "gtmprod.catalog", "gtmprod.expr",
+                      "gtmprod.gammafn", "gtmprod.families", "numpy", "mpmath")
+            loaded = sorted(m for m in absent if m in sys.modules and m not in preloaded)
+            package = sorted(m for m in sys.modules if m.startswith("gtmprod."))
+            codes.append(main(["verify", "--filter", "wr"]))
+            print(json.dumps({"codes": codes, "loaded": loaded, "package": package,
+                              "catalog_after_verify": "gtmprod.catalog" in sys.modules}))
+        """)
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), GTMPROD_CACHE_DIR=str(tmp_path),
+                   GTMPROD_CONFIG=str(tmp_path / "absent.json"))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout.splitlines()[-1])
+        assert doc == {"codes": [0, 0, 0, 0], "loaded": [],
+                       "package": ["gtmprod.cli", "gtmprod.dirichlet", "gtmprod.evaluator",
+                                   "gtmprod.ratfun", "gtmprod.sequences"],
+                       "catalog_after_verify": True}
