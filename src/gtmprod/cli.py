@@ -42,13 +42,6 @@ EXIT_NUMERIC = 4
 FORMATS = ("text", "json", "csv")
 
 
-class CliConfig:
-    def __init__(self, tol: float = 1e-9, cache_dir: str | None = None, format: str = "text"):
-        self.tol = tol
-        self.cache_dir = cache_dir
-        self.format = format
-
-
 def _config_path() -> Path | None:
     env = os.environ.get("GTMPROD_CONFIG")
     if env:
@@ -57,9 +50,9 @@ def _config_path() -> Path | None:
     return default if default.exists() else None
 
 
-def load_config() -> CliConfig:
+def load_config() -> argparse.Namespace:
     """The config file's defaults; ValueError if the file or a value it sets is bad."""
-    cfg = CliConfig()
+    cfg = argparse.Namespace(tol=1e-9, cache_dir=None, format="text")
     path = _config_path()
     if path is not None and path.exists():
         try:
@@ -226,7 +219,7 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report.all_passed else EXIT_VERIFY_FAIL
 
 
-def build_parser(config: CliConfig) -> argparse.ArgumentParser:
+def build_parser(config: argparse.Namespace) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gtmprod",
         description="Generalized Thue-Morse sequences and sign-weighted "

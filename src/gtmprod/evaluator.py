@@ -70,7 +70,7 @@ from .ratfun import (
     first_non_positive,
     integer_offsets,
 )
-from .sequences import MultiplicativeSequence, delta_prefix, sign_at, sign_prefix
+from .sequences import FrozenValue, MultiplicativeSequence, delta_prefix, sign_at, sign_prefix
 
 MAX_J = 16
 MAX_N = 1_000_000
@@ -89,39 +89,15 @@ class PositivityError(ArithmeticError):
     """A term value failed to be a positive real during evaluation."""
 
 
-class ProductSpec:
-    """An infinite product: sequence, exponent mode, start index, and term.
+class ProductSpec(FrozenValue):
+    """An infinite product: sequence, exponent mode, start index, and term."""
 
-    An immutable value: equal and hashed by ``(seq, mode, start, term)``."""
+    _fields = ("seq", "mode", "start", "term")
 
     def __init__(self, seq: MultiplicativeSequence, mode: str, start: int, term: FactorList):
         if mode not in ("delta", "theta"):
             raise ValueError(f"mode must be 'delta' or 'theta', got {mode!r}")
-        object.__setattr__(self, "seq", seq)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "term", term)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _key(self):
-        return (self.seq, self.mode, self.start, self.term)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (f"ProductSpec(seq={self.seq!r}, mode={self.mode!r}, start={self.start!r}, "
-                f"term={self.term!r})")
+        self._set(seq, mode, start, term)
 
 
 class EvalResult(NamedTuple):

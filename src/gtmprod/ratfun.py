@@ -28,6 +28,8 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
+from .sequences import FrozenValue
+
 
 class ParseError(ValueError):
     """Syntax error in the product-term grammar, with position."""
@@ -54,10 +56,10 @@ class Factor(NamedTuple):
     exponent: int
 
 
-class FactorList:
-    """Product of (alpha*n + beta)^exponent factors times a rational constant.
+class FactorList(FrozenValue):
+    """Product of (alpha*n + beta)^exponent factors times a rational constant."""
 
-    An immutable value: equal and hashed by ``(factors, constant)``."""
+    _fields = ("factors", "constant")
 
     def __init__(self, factors: tuple[Factor, ...], constant: Fraction = Fraction(1)):
         for f in factors:
@@ -69,25 +71,7 @@ class FactorList:
                 raise TypeError("factor offsets must be Fraction")
         if constant == 0:
             raise ValueError("constant multiplier must be nonzero")
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "constant", constant)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.factors, self.constant) == (other.factors, other.constant)
-
-    def __hash__(self):
-        return hash((self.factors, self.constant))
-
-    def __repr__(self) -> str:
-        return f"FactorList(factors={self.factors!r}, constant={self.constant!r})"
+        self._set(factors, constant)
 
     def max_root_magnitude(self) -> float:
         """max |beta/alpha| over factors; the series radius of ln R(n)."""

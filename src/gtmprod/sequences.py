@@ -41,6 +41,42 @@ class SequenceError(ValueError):
     """Bad sequence construction parameters or spec string."""
 
 
+class FrozenValue:
+    """An immutable value, the base of the package's plain value classes.
+
+    A subclass names its fields in ``_fields``, validates its arguments in
+    ``__init__`` and stores them with ``_set``.  It is equal to and hashed
+    by ``_key()``, its fields unless it overrides that, and is shown as
+    ``Name(field=value, ...)``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, *values):
+        self.__dict__.update(zip(self._fields, values))
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
 def _as_bit(value) -> int:
     b = int(value)
     if b not in (0, 1):
@@ -74,12 +110,14 @@ def _gtm_spec(q: int, signs) -> str:
     return "gtm:%d:%s" % (q, "".join("1" if s < 0 else "0" for s in signs[1:]))
 
 
-class MultiplicativeSequence:
+class MultiplicativeSequence(FrozenValue):
     """A strongly q-multiplicative +-1 sequence, delta_0 .. delta_{q-1} = ``signs``.
 
-    An immutable value.  Equality and hashing read ``(q, signs)`` only;
-    ``spec`` is the name it was given and is shown by.
+    Equality and hashing read ``(q, signs)`` only; ``spec`` is the name it
+    was given and is shown by.
     """
+
+    _fields = ("q", "signs", "spec")
 
     def __init__(self, q: int, signs: tuple[int, ...], spec: str):
         if q < 2:
@@ -90,26 +128,10 @@ class MultiplicativeSequence:
             raise SequenceError("signs must be +1 or -1")
         if signs[0] != 1:
             raise SequenceError("signs[0] must be +1")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "signs", signs)
-        object.__setattr__(self, "spec", spec)
+        self._set(q, signs, spec)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.q, self.signs) == (other.q, other.signs)
-
-    def __hash__(self):
-        return hash((self.q, self.signs))
-
-    def __repr__(self) -> str:
-        return f"MultiplicativeSequence(q={self.q!r}, signs={self.signs!r}, spec={self.spec!r})"
+    def _key(self):
+        return (self.q, self.signs)
 
     @cached_property
     def nontrivial(self) -> bool:

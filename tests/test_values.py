@@ -109,6 +109,19 @@ class TestEquality:
         assert base != ProductSpec(seq, "theta", 0, wr_term())
         assert base != ProductSpec(seq, "delta", 1, wr_term())
 
+    def test_results_are_tuples(self):
+        # the four result types are NamedTuples: they compare by position,
+        # also with a plain tuple, and can be indexed and unpacked
+        ok, reason = ProductCheck(False, "r")
+        assert (ok, reason) == (False, "r") and ProductCheck(False, "r") == (False, "r")
+        result = EvalResult(1.0, 0.0, 0.0, "accel", 12, 16)
+        assert result[3] == "accel" and len(result) == 6
+        assert IdentityReport(True, 1.0, 1.0, 0.0, 0.0, 12, "accel") == (
+            True, 1.0, 1.0, 0.0, 0.0, 12, "accel", None)
+        assert FunctionalEquationReport(True, "thm_f", 1.0, 1.0, 0.0, 0.0)[1] == "thm_f"
+        # the plain value classes are not tuples and equal only their own class
+        assert wr_term() != (wr_term().factors, wr_term().constant)
+
 
 class TestVerdict:
     def test_truth(self):
