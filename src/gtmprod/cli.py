@@ -146,16 +146,24 @@ def _cmd_check(args) -> int:
     return EXIT_OK if verdict.ok else EXIT_REJECTED
 
 
+def _direct_n(args) -> int | None:
+    """--direct-n, checked before any work: a term count below 1 is a usage error."""
+    if args.direct_n is not None and args.direct_n < 1:
+        raise ValueError(f"--direct-n must be >= 1, got {args.direct_n}")
+    return args.direct_n
+
+
 def _cmd_eval(args) -> int:
     seq = parse_seq_spec(args.seq)
     term = parse_product_term(args.term)
     spec = ProductSpec(seq, args.mode, args.start, term)
     check_eps(args.tol, "tol")  # both methods: direct ignores it, but a bad one is a usage error
+    direct_n = _direct_n(args)
     cache = _make_cache(args)
     if args.method == "accel":
         res = evaluate_product(spec, eps=args.tol, cache=cache)
     else:
-        res = evaluate_direct(spec, args.direct_n or seq.q**10, cache=cache)
+        res = evaluate_direct(spec, seq.q**10 if direct_n is None else direct_n, cache=cache)
     payload = {"command": "eval", "seq": seq.spec, "mode": args.mode,
                "from": args.start, "term": args.term,
                "value": res.value, "log_value": res.log_value,
@@ -191,10 +199,11 @@ def _cmd_dirichlet(args) -> int:
 def _cmd_verify(args) -> int:
     from .catalog import load_catalog, run_catalog  # only verify loads expr and gammafn
 
+    direct_n = _direct_n(args)
     records = load_catalog(args.catalog, filter=args.filter)
     cache = _make_cache(args)
     report = run_catalog(records, tol=args.tol, method=args.method, cache=cache,
-                         direct_n=args.direct_n)
+                         direct_n=direct_n)
     results = [{
         "id": r.id, "paper": r.paper, "method": r.method,
         "lhs_value": r.lhs_value, "rhs_value": r.rhs_value,

@@ -38,8 +38,12 @@ spread of the last few block-boundary partial sums.  It takes its signs
 block by block from one prefix of B = q^m <= 2^17 signs (delta over
 [kB, (k+1)B) is delta_k times delta over [0, B)), so memory is O(B) for
 every N; fl_round bounds the rounding of every sum in the worst case.
-Past the roots it takes ln R(n) as one log1p per numerator/denominator
-pair (``_log1p_pairs``).
+Past the roots it takes w_n ln R(n) as one log1p per numerator/denominator
+pair (a, b) of R(n) = prod (n + a)/(n + b) (``_log1p_pairs``), with the
+weight folded into the argument: with d = a - b, w_n log1p(d/(n + b)) is
+log1p(d/(n + b)), log1p(-d/(n + a)) or 0 for w_n = 1, -1 or 0, since
+-ln(1 + d/(n + b)) = ln(1 - d/(n + a)).  A term costs one add, one divide
+and one log1p per pair, and no pass over the block applies weights.
 """
 
 from __future__ import annotations
@@ -305,17 +309,17 @@ def _top_exponent(q: int, n: int) -> int:
     return next(k for k in range(n.bit_length()) if q ** (k + 1) > n)
 
 
-def _log1p_pairs(merged: dict) -> list[tuple[float, Fraction]]:
-    """Pairs (d_i, b_i) with ln R(n) = sum_i log1p(d_i/(n + b_i)), from the
+def _log1p_pairs(merged: dict) -> list[tuple[Fraction, Fraction]]:
+    """Pairs (a_i, b_i) with R(n) = prod_i (n + a_i)/(n + b_i), from the
     offsets {c: E} of the normal form: the sorted numerator offsets a_i
-    matched with the sorted denominator offsets b_i, d_i = a_i - b_i (a
-    checked term has K' = 1)."""
+    matched with the sorted denominator offsets b_i (a checked term has
+    K' = 1)."""
     num = sorted(c for c, e in merged.items() for _ in range(e))
     den = sorted(c for c, e in merged.items() for _ in range(-e))
-    return [(float(a - b), b) for a, b in zip(num, den)]
+    return list(zip(num, den))
 
 
-def _direct_sums(spec: ProductSpec, K: int):
+def _direct_sums(spec: ProductSpec, K: int, normal_form):
     """Partial sums S_m = sum_{start <= n < m} w_n ln R(n): ({m: S_m} for
     m = q^1..q^K and every block start, the mean of S_(n+1) over [q^(K-1),
     q^K), fl_round), where fl_round bounds the rounding error of each."""
@@ -324,14 +328,19 @@ def _direct_sums(spec: ProductSpec, K: int):
     seq, term, start, q = spec.seq, spec.term, spec.start, spec.seq.q
     n_used, fb_lo = q**K, q ** (K - 1)
     n_safe = max(start, int(math.floor(term.max_root_magnitude())) + 1)
-    pairs = _log1p_pairs(factored_normal_form(term)[1])
+    pairs = _log1p_pairs(normal_form[1])
     # delta over [kB, (k+1)B) is delta_k times delta over [0, B)
     B = q ** min(K - 1, _top_exponent(q, _BLOCK_CAP))  # divides fb_lo
-    base = delta_prefix(seq, B).astype(np.float64)
-    weights = {s: s * base if spec.mode == "delta" else 0.5 - 0.5 * s * base
-               for s in (1, -1)}
-    j_all = np.arange(B, dtype=np.float64)
-    ramps = {s: w * (B - j_all) for s, w in weights.items()}
+    base = delta_prefix(seq, B)
+    weights = {s: s * base if spec.mode == "delta" else (1 - s * base) // 2 for s in (1, -1)}
+    # w_n ln R(n) is log1p(nu/(n + c)) per pair (a, b), d = a - b: nu = d and
+    # c = b where w_n = 1, nu = -d and c = a where w_n = -1, as -ln(1 + d/(n +
+    # b)) = ln(1 - d/(n + a)), and nu = 0 where w_n = 0.  For each block sign,
+    # nu and j + c over j in [0, B) are formed once.
+    j = np.arange(B, dtype=np.float64)
+    terms = {s: [(float(a - b) * w, j + np.where(w < 0, float(a), float(b))) for a, b in pairs]
+             for s, w in weights.items()}
+    ramp = B - j  # hi - n over a block
     logs, tmp = np.empty(B), np.empty(B)
     sums: dict[int, float] = {}
     running = abs_head = mean_acc = 0.0
@@ -342,52 +351,60 @@ def _direct_sums(spec: ProductSpec, K: int):
         lo, hi, s = k * B, (k + 1) * B, sign_at(seq, k)
         lv, e = logs[j0:], min(max(n_safe, pos), hi)
         if e > pos:  # exact terms below n_safe
+            w = weights[s]
             try:
-                lv[:e - pos] = [math.log(evaluate_real(term, n)) for n in range(pos, e)]
+                lv[:e - pos] = [int(w[n - lo]) * math.log(evaluate_real(term, n))
+                                for n in range(pos, e)]
             except EvaluationError as exc:
                 raise PositivityError(str(exc)) from None
             abs_head += float(np.abs(lv[:e - pos]).sum())
-        # ln R(n) for n = j + kB in [e, hi), one log1p per pair; each offset
-        # kB + b_i is formed exactly and rounded once
+        # w_n ln R(n) for n = j + kB in [e, hi): one add, divide and log1p per
+        # pair, the first pair in place in lv
         out, x = lv[e - pos:], tmp[e - lo:]
-        out[:] = 0.0
-        for d, b in pairs:
-            np.add(j_all[e - lo:], float(lo + b), out=x)
-            out += np.log1p(np.divide(d, x, out=x), out=x)
-        w = weights[s][j0:]
-        if pos < B:  # chunk 0 holds the boundaries below B
-            cs = running + np.cumsum(w * lv)
+        if not pairs:  # R(n) = 1
+            out.fill(0.0)
+        for i, (nu, off) in enumerate(terms[s]):
+            y = x if i else out
+            np.add(off[e - lo:], float(lo), out=y)
+            np.log1p(np.divide(nu[e - lo:], y, out=y), out=y)
+            if i:
+                out += y
+        if pos < B:  # chunk 0 holds the boundaries below B; running is 0 here
+            cs = np.cumsum(lv)
             sums.update((q**i, float(cs[q**i - pos - 1])) for i in range(1, K) if q**i < B)
             total = float(cs[-1])
         else:
-            total = running + float(np.einsum("i,i->", w, lv))
+            total = running + float(np.einsum("i->", lv))
         if pos >= fb_lo:  # sum_{pos<=n<hi} S_(n+1) = (hi-pos) S_pos + sum_n t_n (hi-n)
-            mean_acc += (hi - pos) * running + float(np.einsum("i,i->", ramps[s][j0:], lv))
+            mean_acc += (hi - pos) * running + float(np.einsum("i,i->", ramp[j0:], lv))
         running, pos = total, hi
     sums[n_used] = running
 
     # fl_round, with u = 2^-53 and n0 = min(n_safe, q^K).  Terms: each of the
-    # h = n0 - start exact terms rounds R(n) and takes a log good to 4 ulps:
-    # off by <= 2u + 8u |t|.  For a pair, rounding d, kB + b, j + (kB + b) and
-    # the quotient moves x = d/(n + b) by (3 + rho) u |x|, where rho = max(1,
-    # -b/(n0 + b)) covers a negative kB + b (rounded relative to |b|), hence
-    # log1p(x) by (3 + rho) u |d|/(n + m), m = min(a, b); log1p's own 4 ulps
-    # of |log1p(x)| <= |d|/(n + m) add 8u |d|/(n + m), and adding up P pairs
-    # (P - 1) u |d|/(n + m).  As A_i = |d| (1/(n0 + m) + ln((q^K - 1 + m)/(n0
-    # + m))) >= sum_{n0 <= n < q^K} |d|/(n + m), the terms are off by E <= u (2h
-    # + 8 abs_head + sum_i (P + 10 + rho_i) A_i), and A = abs_head + sum_i A_i
-    # >= sum |t_n|.  Sums: each S_m is a tree of additions of depth D <= B +
-    # chunks + 2 (a chunk sum, einsum or cumsum in any order, has depth < B):
-    # off by E + D u A to first order.  The mean adds the final block's term
-    # and ramp-dot errors times B/(q^K - q^(K-1)) <= 1, the products, the
-    # additions and the division: 2E + 5 D u A; a sixth D u A covers O(u^2).
+    # h = n0 - start exact terms rounds R(n) and takes a log good to 4 ulps,
+    # times w_n exactly: off by <= 2u + 8u |t|.  For a pair with offset c (b or
+    # a), rounding c, j + c and kB + (j + c) moves n + c by (2 + 3 rho) u (n +
+    # c), where rho = max(1, -m/(n0 + m)), m = min(a, b), bounds |c|/(n + c),
+    # so that |j + c| <= (1 + 2 rho)(n + c) covers a negative c.  With the
+    # rounding of d and of the quotient, x = nu/(n + c) moves by (4 + 3 rho) u
+    # |x|, hence log1p(x) by (4 + 3 rho) u |d|/(n + m), as |x/(1 + x)| is |d|/(n
+    # + a) or |d|/(n + b); log1p's own 4 ulps of |log1p(x)| <= |d|/(n + m) add
+    # 8u |d|/(n + m), and adding up P pairs (P - 1) u |d|/(n + m).  As A_i =
+    # |d| (1/(n0 + m) + ln((q^K - 1 + m)/(n0 + m))) >= sum_{n0 <= n < q^K}
+    # |d|/(n + m), the terms are off by E <= u (2h + 8 abs_head + sum_i (P + 11
+    # + 3 rho_i) A_i), and A = abs_head + sum_i A_i >= sum |t_n|.  Sums: each
+    # S_m is a tree of additions of depth D <= B + chunks + 2 (a chunk sum,
+    # einsum or cumsum in any order, has depth < B): off by E + D u A to first
+    # order.  The mean adds the final block's term and ramp-dot errors times
+    # B/(q^K - q^(K-1)) <= 1, the products, the additions and the division: 2E
+    # + 5 D u A; a sixth D u A covers O(u^2).
     n0, u = min(n_safe, n_used), 2.0**-53
     a_tot, e_bulk = abs_head, 0.0
-    for d, b in pairs if n0 < n_used else ():
-        m = float(b) + min(d, 0.0)
-        a_i = abs(d) * (1.0 / (n0 + m) + math.log((n_used - 1 + m) / (n0 + m)))
+    for a, b in pairs if n0 < n_used else ():
+        d, m = abs(float(a - b)), float(min(a, b))
+        a_i = d * (1.0 / (n0 + m) + math.log((n_used - 1 + m) / (n0 + m)))
         a_tot += a_i
-        e_bulk += (len(pairs) + 10 + max(1.0, -float(b) / (n0 + float(b)))) * a_i
+        e_bulk += (len(pairs) + 11 + 3 * max(1.0, -m / (n0 + m))) * a_i
     depth_u = (B + n_used // B - start // B + 2) * u
     fl_round = 2.0 * u * (2 * (n0 - start) + 8 * abs_head + e_bulk) + 6.0 * depth_u * a_tot
     return sums, mean_acc / (n_used - fb_lo), fl_round
@@ -402,12 +419,13 @@ def evaluate_direct(spec: ProductSpec, N: int,
     the gap between the last of them and the mean, times 2q (q is the
     worst-case ratio implied by the n^(log_q(q-1)) growth of the partial
     sums of the exponents), plus fl_round."""
-    _require_ok(spec)
+    normal_form = factored_normal_form(spec.term)
+    _require_ok(spec, normal_form)
     q = spec.seq.q
     if N < q * q:
         raise ValueError(f"direct evaluation needs N >= q^2 = {q * q}")
     K = _top_exponent(q, N)
-    sums, log_value, fl_round = _direct_sums(spec, K)
+    sums, log_value, fl_round = _direct_sums(spec, K, normal_form)
     last = [sums[q**k] for k in range(max(1, K - q + 1), K + 1)]
     est = 2.0 * q * (max(last) - min(last) + abs(sums[q**K] - log_value)) + fl_round
     return EvalResult(math.exp(log_value), log_value, est, "direct", q**K, 0)

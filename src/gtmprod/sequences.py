@@ -297,7 +297,11 @@ def delta_prefix(seq: MultiplicativeSequence, length: int) -> np.ndarray:
     while arr.size < length:
         out = np.empty(arr.size * seq.q, dtype=np.int8)
         for i, s in enumerate(signs):
-            out[i * arr.size:(i + 1) * arr.size] = s * arr if s < 0 else arr
+            block = out[i * arr.size:(i + 1) * arr.size]
+            if s < 0:
+                np.negative(arr, out=block)
+            else:
+                block[:] = arr
         arr = out
     return arr[:length]
 

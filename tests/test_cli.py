@@ -276,6 +276,22 @@ class TestJsonErrors:
             "exit_code": 2, "kind": "usage", "message": message}}
         assert run(capsys, *argv) == (2, "", err)  # text mode: the same stderr only
 
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--seq", "gtm:2:1", "--mode", "delta", "--term", "(2n+1)/(2n+2)",
+         "--method", "direct"),
+        ("verify", "--filter", "wr", "--method", "direct"),
+    ], ids=["eval", "verify"])
+    def test_direct_n_below_one_is_usage_error(self, capsys, cache_env, argv, n):
+        # eval once ran q^10 terms for 0, and verify reported every record as FAIL
+        argv = (*argv, "--direct-n", n)
+        message = f"error: --direct-n must be >= 1, got {n}"
+        got, out, err = run(capsys, "--format", "json", *argv)
+        assert got == 2 and err == message + "\n"
+        assert json.loads(out) == {"command": argv[0], "error": {
+            "exit_code": 2, "kind": "usage", "message": message}}
+        assert run(capsys, *argv) == (2, "", err)
+
     def test_unparsed_usage_error_emits_nothing(self, capsys, cache_env):
         code, out, err = run(capsys, "--format", "json", "eval", "--seq", "gtm:2:1")
         assert code == 2 and out == "" and "required" in err

@@ -15,7 +15,7 @@ import pytest
 
 from gtmprod import evaluator
 from gtmprod.evaluator import ProductSpec, _direct_sums, _top_exponent, evaluate_direct
-from gtmprod.ratfun import exact_real_value, parse_product_term
+from gtmprod.ratfun import exact_real_value, factored_normal_form, parse_product_term
 from gtmprod.sequences import parse_seq_spec, sign_at
 
 
@@ -58,6 +58,10 @@ CASES = [
     ("gtm:3:01", "theta", 1, "((n+20)(n+22))/((n+21)^2)", 3**7, 16),
     ("gtm:2:1", "delta", 1, "((3n+1)(6n+5))/((3n+2)(6n+1))", 2**12, 8),
     ("dcount:7:3", "delta", 0, "((7n+3)(7n+10))/((7n+5)(7n+8))", 7**4, 49),
+    # a = -9/2 < b = -7/2: where w_n = -1 the offset is n + a, 1/2 at n_safe = 5
+    ("gtm:2:1", "delta", 0, "((2n-9)^2)/((2n-7)^2)", 2**12, None),
+    # three pairs, B = 9: the final block [729, 2187) spans chunks of both signs
+    ("gtm:3:01", "delta", 1, "((3n+1)(3n+5)(n+4))/((3n+2)(3n+4)(n+3))", 3**7, 16),
 ]
 
 
@@ -69,7 +73,7 @@ def test_matches_brute_force_reference(seq_text, mode, start, lhs, N, cap, monke
     q = spec.seq.q
     K = _top_exponent(q, N)
     ref, ref_mean = reference_sums(spec, K)
-    sums, mean, fl_round = _direct_sums(spec, K)
+    sums, mean, fl_round = _direct_sums(spec, K, factored_normal_form(spec.term))
     # fl_round is a worst-case bound: it covers every sum and the mean
     for k in range(1, K + 1):
         assert abs(sums[q**k] - ref[q**k]) <= fl_round, k
