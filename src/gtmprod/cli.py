@@ -32,7 +32,7 @@ from .evaluator import (
     evaluate_product,
 )
 from .ratfun import ParseError, factored_convergence, parse_product_term
-from .sequences import SequenceError, parse_seq_spec, partial_sum, theta_at
+from .sequences import SequenceError, parse_seq_spec, partial_sum, sign_prefix
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -110,11 +110,11 @@ def _cmd_seq(args) -> int:
         raise SequenceError("count must be >= 0")
     if args.count > 10**7:
         raise SequenceError("count exceeds the prefix cap of 10^7")
-    bits = "".join(str(theta_at(seq, n)) for n in range(args.count))
+    signs = sign_prefix(seq, args.count)
     if args.values == "sign":
-        shown = " ".join("+1" if b == "0" else "-1" for b in bits)
+        shown = " ".join("+1" if s > 0 else "-1" for s in signs)
     else:
-        shown = bits
+        shown = "".join("0" if s > 0 else "1" for s in signs)
     _emit(args,
           {"command": "seq", "seq": seq.spec, "count": args.count,
            "values": args.values, "output": shown},
@@ -163,7 +163,7 @@ def _cmd_eval(args) -> int:
     if args.method == "accel":
         res = evaluate_product(spec, eps=args.tol, cache=cache)
     else:
-        res = evaluate_direct(spec, seq.q**10 if direct_n is None else direct_n, cache=cache)
+        res = evaluate_direct(spec, direct_n, cache=cache)
     payload = {"command": "eval", "seq": seq.spec, "mode": args.mode,
                "from": args.start, "term": args.term,
                "value": res.value, "log_value": res.log_value,

@@ -317,8 +317,6 @@ _ALL_PLUS = make_sequence("gtm", 2, bits="0")
 
 def zeta_fixed(s: int, cache: DirichletCache | None = None) -> tuple[int, int, float]:
     """zeta(s) for integer s >= 2 in fixed point, through the all-plus ladder."""
-    if s < 2:
-        raise ValueError("zeta ladder needs s >= 2")
     return dirichlet_fixed(_ALL_PLUS, s, cache)
 
 
@@ -339,8 +337,6 @@ def dirichlet_mp(seq: MultiplicativeSequence, s: int,
 
 def zeta_mp(s: int, cache: DirichletCache | None = None):
     """zeta(s) for integer s >= 2 through the all-plus ladder, as an mpf."""
-    if s < 2:
-        raise ValueError("zeta ladder needs s >= 2")
     return dirichlet_mp(_ALL_PLUS, s, cache)
 
 

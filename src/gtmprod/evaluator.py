@@ -23,10 +23,10 @@ orders whose Dirichlet and fixed-point errors fit in eps/4, and N >= 4M
 the fewest terms whose proven bound on the tail, from the normal form
 prod (n + c)^E, fits in eps/4.  The rest of the certificate is a
 worst-case rounding bound of a few ulps.  The term's normal form is
-computed once per evaluation and feeds the check, the expansion, the
-head and the tail bound.  The plain series uses zeta from the all-plus
-ladder rather than the Gamma closed form, so closed forms remain an
-independent cross-check.
+computed once per term and feeds the check, the expansion, the head and
+the tail bound.  The plain series uses zeta from the all-plus ladder
+rather than the Gamma closed form, so closed forms remain an independent
+cross-check.
 
 The accelerated path runs on Python ints and floats, with its signs from
 ``sign_prefix``.  In this module numpy is imported only by the baseline
@@ -69,10 +69,8 @@ from .ratfun import (
     factor_list,
     factored_convergence,
     factored_log_expansion,
-    factored_normal_form,
     factored_zeros_poles,
     first_non_positive,
-    integer_offsets,
 )
 from .sequences import FrozenValue, MultiplicativeSequence, delta_prefix, sign_at, sign_prefix
 
@@ -113,12 +111,11 @@ class EvalResult(NamedTuple):
     dirichlet_orders: int
 
 
-def check_product(spec: ProductSpec, normal_form=None) -> ProductCheck:
+def check_product(spec: ProductSpec) -> ProductCheck:
     """Enforce every ProductSpec invariant, reporting the first violation.
 
     Every decision is exact and read off the term's factors; positivity is
-    decided for every n >= start, not sampled.  ``normal_form`` is the
-    term's ``factored_normal_form``, when the caller has it.
+    decided for every n >= start, not sampled.
     """
     if not spec.seq.nontrivial:
         return ProductCheck(False, "trivial-pattern")
@@ -127,7 +124,7 @@ def check_product(spec: ProductSpec, normal_form=None) -> ProductCheck:
     offenders = factored_zeros_poles(spec.term, spec.start)
     if offenders:
         return ProductCheck(False, f"zero-or-pole at n={offenders[0]}")
-    verdict = factored_convergence(spec.term, spec.mode, normal_form)
+    verdict = factored_convergence(spec.term, spec.mode)
     if not verdict:
         return verdict
     if spec.term.constant <= 0:
@@ -138,8 +135,8 @@ def check_product(spec: ProductSpec, normal_form=None) -> ProductCheck:
     return ProductCheck(True)
 
 
-def _require_ok(spec: ProductSpec, normal_form=None):
-    chk = check_product(spec, normal_form)
+def _require_ok(spec: ProductSpec):
+    chk = check_product(spec)
     if not chk:
         raise ProductRejectedError(chk.reason)
 
@@ -211,17 +208,17 @@ def _series(orders, w) -> float:
     return total / (1 << bits)
 
 
-def _head_logs(merged: dict, start: int, w) -> list[float]:
+def _head_logs(term: FactorList, start: int, w) -> list[float]:
     """sum_{start<=n<=N} w_n ln R(n) for w = w_0..w_N, as one log per run of
     at most _HEAD_RUN indices, each of the run's exact product rounded to
     binary64 once.  A run also ends before its quotient leaves (2^-961,
     2^961), inside binary64's normal range.
 
-    A checked term is prod (n + c)^E over the normal form {c: E}, with
-    K' = 1 and sum E = 0; with every c = m/L over one common denominator,
-    R(n) = prod (L n + m)^E, a quotient of integer products.
+    A checked term is prod (n + c)^E over its normal form, with K' = 1 and
+    sum E = 0; with every c = m/L over one common denominator (the term's
+    integer_form), R(n) = prod (L n + m)^E, a quotient of integer products.
     """
-    L, offsets = integer_offsets(merged)
+    L, offsets = term.integer_form
     ups = [(m, e) for m, e in offsets if e > 0]
     downs = [(m, -e) for m, e in offsets if e < 0]
     logs, num, den, size = [], 1, 1, 0
@@ -245,7 +242,7 @@ def _head_logs(merged: dict, start: int, w) -> list[float]:
     return logs
 
 
-def _accel_components(spec: ProductSpec, eps: float, cache: DirichletCache, normal_form):
+def _accel_components(spec: ProductSpec, eps: float, cache: DirichletCache):
     """(log P, est, N, J) for a checked spec, with (J, N) read off eps."""
     seq, term = spec.seq, spec.term
     M = _series_cutoff(term)
@@ -253,13 +250,12 @@ def _accel_components(spec: ProductSpec, eps: float, cache: DirichletCache, norm
     refusal = f"eps {eps:g} cannot be certified with N <= {MAX_N}"
     if lo > hi:
         raise EpsUnachievableError(refusal)
-    betas = factored_log_expansion(term, MAX_J, normal_form)
+    betas = factored_log_expansion(term, MAX_J)
     budget = eps / 4.0
     # J: the most orders whose errors fit in eps/4 (the ladder's and _series')
     J, orders, series_err = _dirichlet_orders(spec, betas, budget, cache)
     # N: the fewest terms, at least 4M, whose tail bound fits in eps/4
-    merged = normal_form[1]
-    offsets = [(abs(float(c)), abs(e)) for c, e in merged.items() if c and e]
+    offsets = [(abs(float(c)), abs(e)) for c, e in term.normal_form[1].items() if c and e]
     if J == 0 or _tail_bound(offsets, J, hi) > budget:
         raise EpsUnachievableError(refusal)
     while _tail_bound(offsets, J, lo) > budget:  # the bound falls as N grows
@@ -269,7 +265,7 @@ def _accel_components(spec: ProductSpec, eps: float, cache: DirichletCache, norm
     w = sign_prefix(seq, N + 1)
     if spec.mode == "theta":
         w = [(1 - s) // 2 for s in w]  # theta_n, 0 or 1
-    head = _head_logs(merged, spec.start, w)
+    head = _head_logs(term, spec.start, w)
     series = _series(orders, w)
     log_value = math.fsum(head + [series])
     # Rounding, with u = 2^-53.  Each head run rounds its exact product once,
@@ -292,11 +288,10 @@ def evaluate_product(spec: ProductSpec, eps: float = 1e-9,
     bound takes the certified error past eps.
     """
     check_eps(eps)
-    normal_form = factored_normal_form(spec.term)
-    _require_ok(spec, normal_form)
+    _require_ok(spec)
     if cache is None:
         cache = DirichletCache()
-    log_value, est, n, j = _accel_components(spec, eps, cache, normal_form)
+    log_value, est, n, j = _accel_components(spec, eps, cache)
     if est > eps:
         raise EpsUnachievableError(f"certified error {est:g} exceeds eps {eps:g}")
     return EvalResult(math.exp(log_value), log_value, est, "accel", n, j)
@@ -309,17 +304,18 @@ def _top_exponent(q: int, n: int) -> int:
     return next(k for k in range(n.bit_length()) if q ** (k + 1) > n)
 
 
-def _log1p_pairs(merged: dict) -> list[tuple[Fraction, Fraction]]:
+def _log1p_pairs(term: FactorList) -> list[tuple[Fraction, Fraction]]:
     """Pairs (a_i, b_i) with R(n) = prod_i (n + a_i)/(n + b_i), from the
-    offsets {c: E} of the normal form: the sorted numerator offsets a_i
-    matched with the sorted denominator offsets b_i (a checked term has
+    offsets {c: E} of the term's normal form: the sorted numerator offsets
+    a_i matched with the sorted denominator offsets b_i (a checked term has
     K' = 1)."""
+    merged = term.normal_form[1]
     num = sorted(c for c, e in merged.items() for _ in range(e))
     den = sorted(c for c, e in merged.items() for _ in range(-e))
     return list(zip(num, den))
 
 
-def _direct_sums(spec: ProductSpec, K: int, normal_form):
+def _direct_sums(spec: ProductSpec, K: int):
     """Partial sums S_m = sum_{start <= n < m} w_n ln R(n): ({m: S_m} for
     m = q^1..q^K and every block start, the mean of S_(n+1) over [q^(K-1),
     q^K), fl_round), where fl_round bounds the rounding error of each."""
@@ -328,7 +324,7 @@ def _direct_sums(spec: ProductSpec, K: int, normal_form):
     seq, term, start, q = spec.seq, spec.term, spec.start, spec.seq.q
     n_used, fb_lo = q**K, q ** (K - 1)
     n_safe = max(start, int(math.floor(term.max_root_magnitude())) + 1)
-    pairs = _log1p_pairs(normal_form[1])
+    pairs = _log1p_pairs(term)
     # delta over [kB, (k+1)B) is delta_k times delta over [0, B)
     B = q ** min(K - 1, _top_exponent(q, _BLOCK_CAP))  # divides fb_lo
     base = delta_prefix(seq, B)
@@ -410,22 +406,26 @@ def _direct_sums(spec: ProductSpec, K: int, normal_form):
     return sums, mean_acc / (n_used - fb_lo), fl_round
 
 
-def evaluate_direct(spec: ProductSpec, N: int,
+def evaluate_direct(spec: ProductSpec, N: int | None = None,
                     cache: DirichletCache | None = None) -> EvalResult:
-    """Baseline oracle: sum weighted logs to the largest q^K <= N.
+    """Baseline oracle: sum weighted logs to the largest q^K <= N, with
+    N = q^10 when None.
 
     The log is the mean of the partial sums over the final block; the
     estimate is the spread of the last few block-boundary partial sums, plus
     the gap between the last of them and the mean, times 2q (q is the
     worst-case ratio implied by the n^(log_q(q-1)) growth of the partial
-    sums of the exponents), plus fl_round."""
-    normal_form = factored_normal_form(spec.term)
-    _require_ok(spec, normal_form)
+    sums of the exponents), plus fl_round.  ``cache`` is accepted, for a
+    signature shared with evaluate_product, but not read: the oracle uses
+    no Dirichlet value."""
+    _require_ok(spec)
     q = spec.seq.q
+    if N is None:
+        N = q**10
     if N < q * q:
         raise ValueError(f"direct evaluation needs N >= q^2 = {q * q}")
     K = _top_exponent(q, N)
-    sums, log_value, fl_round = _direct_sums(spec, K, normal_form)
+    sums, log_value, fl_round = _direct_sums(spec, K)
     last = [sums[q**k] for k in range(max(1, K - q + 1), K + 1)]
     est = 2.0 * q * (max(last) - min(last) + abs(sums[q**K] - log_value)) + fl_round
     return EvalResult(math.exp(log_value), log_value, est, "direct", q**K, 0)
@@ -463,8 +463,7 @@ def verify_identity(spec: ProductSpec, rhs_value: float, tol: float,
         if method == "accel":
             res = evaluate_product(spec, eps=eps, cache=cache)
         elif method == "direct":
-            n = direct_n if direct_n is not None else spec.seq.q**10
-            res = evaluate_direct(spec, n, cache=cache)
+            res = evaluate_direct(spec, direct_n, cache=cache)
         else:
             raise ValueError(f"unknown method {method!r}")
     except (PositivityError, EpsUnachievableError, ProductRejectedError) as exc:

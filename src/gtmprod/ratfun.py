@@ -4,17 +4,19 @@ A product term is carried in factored form: a list of (alpha*n + beta)
 with integer slopes and signed integer exponents, plus a rational
 constant multiplier collected from bare integer factors like ``(2)``.
 Every exact decision the package makes about a term is read off those
-factors, with c_f = beta_f/alpha_f and K the constant:
+factors, with c_f = beta_f/alpha_f and K the constant.  Equal offsets
+merge once per term into the normal form K' * prod (n + c)^E
+(``FactorList.normal_form``), and the decisions read that:
 
-* equal offsets merge into K' * prod (n + c)^E (``factored_normal_form``);
-* zeros and poles are the integers -c_f (``factored_zeros_poles``);
-* convergence needs sum e_f = 0, K * prod alpha_f^e_f = 1 and, for theta
-  exponents, sum e_f c_f = 0 (``factored_convergence``);
-* the sign of R(n) changes only at the roots -c_f, so positivity for
+* zeros and poles are the integers -c (``factored_zeros_poles``);
+* convergence needs sum E = 0, K' = K * prod alpha_f^e_f = 1 and, for
+  theta exponents, sum E c = 0 (``factored_convergence``);
+* the sign of R(n) changes only at the roots -c, so positivity for
   every n >= start is decided at finitely many integers
   (``first_non_positive``);
-* beta_j = (-1)^(j+1)/j * sum_f e_f c_f^j are the coefficients of ln R(n)
-  in powers of 1/n (``factored_log_expansion``);
+* beta_j = (-1)^(j+1)/j * sum E c^j are the coefficients of ln R(n)
+  in powers of 1/n (``factored_log_expansion``, over the integer offsets
+  of ``FactorList.integer_form``);
 * R(n) itself is a quotient of integer products (``exact_real_value``).
 
 Offsets and the constant are ``fractions.Fraction``s, so each decision is
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 from .sequences import FrozenValue
@@ -73,12 +76,31 @@ class FactorList(FrozenValue):
             raise ValueError("constant multiplier must be nonzero")
         self._set(factors, constant)
 
+    @cached_property
+    def normal_form(self) -> tuple[Fraction, dict]:
+        """The term as K' * prod (n + c)^E: K' = K * prod alpha^e, and E the
+        summed exponents of the factors with offset c = beta/alpha.  Sums of
+        0 are kept, so the keys are every root -c of the unreduced term.  The
+        dict is shared by every reader of the term: read it, never change it."""
+        scale = Fraction(self.constant)
+        merged = {}
+        for fac in self.factors:
+            scale *= Fraction(fac.alpha) ** fac.exponent
+            c = fac.beta / fac.alpha
+            merged[c] = merged.get(c, 0) + fac.exponent
+        return scale, merged
+
+    @cached_property
+    def integer_form(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """(L, [(m, E)]): the offsets of the normal form with E != 0 over one
+        common denominator L, c = m/L."""
+        merged = self.normal_form[1]
+        L = math.lcm(*(c.denominator for c in merged))
+        return L, tuple((c.numerator * (L // c.denominator), e) for c, e in merged.items() if e)
+
     def max_root_magnitude(self) -> float:
-        """max |beta/alpha| over factors; the series radius of ln R(n)."""
-        best = 0.0
-        for f in self.factors:
-            best = max(best, abs(float(f.beta)) / f.alpha)
-        return best
+        """max |c| over the offsets; the series radius of ln R(n)."""
+        return max((abs(float(c)) for c in self.normal_form[1]), default=0.0)
 
     def __str__(self) -> str:
         return format_product_term(self)
@@ -294,50 +316,19 @@ class ProductCheck(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _offset(fac: Factor) -> Fraction:
-    """c = beta/alpha; the factor is alpha (n + c)."""
-    return fac.beta / fac.alpha
-
-
 def factored_zeros_poles(f: FactorList, n_start: int) -> list[int]:
     """Integers n >= n_start where a factor of the unreduced term vanishes."""
-    out = set()
-    for fac in f.factors:
-        root = -_offset(fac)
-        if root.denominator == 1 and root >= n_start:
-            out.add(int(root))
-    return sorted(out)
+    return sorted(int(-c) for c in f.normal_form[1] if c.denominator == 1 and -c >= n_start)
 
 
-def factored_normal_form(f: FactorList) -> tuple[Fraction, dict]:
-    """f as K' * prod (n + c)^E: K' = K * prod alpha^e, and E the summed
-    exponents of the factors with offset c = beta/alpha (sums of 0 kept)."""
-    scale = Fraction(f.constant)
-    merged = {}
-    for fac in f.factors:
-        scale *= Fraction(fac.alpha) ** fac.exponent
-        c = _offset(fac)
-        merged[c] = merged.get(c, 0) + fac.exponent
-    return scale, merged
-
-
-def integer_offsets(merged: dict) -> tuple[int, list[tuple[int, int]]]:
-    """(L, [(m, E)]) for a normal form {c: E}: every offset over one common
-    denominator L, c = m/L, for the entries with E != 0."""
-    L = math.lcm(*(c.denominator for c in merged))
-    return L, [(c.numerator * (L // c.denominator), e) for c, e in merged.items() if e]
-
-
-def factored_convergence(f: FactorList, mode: str,
-                         normal_form: tuple[Fraction, dict] | None = None) -> ProductCheck:
-    """The paper's criteria, read off the factors.  Delta exponents need
-    equal degrees (the exponents sum to 0) and equal leading coefficients
-    (K * prod alpha^e = 1); theta exponents also need equal root sums
-    (sum e * beta/alpha = 0).  A failure names the first criterion missed.
-    ``normal_form`` is f's ``factored_normal_form``, when the caller has it."""
+def factored_convergence(f: FactorList, mode: str) -> ProductCheck:
+    """The paper's criteria, read off the normal form.  Delta exponents need
+    equal degrees (sum E = 0) and equal leading coefficients (K' = 1); theta
+    exponents also need equal root sums (sum E c = 0).  A failure names the
+    first criterion missed."""
     if mode not in ("delta", "theta"):
         raise ValueError(f"mode must be 'delta' or 'theta', got {mode!r}")
-    scale, merged = normal_form or factored_normal_form(f)
+    scale, merged = f.normal_form
     if sum(merged.values()) != 0:
         return ProductCheck(False, "degree")
     if scale != 1:
@@ -351,12 +342,12 @@ def first_non_positive(f: FactorList, n_start: int) -> int | None:
     """Smallest integer n >= n_start where R(n) is zero, a pole or negative;
     None when R(n) > 0 for every such n.
 
-    R(n) has the sign of K times (-1)^(sum of e over the factors with
-    n < -beta/alpha), which changes only at the roots.  So the integers
-    that decide it are n_start and the smallest integer >= each root; at
-    an integer root R has a zero or a pole, which fails at once.
+    R(n) has the sign of K times (-1)^(sum of E over the roots -c above n),
+    which changes only at the roots.  So the integers that decide it are
+    n_start and the smallest integer >= each root; at an integer root R has
+    a zero or a pole (a root whose E sums to 0 included), which fails at once.
     """
-    roots = [(-_offset(fac), fac.exponent) for fac in f.factors]
+    roots = [(-c, e) for c, e in f.normal_form[1].items()]
     candidates = {n_start} | {math.ceil(root) for root, _ in roots if root >= n_start}
     for n in sorted(candidates):
         below = 0
@@ -370,24 +361,21 @@ def first_non_positive(f: FactorList, n_start: int) -> int | None:
     return None
 
 
-def factored_log_expansion(f: FactorList, J: int,
-                           normal_form: tuple[Fraction, dict] | None = None) -> list[Fraction]:
+def factored_log_expansion(f: FactorList, J: int) -> list[Fraction]:
     """Exact beta_1..beta_J with ln R(n) = sum_j beta_j n^-j + O(n^-(J+1)).
 
     Each factor contributes ln(alpha n) + ln(1 + c/n) with c = beta/alpha,
-    so beta_j = (-1)^(j+1)/j * sum_f e_f c_f^j once the delta-mode criteria
+    so beta_j = (-1)^(j+1)/j * sum E c^j once the delta-mode criteria
     (required) have cancelled the ln n and constant terms.  With every
     offset written as c = m/L over one common denominator L, the power sums
     are the integers sum E m^j, and each beta_j is one Fraction over j L^j.
-    ``normal_form`` is f's ``factored_normal_form``, when the caller has it.
     """
     if J < 0:
         raise ValueError("J must be >= 0")
-    normal_form = normal_form or factored_normal_form(f)
-    verdict = factored_convergence(f, "delta", normal_form)
+    verdict = factored_convergence(f, "delta")
     if not verdict:
         raise ValueError(f"expansion needs delta-convergent R ({verdict.reason})")
-    L, offsets = integer_offsets(normal_form[1])
+    L, offsets = f.integer_form
     m = [mi for mi, _ in offsets]
     powers = [e for _, e in offsets]  # E m^j, j = 0 so far
     out = []

@@ -31,7 +31,12 @@ from gtmprod.evaluator import (
     _tail_bound,
 )
 from gtmprod.gammafn import gamma
-from gtmprod.ratfun import factor_list, factored_log_expansion, parse_product_term
+from gtmprod.ratfun import (
+    factor_list,
+    factored_log_expansion,
+    first_non_positive,
+    parse_product_term,
+)
 from gtmprod.sequences import make_sequence, parse_seq_spec, sign_at
 
 TM = parse_seq_spec("gtm:2:1")
@@ -61,6 +66,15 @@ class TestCheckProduct:
         term = parse_product_term("(n-3)/(n-4)")
         chk = check_product(ProductSpec(TM, "delta", 0, term))
         assert chk.reason.startswith("zero-or-pole")
+
+    def test_rejects_cancelled_pole(self):
+        # (n-2) cancels in R, but the normal form keeps its offset with E = 0,
+        # so the factor that vanishes at n = 2 is still seen
+        term = parse_product_term("((n-2)(n+1))/((n-2)(n+2))")
+        assert term.normal_form[1][Fraction(-2)] == 0
+        chk = check_product(ProductSpec(TM, "delta", 0, term))
+        assert chk.reason == "zero-or-pole at n=2"
+        assert first_non_positive(term, 0) == 2
 
     def test_rejects_bad_start(self):
         chk = check_product(ProductSpec(TM, "delta", 2, WR_TERM))
@@ -255,12 +269,12 @@ class TestCertificate:
     def test_head_runs_stay_inside_binary64(self):
         # ((n+1)/(n+2))^300 over n = 0..9 multiplies to 11^-300, about 2^-1038,
         # which binary64 cannot hold: the run has to end early
-        merged = {Fraction(1): 300, Fraction(2): -300}
+        term = parse_product_term("((n+1)^300)/((n+2)^300)")
         for sign in (1, -1):
-            logs = _head_logs(merged, 0, [sign] * 10)
+            logs = _head_logs(term, 0, [sign] * 10)
             assert len(logs) > 1
             assert abs(math.fsum(logs) + sign * 300 * math.log(11)) <= 1e-12
-        logs = _head_logs({Fraction(1): 1, Fraction(2): -1}, 0, [1] * 200)
+        logs = _head_logs(parse_product_term("(n+1)/(n+2)"), 0, [1] * 200)
         assert len(logs) == math.ceil(200 / _HEAD_RUN)
         assert abs(math.fsum(logs) + math.log(201)) <= 1e-14
 

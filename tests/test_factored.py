@@ -26,7 +26,6 @@ from gtmprod.ratfun import (
     factor_list,
     factored_convergence,
     factored_log_expansion,
-    factored_normal_form,
     factored_zeros_poles,
     first_non_positive,
 )
@@ -176,7 +175,7 @@ def test_normal_form_reproduces_value(f, n):
         expected = fraction_product(f, n)
     except ZeroDivisionError:
         return  # a factor vanishes at n
-    scale, merged = factored_normal_form(f)
+    scale, merged = f.normal_form
     value = scale
     for c, e in merged.items():
         value *= (n + c) ** e

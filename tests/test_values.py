@@ -100,6 +100,16 @@ class TestEquality:
         assert [s.spec for s in seqs] == list(names)
         assert len({repr(s) for s in seqs}) == 3  # the name is shown, not compared
 
+    def test_normal_form_is_not_a_field(self):
+        # the cached normal form leaves equality, hashing and the repr alone,
+        # and cannot be assigned
+        term, fresh = wr_term(), wr_term()
+        assert term.normal_form == (ONE, {Fraction(1, 2): 1, ONE: -1})
+        assert term == fresh and hash(term) == hash(fresh) and repr(term) == repr(fresh)
+        with pytest.raises(AttributeError):
+            term.normal_form = (ONE, {})
+        assert term.normal_form == (ONE, {Fraction(1, 2): 1, ONE: -1})
+
     def test_unequal_values(self):
         seq = parse_seq_spec("gtm:3:01")
         assert seq != parse_seq_spec("gtm:3:10") and seq != parse_seq_spec("gtm:2:1")
