@@ -22,11 +22,12 @@ naive split at n = 1.  (J, N) are read off eps in one step: J is the most
 orders whose Dirichlet and fixed-point errors fit in eps/4, and N >= 4M
 the fewest terms whose proven bound on the tail, from the normal form
 prod (n + c)^E, fits in eps/4.  The rest of the certificate is a
-worst-case rounding bound of a few ulps.  The term's normal form is
-computed once per term and feeds the check, the expansion, the head and
-the tail bound.  The plain series uses zeta from the all-plus ladder
-rather than the Gamma closed form, so closed forms remain an independent
-cross-check.
+worst-case rounding bound of a few ulps.  The term's normal form and
+its 1/n expansion are plain ints (see ``ratfun``), computed once per
+term, and feed the check, the series, the head and the tail bound; no
+``Fraction`` is built on the way.  The plain series uses zeta from the
+all-plus ladder rather than the Gamma closed form, so closed forms
+remain an independent cross-check.
 
 The accelerated path runs on Python ints and floats, with its signs from
 ``sign_prefix``.  In this module numpy is imported only by the baseline
@@ -68,7 +69,6 @@ from .ratfun import (
     evaluate_real,
     factor_list,
     factored_convergence,
-    factored_log_expansion,
     factored_zeros_poles,
     first_non_positive,
 )
@@ -127,8 +127,6 @@ def check_product(spec: ProductSpec) -> ProductCheck:
     verdict = factored_convergence(spec.term, spec.mode)
     if not verdict:
         return verdict
-    if spec.term.constant <= 0:
-        return ProductCheck(False, "non-positive-term")
     n = first_non_positive(spec.term, spec.start)
     if n is not None:
         return ProductCheck(False, f"non-positive-term at n={n}")
@@ -159,23 +157,24 @@ def _tail_bound(offsets, J: int, N: int) -> float:
                            for c, e in offsets)
 
 
-def _dirichlet_orders(spec: ProductSpec, betas, budget: float, cache: DirichletCache):
-    """(J, orders, err): J is the most orders whose charges fit in budget,
-    orders holds (j, beta_j, X_j, bits) for each nonzero beta_j up to J, with
-    X_j 2^-bits the fixed-point G_j = sum_{n>=1} w_n n^-j, and err is the sum
-    of the charges, which bounds the error of _series over those orders."""
+def _dirichlet_orders(spec: ProductSpec, pairs, budget: float, cache: DirichletCache):
+    """(J, orders, err) for the (p_j, r_j, |beta_j|) of the term's log_pairs:
+    J is the most orders whose charges fit in budget, orders holds (j, p_j,
+    r_j, X_j, bits) for each nonzero beta_j = p_j/r_j up to J, with X_j
+    2^-bits the fixed-point G_j = sum_{n>=1} w_n n^-j, and err is the sum of
+    the charges, which bounds the error of _series over those orders."""
     J, orders, err = 0, [], 0.0
-    for j, bj in enumerate(betas, start=1):
-        if bj:
+    for j, (p, r, mag) in enumerate(pairs, start=1):
+        if p:
             x, bits, e = dirichlet_fixed(spec.seq, j, cache)
             if spec.mode == "theta":  # sum theta_n n^-j = (zeta - F)/2; beta_1 = 0 here
                 z, _, ze = zeta_fixed(j, cache)
                 x, bits, e = z - x, bits + 1, (ze + e) / 2
-            charge = abs(float(bj)) * (e + math.ldexp(MAX_N, -bits)) + math.ldexp(1.0, -bits)
+            charge = mag * (e + math.ldexp(MAX_N, -bits)) + math.ldexp(1.0, -bits)
             if err + charge > budget:
                 break
             err += charge
-            orders.append((j, bj, x, bits))
+            orders.append((j, p, r, x, bits))
         J = j
     return J, orders, err
 
@@ -187,25 +186,26 @@ def _series(orders, w) -> float:
 
     With B the orders' bits, T_j is X_j - sum_n w_n floor(2^B / n^j).  One
     pass over n builds every j, as floor(floor(2^B / n^(j-1)) / n) =
-    floor(2^B / n^j); each floor loses less than one unit 2^-B (n = 1 is
-    exact), so T_j is off by err_j plus fewer than MAX_N units.  The series
-    is sum_j floor(p_j T_j / r_j) for beta_j = p_j/r_j, which loses less than
-    one unit per order.  That is the charge |beta_j| (err_j + MAX_N 2^-B) +
-    2^-B of _dirichlet_orders; the final division rounds once more.
+    floor(2^B / n^j), into the sums over w_n = 1 and over w_n = -1; each
+    floor loses less than one unit 2^-B (n = 1 is exact), so T_j is off by
+    err_j plus fewer than MAX_N units.  The series is sum_j floor(p_j T_j /
+    r_j), which loses less than one unit per order.  That is the charge
+    |beta_j| (err_j + MAX_N 2^-B) + 2^-B of _dirichlet_orders; the final
+    division rounds once more.
     """
     if not orders:
         return 0.0
-    bits, top = orders[0][3], orders[-1][0]
-    t = {j: x for j, _, x, _ in orders}
+    bits, top = orders[0][4], orders[-1][0]
+    one, js = 1 << bits, range(top)
+    plus, minus = [0] * top, [0] * top  # index j - 1
     for n in range(1, len(w)):
         if w[n]:
-            p = 1 << bits
-            for j in range(1, top + 1):
-                p //= n
-                if j in t:
-                    t[j] -= w[n] * p
-    total = sum(bj.numerator * t[j] // bj.denominator for j, bj, _, _ in orders)
-    return total / (1 << bits)
+            acc, x = (plus if w[n] > 0 else minus), one
+            for j in js:
+                x //= n
+                acc[j] += x
+    total = sum(p * (x - plus[j - 1] + minus[j - 1]) // r for j, p, r, x, _ in orders)
+    return total / one
 
 
 def _head_logs(term: FactorList, start: int, w) -> list[float]:
@@ -250,12 +250,12 @@ def _accel_components(spec: ProductSpec, eps: float, cache: DirichletCache):
     refusal = f"eps {eps:g} cannot be certified with N <= {MAX_N}"
     if lo > hi:
         raise EpsUnachievableError(refusal)
-    betas = factored_log_expansion(term, MAX_J)
     budget = eps / 4.0
     # J: the most orders whose errors fit in eps/4 (the ladder's and _series')
-    J, orders, series_err = _dirichlet_orders(spec, betas, budget, cache)
+    J, orders, series_err = _dirichlet_orders(spec, term.log_pairs(MAX_J), budget, cache)
     # N: the fewest terms, at least 4M, whose tail bound fits in eps/4
-    offsets = [(abs(float(c)), abs(e)) for c, e in term.normal_form[1].items() if c and e]
+    L, live = term.integer_form
+    offsets = [(abs(m) / L, abs(e)) for m, e in live if m]
     if J == 0 or _tail_bound(offsets, J, hi) > budget:
         raise EpsUnachievableError(refusal)
     while _tail_bound(offsets, J, lo) > budget:  # the bound falls as N grows
@@ -304,15 +304,16 @@ def _top_exponent(q: int, n: int) -> int:
     return next(k for k in range(n.bit_length()) if q ** (k + 1) > n)
 
 
-def _log1p_pairs(term: FactorList) -> list[tuple[Fraction, Fraction]]:
-    """Pairs (a_i, b_i) with R(n) = prod_i (n + a_i)/(n + b_i), from the
-    offsets {c: E} of the term's normal form: the sorted numerator offsets
-    a_i matched with the sorted denominator offsets b_i (a checked term has
-    K' = 1)."""
-    merged = term.normal_form[1]
-    num = sorted(c for c, e in merged.items() for _ in range(e))
-    den = sorted(c for c, e in merged.items() for _ in range(-e))
-    return list(zip(num, den))
+def _log1p_pairs(term: FactorList) -> list[tuple[float, float, float]]:
+    """(a_i - b_i, a_i, b_i) as floats, for the pairs (a_i, b_i) with R(n) =
+    prod_i (n + a_i)/(n + b_i): over the integer form, c = m/L, the sorted
+    numerator offsets a_i matched with the sorted denominator offsets b_i (a
+    checked term has K' = 1), each float one correctly rounded int
+    division."""
+    L, offsets = term.integer_form
+    num = sorted(m for m, e in offsets for _ in range(e))
+    den = sorted(m for m, e in offsets for _ in range(-e))
+    return [((a - b) / L, a / L, b / L) for a, b in zip(num, den)]
 
 
 def _direct_sums(spec: ProductSpec, K: int):
@@ -334,7 +335,7 @@ def _direct_sums(spec: ProductSpec, K: int):
     # b)) = ln(1 - d/(n + a)), and nu = 0 where w_n = 0.  For each block sign,
     # nu and j + c over j in [0, B) are formed once.
     j = np.arange(B, dtype=np.float64)
-    terms = {s: [(float(a - b) * w, j + np.where(w < 0, float(a), float(b))) for a, b in pairs]
+    terms = {s: [(d * w, j + np.where(w < 0, a, b)) for d, a, b in pairs]
              for s, w in weights.items()}
     ramp = B - j  # hi - n over a block
     logs, tmp = np.empty(B), np.empty(B)
@@ -396,8 +397,8 @@ def _direct_sums(spec: ProductSpec, K: int):
     # + 5 D u A; a sixth D u A covers O(u^2).
     n0, u = min(n_safe, n_used), 2.0**-53
     a_tot, e_bulk = abs_head, 0.0
-    for a, b in pairs if n0 < n_used else ():
-        d, m = abs(float(a - b)), float(min(a, b))
+    for d, a, b in pairs if n0 < n_used else ():
+        d, m = abs(d), min(a, b)
         a_i = d * (1.0 / (n0 + m) + math.log((n_used - 1 + m) / (n0 + m)))
         a_tot += a_i
         e_bulk += (len(pairs) + 11 + 3 * max(1.0, -m / (n0 + m))) * a_i

@@ -15,13 +15,16 @@ merge once per term into the normal form K' * prod (n + c)^E
   every n >= start is decided at finitely many integers
   (``first_non_positive``);
 * beta_j = (-1)^(j+1)/j * sum E c^j are the coefficients of ln R(n)
-  in powers of 1/n (``factored_log_expansion``, over the integer offsets
+  in powers of 1/n (``FactorList.log_pairs``, over the integer offsets
   of ``FactorList.integer_form``);
 * R(n) itself is a quotient of integer products (``exact_real_value``).
 
-Offsets and the constant are ``fractions.Fraction``s, so each decision is
-an exact comparison; floating point enters only through the
-``evaluate_real`` boundary.
+The normal form is plain ints: K' is a reduced pair (num, den) and each
+offset c a reduced pair (p, d), so each decision is an integer
+comparison, and each beta_j an integer pair (p_j, r_j).  ``Fraction``
+appears only where the parser builds a term and where a public helper
+returns an exact rational; floating point enters only through
+correctly rounded int divisions and the ``evaluate_real`` boundary.
 """
 
 from __future__ import annotations
@@ -77,30 +80,57 @@ class FactorList(FrozenValue):
         self._set(factors, constant)
 
     @cached_property
-    def normal_form(self) -> tuple[Fraction, dict]:
-        """The term as K' * prod (n + c)^E: K' = K * prod alpha^e, and E the
-        summed exponents of the factors with offset c = beta/alpha.  Sums of
-        0 are kept, so the keys are every root -c of the unreduced term.  The
-        dict is shared by every reader of the term: read it, never change it."""
-        scale = Fraction(self.constant)
+    def normal_form(self) -> tuple[tuple[int, int], dict[tuple[int, int], int]]:
+        """The term as K' * prod (n + c)^E: K' = K * prod alpha^e as a reduced
+        pair (num, den), and E the summed exponents of the factors with
+        offset c = beta/alpha, keyed by c as a reduced pair (p, d); both
+        denominators are positive.  Sums of 0 are kept, so the keys are every
+        root -c of the unreduced term.  The dict is shared by every reader of
+        the term: read it, never change it."""
+        num, den = self.constant.numerator, self.constant.denominator
         merged = {}
-        for fac in self.factors:
-            scale *= Fraction(fac.alpha) ** fac.exponent
-            c = fac.beta / fac.alpha
-            merged[c] = merged.get(c, 0) + fac.exponent
-        return scale, merged
+        for alpha, beta, e in self.factors:
+            if e > 0:
+                num *= alpha**e
+            else:
+                den *= alpha**-e
+            p, d = beta.numerator, beta.denominator * alpha
+            g = math.gcd(p, d)
+            key = (p // g, d // g)
+            merged[key] = merged.get(key, 0) + e
+        g = math.gcd(num, den)
+        return (num // g, den // g), merged
 
     @cached_property
     def integer_form(self) -> tuple[int, tuple[tuple[int, int], ...]]:
         """(L, [(m, E)]): the offsets of the normal form with E != 0 over one
-        common denominator L, c = m/L."""
+        common denominator L of every offset, c = m/L."""
         merged = self.normal_form[1]
-        L = math.lcm(*(c.denominator for c in merged))
-        return L, tuple((c.numerator * (L // c.denominator), e) for c, e in merged.items() if e)
+        L = math.lcm(*(d for _, d in merged))
+        return L, tuple((p * (L // d), e) for (p, d), e in merged.items() if e)
+
+    def log_pairs(self, J: int) -> tuple[tuple[int, int, float], ...]:
+        """(p_j, r_j, |beta_j|) for j = 1..J: beta_j = p_j/r_j are the 1/n
+        coefficients of ``factored_log_expansion``, with c = m/L over the
+        integer form, p_j = (-1)^(j+1) sum E m^j and r_j = j L^j.  Kept on
+        the term; a longer J recomputes them."""
+        pairs = self.__dict__.get("_log_pairs", ())
+        if len(pairs) < J:
+            L, offsets = self.integer_form
+            powers = [e for _, e in offsets]  # E m^j, j = 0 so far
+            out = []
+            for j in range(1, J + 1):
+                powers = [x * m for x, (m, _) in zip(powers, offsets)]
+                total = sum(powers)
+                p, r = (total if j % 2 else -total), j * L**j
+                out.append((p, r, abs(p) / r))
+            pairs = self.__dict__["_log_pairs"] = tuple(out)
+        return pairs[:J]
 
     def max_root_magnitude(self) -> float:
-        """max |c| over the offsets; the series radius of ln R(n)."""
-        return max((abs(float(c)) for c in self.normal_form[1]), default=0.0)
+        """max |c| over the offsets with E != 0; the series radius of ln R(n)."""
+        L, offsets = self.integer_form
+        return max((abs(m) for m, _ in offsets), default=0) / L
 
     def __str__(self) -> str:
         return format_product_term(self)
@@ -318,22 +348,22 @@ class ProductCheck(NamedTuple):
 
 def factored_zeros_poles(f: FactorList, n_start: int) -> list[int]:
     """Integers n >= n_start where a factor of the unreduced term vanishes."""
-    return sorted(int(-c) for c in f.normal_form[1] if c.denominator == 1 and -c >= n_start)
+    return sorted(-p for p, d in f.normal_form[1] if d == 1 and -p >= n_start)
 
 
 def factored_convergence(f: FactorList, mode: str) -> ProductCheck:
     """The paper's criteria, read off the normal form.  Delta exponents need
     equal degrees (sum E = 0) and equal leading coefficients (K' = 1); theta
-    exponents also need equal root sums (sum E c = 0).  A failure names the
-    first criterion missed."""
+    exponents also need equal root sums (sum E c = 0, over the integer form
+    sum E m = 0).  A failure names the first criterion missed."""
     if mode not in ("delta", "theta"):
         raise ValueError(f"mode must be 'delta' or 'theta', got {mode!r}")
-    scale, merged = f.normal_form
+    (num, den), merged = f.normal_form
     if sum(merged.values()) != 0:
         return ProductCheck(False, "degree")
-    if scale != 1:
+    if num != den:
         return ProductCheck(False, "leading-coefficient")
-    if mode == "theta" and sum(e * c for c, e in merged.items()) != 0:
+    if mode == "theta" and sum(m * e for m, e in f.integer_form[1]) != 0:
         return ProductCheck(False, "sum-of-roots")
     return ProductCheck(True)
 
@@ -346,17 +376,19 @@ def first_non_positive(f: FactorList, n_start: int) -> int | None:
     which changes only at the roots.  So the integers that decide it are
     n_start and the smallest integer >= each root; at an integer root R has
     a zero or a pole (a root whose E sums to 0 included), which fails at once.
+    With c = p/d, d > 0, n is at the root when n d = -p and below it when
+    n d < -p, and the smallest integer >= -p/d is -(p // d).
     """
-    roots = [(-c, e) for c, e in f.normal_form[1].items()]
-    candidates = {n_start} | {math.ceil(root) for root, _ in roots if root >= n_start}
+    (num, _), merged = f.normal_form
+    candidates = {n_start} | {-(p // d) for p, d in merged if -p >= n_start * d}
     for n in sorted(candidates):
         below = 0
-        for root, e in roots:
-            if n == root:
+        for (p, d), e in merged.items():
+            if n * d == -p:
                 return n
-            if n < root:
+            if n * d < -p:
                 below += e
-        if (below % 2 == 1) == (f.constant > 0):
+        if (below % 2 == 1) == (num > 0):
             return n
     return None
 
@@ -366,24 +398,15 @@ def factored_log_expansion(f: FactorList, J: int) -> list[Fraction]:
 
     Each factor contributes ln(alpha n) + ln(1 + c/n) with c = beta/alpha,
     so beta_j = (-1)^(j+1)/j * sum E c^j once the delta-mode criteria
-    (required) have cancelled the ln n and constant terms.  With every
-    offset written as c = m/L over one common denominator L, the power sums
-    are the integers sum E m^j, and each beta_j is one Fraction over j L^j.
+    (required) have cancelled the ln n and constant terms.  Each beta_j is
+    the Fraction p_j/r_j of the term's ``log_pairs``.
     """
     if J < 0:
         raise ValueError("J must be >= 0")
     verdict = factored_convergence(f, "delta")
     if not verdict:
         raise ValueError(f"expansion needs delta-convergent R ({verdict.reason})")
-    L, offsets = f.integer_form
-    m = [mi for mi, _ in offsets]
-    powers = [e for _, e in offsets]  # E m^j, j = 0 so far
-    out = []
-    for j in range(1, J + 1):
-        powers = [p * mi for p, mi in zip(powers, m)]
-        total = sum(powers)
-        out.append(Fraction(total if j % 2 else -total, j * L**j))
-    return out
+    return [Fraction(p, r) for p, r, _ in f.log_pairs(J)]
 
 
 def exact_real_value(f: FactorList, n: int) -> Fraction:

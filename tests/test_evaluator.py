@@ -32,8 +32,8 @@ from gtmprod.evaluator import (
 )
 from gtmprod.gammafn import gamma
 from gtmprod.ratfun import (
+    FactorList,
     factor_list,
-    factored_log_expansion,
     first_non_positive,
     parse_product_term,
 )
@@ -71,7 +71,7 @@ class TestCheckProduct:
         # (n-2) cancels in R, but the normal form keeps its offset with E = 0,
         # so the factor that vanishes at n = 2 is still seen
         term = parse_product_term("((n-2)(n+1))/((n-2)(n+2))")
-        assert term.normal_form[1][Fraction(-2)] == 0
+        assert term.normal_form[1][(-2, 1)] == 0
         chk = check_product(ProductSpec(TM, "delta", 0, term))
         assert chk.reason == "zero-or-pole at n=2"
         assert first_non_positive(term, 0) == 2
@@ -247,8 +247,8 @@ class TestCertificate:
         with mp.workdps(60):
             for spec in _series_specs():
                 N = 4 * _series_cutoff(spec.term)
-                betas = factored_log_expansion(spec.term, MAX_J)
-                J, orders, charge = _dirichlet_orders(spec, betas, math.inf, cache)
+                pairs = spec.term.log_pairs(MAX_J)
+                J, orders, charge = _dirichlet_orders(spec, pairs, math.inf, cache)
                 assert J == MAX_J and orders
                 w = [sign_at(spec.seq, n) for n in range(N + 1)]
                 if spec.mode == "theta":
@@ -256,12 +256,12 @@ class TestCertificate:
                 series = _series(orders, w)
                 memo = memos.setdefault(spec.seq.spec, {})
                 ref = mp.mpf(0)
-                for j, bj, _, _ in orders:
+                for j, p, r, _, _ in orders:
                     g = _reference_dirichlet(spec.seq, j, memo)
                     if spec.mode == "theta":
                         g = (mp.zeta(j) - g) / 2
                     t = g - mp.fsum(mp.mpf(w[n]) / n**j for n in range(1, N + 1))
-                    ref += mp.mpf(bj.numerator) / bj.denominator * t
+                    ref += mp.mpf(p) / r * t
                 # the charge bounds the fixed-point sum; the division rounds once more
                 dev = float(abs(mp.mpf(series) - ref))
                 assert dev <= charge + 2.0**-53 * abs(series), (spec, dev, charge)
@@ -476,6 +476,114 @@ class TestTelescoping:
         spec = ProductSpec(parse_seq_spec("gtm:3:10"), "delta", 0, term)
         res = evaluate_product(spec, eps=1e-14, cache=cache)
         assert abs(res.log_value + math.log(q)) <= res.est_error <= 1e-14
+
+
+class TestCancelledOffsets:
+    def test_cancelled_offset_leaves_n_alone(self, cache):
+        # (n+500) cancels in R: the cutoff and N come from the offsets left,
+        # so both spellings take the same N
+        plain = ProductSpec(TM, "delta", 1, parse_product_term("(n+1)/(n+2)"))
+        padded = ProductSpec(TM, "delta", 1, parse_product_term("((n+500)(n+1))/((n+500)(n+2))"))
+        res = evaluate_product(padded, eps=2.5e-13, cache=cache)
+        assert res == evaluate_product(plain, eps=2.5e-13, cache=cache)
+        assert res.terms_used == 20 and res.est_error <= 2.5e-13
+        direct = evaluate_direct(padded, 1 << 20)
+        assert abs(res.log_value - direct.log_value) <= res.est_error + direct.est_error
+
+    @pytest.mark.parametrize("pad", ["n+500", "2n-7"])
+    def test_padded_telescoping_is_certified(self, pad, cache):
+        # the q = 3, a = 2 telescoping identity, 1/3, times a factor that cancels
+        seq = parse_seq_spec("gtm:3:10")
+        plain = parse_product_term("((3n+2)(3n+5))/((3n+6)(3n+9))")
+        padded = parse_product_term(f"(({pad})(3n+2)(3n+5))/(({pad})(3n+6)(3n+9))")
+        res = evaluate_product(ProductSpec(seq, "delta", 0, padded), eps=1e-14, cache=cache)
+        assert res == evaluate_product(ProductSpec(seq, "delta", 0, plain), eps=1e-14, cache=cache)
+        assert abs(res.log_value + math.log(3)) <= res.est_error <= 1e-14
+
+
+def _pinned_specs():
+    """Ten catalog records and four family instances, none with an offset
+    whose exponents sum to 0."""
+    records = {r.id: r.product_spec() for r in load_catalog("builtin")}
+    specs = {i: records[i] for i in ("wr", "ex1.5.9", "ex1.6.14", "ex1.7.10", "ex1.7.16",
+                                     "cor1.10.5.6", "cor1.10.5.9", "g1.q4.k2", "g1.q5.k2",
+                                     "g2.q5")}
+    q5 = make_sequence("gtm", 5, bits="1011")
+    q3 = make_sequence("gtm", 3, bits="01")
+    specs["thm_f"] = ProductSpec(
+        q5, "delta", 1, build_scaling_term(q5, Fraction(7, 3), Fraction(5, 2))[0])
+    specs["thm_frak"] = ProductSpec(q3, "theta", 1, build_gamma_ratio_term(
+        q3, [Fraction(9, 4), Fraction(2, 5)], [Fraction(7, 3), Fraction(19, 60)])[0])
+    seq, mode, term, _ = families.tm_beta_like_family(Fraction(3, 2), Fraction(5, 4))
+    specs["beta_like"] = ProductSpec(seq, mode, 1, term)
+    seq, mode, term, _ = families.tm_cosine_family(Fraction(3, 10))
+    specs["cosine"] = ProductSpec(seq, mode, 1, term)
+    return specs
+
+
+# (float.hex(log_value), float.hex(est_error), terms_used, dirichlet_orders)
+# from a fresh cache: a change to the exact core must not move one bit of them
+_PINNED = {
+    ("wr", 2.5e-09): ("-0x1.62e42fefa39eep-2", "0x1.5de4e3b357cadp-51", 12, 16),
+    ("ex1.5.9", 2.5e-09): ("-0x1.0000000000000p-56", "0x1.18513f52027a0p-52", 20, 16),
+    ("ex1.6.14", 2.5e-09): ("0x0.0p+0", "0x1.23ce8b1cc0083p-51", 12, 16),
+    ("ex1.7.10", 2.5e-09): ("-0x1.a5ddfb803848fp+0", "0x1.1092c1c39740dp-49", 16, 16),
+    ("ex1.7.16", 2.5e-09): ("-0x1.e000000000000p-55", "0x1.22301777053f1p-52", 28, 16),
+    ("cor1.10.5.6", 2.5e-09): ("0x1.2f3fde182a658p-3", "0x1.a2723efec9a57p-52", 12, 16),
+    ("cor1.10.5.9", 2.5e-09): ("0x1.1f642ca90d2a5p+0", "0x1.7bcae3c1cda03p-50", 28, 16),
+    ("g1.q4.k2", 2.5e-09): ("-0x1.62e42fefa39f0p-1", "0x1.e2b6dfe5ed5e2p-51", 12, 16),
+    ("g1.q5.k2", 2.5e-09): ("-0x1.9c041f7ed8d34p-1", "0x1.ff15995a07133p-51", 12, 16),
+    ("g2.q5", 2.5e-09): ("-0x1.9c041f7ed8d33p-1", "0x1.2c2f411c0ead2p-50", 12, 16),
+    ("thm_f", 2.5e-09): ("0x1.15b249943be0cp-4", "0x1.4e6c58c5aecadp-52", 24, 16),
+    ("thm_frak", 2.5e-09): ("0x1.b816bb4207bb6p-6", "0x1.1da6043c6949dp-52", 24, 16),
+    ("beta_like", 2.5e-09): ("0x1.5db0822dd17d3p-1", "0x1.fc5bee04272d6p-51", 28, 16),
+    ("cosine", 2.5e-09): ("-0x1.d8b15efd43014p-4", "0x1.817d3145258f4p-52", 12, 16),
+    ("wr", 1e-13): ("-0x1.62e42fefa39eep-2", "0x1.5de4e3b357cadp-51", 12, 16),
+    ("ex1.5.9", 1e-13): ("-0x1.0000000000000p-56", "0x1.18513f52027a0p-52", 20, 16),
+    ("ex1.6.14", 1e-13): ("0x0.0p+0", "0x1.23ce8b1cc0083p-51", 12, 16),
+    ("ex1.7.10", 1e-13): ("-0x1.a5ddfb803848fp+0", "0x1.1092c1c39740dp-49", 16, 16),
+    ("ex1.7.16", 1e-13): ("-0x1.e000000000000p-55", "0x1.22301777053f1p-52", 28, 16),
+    ("cor1.10.5.6", 1e-13): ("0x1.2f3fde182a658p-3", "0x1.a2723efec9a57p-52", 12, 16),
+    ("cor1.10.5.9", 1e-13): ("0x1.1f642ca90d2a5p+0", "0x1.7bcae3c1cda03p-50", 28, 16),
+    ("g1.q4.k2", 1e-13): ("-0x1.62e42fefa39f0p-1", "0x1.e2b6dfe5ed5e2p-51", 12, 16),
+    ("g1.q5.k2", 1e-13): ("-0x1.9c041f7ed8d34p-1", "0x1.ff15995a07133p-51", 12, 16),
+    ("g2.q5", 1e-13): ("-0x1.9c041f7ed8d33p-1", "0x1.2c2f411c0ead2p-50", 12, 16),
+    ("thm_f", 1e-13): ("0x1.15b249943be0cp-4", "0x1.4e6c58c5aecadp-52", 24, 16),
+    ("thm_frak", 1e-13): ("0x1.b816bb4207bb6p-6", "0x1.1da6043c6949dp-52", 24, 16),
+    ("beta_like", 1e-13): ("0x1.5db0822dd17d3p-1", "0x1.fc5bee04272d6p-51", 28, 16),
+    ("cosine", 1e-13): ("-0x1.d8b15efd43014p-4", "0x1.817d3145258f4p-52", 12, 16),
+}
+
+
+class TestBitwiseAnswers:
+    @pytest.mark.parametrize("eps", [2.5e-9, 1e-13])
+    def test_answers_are_pinned(self, eps):
+        cache = DirichletCache()
+        for name, spec in _pinned_specs().items():
+            assert all(spec.term.normal_form[1].values()), name
+            res = evaluate_product(spec, eps=eps, cache=cache)
+            got = (res.log_value.hex(), res.est_error.hex(), res.terms_used, res.dirichlet_orders)
+            assert got == _PINNED[name, eps], name
+
+    def test_evaluation_builds_no_fraction(self, monkeypatch):
+        # each term is a fresh copy whose normal form has not been read: the
+        # check, the normal form, the expansion, the series, the head and the
+        # tail bound run on ints and floats alone, cold ladders included
+        specs = [ProductSpec(s.seq, s.mode, s.start, FactorList(s.term.factors, s.term.constant))
+                 for s in _pinned_specs().values()]
+        cache = DirichletCache()
+        built = []
+        new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+        for spec in specs:
+            evaluate_product(spec, eps=1e-13, cache=cache)
+        assert built == []
+        assert Fraction(1, 3) and built == [(1, 3)]  # the patch does count
 
 
 class TestFamilyBuilders:

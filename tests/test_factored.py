@@ -14,9 +14,10 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from gtmprod.evaluator import _log1p_pairs
 from gtmprod.ratfun import (
     EvaluationError,
     Factor,
@@ -176,10 +177,50 @@ def test_normal_form_reproduces_value(f, n):
     except ZeroDivisionError:
         return  # a factor vanishes at n
     scale, merged = f.normal_form
-    value = scale
-    for c, e in merged.items():
-        value *= (n + c) ** e
+    value = Fraction(*scale)
+    for (p, d), e in merged.items():
+        value *= (n + Fraction(p, d)) ** e
     assert value == expected
+
+
+def fraction_offsets(f: FactorList) -> dict[Fraction, int]:
+    """{c: E} with c = beta/alpha as exact Fractions, E summed, 0 kept."""
+    merged: dict[Fraction, int] = {}
+    for fac in f.factors:
+        c = fac.beta / fac.alpha
+        merged[c] = merged.get(c, 0) + fac.exponent
+    return merged
+
+
+@given(factor_lists())
+@example(factor_list([(1, 1, 1), (1, 1, -1), (2, 3, 1), (2, 3, 1), (4, 6, -2), (1, 5, 1),
+                      (3, -7, -1)]))
+@example(factor_list([(1, 500, 1), (1, 1, 1), (1, 500, -1), (1, 2, -1)]))
+def test_integer_core_matches_fraction_offsets(f):
+    """The ints and floats of the normal form, the expansion and the log1p
+    pairs equal what exact Fraction offsets give, repeated and cancelled
+    offsets included."""
+    merged = fraction_offsets(f)
+    (num, den), pairs = f.normal_form
+    scale = f.constant * math.prod(Fraction(fac.alpha) ** fac.exponent for fac in f.factors)
+    assert (num, den) == (scale.numerator, scale.denominator)
+    assert {Fraction(p, d): e for (p, d), e in pairs.items()} == merged
+    assert all(math.gcd(p, d) == 1 and d > 0 for p, d in pairs)
+
+    L = math.lcm(*(c.denominator for c in merged))
+    short = f.log_pairs(3)
+    full = f.log_pairs(7)
+    assert short == full[:3] and f.log_pairs(2) == full[:2]
+    for j, (p, r, mag) in enumerate(full, start=1):
+        beta = Fraction((-1) ** (j + 1), j) * sum(e * c**j for c, e in merged.items())
+        assert type(p) is int and r == j * L**j
+        assert Fraction(p, r) == beta and mag == float(abs(beta))
+
+    live = [c for c, e in merged.items() if e]
+    assert f.max_root_magnitude() == max((abs(float(c)) for c in live), default=0.0)
+    ups = sorted(c for c, e in merged.items() for _ in range(e))
+    downs = sorted(c for c, e in merged.items() for _ in range(-e))
+    assert _log1p_pairs(f) == [(float(a - b), float(a), float(b)) for a, b in zip(ups, downs)]
 
 
 def test_complex_offsets_rejected_by_real_helpers():
