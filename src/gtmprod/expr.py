@@ -1,6 +1,6 @@
 """Closed-form expression mini-language for catalog right-hand sides.
 
-Grammar (whitespace ignored):
+Grammar (spaces may go between tokens):
 
     expr   := term (('+'|'-') term)*
     term   := unary (('*'|'/') unary)*
@@ -9,19 +9,25 @@ Grammar (whitespace ignored):
     atom   := number | 'pi' | ('sqrt'|'gamma'|'cos') '(' expr ')' | '(' expr ')'
     number := uint | uint'/'uint | decimal
 
-Power binds tighter than unary minus and associates right.  Values like
-``gamma(1/4)/(sqrt(2)*pi^(3/4))`` evaluate through the local Gamma
-implementation, so the whole catalog shares one numeric authority.
+Digits are ASCII and names ASCII letters, split off by the scanner of the
+product-term grammar (``ratfun._Tokens``); a ``p/q`` literal is one number,
+so ``2^3/4`` is ``2^(3/4)``.  Power binds tighter than unary minus and
+associates right.  Values like ``gamma(1/4)/(sqrt(2)*pi^(3/4))`` evaluate
+through the local Gamma implementation, so the whole catalog shares one
+numeric authority; a Gamma pole, a negative root or a power or quotient
+without a finite value is an ``ExprDomainError``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .gammafn import gamma
-from .ratfun import ParseError, _Cursor
+from .ratfun import _is_number, _Tokens
 
 
 class ExprDomainError(ValueError):
@@ -59,97 +65,64 @@ class Call:
 Expr = Num | Pi | Neg | BinOp | Call
 
 _FUNCTIONS = ("sqrt", "gamma", "cos")
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+          "^": operator.pow}
+_EXPR_TOKENS = re.compile(r"\s*([0-9]+(?:/[0-9]+|\.[0-9]*)?|[A-Za-z]+|\S)")
 
 
-class _Scanner(_Cursor):
-    def match_word(self) -> str | None:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isalpha():
-            self.pos += 1
-        return self.text[start:self.pos] if self.pos > start else None
-
-    def read_number(self) -> Fraction:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError("expected a number", start)
-        # rational p/q (greedy) or decimal
-        if self.pos < len(self.text) and self.text[self.pos] == "/":
-            save = self.pos
-            self.pos += 1
-            dstart = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            if self.pos > dstart:
-                return Fraction(int(self.text[start:save]), int(self.text[dstart:self.pos]))
-            self.pos = save
-        if self.pos < len(self.text) and self.text[self.pos] == ".":
-            self.pos += 1
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            return Fraction(self.text[start:self.pos])
-        return Fraction(int(self.text[start:self.pos]))
-
-
-def _parse_expr(sc: _Scanner) -> Expr:
-    node = _parse_term(sc)
-    while sc.peek() in ("+", "-"):
-        op = sc.take()
-        node = BinOp(op, node, _parse_term(sc))
+def _parse_expr(tk: _Tokens, levels=(("+", "-"), ("*", "/"))) -> Expr:
+    """expr, or term once the '+'/'-' level is passed: left-associative."""
+    if not levels:
+        return _parse_unary(tk)
+    node = _parse_expr(tk, levels[1:])
+    while tk.peek() in levels[0]:
+        op = tk.take()
+        node = BinOp(op, node, _parse_expr(tk, levels[1:]))
     return node
 
 
-def _parse_term(sc: _Scanner) -> Expr:
-    node = _parse_unary(sc)
-    while sc.peek() in ("*", "/"):
-        op = sc.take()
-        node = BinOp(op, node, _parse_unary(sc))
-    return node
+def _parse_unary(tk: _Tokens) -> Expr:
+    if tk.peek() == "-":
+        tk.take()
+        return Neg(_parse_power(tk))
+    return _parse_power(tk)
 
 
-def _parse_unary(sc: _Scanner) -> Expr:
-    if sc.peek() == "-":
-        sc.take()
-        return Neg(_parse_power(sc))
-    return _parse_power(sc)
-
-
-def _parse_power(sc: _Scanner) -> Expr:
-    base = _parse_atom(sc)
-    if sc.peek() == "^":
-        sc.take()
-        return BinOp("^", base, _parse_unary(sc))
+def _parse_power(tk: _Tokens) -> Expr:
+    base = _parse_atom(tk)
+    if tk.peek() == "^":
+        tk.take()
+        return BinOp("^", base, _parse_unary(tk))
     return base
 
 
-def _parse_atom(sc: _Scanner) -> Expr:
-    c = sc.peek()
-    if c == "(":
-        sc.take()
-        inner = _parse_expr(sc)
-        sc.expect(")")
+def _parse_atom(tk: _Tokens) -> Expr:
+    at = tk.i
+    tok = tk.take()
+    if tok == "(":
+        inner = _parse_expr(tk)
+        tk.expect(")")
         return inner
-    if c.isdigit():
-        return Num(sc.read_number())
-    word = sc.match_word()
-    if word == "pi":
+    if _is_number(tok):
+        try:
+            return Num(Fraction(tok))
+        except ZeroDivisionError:
+            raise tk.error(f"zero denominator in {tok}", at) from None
+    if tok == "pi":
         return Pi()
-    if word in _FUNCTIONS:
-        sc.expect("(")
-        inner = _parse_expr(sc)
-        sc.expect(")")
-        return Call(word, inner)
-    raise ParseError(f"unexpected input {word or c!r}", sc.pos)
+    if tok in _FUNCTIONS:
+        tk.expect("(")
+        inner = _parse_expr(tk)
+        tk.expect(")")
+        return Call(tok, inner)
+    raise tk.error(f"unexpected input {tok!r}", at)
 
 
 def parse_expr(text: str) -> Expr:
-    sc = _Scanner(text)
-    node = _parse_expr(sc)
-    if sc.peek():
-        raise ParseError("unexpected trailing input", sc.pos)
+    tk = _Tokens(_EXPR_TOKENS, text)
+    node = _parse_expr(tk)
+    if tk.peek():
+        raise tk.error("unexpected trailing input")
     return node
 
 
@@ -163,19 +136,12 @@ def eval_expr(node: Expr) -> float:
     if isinstance(node, BinOp):
         left = eval_expr(node.left)
         right = eval_expr(node.right)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if node.op == "/":
-            if right == 0:
-                raise ExprDomainError("division by zero")
-            return left / right
-        if left < 0 and right != int(right):
+        if node.op == "^" and left < 0 and not right.is_integer():
             raise ExprDomainError(f"negative base {left} with fractional exponent")
-        return left**right
+        try:
+            return _ARITH[node.op](left, right)
+        except (ZeroDivisionError, OverflowError):
+            raise ExprDomainError(f"{left} {node.op} {right} has no finite value") from None
     if isinstance(node, Call):
         x = eval_expr(node.arg)
         if node.fn == "sqrt":

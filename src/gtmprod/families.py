@@ -20,7 +20,7 @@ _TM = make_sequence("gtm", 2, bits="1")
 
 
 def _lg(x: Fraction) -> float:
-    return log_gamma(complex(Fraction(x))).real
+    return log_gamma(complex(x)).real
 
 
 def shifted_ratio_family(seq, a, b, c):

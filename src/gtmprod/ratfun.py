@@ -25,13 +25,19 @@ comparison, and each beta_j an integer pair (p_j, r_j).  ``Fraction``
 appears only where the parser builds a term and where a public helper
 returns an exact rational; floating point enters only through
 correctly rounded int divisions and the ``evaluate_real`` boundary.
+
+Product terms and the right-hand sides of ``expr`` are read by one scanner,
+``_Tokens``: a compiled pattern per grammar splits the text once into
+tokens, and a ``ParseError`` gives where the offending token starts.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from typing import NamedTuple
 
 from .sequences import FrozenValue
@@ -51,7 +57,9 @@ class EvaluationError(ValueError):
 
 def as_fraction(x) -> Fraction:
     """An exact rational parameter: int or Fraction; anything else is a TypeError."""
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
@@ -136,14 +144,46 @@ class FactorList(FrozenValue):
         return format_product_term(self)
 
 
-def make_factor(alpha: int, beta, exponent: int) -> Factor:
-    return Factor(int(alpha), as_fraction(beta), int(exponent))
-
-
 def factor_list(triples, constant=Fraction(1)) -> FactorList:
     """Build a FactorList from (alpha, beta, exponent) triples."""
-    return FactorList(tuple(make_factor(a, b, e) for a, b, e in triples),
+    return FactorList(tuple(Factor(int(a), as_fraction(b), int(e)) for a, b, e in triples),
                       as_fraction(constant))
+
+
+class _Tokens:
+    """A text split once into tokens by a grammar's pattern, whose one group
+    is a token and which skips the spaces before it; both grammars, product
+    terms here and ``expr``'s right-hand sides, read one.  The list ends in
+    "", which starts at len(text).  Where a token starts in the text is
+    worked out only for an error."""
+
+    def __init__(self, pattern: re.Pattern, text: str):
+        self.pattern = pattern
+        self.text = text
+        self.toks = pattern.findall(text) + [""]
+        self.i = 0
+
+    def peek(self) -> str:
+        return self.toks[self.i]
+
+    def take(self) -> str:
+        self.i += 1
+        return self.toks[self.i - 1]
+
+    def expect(self, tok: str):
+        if self.toks[self.i] != tok:
+            raise self.error(f"expected {tok!r}")
+        self.i += 1
+
+    def error(self, message: str, i: int | None = None) -> ParseError:
+        """A ParseError where token i (by default the current one) starts."""
+        m = next(islice(self.pattern.finditer(self.text), self.i if i is None else i, None), None)
+        return ParseError(message, m.start(1) if m else len(self.text))
+
+
+def _is_number(tok: str) -> bool:
+    """Number tokens, and only they, start with an ASCII digit."""
+    return "0" <= tok[:1] <= "9"
 
 
 # ---------------------------------------------------------------------------
@@ -155,141 +195,97 @@ def factor_list(triples, constant=Fraction(1)) -> FactorList:
 #   factor    := '(' linear ')' ('^' int)?
 #   linear    := [int] 'n' (('+'|'-') uint)? | int
 #
-# whitespace is ignored; an omitted slope means 1; integer factors like (2)
-# fold into the constant multiplier.
+# a token is a run of ASCII digits or one other non-space character, and
+# spaces may go between tokens; an omitted slope means 1; integer factors
+# like (2) fold into the constant multiplier.
 # ---------------------------------------------------------------------------
 
-
-class _Cursor:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self) -> str:
-        c = self.peek()
-        if c:
-            self.pos += 1
-        return c
-
-    def expect(self, ch: str):
-        if self.peek() != ch:
-            raise ParseError(f"expected {ch!r}", self.pos)
-        self.pos += 1
-
-    def at_end(self) -> bool:
-        return self.peek() == ""
-
-    def read_uint(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError("expected digits", start)
-        return int(self.text[start:self.pos])
-
-    def read_int(self) -> int:
-        self.skip_ws()
-        sign = 1
-        if self.peek() in ("+", "-"):
-            if self.take() == "-":
-                sign = -1
-        return sign * self.read_uint()
+_TERM_TOKENS = re.compile(r"\s*([0-9]+|\S)")
 
 
-def _parse_linear(cur: _Cursor) -> tuple[str, int, int]:
-    """Return ('lin', alpha, beta) or ('const', value, 0)."""
-    cur.skip_ws()
-    start = cur.pos
-    sign = 1
-    if cur.peek() in ("+", "-"):
-        if cur.take() == "-":
-            sign = -1
-    coeff = None
-    if cur.peek().isdigit():
-        coeff = cur.read_uint()
-    if cur.peek() == "n":
-        cur.take()
-        alpha = sign * (1 if coeff is None else coeff)
-        if alpha <= 0:
-            raise ParseError(f"slope must be positive, got {alpha}", start)
-        beta = 0
-        if cur.peek() in ("+", "-"):
-            neg = cur.take() == "-"
-            b = cur.read_uint()
-            beta = -b if neg else b
-        return ("lin", alpha, beta)
-    if coeff is None:
-        raise ParseError("expected a linear factor or integer", start)
-    return ("const", sign * coeff, 0)
+def _sign(tk: _Tokens) -> int:
+    """Takes an optional '+' or '-': -1 after a '-', else 1."""
+    return -1 if tk.peek() in ("+", "-") and tk.take() == "-" else 1
 
 
-def _parse_factor(cur: _Cursor) -> tuple[str, int, int, int]:
-    """One parenthesized factor with optional exponent."""
-    cur.expect("(")
-    kind, a, b = _parse_linear(cur)
-    cur.expect(")")
-    exponent = 1
-    if cur.peek() == "^":
-        cur.take()
-        exponent = cur.read_int()
-        if exponent == 0:
-            raise ParseError("factor exponent must be nonzero", cur.pos)
-    return (kind, a, b, exponent)
+def _int(tk: _Tokens) -> int:
+    sign = _sign(tk)
+    if not _is_number(tk.peek()):
+        raise tk.error("expected digits")
+    return sign * int(tk.take())
 
 
-def _parse_factorseq(cur: _Cursor) -> tuple[list[Factor], Fraction]:
-    factors: list[Factor] = []
-    constant = Fraction(1)
-    saw_any = False
-    while cur.peek() == "(":
-        kind, a, b, e = _parse_factor(cur)
-        saw_any = True
-        if kind == "lin":
-            factors.append(make_factor(a, b, e))
+def _parse_linear(tk: _Tokens) -> tuple[int, int | None]:
+    """(alpha, beta) of alpha*n + beta, or (value, None) for an integer."""
+    start = tk.i
+    sign = _sign(tk)
+    coeff = int(tk.take()) if _is_number(tk.peek()) else None
+    if tk.peek() != "n":
+        if coeff is None:
+            raise tk.error("expected a linear factor or integer", start)
+        return sign * coeff, None
+    tk.take()
+    alpha = sign * (1 if coeff is None else coeff)
+    if alpha <= 0:
+        raise tk.error(f"slope must be positive, got {alpha}", start)
+    return alpha, _int(tk) if tk.peek() in ("+", "-") else 0
+
+
+def _parse_factorseq(tk: _Tokens) -> tuple[list[Factor], Fraction]:
+    """factor+, with integer factors folded into the constant; a zero
+    exponent or constant is reported where its integer starts."""
+    if tk.peek() != "(":
+        raise tk.error("expected at least one factor")
+    factors, constant = [], Fraction(1)
+    while tk.peek() == "(":
+        tk.take()
+        start = tk.i
+        a, b = _parse_linear(tk)
+        tk.expect(")")
+        e = 1
+        if tk.peek() == "^":
+            tk.take()
+            at = tk.i
+            e = _int(tk)
+            if e == 0:
+                raise tk.error("factor exponent must be nonzero", at)
+        if b is not None:
+            factors.append(Factor(a, Fraction(b), e))
+        elif a == 0:
+            raise tk.error("zero constant factor", start)
         else:
-            if a == 0:
-                raise ParseError("zero constant factor", cur.pos)
             constant *= Fraction(a) ** e
-    if not saw_any:
-        raise ParseError("expected at least one factor", cur.pos)
     return factors, constant
 
 
-def _parse_part(cur: _Cursor) -> tuple[list[Factor], Fraction]:
-    if cur.peek() == "(":
-        save = cur.pos
+def _parse_part(tk: _Tokens) -> tuple[list[Factor], Fraction]:
+    """A factorseq, or one wrapped in parentheses: a factor's linear never
+    starts with '(', so only a part that opens with '((' may be wrapped."""
+    if tk.peek() == "(" and tk.toks[tk.i + 1] == "(":
+        save = tk.i
         try:
-            cur.expect("(")
-            fs = _parse_factorseq(cur)
-            cur.expect(")")
-            if cur.peek() in ("/", ""):
+            tk.expect("(")
+            fs = _parse_factorseq(tk)
+            tk.expect(")")
+            if tk.peek() in ("/", ""):
                 return fs
-            raise ParseError("trailing input after wrapped part", cur.pos)
         except ParseError:
-            cur.pos = save
-    return _parse_factorseq(cur)
+            pass
+        tk.i = save
+    return _parse_factorseq(tk)
 
 
 def parse_product_term(text: str) -> FactorList:
     """Parse product-term syntax like ``(2n+1)/(2n+2)`` into a FactorList."""
-    cur = _Cursor(text)
-    factors, constant = _parse_part(cur)
-    if cur.peek() == "/":
-        cur.take()
-        dfactors, dconstant = _parse_part(cur)
+    tk = _Tokens(_TERM_TOKENS, text)
+    factors, constant = _parse_part(tk)
+    if tk.peek() == "/":
+        tk.take()
+        dfactors, dconstant = _parse_part(tk)
         factors += [Factor(f.alpha, f.beta, -f.exponent) for f in dfactors]
         constant /= dconstant
-    if not cur.at_end():
-        raise ParseError("unexpected trailing input", cur.pos)
+    if tk.peek():
+        raise tk.error("unexpected trailing input")
     return FactorList(tuple(factors), constant)
 
 
@@ -305,15 +301,13 @@ def _format_linear(alpha: int, beta: Fraction) -> str:
 
 
 def format_product_term(f: FactorList) -> str:
-    """Render to the grammar; reparsing a rendered term is the identity."""
-    num_parts = []
-    den_parts = []
-    if f.constant != 1:
-        p, q = f.constant.numerator, f.constant.denominator
-        if p != 1:
-            num_parts.append(f"({p})")
-        if q != 1:
-            den_parts.append(f"({q})")
+    """Render to the grammar; reparsing gives the term, numerator factors first."""
+    num_parts, den_parts = [], []
+    p, q = f.constant.numerator, f.constant.denominator
+    if p != 1:
+        num_parts.append(f"({p})")
+    if q != 1:
+        den_parts.append(f"({q})")
     for fac in f.factors:
         side = num_parts if fac.exponent > 0 else den_parts
         e = abs(fac.exponent)

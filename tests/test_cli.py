@@ -163,6 +163,18 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--catalog", "/nonexistent/zzz")
         assert code == 2
 
+    @pytest.mark.parametrize("rhs,reason", [
+        ("1/0", "zero denominator in 1/0 (at position 0)"),
+        ("0^(0-1)", "0.0 ^ -1.0 has no finite value"),
+        ("10^400", "10.0 ^ 400.0 has no finite value"),
+    ])
+    def test_rhs_without_value_exit_2(self, capsys, cache_env, tmp_path, rhs, reason):
+        bad = tmp_path / "bad.catalog"
+        bad.write_text(f"w1|Eq.(W-R)|gtm:2:1|delta|0|(2n+1)/(2n+2)|{rhs}|x\n")
+        code, _, err = run(capsys, "verify", "--catalog", str(bad))
+        assert code == 2
+        assert err.strip() == f"error: record 'w1' does not validate: {reason} (line 1)"
+
     def test_builtin_filter_parses_only_the_records_that_run(self, capsys, cache_env,
                                                              monkeypatch):
         import gtmprod.catalog as catalog_mod

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gtmprod.expr import (
     BinOp,
@@ -59,6 +61,12 @@ class TestEvaluation:
         assert value_of("0.25") == 0.25
         assert value_of("10/4") == 2.5
 
+    def test_rational_literal_is_one_number(self):
+        # p/q is one token, so it binds tighter than '^'; other '/' divide
+        assert parse_expr("2^3/4") == parse_expr("2^(3/4)")
+        assert parse_expr("2^3 / 4") == BinOp("/", parse_expr("2^3"), Num(Fraction(4)))
+        assert parse_expr(" 1 / 2 ") == BinOp("/", Num(Fraction(1)), Num(Fraction(2)))
+
     def test_cos(self):
         assert abs(value_of("cos(pi/3)") - 0.5) < 1e-15
 
@@ -69,6 +77,37 @@ class TestErrors:
         with pytest.raises(ParseError):
             parse_expr(text)
 
+    # the position is where the offending token starts, len(text) at the end
+    @pytest.mark.parametrize("text,message,pos", [
+        ("", "unexpected input ''", 0),
+        ("2+", "unexpected input ''", 2),
+        ("sqrt(", "unexpected input ''", 5),
+        ("*2", "unexpected input '*'", 0),
+        ("x", "unexpected input 'x'", 0),
+        ("pie", "unexpected input 'pie'", 0),
+        ("foo(2)", "unexpected input 'foo'", 0),
+        ("2+foo", "unexpected input 'foo'", 2),
+        ("sqrt 3", "expected '('", 5),
+        ("gamma", "expected '('", 5),
+        ("((2)", "expected ')'", 4),
+        ("2)", "unexpected trailing input", 1),
+        ("1..2", "unexpected trailing input", 2),
+        ("pi(", "unexpected trailing input", 2),
+        ("2 3", "unexpected trailing input", 2),
+        ("1/0", "zero denominator in 1/0", 0),
+        ("0/0", "zero denominator in 0/0", 0),
+        ("2^3/0", "zero denominator in 3/0", 2),
+        # digits are ASCII: a superscript two used to escape as a bare
+        # ValueError from int(), and an Arabic-Indic three was read as 3
+        ("\u00b2", "unexpected input '\u00b2'", 0),
+        ("\u0663/4", "unexpected input '\u0663'", 0),
+        ("3/\u0663", "unexpected input '\u0663'", 2),
+    ])
+    def test_message_and_position(self, text, message, pos):
+        with pytest.raises(ParseError) as err:
+            parse_expr(text)
+        assert (str(err.value), err.value.pos) == (f"{message} (at position {pos})", pos)
+
     def test_domain(self):
         with pytest.raises(ExprDomainError):
             value_of("sqrt(0-1)")
@@ -78,6 +117,10 @@ class TestErrors:
             value_of("1/(2-2)")
         with pytest.raises(ExprDomainError):
             value_of("(0-2)^(1/2)")
+        # these used to escape as ZeroDivisionError or OverflowError
+        for text in ("0^(0-1)", "10^400", "9^9^9", "(0-2)^(10^300*10^300)"):
+            with pytest.raises(ExprDomainError):
+                value_of(text)
 
 
 class TestRoundTrip:
@@ -90,3 +133,21 @@ class TestRoundTrip:
         again = parse_expr(format_expr(node))
         assert eval_expr(again) == eval_expr(node)
         assert format_expr(parse_expr(format_expr(node))) == format_expr(node)
+
+
+# the expression alphabet plus noise: a superscript two, an Arabic-Indic
+# three, '.', '*' and spaces
+_EXPR_PIECES = ["(", ")", "1", "3/4", "2.5", "0", "+", "-", "*", "/", "^", " ", "pi",
+                "sqrt", "gamma", "cos", "x", "\u00b2", "\u0663", "."]
+
+
+@given(st.one_of(
+    st.text(st.sampled_from("()0123456789+-*/^. pisqrtgamcox\u00b2\u0663"), max_size=24),
+    st.lists(st.sampled_from(_EXPR_PIECES), max_size=16).map("".join),
+))
+def test_any_text_parses_or_fails_at_a_token(text):
+    try:
+        parse_expr(text)
+    except ParseError as err:
+        assert 0 <= err.pos <= len(text)
+        assert err.pos == len(text) or not text[err.pos].isspace()

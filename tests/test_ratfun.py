@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gtmprod import families
 from gtmprod.evaluator import build_gamma_ratio_term, build_scaling_term
@@ -66,6 +68,90 @@ def random_theta_convergent(rng, max_pairs=3) -> FactorList:
     return factor_list(fs)
 
 
+# Every product-term reject with its message and position: the position is
+# where the offending token starts (a zero exponent or constant: where its
+# integer starts, sign included), len(text) at the end of input.
+REJECTS = [
+    ("", "expected at least one factor", 0),
+    ("   ", "expected at least one factor", 3),
+    ("2n+1", "expected at least one factor", 0),
+    ("n", "expected at least one factor", 0),
+    ("/(n)", "expected at least one factor", 0),
+    ("(2n+1)/", "expected at least one factor", 7),
+    ("(n)/", "expected at least one factor", 4),
+    ("(n) /", "expected at least one factor", 5),
+    ("(0n+1)", "slope must be positive, got 0", 1),
+    ("(-2n+1)", "slope must be positive, got -2", 1),
+    ("(-n)", "slope must be positive, got -1", 1),
+    ("(2n+1)^0", "factor exponent must be nonzero", 7),
+    ("(2n+1)^-0", "factor exponent must be nonzero", 7),
+    ("(2n+1)^+0", "factor exponent must be nonzero", 7),
+    ("(2n+1)^ 0 ", "factor exponent must be nonzero", 8),
+    ("(2n+1)^0 (n+1)", "factor exponent must be nonzero", 7),
+    ("(0)^0", "factor exponent must be nonzero", 4),
+    ("(0)", "zero constant factor", 1),
+    ("(-0)", "zero constant factor", 1),
+    ("( 0 )", "zero constant factor", 2),
+    ("(0) (n+1)", "zero constant factor", 1),
+    ("(0)^2 / (n)", "zero constant factor", 1),
+    ("(n)/(0)", "zero constant factor", 5),
+    ("(0", "expected ')'", 2),
+    ("(2n+1", "expected ')'", 5),
+    ("(n 1)", "expected ')'", 3),
+    ("(1 2n)", "expected ')'", 3),
+    ("(n+1.5)", "expected ')'", 4),
+    ("(2n+1)^", "expected digits", 7),
+    ("(2n+1)^x", "expected digits", 7),
+    ("(2n+1)^-", "expected digits", 8),
+    ("(n+)", "expected digits", 3),
+    ("(n+x)", "expected digits", 3),
+    ("(n-+1)", "expected digits", 3),
+    ("(x)", "expected a linear factor or integer", 1),
+    ("()", "expected a linear factor or integer", 1),
+    ("(-)", "expected a linear factor or integer", 1),
+    ("(+)", "expected a linear factor or integer", 1),
+    ("(N)", "expected a linear factor or integer", 1),
+    ("(n)(", "expected a linear factor or integer", 4),
+    ("(n)/()", "expected a linear factor or integer", 5),
+    ("(n)/((0)(n+1))", "expected a linear factor or integer", 5),
+    ("((n)", "expected a linear factor or integer", 1),
+    ("((n)(n+1)", "expected a linear factor or integer", 1),
+    ("((n))(n)", "expected a linear factor or integer", 1),
+    ("((n)) x", "expected a linear factor or integer", 1),
+    ("((0))", "expected a linear factor or integer", 1),
+    ("((n+1))/((n+2)", "expected a linear factor or integer", 9),
+    ("(2n+1))", "unexpected trailing input", 6),
+    ("(n)/(n)/(n)", "unexpected trailing input", 7),
+    ("(n)^2^3", "unexpected trailing input", 5),
+    ("(n+1) x", "unexpected trailing input", 6),
+    ("(n+1)\xa0x", "unexpected trailing input", 6),
+    ("(2n+1)*(n)", "unexpected trailing input", 6),
+    ("(n+1)/ (n+2) )", "unexpected trailing input", 13),
+    ("(n+1)^2 ^", "unexpected trailing input", 8),
+    # digits are ASCII: a superscript two used to escape as a bare ValueError
+    # from int(), and an Arabic-Indic three was read as 3
+    ("(\u00b2n+1)/(n+2)", "expected a linear factor or integer", 1),
+    ("(n+1)^\u00b2", "expected digits", 6),
+    ("(n+\u00b2)", "expected digits", 3),
+    ("(\u0663n+1)/(3n+2)", "expected a linear factor or integer", 1),
+    ("(n+1)^\u0663", "expected digits", 6),
+    ("(n+\u0663)", "expected digits", 3),
+    ("(3n+1)/(\u0663n+2)", "expected a linear factor or integer", 8),
+]
+
+# the product-term alphabet plus noise: a superscript two, an Arabic-Indic
+# three, '.', '*' and spaces
+_TERM_PIECES = ["(", ")", "n", "2n", "0", "1", "12", "+", "-", "^", "/", " ",
+                "\u00b2", "\u0663", ".", "*"]
+_term_texts = st.one_of(
+    st.text(st.sampled_from("()n0123456789+-^/ \u00b2\u0663.*"), max_size=24),
+    st.lists(st.sampled_from(_TERM_PIECES), max_size=16).map("".join),
+    st.lists(st.tuples(st.sampled_from(["", "2", "3"]), st.sampled_from(["+1", "-2", "", "+10"]),
+                       st.sampled_from(["", "^2", "^-1", "^ 3"])), min_size=1, max_size=4)
+    .map(lambda fs: "".join(f"({a}n{b}){e}" for a, b, e in fs)),
+)
+
+
 class TestParser:
     def test_spec_examples(self):
         fl = parse_product_term("((3n+2)^2)/((3n+1)(3n+4)(3n+6))")
@@ -97,6 +183,27 @@ class TestParser:
     def test_rejects(self, text):
         with pytest.raises(ParseError):
             parse_product_term(text)
+
+    @pytest.mark.parametrize("text,message,pos", REJECTS)
+    def test_reject_message_and_position(self, text, message, pos):
+        with pytest.raises(ParseError) as err:
+            parse_product_term(text)
+        assert (str(err.value), err.value.pos) == (f"{message} (at position {pos})", pos)
+
+    @given(_term_texts)
+    def test_any_text_parses_or_fails_at_a_token(self, text):
+        # a rendered term reparses to the term with its numerator factors
+        # first, which is the term itself when they already come first
+        try:
+            term = parse_product_term(text)
+        except ParseError as err:
+            assert 0 <= err.pos <= len(text)
+            assert err.pos == len(text) or not text[err.pos].isspace()
+            return
+        upper = tuple(f for f in term.factors if f.exponent > 0)
+        lower = tuple(f for f in term.factors if f.exponent < 0)
+        assert parse_product_term(format_product_term(term)) == FactorList(upper + lower,
+                                                                            term.constant)
 
     def test_print_parse_round_trip_random(self):
         # printing normalizes to numerator-then-denominator order; on that
@@ -274,3 +381,10 @@ def test_one_coercion_rule_for_rational_parameters():
             with pytest.raises(TypeError, match="expected int or Fraction"):
                 call(bad)
     assert as_fraction(3) == Fraction(3) and isinstance(as_fraction(3), Fraction)
+
+
+def test_as_fraction_returns_a_fraction_unchanged():
+    half = Fraction(1, 2)
+    assert as_fraction(half) is half
+    term = factor_list([(2, half, 1), (2, 1, -1)])
+    assert term.factors[0].beta is half
