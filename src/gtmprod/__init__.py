@@ -20,7 +20,7 @@ _EXPORTS = {
                 "load_catalog", "parse_catalog_line", "run_catalog"),
     "dirichlet": ("DirichletCache", "EpsUnachievableError", "dirichlet_direct", "dirichlet_mp",
                   "dirichlet_value", "power_moments", "zeta_mp"),
-    "evaluator": ("EvalResult", "FunctionalEquationReport", "IdentityReport", "PositivityError",
+    "evaluator": ("EvalResult", "FunctionalEquationReport", "IdentityReport",
                   "ProductRejectedError", "ProductSpec", "build_gamma_ratio_term",
                   "build_scaling_term", "check_product", "evaluate_direct", "evaluate_product",
                   "plain_product_log_closed", "verify_functional_equation", "verify_identity"),
@@ -28,13 +28,13 @@ _EXPORTS = {
     "gammafn": ("GammaDomainError", "check_gamma_identity", "gamma", "log_gamma",
                 "log_gamma_product"),
     "ratfun": ("EvaluationError", "Factor", "FactorList", "ParseError", "ProductCheck",
-               "evaluate_real", "exact_real_value", "factor_list", "factored_convergence",
+               "exact_real_value", "factor_list", "factored_convergence",
                "factored_log_expansion", "factored_zeros_poles", "first_non_positive",
                "format_product_term", "parse_product_term"),
     "sequences": ("MultiplicativeSequence", "SequenceError", "asymptotic_exponent",
                   "delta_prefix", "extremal_partial_sums", "geometric_bound", "k0_threshold",
                   "make_sequence", "parse_seq_spec", "partial_sum", "partial_sums_upto",
-                  "sign_at", "theta_at"),
+                  "sign_at"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = list(_MODULE_OF)

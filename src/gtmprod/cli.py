@@ -19,18 +19,11 @@ from pathlib import Path
 
 from .dirichlet import (
     DirichletCache,
-    EpsUnachievableError,
     check_eps,
     default_cache_path,
     dirichlet_value,
 )
-from .evaluator import (
-    PositivityError,
-    ProductRejectedError,
-    ProductSpec,
-    evaluate_direct,
-    evaluate_product,
-)
+from .evaluator import ProductRejectedError, ProductSpec, evaluate_direct, evaluate_product
 from .ratfun import ParseError, factored_convergence, parse_product_term
 from .sequences import SequenceError, parse_seq_spec, partial_sum, sign_prefix
 
@@ -300,7 +293,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     except ProductRejectedError as exc:
         return _fail(args, EXIT_REJECTED, "rejected", f"rejected: {exc.reason}")
-    except (PositivityError, EpsUnachievableError, ArithmeticError) as exc:
+    except ArithmeticError as exc:  # EpsUnachievableError among them
         return _fail(args, EXIT_NUMERIC, "numeric", f"numeric failure: {exc}")
     except (ParseError, SequenceError, ValueError, OSError) as exc:  # CatalogError is a ValueError
         return _fail(args, EXIT_USAGE, "usage", f"error: {exc}")

@@ -14,20 +14,20 @@ offsets), T_j is the Dirichlet tail sum_{n>N} w_n n^-j (F(j) from the
 ladder, or (zeta(j) - F(j))/2 for theta, less the terms up to N), and the
 tail sum_{n>N} w_n rho_J(n), with rho_J(n) = ln R(n) - sum_{j<=J} beta_j
 n^-j, is bounded, not summed.  Both sums are exact until one rounding:
-R(n) is a quotient of integer products, so the head is one log per run
-of exact products (``_head_logs``), and sum_j beta_j T_j is formed in the
-ladder's integer fixed point (``_series``).  Past the series cutoff M the
-pairing of beta_j and T_j is free of the cancellation that ruins the
-naive split at n = 1.  (J, N) are read off eps in one step: J is the most
-orders whose Dirichlet and fixed-point errors fit in eps/4, and N >= 4M
-the fewest terms whose proven bound on the tail, from the normal form
-prod (n + c)^E, fits in eps/4.  The rest of the certificate is a
-worst-case rounding bound of a few ulps.  The term's normal form and
-its 1/n expansion are plain ints (see ``ratfun``), computed once per
-term, and feed the check, the series, the head and the tail bound; no
-``Fraction`` is built on the way.  The plain series uses zeta from the
-all-plus ladder rather than the Gamma closed form, so closed forms
-remain an independent cross-check.
+R(n) is a quotient of integer products (``ratfun.value_pairs``), so the
+head is one log per run of exact products (``_head_logs``), and sum_j
+beta_j T_j is formed in the ladder's integer fixed point (``_series``).
+Past the series cutoff M the pairing of beta_j and T_j is free of the
+cancellation that ruins the naive split at n = 1.  (J, N) are read off
+eps in one step: J is the most orders whose Dirichlet and fixed-point
+errors fit in eps/4, and N >= 4M the fewest terms whose proven bound on
+the tail, from the form prod (n + c)^E, fits in eps/4.  The rest of the
+certificate is a worst-case rounding bound of a few ulps.  The term's one integer form
+K' prod (n + m/L)^E and its 1/n expansion are plain ints (see
+``ratfun``), computed once per term, and feed the check, the series,
+the head and the tail bound; no ``Fraction`` is built on the way.  The
+plain series uses zeta from the all-plus ladder rather than the Gamma
+closed form, so closed forms remain an independent cross-check.
 
 The accelerated path runs on Python ints and floats, with its signs from
 ``sign_prefix``.  In this module numpy is imported only by the baseline
@@ -39,9 +39,11 @@ spread of the last few block-boundary partial sums.  It takes its signs
 block by block from one prefix of B = q^m <= 2^17 signs (delta over
 [kB, (k+1)B) is delta_k times delta over [0, B)), so memory is O(B) for
 every N; fl_round bounds the rounding of every sum in the worst case.
-Past the roots it takes w_n ln R(n) as one log1p per numerator/denominator
-pair (a, b) of R(n) = prod (n + a)/(n + b) (``_log1p_pairs``), with the
-weight folded into the argument: with d = a - b, w_n log1p(d/(n + b)) is
+Below the roots it takes ln R(n) of the exact R(n) of
+``ratfun.value_pairs``, as the accelerated head does.  Past the roots it
+takes w_n ln R(n) as one log1p per numerator/denominator pair (a, b) of
+R(n) = prod (n + a)/(n + b) (``_log1p_pairs``), with the weight folded
+into the argument: with d = a - b, w_n log1p(d/(n + b)) is
 log1p(d/(n + b)), log1p(-d/(n + a)) or 0 for w_n = 1, -1 or 0, since
 -ln(1 + d/(n + b)) = ln(1 - d/(n + a)).  A term costs one add, one divide
 and one log1p per pair, and no pass over the block applies weights.
@@ -62,15 +64,14 @@ from .dirichlet import (
     zeta_fixed,
 )
 from .ratfun import (
-    EvaluationError,
     FactorList,
     ProductCheck,
     as_fraction,
-    evaluate_real,
     factor_list,
     factored_convergence,
     factored_zeros_poles,
     first_non_positive,
+    value_pairs,
 )
 from .sequences import FrozenValue, MultiplicativeSequence, delta_prefix, sign_at, sign_prefix
 
@@ -85,10 +86,6 @@ class ProductRejectedError(ValueError):
     def __init__(self, reason: str):
         super().__init__(f"rejected: {reason}")
         self.reason = reason
-
-
-class PositivityError(ArithmeticError):
-    """A term value failed to be a positive real during evaluation."""
 
 
 class ProductSpec(FrozenValue):
@@ -145,7 +142,7 @@ def _series_cutoff(term: FactorList) -> int:
 
 
 def _tail_bound(offsets, J: int, N: int) -> float:
-    """Bound on sum_{n>N} |rho_J(n)| from the (|c|, |E|) of the normal form
+    """Bound on sum_{n>N} |rho_J(n)| from the (|c|, |E|) of the integer form
     prod (n + c)^E, for N >= 2|c|.
 
     ln R(n) = sum E ln(1 + c/n), and ln(1 + x) less its first J terms is at
@@ -208,37 +205,41 @@ def _series(orders, w) -> float:
     return total / one
 
 
+def _log_quotient(num: int, den: int) -> float:
+    """ln(num/den) for a positive quotient of ints, num/den rounded once.  A
+    quotient that may leave binary64's normal range, 2^(k-1) < num/den <
+    2^(k+1) with k outside [-1021, 1022], is first scaled exactly by 2^-k,
+    into (1/2, 2], and k ln 2 is added back."""
+    k = num.bit_length() - den.bit_length()
+    if -1021 <= k <= 1022:
+        return math.log(num / den)
+    x = num / (den << k) if k > 0 else (num << -k) / den
+    return math.log(x) + k * math.log(2.0)
+
+
 def _head_logs(term: FactorList, start: int, w) -> list[float]:
     """sum_{start<=n<=N} w_n ln R(n) for w = w_0..w_N, as one log per run of
     at most _HEAD_RUN indices, each of the run's exact product rounded to
     binary64 once.  A run also ends before its quotient leaves (2^-961,
-    2^961), inside binary64's normal range.
+    2^961), inside binary64's normal range; a single term outside it is
+    scaled by ``_log_quotient``.
 
-    A checked term is prod (n + c)^E over its normal form, with K' = 1 and
-    sum E = 0; with every c = m/L over one common denominator (the term's
-    integer_form), R(n) = prod (L n + m)^E, a quotient of integer products.
+    A checked term has K' = 1 and sum E = 0, so R(n) = P/Q is the quotient
+    of integer products of ``value_pairs``.
     """
-    L, offsets = term.integer_form
-    ups = [(m, e) for m, e in offsets if e > 0]
-    downs = [(m, -e) for m, e in offsets if e < 0]
     logs, num, den, size = [], 1, 1, 0
-    for n in range(start, len(w)):
-        if not w[n]:
-            continue
-        p = q = 1
-        for m, e in ups:
-            p *= (L * n + m) ** e
-        for m, e in downs:
-            q *= (L * n + m) ** e
+    ns = [n for n in range(start, len(w)) if w[n]]
+    for n, (p, q) in zip(ns, value_pairs(term, ns)):
         if w[n] < 0:
             p, q = q, p
+        run_num, run_den = num * p, den * q
         if size and (size == _HEAD_RUN
-                     or abs((num * p).bit_length() - (den * q).bit_length()) > 960):
-            logs.append(math.log(num / den))
-            num, den, size = 1, 1, 0
-        num, den, size = num * p, den * q, size + 1
+                     or abs(run_num.bit_length() - run_den.bit_length()) > 960):
+            logs.append(_log_quotient(num, den))
+            run_num, run_den, size = p, q, 0
+        num, den, size = run_num, run_den, size + 1
     if size:
-        logs.append(math.log(num / den))
+        logs.append(_log_quotient(num, den))
     return logs
 
 
@@ -254,8 +255,8 @@ def _accel_components(spec: ProductSpec, eps: float, cache: DirichletCache):
     # J: the most orders whose errors fit in eps/4 (the ladder's and _series')
     J, orders, series_err = _dirichlet_orders(spec, term.log_pairs(MAX_J), budget, cache)
     # N: the fewest terms, at least 4M, whose tail bound fits in eps/4
-    L, live = term.integer_form
-    offsets = [(abs(m) / L, abs(e)) for m, e in live if m]
+    _, L, live = term.integer_form
+    offsets = [(abs(m) / L, abs(e)) for m, e in live if m and e]
     if J == 0 or _tail_bound(offsets, J, hi) > budget:
         raise EpsUnachievableError(refusal)
     while _tail_bound(offsets, J, lo) > budget:  # the bound falls as N grows
@@ -270,8 +271,12 @@ def _accel_components(spec: ProductSpec, eps: float, cache: DirichletCache):
     log_value = math.fsum(head + [series])
     # Rounding, with u = 2^-53.  Each head run rounds its exact product once,
     # which moves its log by at most 2u, and takes a log good to 4 ulps: off
-    # by <= 2u + 8u|t|.  float(series) adds u|series|, and fsum rounds the
-    # exact sum once: u|log P|.  _ROUND_UP covers the rounding of this bound.
+    # by <= 2u + 8u|t|.  A run that _log_quotient scales has |k| >= 1022, so
+    # |t| > 700: its scaled log, |ln x| <= ln 2, is off by <= 2u + 6u, k ln 2
+    # rounds twice, <= 2u(|t| + 1), and the addition once, u|t|; 10u + 3u|t|
+    # is within the same bound.  float(series) adds u|series|, and fsum
+    # rounds the exact sum once: u|log P|.  _ROUND_UP covers the rounding of
+    # this bound.
     fl_round = 2.0**-53 * _ROUND_UP * math.fsum(
         [2 * len(head), 8 * sum(map(abs, head)), abs(series), abs(log_value)])
     return log_value, _tail_bound(offsets, J, N) + series_err + fl_round, N, J
@@ -310,7 +315,7 @@ def _log1p_pairs(term: FactorList) -> list[tuple[float, float, float]]:
     numerator offsets a_i matched with the sorted denominator offsets b_i (a
     checked term has K' = 1), each float one correctly rounded int
     division."""
-    L, offsets = term.integer_form
+    _, L, offsets = term.integer_form
     num = sorted(m for m, e in offsets for _ in range(e))
     den = sorted(m for m, e in offsets for _ in range(-e))
     return [((a - b) / L, a / L, b / L) for a, b in zip(num, den)]
@@ -349,11 +354,9 @@ def _direct_sums(spec: ProductSpec, K: int):
         lv, e = logs[j0:], min(max(n_safe, pos), hi)
         if e > pos:  # exact terms below n_safe
             w = weights[s]
-            try:
-                lv[:e - pos] = [int(w[n - lo]) * math.log(evaluate_real(term, n))
-                                for n in range(pos, e)]
-            except EvaluationError as exc:
-                raise PositivityError(str(exc)) from None
+            ns = range(pos, e)
+            lv[:e - pos] = [int(w[n - lo]) * _log_quotient(p, q)
+                            for n, (p, q) in zip(ns, value_pairs(term, ns))]
             abs_head += float(np.abs(lv[:e - pos]).sum())
         # w_n ln R(n) for n = j + kB in [e, hi): one add, divide and log1p per
         # pair, the first pair in place in lv
@@ -379,10 +382,12 @@ def _direct_sums(spec: ProductSpec, K: int):
 
     # fl_round, with u = 2^-53 and n0 = min(n_safe, q^K).  Terms: each of the
     # h = n0 - start exact terms rounds R(n) and takes a log good to 4 ulps,
-    # times w_n exactly: off by <= 2u + 8u |t|.  For a pair with offset c (b or
-    # a), rounding c, j + c and kB + (j + c) moves n + c by (2 + 3 rho) u (n +
-    # c), where rho = max(1, -m/(n0 + m)), m = min(a, b), bounds |c|/(n + c),
-    # so that |j + c| <= (1 + 2 rho)(n + c) covers a negative c.  With the
+    # times w_n exactly: off by <= 2u + 8u |t|, which covers the scaling of an
+    # R(n) outside binary64's normal range as in _accel_components.  For a
+    # pair with offset c (b or a), rounding c, j + c and kB + (j + c) moves
+    # n + c by (2 + 3 rho) u (n + c), where rho = max(1, -m/(n0 + m)), m =
+    # min(a, b), bounds |c|/(n + c), so that |j + c| <= (1 + 2 rho)(n + c)
+    # covers a negative c.  With the
     # rounding of d and of the quotient, x = nu/(n + c) moves by (4 + 3 rho) u
     # |x|, hence log1p(x) by (4 + 3 rho) u |d|/(n + m), as |x/(1 + x)| is |d|/(n
     # + a) or |d|/(n + b); log1p's own 4 ulps of |log1p(x)| <= |d|/(n + m) add
@@ -467,7 +472,7 @@ def verify_identity(spec: ProductSpec, rhs_value: float, tol: float,
             res = evaluate_direct(spec, direct_n, cache=cache)
         else:
             raise ValueError(f"unknown method {method!r}")
-    except (PositivityError, EpsUnachievableError, ProductRejectedError) as exc:
+    except (EpsUnachievableError, ProductRejectedError) as exc:
         return IdentityReport(False, math.nan, rhs_value, math.inf, math.inf,
                               0, method, reason=str(exc))
     dlog = abs(res.log_value - math.log(rhs_value))

@@ -14,8 +14,8 @@ product-term grammar (``ratfun._Tokens``); a ``p/q`` literal is one number,
 so ``2^3/4`` is ``2^(3/4)``.  Power binds tighter than unary minus and
 associates right.  Values like ``gamma(1/4)/(sqrt(2)*pi^(3/4))`` evaluate
 through the local Gamma implementation, so the whole catalog shares one
-numeric authority; a Gamma pole, a negative root or a power or quotient
-without a finite value is an ``ExprDomainError``.
+numeric authority; a Gamma pole, a negative root, or a number or an
+operation without a finite binary64 value is an ``ExprDomainError``.
 """
 
 from __future__ import annotations
@@ -127,21 +127,15 @@ def parse_expr(text: str) -> Expr:
 
 
 def eval_expr(node: Expr) -> float:
-    if isinstance(node, Num):
-        return float(node.value)
+    """The value of an expression in binary64.  A Gamma pole, a negative
+    root, a negative base under a fractional exponent, or a number or an
+    operation without a finite binary64 value is an ExprDomainError; each
+    number and operation is checked once, so every argument is finite.  A
+    Gamma value past binary64 is gammafn's GammaDomainError."""
     if isinstance(node, Pi):
         return math.pi
     if isinstance(node, Neg):
         return -eval_expr(node.arg)
-    if isinstance(node, BinOp):
-        left = eval_expr(node.left)
-        right = eval_expr(node.right)
-        if node.op == "^" and left < 0 and not right.is_integer():
-            raise ExprDomainError(f"negative base {left} with fractional exponent")
-        try:
-            return _ARITH[node.op](left, right)
-        except (ZeroDivisionError, OverflowError):
-            raise ExprDomainError(f"{left} {node.op} {right} has no finite value") from None
     if isinstance(node, Call):
         x = eval_expr(node.arg)
         if node.fn == "sqrt":
@@ -150,7 +144,21 @@ def eval_expr(node: Expr) -> float:
             return math.sqrt(x)
         if node.fn == "cos":
             return math.cos(x)
-        if x <= 0 and x == int(x):
+        if x <= 0 and x.is_integer():
             raise ExprDomainError(f"gamma pole at {x}")
         return gamma(x).real
-    raise TypeError(f"not an expression node: {node!r}")
+    if isinstance(node, Num):
+        op, args, what = float, (node.value,), ""
+    elif isinstance(node, BinOp):
+        op, args, what = _ARITH[node.op], (eval_expr(node.left), eval_expr(node.right)), node.op
+        if node.op == "^" and args[0] < 0 and not args[1].is_integer():
+            raise ExprDomainError(f"negative base {args[0]} with fractional exponent")
+    else:
+        raise TypeError(f"not an expression node: {node!r}")
+    try:
+        value = op(*args)
+    except (ZeroDivisionError, OverflowError):
+        value = math.inf
+    if not math.isfinite(value):
+        raise ExprDomainError(f"{f' {what} '.join(map(str, args))} has no finite value")
+    return value

@@ -37,7 +37,7 @@ class GammaDomainError(ValueError):
 
 
 def _is_nonpositive_integer(z: complex) -> bool:
-    return z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real)
+    return z.imag == 0.0 and z.real <= 0.0 and z.real.is_integer()
 
 
 def _lanczos_log_gamma(z: complex) -> complex:
@@ -68,7 +68,7 @@ def log_gamma(z) -> complex:
     there.  Conjugate symmetry holds exactly by construction.
     """
     z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+    if not cmath.isfinite(z):
         raise GammaDomainError(f"non-finite argument {z}")
     if _is_nonpositive_integer(z):
         raise GammaDomainError(f"log_gamma pole at {z}")
@@ -149,9 +149,12 @@ def check_gamma_identity(identity: str, z, n: int | None = None) -> float:
 
     identity is one of 'multiplication' (needs the order n >= 1),
     'recurrence', 'duplication', 'reflection', 'special'.  For 'special',
-    z must be one of 1, 2, 1/2, 3/2.
+    z must be one of 1, 2, 1/2, 3/2.  A z that is not finite is outside
+    every identity's domain.
     """
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise GammaDomainError(f"non-finite argument {z}")
     if identity == "multiplication":
         if n is None or n < 1:
             raise ValueError("multiplication identity needs an order n >= 1")
@@ -176,7 +179,7 @@ def check_gamma_identity(identity: str, z, n: int | None = None) -> float:
         rhs = (1.0 - z) * math.log(2.0) + 0.5 * _LN_PI + log_gamma(z)
         return _log_residual(lhs, rhs)
     if identity == "reflection":
-        if z.imag == 0.0 and z.real == int(z.real):
+        if z.imag == 0.0 and z.real.is_integer():
             raise GammaDomainError(f"reflection needs non-integer z, got {z}")
         lhs = log_gamma(z) + log_gamma(1.0 - z)
         if z.imag >= 0:

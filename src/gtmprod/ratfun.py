@@ -5,8 +5,9 @@ with integer slopes and signed integer exponents, plus a rational
 constant multiplier collected from bare integer factors like ``(2)``.
 Every exact decision the package makes about a term is read off those
 factors, with c_f = beta_f/alpha_f and K the constant.  Equal offsets
-merge once per term into the normal form K' * prod (n + c)^E
-(``FactorList.normal_form``), and the decisions read that:
+merge once per term into K' * prod (n + c)^E with every c = m/L over one
+denominator L, the term's one derived form (``FactorList.integer_form``),
+and the decisions read that:
 
 * zeros and poles are the integers -c (``factored_zeros_poles``);
 * convergence needs sum E = 0, K' = K * prod alpha_f^e_f = 1 and, for
@@ -15,16 +16,15 @@ merge once per term into the normal form K' * prod (n + c)^E
   every n >= start is decided at finitely many integers
   (``first_non_positive``);
 * beta_j = (-1)^(j+1)/j * sum E c^j are the coefficients of ln R(n)
-  in powers of 1/n (``FactorList.log_pairs``, over the integer offsets
-  of ``FactorList.integer_form``);
-* R(n) itself is a quotient of integer products (``exact_real_value``).
+  in powers of 1/n (``FactorList.log_pairs``);
+* R(n) itself is K' L^-(sum E) prod (L n + m)^E, a quotient of integer
+  products (``value_pairs``, and ``exact_real_value`` as a Fraction).
 
-The normal form is plain ints: K' is a reduced pair (num, den) and each
-offset c a reduced pair (p, d), so each decision is an integer
-comparison, and each beta_j an integer pair (p_j, r_j).  ``Fraction``
-appears only where the parser builds a term and where a public helper
-returns an exact rational; floating point enters only through
-correctly rounded int divisions and the ``evaluate_real`` boundary.
+The form is plain ints: K' is a reduced pair (num, den), L and each m
+are ints, so each decision is an integer comparison, and each beta_j an
+integer pair (p_j, r_j).  ``Fraction`` appears only where the parser
+builds a term and where a public helper returns an exact rational;
+floating point enters only through correctly rounded int divisions.
 
 Product terms and the right-hand sides of ``expr`` are read by one scanner,
 ``_Tokens``: a compiled pattern per grammar splits the text once into
@@ -52,7 +52,7 @@ class ParseError(ValueError):
 
 
 class EvaluationError(ValueError):
-    """A factor hit zero, or a real evaluation produced a non-positive value."""
+    """A factor of the term vanishes where its exact value was asked for."""
 
 
 def as_fraction(x) -> Fraction:
@@ -88,13 +88,13 @@ class FactorList(FrozenValue):
         self._set(factors, constant)
 
     @cached_property
-    def normal_form(self) -> tuple[tuple[int, int], dict[tuple[int, int], int]]:
-        """The term as K' * prod (n + c)^E: K' = K * prod alpha^e as a reduced
-        pair (num, den), and E the summed exponents of the factors with
-        offset c = beta/alpha, keyed by c as a reduced pair (p, d); both
-        denominators are positive.  Sums of 0 are kept, so the keys are every
-        root -c of the unreduced term.  The dict is shared by every reader of
-        the term: read it, never change it."""
+    def integer_form(self) -> tuple[tuple[int, int], int, tuple[tuple[int, int], ...]]:
+        """(K', L, ((m, E), ...)): the term as K' * prod (n + c)^E with every
+        offset c = m/L over one denominator.  K' = K * prod alpha^e is a
+        reduced pair (num, den), L > 0 the lcm of the reduced denominators of
+        the offsets c = beta/alpha, and E the summed exponents of the factors
+        with offset c, in the order the offsets first appear.  Sums of 0 are
+        kept, so the -m/L are every root of the unreduced term."""
         num, den = self.constant.numerator, self.constant.denominator
         merged = {}
         for alpha, beta, e in self.factors:
@@ -107,15 +107,8 @@ class FactorList(FrozenValue):
             key = (p // g, d // g)
             merged[key] = merged.get(key, 0) + e
         g = math.gcd(num, den)
-        return (num // g, den // g), merged
-
-    @cached_property
-    def integer_form(self) -> tuple[int, tuple[tuple[int, int], ...]]:
-        """(L, [(m, E)]): the offsets of the normal form with E != 0 over one
-        common denominator L of every offset, c = m/L."""
-        merged = self.normal_form[1]
         L = math.lcm(*(d for _, d in merged))
-        return L, tuple((p * (L // d), e) for (p, d), e in merged.items() if e)
+        return (num // g, den // g), L, tuple((p * (L // d), e) for (p, d), e in merged.items())
 
     def log_pairs(self, J: int) -> tuple[tuple[int, int, float], ...]:
         """(p_j, r_j, |beta_j|) for j = 1..J: beta_j = p_j/r_j are the 1/n
@@ -124,7 +117,7 @@ class FactorList(FrozenValue):
         the term; a longer J recomputes them."""
         pairs = self.__dict__.get("_log_pairs", ())
         if len(pairs) < J:
-            L, offsets = self.integer_form
+            _, L, offsets = self.integer_form
             powers = [e for _, e in offsets]  # E m^j, j = 0 so far
             out = []
             for j in range(1, J + 1):
@@ -137,8 +130,8 @@ class FactorList(FrozenValue):
 
     def max_root_magnitude(self) -> float:
         """max |c| over the offsets with E != 0; the series radius of ln R(n)."""
-        L, offsets = self.integer_form
-        return max((abs(m) for m, _ in offsets), default=0) / L
+        _, L, offsets = self.integer_form
+        return max((abs(m) for m, e in offsets if e), default=0) / L
 
     def __str__(self) -> str:
         return format_product_term(self)
@@ -342,22 +335,23 @@ class ProductCheck(NamedTuple):
 
 def factored_zeros_poles(f: FactorList, n_start: int) -> list[int]:
     """Integers n >= n_start where a factor of the unreduced term vanishes."""
-    return sorted(-p for p, d in f.normal_form[1] if d == 1 and -p >= n_start)
+    _, L, offsets = f.integer_form
+    return sorted(-m // L for m, _ in offsets if m % L == 0 and -m >= n_start * L)
 
 
 def factored_convergence(f: FactorList, mode: str) -> ProductCheck:
-    """The paper's criteria, read off the normal form.  Delta exponents need
+    """The paper's criteria, read off the integer form.  Delta exponents need
     equal degrees (sum E = 0) and equal leading coefficients (K' = 1); theta
-    exponents also need equal root sums (sum E c = 0, over the integer form
-    sum E m = 0).  A failure names the first criterion missed."""
+    exponents also need equal root sums (sum E c = 0, that is sum E m = 0).
+    A failure names the first criterion missed."""
     if mode not in ("delta", "theta"):
         raise ValueError(f"mode must be 'delta' or 'theta', got {mode!r}")
-    (num, den), merged = f.normal_form
-    if sum(merged.values()) != 0:
+    (num, den), _, offsets = f.integer_form
+    if sum(e for _, e in offsets) != 0:
         return ProductCheck(False, "degree")
     if num != den:
         return ProductCheck(False, "leading-coefficient")
-    if mode == "theta" and sum(m * e for m, e in f.integer_form[1]) != 0:
+    if mode == "theta" and sum(m * e for m, e in offsets) != 0:
         return ProductCheck(False, "sum-of-roots")
     return ProductCheck(True)
 
@@ -370,17 +364,17 @@ def first_non_positive(f: FactorList, n_start: int) -> int | None:
     which changes only at the roots.  So the integers that decide it are
     n_start and the smallest integer >= each root; at an integer root R has
     a zero or a pole (a root whose E sums to 0 included), which fails at once.
-    With c = p/d, d > 0, n is at the root when n d = -p and below it when
-    n d < -p, and the smallest integer >= -p/d is -(p // d).
+    With c = m/L, n is at the root when n L = -m and below it when n L < -m,
+    and the smallest integer >= -m/L is -(m // L).
     """
-    (num, _), merged = f.normal_form
-    candidates = {n_start} | {-(p // d) for p, d in merged if -p >= n_start * d}
+    (num, _), L, offsets = f.integer_form
+    candidates = {n_start} | {-(m // L) for m, _ in offsets if -m >= n_start * L}
     for n in sorted(candidates):
         below = 0
-        for (p, d), e in merged.items():
-            if n * d == -p:
+        for m, e in offsets:
+            if n * L == -m:
                 return n
-            if n * d < -p:
+            if n * L < -m:
                 below += e
         if (below % 2 == 1) == (num > 0):
             return n
@@ -403,28 +397,28 @@ def factored_log_expansion(f: FactorList, J: int) -> list[Fraction]:
     return [Fraction(p, r) for p, r, _ in f.log_pairs(J)]
 
 
+def value_pairs(f: FactorList, ns):
+    """(P, Q) for each n of ns, over the term's integer form: P the product
+    of (L n + m)^E over E > 0 and Q that of (L n + m)^-E over E < 0.  R(n)
+    is K' L^-(sum E) P/Q, and P/Q for a convergent term (K' = 1, sum E = 0)."""
+    _, L, offsets = f.integer_form
+    ups = [(m, e) for m, e in offsets if e > 0]
+    downs = [(m, -e) for m, e in offsets if e < 0]
+    for n in ns:
+        p = q = 1
+        for m, e in ups:
+            p *= (L * n + m) ** e
+        for m, e in downs:
+            q *= (L * n + m) ** e
+        yield p, q
+
+
 def exact_real_value(f: FactorList, n: int) -> Fraction:
-    """Exact R(n) as one quotient of integer products; zero factors are
-    errors."""
-    num, den = f.constant.numerator, f.constant.denominator
-    for fac in f.factors:
-        b = fac.beta
-        v = fac.alpha * n * b.denominator + b.numerator  # (alpha n + beta) * den(beta)
-        if v == 0:
-            raise EvaluationError(f"zero factor ({fac.alpha}n+{fac.beta}) at n={n}")
-        e = fac.exponent
-        if e > 0:
-            num *= v**e
-            den *= b.denominator**e
-        else:
-            num *= b.denominator**-e
-            den *= v**-e
-    return Fraction(num, den)
-
-
-def evaluate_real(f: FactorList, n: int) -> float:
-    """Exact R(n) mapped to binary64; must be positive."""
-    v = exact_real_value(f, n)
-    if v <= 0:
-        raise EvaluationError(f"term value at n={n} is not positive: {v}")
-    return float(v)
+    """Exact R(n) from ``value_pairs``; a factor that vanishes at n, cancelled
+    or not, is an error."""
+    (num, den), L, offsets = f.integer_form
+    if any(L * n + m == 0 for m, _ in offsets):
+        raise EvaluationError(f"a factor vanishes at n={n}")
+    p, q = next(value_pairs(f, (n,)))
+    degree = sum(e for _, e in offsets)
+    return Fraction(num * p * L ** max(0, -degree), den * q * L ** max(0, degree))

@@ -238,11 +238,6 @@ def sign_prefix(seq: MultiplicativeSequence, length: int) -> list[int]:
     return out[:length]
 
 
-def theta_at(seq: MultiplicativeSequence, n: int) -> int:
-    """theta_n = (1 - delta_n) / 2 in {0, 1}."""
-    return (1 - sign_at(seq, n)) // 2
-
-
 def partial_sum(seq: MultiplicativeSequence, n: int) -> int:
     """Delta_n = delta_0 + ... + delta_{n-1} via the digit recursion.
 

@@ -24,6 +24,7 @@ from gtmprod.evaluator import (
 from gtmprod.evaluator import (
     _HEAD_RUN,
     MAX_J,
+    _direct_sums,
     _dirichlet_orders,
     _head_logs,
     _series,
@@ -68,10 +69,10 @@ class TestCheckProduct:
         assert chk.reason.startswith("zero-or-pole")
 
     def test_rejects_cancelled_pole(self):
-        # (n-2) cancels in R, but the normal form keeps its offset with E = 0,
+        # (n-2) cancels in R, but the integer form keeps its offset with E = 0,
         # so the factor that vanishes at n = 2 is still seen
         term = parse_product_term("((n-2)(n+1))/((n-2)(n+2))")
-        assert term.normal_form[1][(-2, 1)] == 0
+        assert term.integer_form == ((1, 1), 1, ((-2, 0), (1, 1), (2, -1)))
         chk = check_product(ProductSpec(TM, "delta", 0, term))
         assert chk.reason == "zero-or-pole at n=2"
         assert first_non_positive(term, 0) == 2
@@ -274,9 +275,24 @@ class TestCertificate:
             logs = _head_logs(term, 0, [sign] * 10)
             assert len(logs) > 1
             assert abs(math.fsum(logs) + sign * 300 * math.log(11)) <= 1e-12
+        # a single term outside binary64, 2^-3000 or 2^3000, is one run of its own
+        term = parse_product_term("((n+1)^3000)/((n+2)^3000)")
+        for sign in (1, -1):
+            assert _head_logs(term, 0, [sign]) == [-sign * 3000 * math.log(2.0)]
         logs = _head_logs(parse_product_term("(n+1)/(n+2)"), 0, [1] * 200)
         assert len(logs) == math.ceil(200 / _HEAD_RUN)
         assert abs(math.fsum(logs) + math.log(201)) <= 1e-14
+
+    def test_head_term_outside_binary64(self, cache):
+        # R(0) = 2^-2400 of R = r^2400, r = (n+1)/(n+2), is far below binary64
+        # and ends its head run on its own; both evaluators give 2400 ln P(r)
+        def spec(e):
+            return ProductSpec(TM, "delta", 0, parse_product_term(f"((n+1)^{e})/((n+2)^{e})"))
+
+        base, res = (evaluate_product(spec(e), eps=1e-9, cache=cache) for e in (1, 2400))
+        assert abs(res.log_value - 2400 * base.log_value) <= res.est_error + 2400 * base.est_error
+        (_, base, base_round), (_, mean, fl_round) = (_direct_sums(spec(e), 7) for e in (1, 2400))
+        assert abs(mean - 2400 * base) <= fl_round + 2400 * base_round
 
     @pytest.mark.parametrize("J", [1, 4, 16])
     @pytest.mark.parametrize("c", [Fraction(1, 2), Fraction(3), Fraction(15, 2)])
@@ -502,8 +518,8 @@ class TestCancelledOffsets:
 
 
 def _pinned_specs():
-    """Ten catalog records and four family instances, none with an offset
-    whose exponents sum to 0."""
+    """Ten catalog records, four family instances and a term with negative
+    offsets, none with an offset whose exponents sum to 0."""
     records = {r.id: r.product_spec() for r in load_catalog("builtin")}
     specs = {i: records[i] for i in ("wr", "ex1.5.9", "ex1.6.14", "ex1.7.10", "ex1.7.16",
                                      "cor1.10.5.6", "cor1.10.5.9", "g1.q4.k2", "g1.q5.k2",
@@ -518,6 +534,7 @@ def _pinned_specs():
     specs["beta_like"] = ProductSpec(seq, mode, 1, term)
     seq, mode, term, _ = families.tm_cosine_family(Fraction(3, 10))
     specs["cosine"] = ProductSpec(seq, mode, 1, term)
+    specs["neg_offsets"] = ProductSpec(TM, "delta", 0, parse_product_term("((2n-9)^2)/((2n-7)^2)"))
     return specs
 
 
@@ -552,6 +569,28 @@ _PINNED = {
     ("thm_frak", 1e-13): ("0x1.b816bb4207bb6p-6", "0x1.1da6043c6949dp-52", 24, 16),
     ("beta_like", 1e-13): ("0x1.5db0822dd17d3p-1", "0x1.fc5bee04272d6p-51", 28, 16),
     ("cosine", 1e-13): ("-0x1.d8b15efd43014p-4", "0x1.817d3145258f4p-52", 12, 16),
+    ("neg_offsets", 2.5e-09): ("-0x1.7ed3ce8ef43b7p+0", "0x1.02e882d9d2681p-49", 40, 16),
+    ("neg_offsets", 1e-13): ("-0x1.7ed3ce8ef43b7p+0", "0x1.02e882d9d2681p-49", 40, 16),
+}
+
+# (float.hex(log_value), float.hex(est_error)) of evaluate_direct at N = q^7;
+# every term but cosine sums an exact head below its roots (n_safe > start)
+_PINNED_DIRECT = {
+    "wr": ("-0x1.62e42145360ddp-2", "0x1.dc49c32c454d2p-20"),
+    "ex1.5.9": ("0x1.0b4f7ceda68a6p-21", "0x1.200ddf60c7eb2p-6"),
+    "ex1.6.14": ("-0x1.030bb1f6df6cap-10", "0x1.c7882f1c95337p-6"),
+    "ex1.7.10": ("-0x1.a5ddf975010b4p+0", "0x1.3a80fcee31308p-7"),
+    "ex1.7.16": ("0x1.0c42f00f9b911p-22", "0x1.41470fffa8360p-6"),
+    "cor1.10.5.6": ("0x1.2ccd5fde47fb8p-3", "0x1.38ccd1376cd6dp-8"),
+    "cor1.10.5.9": ("0x1.1c267e744f3e8p+0", "0x1.9aa1e95d2695dp-5"),
+    "g1.q4.k2": ("-0x1.6157280494335p-1", "0x1.301daba6a35f2p-3"),
+    "g1.q5.k2": ("-0x1.94c30ef9b1355p-1", "0x1.96457842392aap-1"),
+    "g2.q5": ("-0x1.9c041f7e24b19p-1", "0x1.0623fae97221bp-6"),
+    "thm_f": ("0x1.15ae0df00002ep-4", "0x1.d38d51ae8db3bp-8"),
+    "thm_frak": ("0x1.b734a9261688cp-6", "0x1.b906039df53fap-10"),
+    "beta_like": ("0x1.5893c6cbb1329p-1", "0x1.4387846d0c9e0p-5"),
+    "cosine": ("-0x1.d6b30e0e85272p-4", "0x1.003f3c9e93e1ap-9"),
+    "neg_offsets": ("-0x1.7ed3ba5c53d0bp+0", "0x1.54428e42c7976p-17"),
 }
 
 
@@ -560,15 +599,21 @@ class TestBitwiseAnswers:
     def test_answers_are_pinned(self, eps):
         cache = DirichletCache()
         for name, spec in _pinned_specs().items():
-            assert all(spec.term.normal_form[1].values()), name
+            assert all(e for _, e in spec.term.integer_form[2]), name
             res = evaluate_product(spec, eps=eps, cache=cache)
             got = (res.log_value.hex(), res.est_error.hex(), res.terms_used, res.dirichlet_orders)
             assert got == _PINNED[name, eps], name
 
+    def test_direct_answers_are_pinned(self):
+        for name, spec in _pinned_specs().items():
+            res = evaluate_direct(spec, spec.seq.q**7)
+            assert (res.log_value.hex(), res.est_error.hex()) == _PINNED_DIRECT[name], name
+
     def test_evaluation_builds_no_fraction(self, monkeypatch):
-        # each term is a fresh copy whose normal form has not been read: the
-        # check, the normal form, the expansion, the series, the head and the
-        # tail bound run on ints and floats alone, cold ladders included
+        # each term is a fresh copy whose integer form has not been read: the
+        # check, the integer form, the expansion, the series, the head and the
+        # tail bound run on ints and floats alone, cold ladders included, and
+        # so do the direct oracle's exact head and its log1p pairs
         specs = [ProductSpec(s.seq, s.mode, s.start, FactorList(s.term.factors, s.term.constant))
                  for s in _pinned_specs().values()]
         cache = DirichletCache()
@@ -582,6 +627,7 @@ class TestBitwiseAnswers:
         monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
         for spec in specs:
             evaluate_product(spec, eps=1e-13, cache=cache)
+            evaluate_direct(spec, spec.seq.q**7)
         assert built == []
         assert Fraction(1, 3) and built == [(1, 3)]  # the patch does count
 

@@ -117,8 +117,10 @@ class TestErrors:
             value_of("1/(2-2)")
         with pytest.raises(ExprDomainError):
             value_of("(0-2)^(1/2)")
-        # these used to escape as ZeroDivisionError or OverflowError
-        for text in ("0^(0-1)", "10^400", "9^9^9", "(0-2)^(10^300*10^300)"):
+        # these used to escape as ZeroDivisionError, OverflowError or a bare
+        # ValueError, or to give inf
+        for text in ("0^(0-1)", "10^400", "9^9^9", "(0-2)^(10^300*10^300)", "1" + "0" * 400,
+                     "gamma(0-10^300*10^300)", "cos(10^300*10^300)", "10^300*10^300"):
             with pytest.raises(ExprDomainError):
                 value_of(text)
 

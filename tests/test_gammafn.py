@@ -114,6 +114,10 @@ class TestIdentities:
             check_gamma_identity("special", 0.3)
         with pytest.raises(ValueError):
             check_gamma_identity("nonsense", 1.0)
+        # these used to escape as OverflowError
+        for identity in ("reflection", "special"):
+            with pytest.raises(GammaDomainError):
+                check_gamma_identity(identity, math.inf)
 
 
 class TestClosedFormProduct:

@@ -14,12 +14,12 @@ from gtmprod.ratfun import (
     FactorList,
     ParseError,
     as_fraction,
-    evaluate_real,
     exact_real_value,
     factor_list,
     factored_convergence,
     factored_log_expansion,
     factored_zeros_poles,
+    first_non_positive,
     format_product_term,
     parse_product_term,
 )
@@ -340,7 +340,7 @@ class TestEvaluation:
     def test_examples(self):
         v = exact_real_value(parse_product_term("((6n-3)(6n+3))/((6n-1)(6n+5))"), 0)
         assert v == Fraction(9, 5)
-        assert evaluate_real(parse_product_term("(2n+1)/(2n+2)"), 0) == 0.5
+        assert exact_real_value(parse_product_term("(2n+1)/(2n+2)"), 0) == Fraction(1, 2)
         with pytest.raises(EvaluationError):
             exact_real_value(parse_product_term("(n-3)/(n+1)"), 3)
 
@@ -351,8 +351,10 @@ class TestEvaluation:
             exact_real_value(parse_product_term("(n+1)/(n-1)"), 1)
 
     def test_real_requires_positive(self):
-        with pytest.raises(EvaluationError):
-            evaluate_real(parse_product_term("(n-3)/(n+1)"), 1)  # negative value
+        # R(1) is exact and negative, and the positivity check finds it
+        term = parse_product_term("(n-3)/(n+1)")
+        assert exact_real_value(term, 1) == -1
+        assert first_non_positive(term, 1) == 1
 
     def test_factorlist_matches_polynomial_form(self):
         rng = random.Random(3)

@@ -19,13 +19,17 @@ from gtmprod.sequences import (
     partial_sums_upto,
     sign_at,
     sign_prefix,
-    theta_at,
 )
 
 
 def naive_partial_sums(seq, n_max):
     """Independent oracle: cumulative sums of the materialized sign prefix."""
     return np.concatenate(([0], np.cumsum(delta_prefix(seq, n_max), dtype=np.int64)))
+
+
+def theta_at(seq, n):
+    """Definition oracle: theta_n = (1 - delta_n)/2 in {0, 1}."""
+    return (1 - sign_at(seq, n)) // 2
 
 
 def morphism_prefix(q, theta_bits, length):

@@ -101,15 +101,15 @@ class TestEquality:
         assert len({repr(s) for s in seqs}) == 3  # the name is shown, not compared
 
     def test_normal_form_is_not_a_field(self):
-        # the cached normal form and expansion leave equality, hashing and the
+        # the cached integer form and expansion leave equality, hashing and the
         # repr alone, and cannot be assigned
         term, fresh = wr_term(), wr_term()
-        assert term.normal_form == ((1, 1), {(1, 2): 1, (1, 1): -1})
+        assert term.integer_form == ((1, 1), 2, ((1, 1), (2, -1)))
         assert term.log_pairs(2) == ((-1, 2, 0.5), (3, 8, 0.375))
         assert term == fresh and hash(term) == hash(fresh) and repr(term) == repr(fresh)
         with pytest.raises(AttributeError):
-            term.normal_form = ((1, 1), {})
-        assert term.normal_form == ((1, 1), {(1, 2): 1, (1, 1): -1})
+            term.integer_form = ((1, 1), 1, ())
+        assert term.integer_form == ((1, 1), 2, ((1, 1), (2, -1)))
 
     def test_unequal_values(self):
         seq = parse_seq_spec("gtm:3:01")
