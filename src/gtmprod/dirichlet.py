@@ -38,11 +38,15 @@ demand.  numpy is imported only by the partial-summation oracle
 ``dirichlet_direct``.  ``DirichletCache`` memoizes the triples (X, B, err)
 under the pattern's gtm spec and, given a path, persists them: every sweep
 or direct sum that grows the memo merges the file's entries and rewrites
-it, and a later cache on the same path starts warm.
+it, and a later cache on the same path starts warm.  In memory only, it
+also keeps one ``SeriesRecord`` per (pattern, weight mode): the MAX_J
+orders of G_j = sum_n w_n n^-j that the accelerated evaluator reads, and
+the exact fixed-point partial sums of w_n n^-j at every N asked so far.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 import threading
@@ -51,6 +55,7 @@ from pathlib import Path
 from .sequences import MultiplicativeSequence, delta_prefix, make_sequence, sign_prefix
 
 S_DIRECT = 16
+MAX_J = 16  # the orders of a SeriesRecord; <= S_DIRECT, so one ladder sweep fills them
 _MP_DPS = 40
 _MP_EPS = 1e-30
 _I_CAP = 20000
@@ -98,11 +103,17 @@ class DirichletCache:
     A line is skipped if it does not parse, if its err is not finite and
     non-negative, or if its bits differ from _BITS (the series takes one
     bits for every order); files in any other format therefore load cold.
+
+    ``series_record`` hands out the ``SeriesRecord`` of a (seqspec, mode),
+    built from the memo on first use.  Records live in memory only: they
+    are neither saved nor read from the file.  Each holds one entry of
+    2 MAX_J ints for each distinct N it was asked for.
     """
 
     def __init__(self, path: str | os.PathLike | None = None):
         self.path = Path(path) if path is not None else None
         self._mp: dict[tuple[str, int], tuple[int, int, float]] = self._read()
+        self._records: dict[tuple[str, str], SeriesRecord] = {}
         self._lock = threading.Lock()
 
     def _read(self) -> dict[tuple[str, int], tuple[int, int, float]]:
@@ -164,6 +175,19 @@ class DirichletCache:
     def mp_store(self, spec: str, s: int, x: int, bits: int, err: float):
         with self._lock:
             self._mp[(spec, s)] = (x, bits, err)
+
+    def series_record(self, seq: MultiplicativeSequence, mode: str) -> SeriesRecord:
+        """The record of seq's weights in mode 'delta' or 'theta', built on
+        first use outside the lock (``dirichlet_fixed`` takes it); of two
+        builds at once, the first published wins."""
+        key = (seq.gtm_spec, mode)
+        with self._lock:
+            record = self._records.get(key)
+        if record is None:
+            record = SeriesRecord(_weighted_orders(seq, mode, self), self._lock)
+            with self._lock:
+                record = self._records.setdefault(key, record)
+        return record
 
 
 def _moment_bound(q: int, i: int) -> float:
@@ -318,6 +342,71 @@ _ALL_PLUS = make_sequence("gtm", 2, bits="0")
 def zeta_fixed(s: int, cache: DirichletCache | None = None) -> tuple[int, int, float]:
     """zeta(s) for integer s >= 2 in fixed point, through the all-plus ladder."""
     return dirichlet_fixed(_ALL_PLUS, s, cache)
+
+
+def _weighted_orders(seq: MultiplicativeSequence, mode: str, cache: DirichletCache):
+    """(X, bits, err) of G_j = sum_{n>=1} w_n n^-j for j = 1..MAX_J, as
+    ``dirichlet_fixed`` hands it out: G_j = F(j) for w = delta, and for w =
+    theta = (1 - delta)/2, G_j = (zeta(j) - F(j))/2, which is zeta - F at
+    one bit more, with the mean of the two errors.  None at j = 1 for
+    theta, where zeta has its pole (a theta product has beta_1 = 0)."""
+    if mode not in ("delta", "theta"):
+        raise ValueError(f"mode must be 'delta' or 'theta', got {mode!r}")
+    out = [None] if mode == "theta" else []
+    for j in range(len(out) + 1, MAX_J + 1):
+        x, bits, e = dirichlet_fixed(seq, j, cache)
+        if mode == "theta":
+            z, _, ze = zeta_fixed(j, cache)
+            x, bits, e = z - x, bits + 1, (ze + e) / 2
+        out.append((x, bits, e))
+    return tuple(out)
+
+
+class SeriesRecord:
+    """The series data of one weight sequence w_n in {-1, 0, 1}, a pattern's
+    delta_n or theta_n: ``orders``, the (X_j, B, err_j) of ``_weighted_orders``
+    for j = 1..MAX_J (one B for all), and the exact sums S_j(N) = sum_{0<n<=N}
+    w_n floor(2^B / n^j), split by the sign of w_n and kept for every N
+    asked, one entry of 2 MAX_J ints each.  A new N extends the sums of the
+    nearest lower one, so the loop over n runs only up to the largest N
+    asked.  The lock is the cache's: new sums are built outside it and
+    published under it, and never change after.
+    """
+
+    def __init__(self, orders, lock: threading.Lock):
+        self.orders = orders
+        self.bits = orders[-1][1]
+        self._lock = lock
+        self._ns = [0]  # the memoized N, sorted
+        self._sums = {0: ((0,) * MAX_J, (0,) * MAX_J)}
+
+    def tails(self, w) -> list[int | None]:
+        """T_j 2^B = X_j - S_j(N), with T_j = sum_{n>N} w_n n^-j, for j = 1..MAX_J
+        and w = w_0..w_N; None where X_j is.
+
+        One pass over n builds every j, as floor(floor(2^B / n^(j-1)) / n) =
+        floor(2^B / n^j).  Each floor loses less than one unit 2^-B (n = 1 is
+        exact), so T_j is off by err_j plus fewer than N units."""
+        n_top = len(w) - 1
+        with self._lock:
+            low = self._ns[bisect.bisect_right(self._ns, n_top) - 1]
+            plus, minus = self._sums[low]
+        if low < n_top:
+            plus, minus = list(plus), list(minus)
+            one = 1 << self.bits
+            for n in range(low + 1, n_top + 1):
+                if w[n]:
+                    acc, x = (plus if w[n] > 0 else minus), one
+                    for j in range(MAX_J):
+                        x //= n
+                        acc[j] += x
+            plus, minus = tuple(plus), tuple(minus)
+            with self._lock:
+                if n_top not in self._sums:
+                    self._sums[n_top] = (plus, minus)
+                    bisect.insort(self._ns, n_top)
+        return [None if g is None else g[0] - p + m
+                for g, p, m in zip(self.orders, plus, minus)]
 
 
 def dirichlet_mp(seq: MultiplicativeSequence, s: int,

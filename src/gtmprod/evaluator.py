@@ -17,6 +17,10 @@ n^-j, is bounded, not summed.  Both sums are exact until one rounding:
 R(n) is a quotient of integer products (``ratfun.value_pairs``), so the
 head is one log per run of exact products (``_head_logs``), and sum_j
 beta_j T_j is formed in the ladder's integer fixed point (``_series``).
+T_j depends on the pattern, the mode and N alone, not on R, so it is read
+off the cache's record of the pattern's weights (``SeriesRecord``), which
+holds G_j = sum_{n>=1} w_n n^-j and the exact partial sums at every N
+asked so far: ops on one pattern share them.
 Past the series cutoff M the pairing of beta_j and T_j is free of the
 cancellation that ruins the naive split at n = 1.  (J, N) are read off
 eps in one step: J is the most orders whose Dirichlet and fixed-point
@@ -57,11 +61,11 @@ from typing import NamedTuple
 
 from .dirichlet import (
     _ROUND_UP,
+    MAX_J,
     DirichletCache,
     EpsUnachievableError,
+    SeriesRecord,
     check_eps,
-    dirichlet_fixed,
-    zeta_fixed,
 )
 from .ratfun import (
     FactorList,
@@ -75,7 +79,6 @@ from .ratfun import (
 )
 from .sequences import FrozenValue, MultiplicativeSequence, delta_prefix, sign_at, sign_prefix
 
-MAX_J = 16
 MAX_N = 1_000_000
 _HEAD_RUN = 64  # the most terms whose exact product is rounded at once
 
@@ -154,55 +157,42 @@ def _tail_bound(offsets, J: int, N: int) -> float:
                            for c, e in offsets)
 
 
-def _dirichlet_orders(spec: ProductSpec, pairs, budget: float, cache: DirichletCache):
-    """(J, orders, err) for the (p_j, r_j, |beta_j|) of the term's log_pairs:
-    J is the most orders whose charges fit in budget, orders holds (j, p_j,
-    r_j, X_j, bits) for each nonzero beta_j = p_j/r_j up to J, with X_j
-    2^-bits the fixed-point G_j = sum_{n>=1} w_n n^-j, and err is the sum of
-    the charges, which bounds the error of _series over those orders."""
+def _dirichlet_orders(pairs, record: SeriesRecord, budget: float):
+    """(J, orders, err) for the (p_j, r_j, |beta_j|) of the term's log_pairs
+    and the record of its weights: J is the most orders whose charges fit in
+    budget, orders holds (j, p_j, r_j) for each nonzero beta_j = p_j/r_j up
+    to J, and err is the sum of the charges, which bounds the error of
+    _series over those orders."""
     J, orders, err = 0, [], 0.0
-    for j, (p, r, mag) in enumerate(pairs, start=1):
+    for j, ((p, r, mag), g) in enumerate(zip(pairs, record.orders), start=1):
         if p:
-            x, bits, e = dirichlet_fixed(spec.seq, j, cache)
-            if spec.mode == "theta":  # sum theta_n n^-j = (zeta - F)/2; beta_1 = 0 here
-                z, _, ze = zeta_fixed(j, cache)
-                x, bits, e = z - x, bits + 1, (ze + e) / 2
+            _, bits, e = g
             charge = mag * (e + math.ldexp(MAX_N, -bits)) + math.ldexp(1.0, -bits)
             if err + charge > budget:
                 break
             err += charge
-            orders.append((j, p, r, x, bits))
+            orders.append((j, p, r))
         J = j
     return J, orders, err
 
 
-def _series(orders, w) -> float:
+def _series(orders, record: SeriesRecord, w) -> float:
     """sum_j beta_j T_j over the orders of _dirichlet_orders, where
     T_j = G_j - sum_{0<n<=N} w_n n^-j = sum_{n>N} w_n n^-j and w holds
     w_0..w_N (N < MAX_N); exact fixed point, rounded to binary64 once.
 
-    With B the orders' bits, T_j is X_j - sum_n w_n floor(2^B / n^j).  One
-    pass over n builds every j, as floor(floor(2^B / n^(j-1)) / n) =
-    floor(2^B / n^j), into the sums over w_n = 1 and over w_n = -1; each
-    floor loses less than one unit 2^-B (n = 1 is exact), so T_j is off by
-    err_j plus fewer than MAX_N units.  The series is sum_j floor(p_j T_j /
-    r_j), which loses less than one unit per order.  That is the charge
-    |beta_j| (err_j + MAX_N 2^-B) + 2^-B of _dirichlet_orders; the final
-    division rounds once more.
+    T_j comes from the record (``SeriesRecord.tails``) in its fixed point
+    2^-B: X_j less the exact sum of w_n floor(2^B / n^j), so T_j is off by
+    err_j plus fewer than MAX_N units 2^-B.  The series is sum_j floor(p_j
+    T_j / r_j), which loses less than one unit per order.  That is the
+    charge |beta_j| (err_j + MAX_N 2^-B) + 2^-B of _dirichlet_orders; the
+    final division rounds once more.
     """
     if not orders:
         return 0.0
-    bits, top = orders[0][4], orders[-1][0]
-    one, js = 1 << bits, range(top)
-    plus, minus = [0] * top, [0] * top  # index j - 1
-    for n in range(1, len(w)):
-        if w[n]:
-            acc, x = (plus if w[n] > 0 else minus), one
-            for j in js:
-                x //= n
-                acc[j] += x
-    total = sum(p * (x - plus[j - 1] + minus[j - 1]) // r for j, p, r, x, _ in orders)
-    return total / one
+    tails = record.tails(w)
+    total = sum(p * tails[j - 1] // r for j, p, r in orders)
+    return total / (1 << record.bits)
 
 
 def _log_quotient(num: int, den: int) -> float:
@@ -243,6 +233,16 @@ def _head_logs(term: FactorList, start: int, w) -> list[float]:
     return logs
 
 
+def _exp(log_value: float) -> float:
+    """exp(log_value) rounded to binary64.  Past ln(2^1024) that is inf,
+    returned where math.exp raises OverflowError, as it returns 0.0 past
+    the underflow threshold."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        return math.inf
+
+
 def _accel_components(spec: ProductSpec, eps: float, cache: DirichletCache):
     """(log P, est, N, J) for a checked spec, with (J, N) read off eps."""
     seq, term = spec.seq, spec.term
@@ -253,7 +253,8 @@ def _accel_components(spec: ProductSpec, eps: float, cache: DirichletCache):
         raise EpsUnachievableError(refusal)
     budget = eps / 4.0
     # J: the most orders whose errors fit in eps/4 (the ladder's and _series')
-    J, orders, series_err = _dirichlet_orders(spec, term.log_pairs(MAX_J), budget, cache)
+    record = cache.series_record(seq, spec.mode)
+    J, orders, series_err = _dirichlet_orders(term.log_pairs(MAX_J), record, budget)
     # N: the fewest terms, at least 4M, whose tail bound fits in eps/4
     _, L, live = term.integer_form
     offsets = [(abs(m) / L, abs(e)) for m, e in live if m and e]
@@ -267,7 +268,7 @@ def _accel_components(spec: ProductSpec, eps: float, cache: DirichletCache):
     if spec.mode == "theta":
         w = [(1 - s) // 2 for s in w]  # theta_n, 0 or 1
     head = _head_logs(term, spec.start, w)
-    series = _series(orders, w)
+    series = _series(orders, record, w)
     log_value = math.fsum(head + [series])
     # Rounding, with u = 2^-53.  Each head run rounds its exact product once,
     # which moves its log by at most 2u, and takes a log good to 4 ulps: off
@@ -299,7 +300,7 @@ def evaluate_product(spec: ProductSpec, eps: float = 1e-9,
     log_value, est, n, j = _accel_components(spec, eps, cache)
     if est > eps:
         raise EpsUnachievableError(f"certified error {est:g} exceeds eps {eps:g}")
-    return EvalResult(math.exp(log_value), log_value, est, "accel", n, j)
+    return EvalResult(_exp(log_value), log_value, est, "accel", n, j)
 
 _BLOCK_CAP = 1 << 17
 
@@ -434,7 +435,7 @@ def evaluate_direct(spec: ProductSpec, N: int | None = None,
     sums, log_value, fl_round = _direct_sums(spec, K)
     last = [sums[q**k] for k in range(max(1, K - q + 1), K + 1)]
     est = 2.0 * q * (max(last) - min(last) + abs(sums[q**K] - log_value)) + fl_round
-    return EvalResult(math.exp(log_value), log_value, est, "direct", q**K, 0)
+    return EvalResult(_exp(log_value), log_value, est, "direct", q**K, 0)
 
 
 class IdentityReport(NamedTuple):

@@ -62,7 +62,13 @@ def _log_sin_pi_upper(z: complex) -> complex:
 
 
 def log_gamma(z) -> complex:
-    """Principal branch of log Gamma, relative accuracy ~1e-13.
+    """Principal branch of log Gamma.
+
+    Its accuracy is measured, not proven.  Against 40-digit mpmath at every
+    x = k/d with d <= 16 and 0 < x < 8, the real part is off by at most
+    8.9e-15 (the worst is 8.8e-15, at x = 71/9), so exp of it is Gamma(x)
+    to 8.9e-15 relative.  Relative to log Gamma itself the error reaches
+    6.7e-14 near its zeros at x = 1 and x = 2.
 
     Valid away from the poles at 0, -1, -2, ...; raises GammaDomainError
     there.  Conjugate symmetry holds exactly by construction.

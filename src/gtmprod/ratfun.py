@@ -118,12 +118,17 @@ class FactorList(FrozenValue):
         pairs = self.__dict__.get("_log_pairs", ())
         if len(pairs) < J:
             _, L, offsets = self.integer_form
-            powers = [e for _, e in offsets]  # E m^j, j = 0 so far
-            out = []
-            for j in range(1, J + 1):
-                powers = [x * m for x, (m, _) in zip(powers, offsets)]
-                total = sum(powers)
-                p, r = (total if j % 2 else -total), j * L**j
+            sums = [0] * J  # sum E m^j, offset by offset
+            for m, e in offsets:
+                if m and e:
+                    power = e
+                    for j in range(J):
+                        power *= m  # E m^(j+1)
+                        sums[j] += power
+            out, L_j = [], 1
+            for j, total in enumerate(sums, start=1):
+                L_j *= L
+                p, r = (total if j % 2 else -total), j * L_j
                 out.append((p, r, abs(p) / r))
             pairs = self.__dict__["_log_pairs"] = tuple(out)
         return pairs[:J]

@@ -110,6 +110,20 @@ class TestEval:
         assert code == 0 and abs(doc["value"] - 0.7071067811865476) < 1e-10
         assert abs(doc["log_value"] + 0.5 * math.log(2.0)) <= doc["est_error"] <= 1e-9
 
+    def test_value_past_binary64_prints_inf(self, capsys, cache_env):
+        # the value overflows binary64; the certified log is printed, exit 0
+        argv = ["eval", "--seq", "gtm:2:1", "--mode", "delta", "--from", "1", "--term",
+                "((n+1)^6000(n+3)^6000)/((n+2)^12000)", "--tol", "1e-6"]
+        code, out, err = run(capsys, *argv)
+        lines = dict(line.split(" = ") for line in out.splitlines())
+        assert code == 0 and err == ""
+        assert lines["value    "] == "inf" and lines["log_value"].startswith("877.6016515993")
+        assert float(lines["est_error"]) <= 1e-6
+        code, out, err = run(capsys, "--format", "json", *argv)
+        doc = json.loads(out)
+        assert code == 0 and err == "" and doc["value"] == math.inf
+        assert abs(doc["log_value"] - 877.6016515993) <= 1e-9 and doc["est_error"] <= 1e-6
+
     @pytest.mark.parametrize("tol", ["1e-12", "1e-13"])
     def test_tight_tol_certifies(self, capsys, cache_env, tol):
         code, out, _ = run(capsys, "--format", "json", "eval", "--seq", "gtm:2:1",

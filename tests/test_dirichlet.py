@@ -1,6 +1,9 @@
 import math
 import os
+import random
 import struct
+import sys
+import threading
 from fractions import Fraction
 
 import mpmath as mp
@@ -12,8 +15,10 @@ from gtmprod.catalog import load_catalog
 from gtmprod.dirichlet import (
     _BITS,
     _M0,
+    MAX_J,
     S_DIRECT,
     DirichletCache,
+    SeriesRecord,
     _direct_terms,
     _ladder_extent,
     _ladder_fixed,
@@ -23,9 +28,11 @@ from gtmprod.dirichlet import (
     dirichlet_mp,
     dirichlet_value,
     power_moments,
+    zeta_fixed,
     zeta_mp,
 )
-from gtmprod.evaluator import evaluate_product
+from gtmprod.evaluator import ProductSpec, evaluate_product
+from gtmprod.ratfun import parse_product_term
 from gtmprod.sequences import make_sequence, parse_seq_spec, sign_prefix
 
 
@@ -480,3 +487,108 @@ class TestDirectOracle:
             dirichlet_direct(seq, 0, 100)
         with pytest.raises(ValueError):
             dirichlet_direct(seq, 2, 3)
+
+
+def _tails_from_scratch(seq, mode, n_top, cache):
+    """T_j 2^B = X_j - sum_{0<n<=N} w_n floor(2^B / n^j) for j = 1..MAX_J,
+    with X_j 2^-B the fixed-point G_j = sum_{n>=1} w_n n^-j taken straight
+    from the ladders and each floor formed on its own."""
+    w = sign_prefix(seq, n_top + 1)
+    if mode == "theta":
+        w = [(1 - s) // 2 for s in w]
+    out = [None] if mode == "theta" else []
+    for j in range(len(out) + 1, MAX_J + 1):
+        x, bits, _ = dirichlet_fixed(seq, j, cache)
+        if mode == "theta":  # sum theta_n n^-j = (zeta(j) - F(j))/2
+            x, bits = zeta_fixed(j, cache)[0] - x, bits + 1
+        one = 1 << bits
+        out.append(x - sum(w[n] * (one // n**j) for n in range(1, n_top + 1)))
+    return out, w
+
+
+class TestSeriesRecord:
+    @pytest.mark.parametrize("mode", ["delta", "theta"])
+    @pytest.mark.parametrize("spec", ["gtm:2:1", "gtm:3:01", "gtm:4:101", "gtm:5:0110",
+                                      "gtm:16:010011101100101"])
+    def test_tails_match_a_sum_from_scratch(self, spec, mode, cache):
+        # each order of asking gets a record of its own: increasing N extends,
+        # decreasing N starts from 0 each time, and a repeated N is a hit
+        seq = parse_seq_spec(spec)
+        asks = {"increasing": [5, 36, 37, 160], "decreasing": [160, 37, 36, 5],
+                "repeated": [37, 37, 5, 36, 37, 160, 5]}
+        expected = {n: _tails_from_scratch(seq, mode, n, cache) for n in (5, 36, 37, 160)}
+        for name, ns in asks.items():
+            record = SeriesRecord(dmod._weighted_orders(seq, mode, cache), threading.Lock())
+            for n in ns:
+                tails, w = expected[n]
+                assert record.tails(w) == tails, (name, n)
+            assert sorted(record._sums) == [0, 5, 36, 37, 160], name
+
+    def test_threads_sharing_a_record_agree(self, cache):
+        # more threads than cores ask one record for every N up to 300, each in
+        # its own order, with a short switch interval; every answer is the sum
+        # from scratch, and no N is lost from the sorted list of memoized N
+        seq = parse_seq_spec("gtm:3:01")
+        n_top = 300
+        w = sign_prefix(seq, n_top + 1)
+        expected = [_tails_from_scratch(seq, "delta", 0, cache)[0]]
+        for n in range(1, n_top + 1):  # T_j(n) = T_j(n - 1) - w_n floor(2^B / n^j)
+            expected.append([t - w[n] * ((1 << _BITS) // n**j)
+                             for j, t in enumerate(expected[-1], start=1)])
+        record = DirichletCache().series_record(seq, "delta")
+        wrong = []
+
+        def ask(k):
+            ns = list(range(1, n_top + 1))
+            random.Random(k).shuffle(ns)
+            for n in ns:
+                if record.tails(w[:n + 1]) != expected[n]:
+                    wrong.append(n)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=ask, args=(k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and wrong == []
+        assert record._ns == sorted(record._sums) == list(range(n_top + 1))
+
+    @pytest.mark.parametrize("mode", ["delta", "theta"])
+    def test_orders_are_the_ladders(self, mode, cache):
+        seq = parse_seq_spec("gtm:3:10")
+        record = cache.series_record(seq, mode)
+        assert cache.series_record(parse_seq_spec("dparity:3"), mode) is record  # its alias
+        for j, g in enumerate(record.orders, start=1):
+            x, bits, err = dirichlet_fixed(seq, j, cache)
+            if mode == "delta":
+                assert g == (x, bits, err)
+            elif j == 1:
+                assert g is None  # zeta's pole
+            else:
+                z, _, z_err = zeta_fixed(j, cache)
+                assert g == (z - x, bits + 1, (z_err + err) / 2)
+        assert record.bits == _BITS + (mode == "theta")
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="mode"):
+            DirichletCache().series_record(parse_seq_spec("gtm:2:1"), "plain")
+
+    def test_record_is_not_persisted(self, tmp_path):
+        # the file holds the ladders alone, in the format it always had, and a
+        # reload starts with no record
+        path = tmp_path / "dirichlet.cache"
+        first = DirichletCache(path)
+        spec = ProductSpec(parse_seq_spec("gtm:3:01"), "theta", 1,
+                           parse_product_term("((n+1)(n+4))/((n+2)(n+3))"))
+        res = evaluate_product(spec, eps=1e-12, cache=first)
+        lines = path.read_text().splitlines()
+        assert len(lines) == 31 and all(len(line.split("|")) == 5 for line in lines)
+        assert {line.split("|")[0] for line in lines} == {"gtm:3:01", "gtm:2:0"}
+        reloaded = DirichletCache(path)
+        assert reloaded._records == {} and reloaded._mp == first._mp
+        assert evaluate_product(spec, eps=1e-12, cache=reloaded) == res

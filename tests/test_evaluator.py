@@ -249,15 +249,16 @@ class TestCertificate:
             for spec in _series_specs():
                 N = 4 * _series_cutoff(spec.term)
                 pairs = spec.term.log_pairs(MAX_J)
-                J, orders, charge = _dirichlet_orders(spec, pairs, math.inf, cache)
+                record = cache.series_record(spec.seq, spec.mode)
+                J, orders, charge = _dirichlet_orders(pairs, record, math.inf)
                 assert J == MAX_J and orders
                 w = [sign_at(spec.seq, n) for n in range(N + 1)]
                 if spec.mode == "theta":
                     w = [(1 - x) // 2 for x in w]
-                series = _series(orders, w)
+                series = _series(orders, record, w)
                 memo = memos.setdefault(spec.seq.spec, {})
                 ref = mp.mpf(0)
-                for j, p, r, _, _ in orders:
+                for j, p, r in orders:
                     g = _reference_dirichlet(spec.seq, j, memo)
                     if spec.mode == "theta":
                         g = (mp.zeta(j) - g) / 2
@@ -293,6 +294,25 @@ class TestCertificate:
         assert abs(res.log_value - 2400 * base.log_value) <= res.est_error + 2400 * base.est_error
         (_, base, base_round), (_, mean, fl_round) = (_direct_sums(spec(e), 7) for e in (1, 2400))
         assert abs(mean - 2400 * base) <= fl_round + 2400 * base_round
+
+    def test_value_past_binary64_is_inf(self, cache):
+        # log P = 6000 ln P(r), about 877.6, is past ln(2^1024): the value
+        # rounds to inf, as a log below -745 gives 0.0, and the certified log
+        # stands; the direct oracle agrees within both certificates
+        spec = ProductSpec(TM, "delta", 1,
+                           parse_product_term("((n+1)^6000(n+3)^6000)/((n+2)^12000)"))
+        res = evaluate_product(spec, eps=1e-6, cache=cache)
+        direct = evaluate_direct(spec)
+        assert res.value == direct.value == math.inf
+        assert 877.0 < res.log_value < 878.0 and res.est_error <= 1e-6
+        assert abs(res.log_value - direct.log_value) <= res.est_error + direct.est_error
+        base = evaluate_product(ProductSpec(TM, "delta", 1, parse_product_term(
+            "((n+1)(n+3))/((n+2)^2)")), eps=1e-13, cache=cache)
+        assert abs(res.log_value - 6000 * base.log_value) <= res.est_error + 6000 * base.est_error
+        small = evaluate_product(ProductSpec(TM, "delta", 1, parse_product_term(
+            "((n+2)^12000)/((n+1)^6000(n+3)^6000)")), eps=1e-6, cache=cache)
+        assert small.value == 0.0
+        assert abs(small.log_value + res.log_value) <= small.est_error + res.est_error
 
     @pytest.mark.parametrize("J", [1, 4, 16])
     @pytest.mark.parametrize("c", [Fraction(1, 2), Fraction(3), Fraction(15, 2)])
@@ -604,6 +624,22 @@ class TestBitwiseAnswers:
             got = (res.log_value.hex(), res.est_error.hex(), res.terms_used, res.dirichlet_orders)
             assert got == _PINNED[name, eps], name
 
+    @pytest.mark.parametrize("order", ["reversed", "shuffled"])
+    def test_pins_hold_in_any_order_through_one_cache(self, order):
+        # one cache serves both eps, so each pattern's record is asked for its
+        # N in an order other than the pins'; the answers must not move a bit
+        cases = [(name, spec, eps) for eps in (2.5e-9, 1e-13)
+                 for name, spec in _pinned_specs().items()]
+        if order == "reversed":
+            cases.reverse()
+        else:
+            random.Random(2718).shuffle(cases)
+        cache = DirichletCache()
+        for name, spec, eps in cases:
+            res = evaluate_product(spec, eps=eps, cache=cache)
+            got = (res.log_value.hex(), res.est_error.hex(), res.terms_used, res.dirichlet_orders)
+            assert got == _PINNED[name, eps], (name, eps)
+
     def test_direct_answers_are_pinned(self):
         for name, spec in _pinned_specs().items():
             res = evaluate_direct(spec, spec.seq.q**7)
@@ -630,6 +666,35 @@ class TestBitwiseAnswers:
             evaluate_direct(spec, spec.seq.q**7)
         assert built == []
         assert Fraction(1, 3) and built == [(1, 3)]  # the patch does count
+
+
+class TestSeriesReuse:
+    def test_one_pattern_reads_its_ladders_once(self, monkeypatch):
+        # ten thm_frak instances on one pattern, through one cold cache: the
+        # pattern's record is built once, so F(j) and zeta(j) are looked up
+        # once each (zeta_fixed goes through dirichlet_fixed), not once an op
+        import gtmprod.dirichlet as dmod
+        import gtmprod.evaluator as emod
+
+        calls = []
+        real = dmod.dirichlet_fixed
+
+        def counting(seq, s, cache=None):
+            calls.append((seq.gtm_spec, s))
+            return real(seq, s, cache)
+
+        for module in (dmod, emod):
+            monkeypatch.setattr(module, "dirichlet_fixed", counting, raising=False)
+        rng = random.Random(1618)
+        cache = DirichletCache()
+        for _ in range(10):
+            a = [Fraction(rng.randint(1, 30), rng.randint(1, 5)) for _ in range(2)]
+            b0 = sum(a) * Fraction(rng.randint(1, 9), 10)
+            rep = verify_functional_equation("thm_frak", 3, "01",
+                                             {"a_list": a, "b_list": [b0, sum(a) - b0]},
+                                             tol=1e-9, cache=cache)
+            assert rep.ok
+        assert 0 < len(calls) <= 2 * MAX_J, len(calls)
 
 
 class TestFamilyBuilders:

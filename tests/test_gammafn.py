@@ -66,6 +66,15 @@ class TestLogGamma:
             worst = max(worst, err)
         assert worst < 1e-12, worst
 
+    def test_rational_points_within_documented_error(self):
+        # the figure in log_gamma's docstring: k/d with d <= 16 and 0 < k/d < 8
+        worst = 0.0
+        with mpmath.workdps(40):
+            for x in {Fraction(k, d) for d in range(1, 17) for k in range(1, 8 * d)}:
+                ref = mpmath.loggamma(mpmath.mpf(x.numerator) / x.denominator)
+                worst = max(worst, float(abs(log_gamma(float(x)).real - ref)))
+        assert worst <= 8.9e-15, worst
+
     def test_conjugate_symmetry(self):
         rng = random.Random(7)
         for _ in range(200):
