@@ -7,7 +7,8 @@ One record per line, pipe-separated and diff-friendly:
 The builtin catalog ships as package data (79 concrete closed-form
 equalities).  ``load_catalog`` checks every line (eight fields, the mode,
 the start index, a unique id) and validates records: both mini-languages
-must parse and the resulting product spec must pass ``check_product``.
+must parse, the right-hand side must be positive and the resulting product
+spec must pass ``check_product``.
 It validates every record of a file; of the builtin catalog, which the
 test suite validates whole, only the records that match the filter.
 
@@ -91,9 +92,12 @@ def parse_catalog_line(line: str, lineno: int | None = None) -> IdentityRecord:
 def _validate(record: IdentityRecord, lineno: int | None):
     try:
         spec = record.product_spec()
-        record.rhs_value()
+        rhs = record.rhs_value()
     except Exception as exc:
         raise CatalogError(f"record {record.id!r} does not validate: {exc}", lineno) from None
+    if rhs <= 0:
+        raise CatalogError(f"record {record.id!r} does not validate: "
+                           f"right-hand side {rhs!r} is not positive", lineno)
     chk = check_product(spec)
     if not chk:
         raise CatalogError(f"record {record.id!r} rejected: {chk.reason}", lineno)

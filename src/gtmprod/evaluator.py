@@ -258,7 +258,10 @@ def _accel_components(spec: ProductSpec, eps: float, cache: DirichletCache):
     # N: the fewest terms, at least 4M, whose tail bound fits in eps/4
     _, L, live = term.integer_form
     offsets = [(abs(m) / L, abs(e)) for m, e in live if m and e]
-    if J == 0 or _tail_bound(offsets, J, hi) > budget:
+    if J == 0:  # order 1 (nonzero, so delta mode) is charged past eps/4: no N helps
+        raise EpsUnachievableError(f"eps {eps:g} is below the accuracy of the Dirichlet "
+                                   f"constants: F(1) is good to {record.orders[0][2]:.1e}")
+    if _tail_bound(offsets, J, hi) > budget:
         raise EpsUnachievableError(refusal)
     while _tail_bound(offsets, J, lo) > budget:  # the bound falls as N grows
         mid = (lo + hi) // 2
@@ -454,14 +457,20 @@ def _verify_eps(tol: float) -> float:
     return check_eps(tol, "tol") / 4.0
 
 
+def _passes(res: EvalResult, rhs_log: float, tol: float) -> tuple[bool, float]:
+    """The pass rule of every verification: (|dlog| <= tol + est_error, |dlog|)."""
+    dlog = abs(res.log_value - rhs_log)
+    return dlog <= tol + res.est_error, dlog
+
+
 def verify_identity(spec: ProductSpec, rhs_value: float, tol: float,
                     cache: DirichletCache | None = None,
                     method: str = "accel", direct_n: int | None = None) -> IdentityReport:
     """Compare the evaluated product with a positive closed-form value.
 
-    Passes iff |log lhs - log rhs| <= tol + est_error; the accelerated
-    method asks for eps = tol/4.  Evaluation failures are reported as
-    failures with a reason, not raised.
+    Passes iff |log lhs - log rhs| <= tol + est_error (``_passes``); the
+    accelerated method asks for eps = tol/4.  Evaluation failures are
+    reported as failures with a reason, not raised.
     """
     eps = _verify_eps(tol)
     if rhs_value <= 0:
@@ -476,8 +485,7 @@ def verify_identity(spec: ProductSpec, rhs_value: float, tol: float,
     except (EpsUnachievableError, ProductRejectedError) as exc:
         return IdentityReport(False, math.nan, rhs_value, math.inf, math.inf,
                               0, method, reason=str(exc))
-    dlog = abs(res.log_value - math.log(rhs_value))
-    ok = dlog <= tol + res.est_error
+    ok, dlog = _passes(res, math.log(rhs_value), tol)
     return IdentityReport(ok, res.value, rhs_value, dlog, res.est_error,
                           res.terms_used, method)
 
@@ -511,21 +519,25 @@ def plain_product_log_closed(term: FactorList, start: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _base_q_step(seq: MultiplicativeSequence, a: Fraction, b: Fraction) -> list:
+    """Factor triples of (n+a)/(n+b) and its base-q step: for every digit k,
+    (qn+b+k)/(qn+a+k) where delta_k = 1 and its inverse where delta_k = -1."""
+    q, triples = seq.q, [(1, a, 1), (1, b, -1)]
+    for k in range(q):
+        up, down = (b + k, a + k) if seq.signs[k] == 1 else (a + k, b + k)
+        triples += [(q, up, 1), (q, down, -1)]
+    return triples
+
+
 def build_scaling_term(seq: MultiplicativeSequence, a, b) -> tuple[FactorList, Fraction]:
     """Combined single-product form of the base/q self-similarity for
     f(a,b) = prod ((n+a)/(n+b))^delta_n, and its exact rational RHS
-    prod_{k=1}^{q-1} ((a+k)/(b+k))^delta_k."""
-    a, b = as_fraction(a), as_fraction(b)
-    q = seq.q
-    triples = [(1, a, 1), (1, b, -1), (q, b, 1), (q, a, -1)]
+    prod_{k=1}^{q-1} ((a+k)/(b+k))^delta_k, the step's digit factors past
+    k = 0 turned upside down."""
+    triples = _base_q_step(seq, as_fraction(a), as_fraction(b))
     rhs = Fraction(1)
-    for k in range(1, q):
-        if seq.signs[k] == 1:
-            triples += [(q, b + k, 1), (q, a + k, -1)]
-            rhs *= Fraction(a + k, b + k)
-        else:
-            triples += [(q, a + k, 1), (q, b + k, -1)]
-            rhs *= Fraction(b + k, a + k)
+    for (_, up, _), (_, down, _) in zip(triples[4::2], triples[5::2]):
+        rhs *= Fraction(down, up)
     return factor_list(triples), rhs
 
 
@@ -541,14 +553,7 @@ def build_gamma_ratio_term(seq: MultiplicativeSequence, a_list, b_list) -> tuple
     if sum(a_list) != sum(b_list):
         raise ValueError("parameter sums must match exactly")
     q = seq.q
-    triples = []
-    for a, b in zip(a_list, b_list):
-        triples += [(1, a, 1), (1, b, -1)]
-        for k in range(q):
-            if seq.signs[k] == 1:
-                triples += [(q, b + k, 1), (q, a + k, -1)]
-            else:
-                triples += [(q, a + k, 1), (q, b + k, -1)]
+    triples = [t for a, b in zip(a_list, b_list) for t in _base_q_step(seq, a, b)]
     rhs_log = 0.0
     for k in range(1, q):
         if seq.signs[k] == -1:  # theta_k = 1
@@ -575,7 +580,10 @@ def verify_functional_equation(kind: str, q: int, theta_bits, params: dict,
     the delta-weighted combined product against its rational RHS; kind
     'thm_frak' takes {'a_list','b_list'} (positive rationals, equal sums)
     and checks the theta-weighted combined product against its Gamma RHS.
+    Passes by verify_identity's rule (``_passes``) at eps = tol/4; a rational
+    RHS enters as its exact log, and rhs_value is inf past binary64.
     """
+    from .families import scaling_family
     from .sequences import make_sequence
 
     eps = _verify_eps(tol)
@@ -584,9 +592,7 @@ def verify_functional_equation(kind: str, q: int, theta_bits, params: dict,
         a, b = as_fraction(params["a"]), as_fraction(params["b"])
         if a <= 0 or b <= 0:
             raise ValueError("thm_f needs a, b > 0")
-        term, rhs = build_scaling_term(seq, a, b)
-        rhs_log = math.log(float(rhs))
-        mode = "delta"
+        _, mode, term, rhs_log = scaling_family(seq, a, b)
     elif kind == "thm_frak":
         a_list = [as_fraction(x) for x in params["a_list"]]
         b_list = [as_fraction(x) for x in params["b_list"]]
@@ -596,9 +602,6 @@ def verify_functional_equation(kind: str, q: int, theta_bits, params: dict,
         mode = "theta"
     else:
         raise ValueError(f"unknown functional equation kind {kind!r}")
-    spec = ProductSpec(seq, mode, 1, term)
-    res = evaluate_product(spec, eps=eps, cache=cache)
-    dlog = abs(res.log_value - rhs_log)
-    return FunctionalEquationReport(dlog <= tol + res.est_error, kind,
-                                    res.value, math.exp(rhs_log), dlog,
-                                    res.est_error)
+    res = evaluate_product(ProductSpec(seq, mode, 1, term), eps=eps, cache=cache)
+    ok, dlog = _passes(res, rhs_log, tol)
+    return FunctionalEquationReport(ok, kind, res.value, _exp(rhs_log), dlog, res.est_error)

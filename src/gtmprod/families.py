@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .evaluator import build_gamma_ratio_term, build_scaling_term
+from .evaluator import _log_quotient, build_gamma_ratio_term, build_scaling_term
 from .gammafn import log_gamma
 from .ratfun import as_fraction, factor_list
 from .sequences import make_sequence
@@ -171,6 +171,6 @@ def tm_factorial_family(d: int):
 
 
 def scaling_family(seq, a, b):
-    """Delta-weighted combined scaling product and its exact rational RHS."""
+    """Delta-weighted combined scaling product and the log of its exact RHS."""
     term, rhs = build_scaling_term(seq, a, b)
-    return seq, "delta", term, math.log(float(rhs))
+    return seq, "delta", term, _log_quotient(rhs.numerator, rhs.denominator)

@@ -181,6 +181,8 @@ class TestVerify:
         ("1/0", "zero denominator in 1/0 (at position 0)"),
         ("0^(0-1)", "0.0 ^ -1.0 has no finite value"),
         ("10^400", "10.0 ^ 400.0 has no finite value"),
+        ("0-1", "right-hand side -1.0 is not positive"),
+        ("1-1", "right-hand side 0.0 is not positive"),
     ])
     def test_rhs_without_value_exit_2(self, capsys, cache_env, tmp_path, rhs, reason):
         bad = tmp_path / "bad.catalog"

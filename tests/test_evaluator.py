@@ -155,6 +155,18 @@ class TestAcceleratedEvaluator:
         with pytest.raises(EpsUnachievableError, match="N <= 1000000"):
             evaluate_product(spec, eps=1e-9, cache=cache)
 
+    def test_refuses_below_dirichlet_accuracy_before_summing(self, cache, monkeypatch):
+        # F(1) is good to about 4e-32, so |beta_1| = 1/2 charges about 2e-32,
+        # past eps/4: no order fits (J = 0), and no N could mend that
+        import gtmprod.evaluator as emod
+
+        summed = []
+        monkeypatch.setattr(emod, "_head_logs", lambda *args: summed.append(args) or [])
+        with pytest.raises(EpsUnachievableError,
+                           match="below the accuracy of the Dirichlet constants") as info:
+            evaluate_product(wr_spec(), eps=5e-32, cache=cache)
+        assert "N <=" not in str(info.value) and summed == []
+
 
 def _rhs_log_30(text: str):
     """log of a catalog right-hand side, evaluated by mpmath at 30 digits.
@@ -472,6 +484,27 @@ class TestFunctionalEquations:
                                              {"a_list": a, "b_list": b}, cache=cache)
             assert rep.ok, (q, bits, a, b, rep)
 
+    def test_value_past_binary64_is_certified(self, cache):
+        # the product's log is about 862, past ln(2^1024): the right-hand side
+        # is reported as inf, as the left-hand side is, not an OverflowError
+        rep = verify_functional_equation(
+            "thm_frak", 2, "1", {"a_list": [Fraction(2501, 2)] * 2, "b_list": [2500, 1]},
+            tol=1e-7, cache=cache)
+        assert rep.ok and rep.lhs_value == rep.rhs_value == math.inf
+        assert rep.abs_dlog <= 1e-7 + rep.est_error
+
+    def test_huge_scaling_parameter_reaches_the_evaluator(self, cache):
+        # the rational right-hand side is about 1e-399, below binary64: its log
+        # is taken exactly, and the evaluator's own refusal is what stops it
+        q5, a, b = make_sequence("gtm", 5, bits="1011"), Fraction(10**200), Fraction(1, 3)
+        _, _, _, rhs_log = families.scaling_family(q5, a, b)
+        _, rhs = build_scaling_term(q5, a, b)
+        with mp.workdps(30):
+            exact = mp.log(mp.mpf(rhs.numerator) / rhs.denominator)
+        assert math.isfinite(rhs_log) and abs(rhs_log - exact) <= 1e-15 * abs(exact)
+        with pytest.raises(EpsUnachievableError, match="N <= 1000000"):
+            verify_functional_equation("thm_f", 5, "1011", {"a": a, "b": b}, cache=cache)
+
     def test_domain_validation(self, cache):
         with pytest.raises(ValueError):
             verify_functional_equation("thm_f", 2, "1",
@@ -482,6 +515,47 @@ class TestFunctionalEquations:
                                        {"a_list": [1], "b_list": [2]}, cache=cache)
         with pytest.raises(ValueError):
             verify_functional_equation("nope", 2, "1", {}, cache=cache)
+
+
+class TestBuilderTerms:
+    """The factor triples of both builders, in order, and their right-hand
+    sides, pinned: the base-q step feeds every self-similarity identity."""
+
+    @pytest.mark.parametrize("spec,a,b,triples,rhs", [
+        ("gtm:2:1", 1, 2,  # delta = (1, -1)
+         [(1, "1", 1), (1, "2", -1), (2, "2", 1), (2, "1", -1), (2, "2", 1), (2, "3", -1)],
+         "3/2"),
+        ("gtm:3:01", Fraction(5, 3), Fraction(1, 2),  # delta = (1, 1, -1)
+         [(1, "5/3", 1), (1, "1/2", -1), (3, "1/2", 1), (3, "5/3", -1), (3, "3/2", 1),
+          (3, "8/3", -1), (3, "11/3", 1), (3, "5/2", -1)],
+         "40/33"),
+        ("gtm:5:1011", 59, Fraction(1, 12),  # delta = (1, -1, 1, -1, -1)
+         [(1, "59", 1), (1, "1/12", -1), (5, "1/12", 1), (5, "59", -1), (5, "60", 1),
+          (5, "13/12", -1), (5, "25/12", 1), (5, "61", -1), (5, "62", 1), (5, "37/12", -1),
+          (5, "63", 1), (5, "49/12", -1)],
+         "205387/120528000"),
+    ])
+    def test_scaling_term_is_pinned(self, spec, a, b, triples, rhs):
+        term, got_rhs = build_scaling_term(parse_seq_spec(spec), a, b)
+        assert [(f.alpha, str(f.beta), f.exponent) for f in term.factors] == triples
+        assert term.constant == 1 and str(got_rhs) == rhs
+
+    @pytest.mark.parametrize("spec,a_list,b_list,triples,rhs_log", [
+        ("gtm:2:1", [1, 3], [2, 2],  # delta = (1, -1)
+         [(1, "1", 1), (1, "2", -1), (2, "2", 1), (2, "1", -1), (2, "2", 1), (2, "3", -1),
+          (1, "3", 1), (1, "2", -1), (2, "2", 1), (2, "3", -1), (2, "4", 1), (2, "3", -1)],
+         "-0x1.eeb95b094c160p-3"),
+        ("gtm:4:010", [Fraction(3, 2), Fraction(1, 3)], [Fraction(5, 6), 1],  # (1, 1, -1, 1)
+         [(1, "3/2", 1), (1, "5/6", -1), (4, "5/6", 1), (4, "3/2", -1), (4, "11/6", 1),
+          (4, "5/2", -1), (4, "7/2", 1), (4, "17/6", -1), (4, "23/6", 1), (4, "9/2", -1),
+          (1, "1/3", 1), (1, "1", -1), (4, "1", 1), (4, "1/3", -1), (4, "2", 1),
+          (4, "4/3", -1), (4, "7/3", 1), (4, "3", -1), (4, "4", 1), (4, "10/3", -1)],
+         "-0x1.cc6add34fa900p-5"),
+    ])
+    def test_gamma_ratio_term_is_pinned(self, spec, a_list, b_list, triples, rhs_log):
+        term, got_log = build_gamma_ratio_term(parse_seq_spec(spec), a_list, b_list)
+        assert [(f.alpha, str(f.beta), f.exponent) for f in term.factors] == triples
+        assert term.constant == 1 and got_log.hex() == rhs_log
 
 
 class TestModeConsistency:
