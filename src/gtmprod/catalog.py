@@ -8,7 +8,8 @@ The builtin catalog ships as package data (79 concrete closed-form
 equalities).  ``load_catalog`` checks every line (eight fields, the mode,
 the start index, a unique id) and validates records: both mini-languages
 must parse, the right-hand side must be positive and the resulting product
-spec must pass ``check_product``.
+spec must pass ``check_product`` (its ``ProductSpec.verdict``, which the
+record's later evaluation reads rather than checking again).
 It validates every record of a file; of the builtin catalog, which the
 test suite validates whole, only the records that match the filter.
 
@@ -26,7 +27,7 @@ from importlib import resources
 from pathlib import Path
 
 from .dirichlet import DirichletCache, check_eps
-from .evaluator import ProductSpec, check_product, verify_identity
+from .evaluator import ProductSpec, verify_identity
 from .expr import eval_expr, parse_expr
 from .ratfun import parse_product_term
 from .sequences import parse_seq_spec
@@ -98,9 +99,8 @@ def _validate(record: IdentityRecord, lineno: int | None):
     if rhs <= 0:
         raise CatalogError(f"record {record.id!r} does not validate: "
                            f"right-hand side {rhs!r} is not positive", lineno)
-    chk = check_product(spec)
-    if not chk:
-        raise CatalogError(f"record {record.id!r} rejected: {chk.reason}", lineno)
+    if not spec.verdict:  # decided once: evaluate_product reads the same verdict
+        raise CatalogError(f"record {record.id!r} rejected: {spec.verdict.reason}", lineno)
 
 
 def builtin_catalog_text() -> str:

@@ -28,6 +28,16 @@ err_T(s+i), and the truncation bound of _ladder_extent, each over
 q^s - c_0.  ``dirichlet_fixed`` hands out (X, B, err) with err times a
 further safety factor of 4.
 
+Most of a sweep depends on no pattern: the floors of 2^B / n^t of the
+direct sums (n from M0) and of H(t) (n < M0), the head floors of
+2^B q^t / n^t (n < q M0), and the extent of each order.  Pure functions
+build them at the first sweep that reads them and keep them for the
+process (``functools.cache``), keyed on what may vary: B, q, t and the
+range of n, whose end follows the target _MP_EPS for a direct sum, and
+for an extent q^t - c_0 and the target.  A sweep itself forms the
+signed sums of those rows over its pattern's signs and runs the moment
+series.  Nothing is built at import.
+
 The result stays in fixed point.  The accelerated evaluator multiplies
 X by exact expansion coefficients that grow geometrically, in integers;
 binary64 intermediate values would silently lose the product's tail.
@@ -47,9 +57,11 @@ the exact fixed-point partial sums of w_n n^-j at every N asked so far.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import os
 import threading
+from itertools import compress, islice
 from pathlib import Path
 
 from .sequences import MultiplicativeSequence, delta_prefix, make_sequence, sign_prefix
@@ -210,6 +222,12 @@ def _ladder_extent(q: int, s: int, denom: int) -> tuple[int, float]:
     with i, so once r(I) < 1 the terms after I sum to at most
     b_I r(I) / (1 - r(I)) / denom.
     """
+    return _extent(q, s, denom, _MP_EPS / 10.0)
+
+
+@functools.cache
+def _extent(q: int, s: int, denom: int, target: float) -> tuple[int, float]:
+    """``_ladder_extent`` for the bound target on the last term, kept for the process."""
     i, binom = 0, 1  # |C(-s,i)|
     while True:
         i += 1
@@ -217,7 +235,7 @@ def _ladder_extent(q: int, s: int, denom: int) -> tuple[int, float]:
         t = s + i
         bound = binom * _moment_bound(q, i) * (1.0 + _M0 / (t - 1)) / _M0**t / denom
         r = t / (i + 1) * (q - 1) / (q * _M0)
-        if bound < _MP_EPS / 10.0 and r < 1.0:
+        if bound < target and r < 1.0:
             break
         if i > _I_CAP:
             raise EpsUnachievableError(f"ladder series did not converge by i={_I_CAP}")
@@ -235,6 +253,24 @@ def _direct_err(t: int, n_max: int, floors: int, bits: int) -> float:
     return (math.ldexp(floors, -bits) + float(n_max) ** (1 - t) / (t - 1)) * _ROUND_UP
 
 
+@functools.cache
+def _floors(bits: int, q: int, t: int, lo: int, hi: int) -> tuple[int, tuple[int, ...], int]:
+    """(lo, floors, total): floor(2^bits q^t / n^t) for n = lo..hi, and their sum.
+
+    A row depends on no pattern, so it is built at the first sweep that
+    reads it and kept for the process; the key holds every value it reads.
+    """
+    num = (1 << bits) * q**t
+    floors = tuple(num // n**t for n in range(lo, hi + 1))
+    return lo, floors, sum(floors)
+
+
+def _signed_sum(plus: list[bool], row) -> int:
+    """sum_n delta_n f_n over a ``_floors`` row, where plus[n] is delta_n = 1."""
+    lo, floors, total = row
+    return 2 * sum(compress(floors, islice(plus, lo, None))) - total
+
+
 def _direct_fixed(seq: MultiplicativeSequence, orders: range, bits: int,
                   start: int = 1) -> dict[int, tuple[int, float]]:
     """Fixed-point sum_{n>=start} delta_n n^-t for each t in ``orders`` (all >= 2).
@@ -242,12 +278,11 @@ def _direct_fixed(seq: MultiplicativeSequence, orders: range, bits: int,
     Each floor of 2^bits / n^t loses less than one unit (n = 1 is exact);
     one sign prefix, as long as the lowest order needs, serves every order.
     """
-    one = 1 << bits
-    signs = sign_prefix(seq, max(start, _direct_terms(orders[0])) + 1)
+    plus = [s > 0 for s in sign_prefix(seq, max(start, _direct_terms(orders[0])) + 1)]
     out = {}
     for t in orders:
         n_max = max(start, _direct_terms(t))
-        x = sum(signs[n] * (one // n**t) for n in range(start, n_max + 1))
+        x = _signed_sum(plus, _floors(bits, 1, t, start, n_max))
         out[t] = (x, _direct_err(t, n_max, n_max + 1 - max(start, 2), bits))
     return out
 
@@ -276,19 +311,17 @@ def _ladder_fixed(seq: MultiplicativeSequence, bits: int) -> dict[int, tuple[int
     moments = [c0] + [power_moments(seq, i) for i in range(1, i_max + 1)]
     q_pows = [q**i for i in range(i_max + 1)]
     moment_sizes = [abs(c) / qi for c, qi in zip(moments, q_pows)]  # |c_i| q^-i
-    signs = sign_prefix(seq, q * _M0)
-    one = 1 << bits
+    plus = [s > 0 for s in sign_prefix(seq, q * _M0)]
     head_units = q * _M0 - 2 + abs(c0) * (_M0 - 2)
     n_top = _direct_terms(S_DIRECT)
-    h_top = sum(signs[m] * (one // m**S_DIRECT) for m in range(1, _M0))
+    h_top = _signed_sum(plus, _floors(bits, 1, S_DIRECT, 1, _M0 - 1))
     known = {S_DIRECT: (h_top + tails[S_DIRECT][0],
                         _direct_err(S_DIRECT, n_top, n_top - 1, bits))}
     for t in levels:
         n_terms, trunc = extents[t]
         denom = q**t - c0  # > 0: c_0 <= q, with equality only for the all-plus pattern
-        h = sum(signs[m] * (one // m**t) for m in range(1, _M0))  # 2^bits H(t)
-        scaled = one * q**t
-        acc = sum(signs[n] * (scaled // n**t) for n in range(1, q * _M0)) - c0 * h
+        h = _signed_sum(plus, _floors(bits, 1, t, 1, _M0 - 1))  # 2^bits H(t)
+        acc = _signed_sum(plus, _floors(bits, q, t, 1, q * _M0 - 1)) - c0 * h
         units = head_units
         carried = 0.0
         binom = 1  # C(-t, i)

@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 from .dirichlet import (
@@ -81,6 +82,7 @@ from .sequences import FrozenValue, MultiplicativeSequence, delta_prefix, sign_a
 
 MAX_N = 1_000_000
 _HEAD_RUN = 64  # the most terms whose exact product is rounded at once
+_HEAD_BITS = 1 << 16  # bits of a run's numerator; catalog, family and pinned runs stay below 2^15
 
 
 class ProductRejectedError(ValueError):
@@ -100,6 +102,11 @@ class ProductSpec(FrozenValue):
         if mode not in ("delta", "theta"):
             raise ValueError(f"mode must be 'delta' or 'theta', got {mode!r}")
         self._set(seq, mode, start, term)
+
+    @cached_property
+    def verdict(self) -> ProductCheck:
+        """``check_product`` of this spec, decided once: a spec is immutable."""
+        return check_product(self)
 
 
 class EvalResult(NamedTuple):
@@ -134,13 +141,17 @@ def check_product(spec: ProductSpec) -> ProductCheck:
 
 
 def _require_ok(spec: ProductSpec):
-    chk = check_product(spec)
-    if not chk:
-        raise ProductRejectedError(chk.reason)
+    if not spec.verdict:
+        raise ProductRejectedError(spec.verdict.reason)
 
 
 def _series_cutoff(term: FactorList) -> int:
-    """First index where the 1/n expansion terms are uniformly below 2^-j."""
+    """First index where the 1/n expansion terms are uniformly below 2^-j.
+    A root past MAX_N, which may be past binary64 too, gives MAX_N + 1:
+    4M is then past MAX_N, as it is for every root above MAX_N/8."""
+    _, L, offsets = term.integer_form
+    if any(e and abs(m) > MAX_N * L for m, e in offsets):
+        return MAX_N + 1
     return int(math.ceil(2.0 * max(1.0, term.max_root_magnitude()))) + 1
 
 
@@ -211,8 +222,10 @@ def _head_logs(term: FactorList, start: int, w) -> list[float]:
     """sum_{start<=n<=N} w_n ln R(n) for w = w_0..w_N, as one log per run of
     at most _HEAD_RUN indices, each of the run's exact product rounded to
     binary64 once.  A run also ends before its quotient leaves (2^-961,
-    2^961), inside binary64's normal range; a single term outside it is
-    scaled by ``_log_quotient``.
+    2^961), inside binary64's normal range, and before its numerator
+    passes _HEAD_BITS bits, which keeps huge exponents from building
+    million-bit products; a single term outside either is taken alone, and
+    scaled by ``_log_quotient`` if it needs to be.
 
     A checked term has K' = 1 and sum E = 0, so R(n) = P/Q is the quotient
     of integer products of ``value_pairs``.
@@ -223,8 +236,9 @@ def _head_logs(term: FactorList, start: int, w) -> list[float]:
         if w[n] < 0:
             p, q = q, p
         run_num, run_den = num * p, den * q
-        if size and (size == _HEAD_RUN
-                     or abs(run_num.bit_length() - run_den.bit_length()) > 960):
+        num_bits = run_num.bit_length()  # the quotient test keeps the den within 960 bits
+        if size and (size == _HEAD_RUN or num_bits > _HEAD_BITS
+                     or abs(num_bits - run_den.bit_length()) > 960):
             logs.append(_log_quotient(num, den))
             run_num, run_den, size = p, q, 0
         num, den, size = run_num, run_den, size + 1
@@ -258,10 +272,13 @@ def _accel_components(spec: ProductSpec, eps: float, cache: DirichletCache):
     # N: the fewest terms, at least 4M, whose tail bound fits in eps/4
     _, L, live = term.integer_form
     offsets = [(abs(m) / L, abs(e)) for m, e in live if m and e]
-    if J == 0:  # order 1 (nonzero, so delta mode) is charged past eps/4: no N helps
-        raise EpsUnachievableError(f"eps {eps:g} is below the accuracy of the Dirichlet "
-                                   f"constants: F(1) is good to {record.orders[0][2]:.1e}")
-    if _tail_bound(offsets, J, hi) > budget:
+    if J == 0 or _tail_bound(offsets, J, hi) > budget:
+        # no N up to MAX_N fits.  If all MAX_J orders would fit, it is the
+        # Dirichlet constants that fail: order J + 1 was charged past eps/4
+        if J == 0 or _tail_bound(offsets, MAX_J, hi) <= budget:
+            raise EpsUnachievableError(
+                f"eps {eps:g} is below the accuracy of the Dirichlet constants: "
+                f"order {J + 1} is good to {record.orders[J][2]:.1e}")
         raise EpsUnachievableError(refusal)
     while _tail_bound(offsets, J, lo) > budget:  # the bound falls as N grows
         mid = (lo + hi) // 2
@@ -543,7 +560,9 @@ def build_scaling_term(seq: MultiplicativeSequence, a, b) -> tuple[FactorList, F
 
 def build_gamma_ratio_term(seq: MultiplicativeSequence, a_list, b_list) -> tuple[FactorList, float]:
     """Combined single-product form of the base/q self-similarity for the
-    theta-weighted product of prod_i (n+a_i)/(n+b_i), plus its Gamma RHS log."""
+    theta-weighted product of prod_i (n+a_i)/(n+b_i), plus its Gamma RHS log.
+    A parameter so large that a Gamma argument (b_i + k)/q or (a_i + k)/q is
+    past binary64's range is a ValueError."""
     from .gammafn import log_gamma
 
     a_list = [as_fraction(x) for x in a_list]
@@ -555,10 +574,14 @@ def build_gamma_ratio_term(seq: MultiplicativeSequence, a_list, b_list) -> tuple
     q = seq.q
     triples = [t for a, b in zip(a_list, b_list) for t in _base_q_step(seq, a, b)]
     rhs_log = 0.0
-    for k in range(1, q):
-        if seq.signs[k] == -1:  # theta_k = 1
-            for a, b in zip(a_list, b_list):
-                rhs_log += (log_gamma(float((b + k) / q)) - log_gamma(float((a + k) / q))).real
+    try:
+        for k in range(1, q):
+            if seq.signs[k] == -1:  # theta_k = 1
+                for a, b in zip(a_list, b_list):
+                    rhs_log += (log_gamma(float((b + k) / q)) - log_gamma(float((a + k) / q))).real
+    except OverflowError:  # from float()
+        raise ValueError("a Gamma argument of the right-hand side is past binary64's "
+                         "range") from None
     return factor_list(triples), rhs_log
 
 
@@ -581,7 +604,10 @@ def verify_functional_equation(kind: str, q: int, theta_bits, params: dict,
     'thm_frak' takes {'a_list','b_list'} (positive rationals, equal sums)
     and checks the theta-weighted combined product against its Gamma RHS.
     Passes by verify_identity's rule (``_passes``) at eps = tol/4; a rational
-    RHS enters as its exact log, and rhs_value is inf past binary64.
+    RHS enters as its exact log, and rhs_value is inf past binary64.  A
+    thm_frak parameter whose Gamma argument is past binary64 is a ValueError
+    (see build_gamma_ratio_term); a parameter past MAX_N, of either kind,
+    is otherwise refused by evaluate_product (EpsUnachievableError).
     """
     from .families import scaling_family
     from .sequences import make_sequence

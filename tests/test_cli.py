@@ -204,6 +204,20 @@ class TestVerify:
         assert code == 0 and out.startswith("pass  wr ")
         assert calls == ["(2n+1)/(2n+2)", "1/sqrt(2)"]
 
+    def test_builtin_verify_checks_each_record_once(self, capsys, cache_env, monkeypatch):
+        # load_catalog validates each record and evaluate_product then reads
+        # the same spec's verdict: one check_product per record, not two
+        import gtmprod.evaluator as emod
+
+        checked = []
+        real = emod.check_product
+        monkeypatch.setattr(emod, "check_product",
+                            lambda spec: checked.append(spec) or real(spec))
+        code, out, _ = run(capsys, "verify")
+        records = out.splitlines()[:-1]  # the last line is the summary
+        assert code == 0 and len(records) == 79
+        assert len(checked) == len(set(map(id, checked))) == 79
+
     def test_user_file_is_validated_whole(self, capsys, cache_env, tmp_path):
         path = tmp_path / "c.catalog"
         path.write_text("wr2|Eq.(W-R)|gtm:2:1|delta|0|(2n+1)/(2n+2)|1/sqrt(2)|x\n"

@@ -283,6 +283,62 @@ class TestSweep:
         assert all(cache.mp_lookup(seq.spec, s) is not None for s in range(1, 16))
 
 
+def _clear_shared_rows():
+    """Empty the process-wide memos of the sweep's pattern-independent rows."""
+    for memo in (dmod._floors, dmod._extent):
+        memo.cache_clear()
+
+
+class TestSharedRows:
+    # The cache file of every pattern with q = 2..7 and of the all-plus
+    # pattern, each swept once (from order 1, or 2 for an all-plus pattern)
+    # and summed directly at S_DIRECT + 1.  Its digest was taken before the
+    # sweeps shared their rows: a sweep from shared rows must not move a bit.
+    SAVE_DIGEST = "5e444edec058e3a848d61d19a62ac4f8dfaf0d2a830208b838d00dd1a9c7b572"
+
+    def test_save_text_is_pinned(self, tmp_path):
+        import hashlib
+        import itertools
+
+        seqs = [make_sequence("gtm", q, bits="".join(bits))
+                for q in range(2, 8) for bits in itertools.product("01", repeat=q - 1)]
+        cache = DirichletCache(tmp_path / "dirichlet.cache")
+        for seq in seqs + [dmod._ALL_PLUS]:
+            dirichlet_fixed(seq, 1 if seq.nontrivial else 2, cache)
+            dirichlet_fixed(seq, S_DIRECT + 1, cache)
+        text = (tmp_path / "dirichlet.cache").read_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == self.SAVE_DIGEST
+
+    def test_sweeps_agree_in_any_order_cold_or_warm(self):
+        # the catalog's patterns and the all-plus one, swept in two orders,
+        # each once with the shared rows cold and once warm
+        seqs = list({r.product_spec().seq for r in load_catalog("builtin")}) + [dmod._ALL_PLUS]
+        runs = []
+        try:
+            for order in (seqs, seqs[::-1]):
+                _clear_shared_rows()
+                for _ in ("cold", "warm"):
+                    runs.append({seq.gtm_spec: _ladder_fixed(seq, _BITS) for seq in order})
+        finally:
+            _clear_shared_rows()
+        assert len(runs[0]) == 14
+        assert all(run == runs[0] for run in runs)
+
+    def test_rows_follow_the_ladder_target(self, monkeypatch):
+        # the extent and the direct-sum rows are kept per target: asked again
+        # under a tighter _MP_EPS, they grow instead of handing out the old ones
+        seq = parse_seq_spec("gtm:3:11")
+        denom = 3**2 - power_moments(seq, 0)
+        extent = _ladder_extent(3, 2, denom)
+        (x, err), = dmod._direct_fixed(seq, range(S_DIRECT, S_DIRECT + 1), _BITS, _M0).values()
+        monkeypatch.setattr(dmod, "_MP_EPS", dmod._MP_EPS / 1e6)
+        tighter = _ladder_extent(3, 2, denom)
+        (_, tight_err), = dmod._direct_fixed(seq, range(S_DIRECT, S_DIRECT + 1), _BITS,
+                                             _M0).values()
+        assert tighter[0] > extent[0] and tighter[1] < extent[1]
+        assert tight_err < err
+
+
 def _swept_entry(spec: str, s: int):
     cache = DirichletCache()
     dirichlet_fixed(parse_seq_spec(spec), s, cache)

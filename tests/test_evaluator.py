@@ -106,6 +106,22 @@ class TestCheckProduct:
         with pytest.raises(ProductRejectedError):
             evaluate_product(wr_spec("theta"), eps=1e-9)
 
+    def test_a_spec_is_checked_once(self, monkeypatch):
+        # a library caller's evaluate_product still checks a fresh spec, and
+        # a spec evaluated again reads its verdict instead of a second check
+        import gtmprod.evaluator as emod
+
+        calls = []
+        monkeypatch.setattr(emod, "check_product",
+                            lambda spec, real=check_product: calls.append(spec) or real(spec))
+        good, bad = wr_spec(), wr_spec("theta")
+        for _ in range(2):
+            evaluate_product(good, eps=1e-9)
+            with pytest.raises(ProductRejectedError, match="sum-of-roots"):
+                evaluate_product(bad, eps=1e-9)
+        assert calls == [good, bad]
+        assert good.verdict.ok and not bad.verdict.ok
+
 
 class TestAcceleratedEvaluator:
     def test_woods_robbins(self, cache):
@@ -166,6 +182,27 @@ class TestAcceleratedEvaluator:
                            match="below the accuracy of the Dirichlet constants") as info:
             evaluate_product(wr_spec(), eps=5e-32, cache=cache)
         assert "N <=" not in str(info.value) and summed == []
+
+    def test_refusal_blames_dirichlet_constants_that_cap_j(self, cache, monkeypatch):
+        # at eps 1e-31 order 1 fits and order 2 does not, so J = 1, whose
+        # tail bound at MAX_N is near 6e-7: no N could mend it, while all
+        # MAX_J orders would fit, so the constants are named, not N
+        import gtmprod.evaluator as emod
+
+        summed = []
+        monkeypatch.setattr(emod, "_head_logs", lambda *args: summed.append(args) or [])
+        with pytest.raises(EpsUnachievableError,
+                           match="below the accuracy of the Dirichlet constants: "
+                                 "order 2 is good to") as info:
+            evaluate_product(wr_spec(), eps=1e-31, cache=cache)
+        assert "N <=" not in str(info.value) and summed == []
+
+    def test_refusal_blames_n_where_the_tail_is_the_limit(self, cache):
+        # a root near 2e5 keeps 4M below MAX_N, but its tail bound at MAX_N
+        # is past eps/4 even with every order, so N is the limit
+        spec = ProductSpec(TM, "delta", 0, parse_product_term("(n+200000)/(n+200001)"))
+        with pytest.raises(EpsUnachievableError, match="cannot be certified with N <= 1000000"):
+            evaluate_product(spec, eps=1e-9, cache=cache)
 
 
 def _rhs_log_30(text: str):
@@ -325,6 +362,26 @@ class TestCertificate:
             "((n+2)^12000)/((n+1)^6000(n+3)^6000)")), eps=1e-6, cache=cache)
         assert small.value == 0.0
         assert abs(small.log_value + res.log_value) <= small.est_error + res.est_error
+
+    def test_huge_exponents_keep_head_runs_small(self, cache, monkeypatch):
+        # a run ends before its numerator passes _HEAD_BITS (its denominator
+        # stays within 960 bits of it), so no product reaches the million
+        # bits of 64 such terms; the log is bitwise the one of unbounded
+        # runs, and the bound, which charges each run, stays near the 9.1e-13
+        # of unbounded runs and inside eps
+        import gtmprod.evaluator as emod
+
+        sizes = []
+        real = emod._log_quotient
+        monkeypatch.setattr(emod, "_log_quotient", lambda num, den: sizes.append(
+            max(num.bit_length(), den.bit_length())) or real(num, den))
+        spec = ProductSpec(TM, "delta", 1,
+                           parse_product_term("((n+1)^6000(n+3)^6000)/((n+2)^12000)"))
+        res = evaluate_product(spec, eps=1e-6, cache=cache)
+        assert res.log_value.hex() == "0x1.b6cd02eb6b55ap+9"
+        assert (res.terms_used, res.dirichlet_orders) == (28, 16)
+        assert 9.0e-13 <= res.est_error <= 2e-12
+        assert sizes and max(sizes) <= emod._HEAD_BITS + 960
 
     @pytest.mark.parametrize("J", [1, 4, 16])
     @pytest.mark.parametrize("c", [Fraction(1, 2), Fraction(3), Fraction(15, 2)])
@@ -504,6 +561,20 @@ class TestFunctionalEquations:
         assert math.isfinite(rhs_log) and abs(rhs_log - exact) <= 1e-15 * abs(exact)
         with pytest.raises(EpsUnachievableError, match="N <= 1000000"):
             verify_functional_equation("thm_f", 5, "1011", {"a": a, "b": b}, cache=cache)
+
+    @pytest.mark.parametrize("kind, params, error, match", [
+        ("thm_f", {"a": Fraction(10**400), "b": 1}, EpsUnachievableError, "N <= 1000000"),
+        ("thm_frak", {"a_list": [Fraction(10**400), 1], "b_list": [1, Fraction(10**400)]},
+         ValueError, "Gamma argument .* past binary64"),
+        ("thm_frak", {"a_list": [Fraction(10**400), 2], "b_list": [Fraction(10**400 + 1), 1]},
+         ValueError, "Gamma argument .* past binary64"),
+    ], ids=["thm_f", "thm_frak-swapped", "thm_frak-shifted"])
+    def test_offsets_past_binary64_are_refused(self, cache, kind, params, error, match):
+        # each has a root past MAX_N and past binary64: thm_f reaches the
+        # evaluator's own refusal, and thm_frak's Gamma right-hand side,
+        # formed first, is refused as out of range; neither overflows
+        with pytest.raises(error, match=match):
+            verify_functional_equation(kind, 2, "1", params, cache=cache)
 
     def test_domain_validation(self, cache):
         with pytest.raises(ValueError):
