@@ -152,11 +152,10 @@ def _cmd_eval(args) -> int:
     spec = ProductSpec(seq, args.mode, args.start, term)
     check_eps(args.tol, "tol")  # both methods: direct ignores it, but a bad one is a usage error
     direct_n = _direct_n(args)
-    cache = _make_cache(args)
     if args.method == "accel":
-        res = evaluate_product(spec, eps=args.tol, cache=cache)
-    else:
-        res = evaluate_direct(spec, direct_n, cache=cache)
+        res = evaluate_product(spec, eps=args.tol, cache=_make_cache(args))
+    else:  # the direct oracle reads no Dirichlet value: no cache is opened
+        res = evaluate_direct(spec, direct_n)
     payload = {"command": "eval", "seq": seq.spec, "mode": args.mode,
                "from": args.start, "term": args.term,
                "value": res.value, "log_value": res.log_value,
@@ -194,7 +193,7 @@ def _cmd_verify(args) -> int:
 
     direct_n = _direct_n(args)
     records = load_catalog(args.catalog, filter=args.filter)
-    cache = _make_cache(args)
+    cache = None if args.method == "direct" else _make_cache(args)  # direct reads no constant
     report = run_catalog(records, tol=args.tol, method=args.method, cache=cache,
                          direct_n=direct_n)
     results = [{

@@ -49,9 +49,11 @@ demand.  numpy is imported only by the partial-summation oracle
 under the pattern's gtm spec and, given a path, persists them: every sweep
 or direct sum that grows the memo merges the file's entries and rewrites
 it, and a later cache on the same path starts warm.  In memory only, it
-also keeps one ``SeriesRecord`` per (pattern, weight mode): the MAX_J
-orders of G_j = sum_n w_n n^-j that the accelerated evaluator reads, and
-the exact fixed-point partial sums of w_n n^-j at every N asked so far.
+also keeps one ``SeriesRecord`` per (pattern, weight mode), the owner of
+the accelerated evaluator's series: it holds the MAX_J orders of G_j =
+sum_n w_n n^-j and the exact partial sums of w_n n^-j at every N asked so
+far, hands out the weights, chooses and charges the orders J of a term,
+and forms the series in fixed point.
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ from .sequences import MultiplicativeSequence, delta_prefix, make_sequence, sign
 
 S_DIRECT = 16
 MAX_J = 16  # the orders of a SeriesRecord; <= S_DIRECT, so one ladder sweep fills them
+MAX_N = 1_000_000  # the most head terms of a product; a SeriesRecord's charge counts on it
 _MP_DPS = 40
 _MP_EPS = 1e-30
 _I_CAP = 20000
@@ -196,7 +199,7 @@ class DirichletCache:
         with self._lock:
             record = self._records.get(key)
         if record is None:
-            record = SeriesRecord(_weighted_orders(seq, mode, self), self._lock)
+            record = SeriesRecord(seq, mode, self)
             with self._lock:
                 record = self._records.setdefault(key, record)
         return record
@@ -377,49 +380,81 @@ def zeta_fixed(s: int, cache: DirichletCache | None = None) -> tuple[int, int, f
     return dirichlet_fixed(_ALL_PLUS, s, cache)
 
 
-def _weighted_orders(seq: MultiplicativeSequence, mode: str, cache: DirichletCache):
-    """(X, bits, err) of G_j = sum_{n>=1} w_n n^-j for j = 1..MAX_J, as
-    ``dirichlet_fixed`` hands it out: G_j = F(j) for w = delta, and for w =
-    theta = (1 - delta)/2, G_j = (zeta(j) - F(j))/2, which is zeta - F at
-    one bit more, with the mean of the two errors.  None at j = 1 for
-    theta, where zeta has its pole (a theta product has beta_1 = 0)."""
-    if mode not in ("delta", "theta"):
-        raise ValueError(f"mode must be 'delta' or 'theta', got {mode!r}")
-    out = [None] if mode == "theta" else []
-    for j in range(len(out) + 1, MAX_J + 1):
-        x, bits, e = dirichlet_fixed(seq, j, cache)
-        if mode == "theta":
-            z, _, ze = zeta_fixed(j, cache)
-            x, bits, e = z - x, bits + 1, (ze + e) / 2
-        out.append((x, bits, e))
-    return tuple(out)
-
-
 class SeriesRecord:
-    """The series data of one weight sequence w_n in {-1, 0, 1}, a pattern's
-    delta_n or theta_n: ``orders``, the (X_j, B, err_j) of ``_weighted_orders``
-    for j = 1..MAX_J (one B for all), and the exact sums S_j(N) = sum_{0<n<=N}
-    w_n floor(2^B / n^j), split by the sign of w_n and kept for every N
-    asked, one entry of 2 MAX_J ints each.  A new N extends the sums of the
-    nearest lower one, so the loop over n runs only up to the largest N
-    asked.  The lock is the cache's: new sums are built outside it and
-    published under it, and never change after.
+    """The Dirichlet series of one weight sequence w_n in {-1, 0, 1}: a
+    pattern's delta_n (mode 'delta') or theta_n = (1 - delta_n)/2 ('theta').
+
+    ``orders`` holds the (X_j, B, err_j) of G_j = sum_{n>=1} w_n n^-j for j =
+    1..MAX_J, as ``dirichlet_fixed`` hands it out, with one B for all: G_j =
+    F(j) for delta, and for theta G_j = (zeta(j) - F(j))/2, which is zeta - F
+    at one bit more, with the mean of the two errors.  It is None at j = 1
+    for theta, where zeta has its pole (a theta product has beta_1 = 0).
+
+    The record forms the evaluator's series sum_j beta_j T_j, with T_j =
+    sum_{n>N} w_n n^-j, N < MAX_N and beta_j = p_j/r_j.  T_j 2^B is X_j less
+    the exact sum S_j(N) = sum_{0<n<=N} w_n floor(2^B / n^j).  Each floor
+    loses less than one unit 2^-B (n = 1 is exact), so T_j is off by err_j
+    plus fewer than MAX_N units 2^-B.  The series is sum_j floor(p_j T_j 2^B
+    / r_j) 2^-B, which loses less than one more unit per order.  So ``fit``
+    charges each order |beta_j| (err_j + MAX_N 2^-B) + 2^-B, and ``series``
+    rounds the fixed-point sum to binary64 once more.
+
+    S_j(N) is split by the sign of w_n and kept for every N asked, one entry
+    of 2 MAX_J ints each.  A new N extends the sums of the nearest lower one,
+    so the loop over n runs only up to the largest N asked.  The lock is the
+    cache's: new sums are built outside it and published under it, and never
+    change after.
     """
 
-    def __init__(self, orders, lock: threading.Lock):
-        self.orders = orders
-        self.bits = orders[-1][1]
-        self._lock = lock
+    def __init__(self, seq: MultiplicativeSequence, mode: str, cache: DirichletCache):
+        if mode not in ("delta", "theta"):
+            raise ValueError(f"mode must be 'delta' or 'theta', got {mode!r}")
+        orders = [None] if mode == "theta" else []
+        for j in range(len(orders) + 1, MAX_J + 1):
+            x, bits, e = dirichlet_fixed(seq, j, cache)
+            if mode == "theta":
+                z, _, ze = zeta_fixed(j, cache)
+                x, bits, e = z - x, bits + 1, (ze + e) / 2
+            orders.append((x, bits, e))
+        self.orders, self.bits = tuple(orders), bits
+        self._seq, self._theta = seq, mode == "theta"
+        self._lock = cache._lock
         self._ns = [0]  # the memoized N, sorted
         self._sums = {0: ((0,) * MAX_J, (0,) * MAX_J)}
 
-    def tails(self, w) -> list[int | None]:
-        """T_j 2^B = X_j - S_j(N), with T_j = sum_{n>N} w_n n^-j, for j = 1..MAX_J
-        and w = w_0..w_N; None where X_j is.
+    def weights(self, N: int) -> list[int]:
+        """w_0..w_N."""
+        w = sign_prefix(self._seq, N + 1)
+        return [(1 - s) // 2 for s in w] if self._theta else w
 
-        One pass over n builds every j, as floor(floor(2^B / n^(j-1)) / n) =
-        floor(2^B / n^j).  Each floor loses less than one unit 2^-B (n = 1 is
-        exact), so T_j is off by err_j plus fewer than N units."""
+    def fit(self, pairs, budget: float):
+        """(J, orders, err) for the (p_j, r_j, |beta_j|) of a term's
+        ``log_pairs``: J is the most orders whose charges fit in budget,
+        orders holds (j, p_j, r_j) for each nonzero beta_j = p_j/r_j up to J,
+        and err is the sum of their charges."""
+        J, orders, err = 0, [], 0.0
+        for j, ((p, r, mag), g) in enumerate(zip(pairs, self.orders), start=1):
+            if p:
+                charge = mag * (g[2] + math.ldexp(MAX_N, -self.bits)) + math.ldexp(1.0, -self.bits)
+                if err + charge > budget:
+                    break
+                err += charge
+                orders.append((j, p, r))
+            J = j
+        return J, orders, err
+
+    def series(self, orders, w) -> float:
+        """sum_j beta_j T_j over the orders of ``fit``, for w = w_0..w_N,
+        summed in fixed point and rounded to binary64 once."""
+        if not orders:
+            return 0.0
+        tails = self.tails(w)
+        return sum(p * tails[j - 1] // r for j, p, r in orders) / (1 << self.bits)
+
+    def tails(self, w) -> list[int | None]:
+        """T_j 2^B = X_j - S_j(N) for j = 1..MAX_J and w = w_0..w_N; None where
+        X_j is.  One pass over n builds every j, as floor(floor(2^B /
+        n^(j-1)) / n) = floor(2^B / n^j)."""
         n_top = len(w) - 1
         with self._lock:
             low = self._ns[bisect.bisect_right(self._ns, n_top) - 1]

@@ -16,26 +16,28 @@ tail sum_{n>N} w_n rho_J(n), with rho_J(n) = ln R(n) - sum_{j<=J} beta_j
 n^-j, is bounded, not summed.  Both sums are exact until one rounding:
 R(n) is a quotient of integer products (``ratfun.value_pairs``), so the
 head is one log per run of exact products (``_head_logs``), and sum_j
-beta_j T_j is formed in the ladder's integer fixed point (``_series``).
-T_j depends on the pattern, the mode and N alone, not on R, so it is read
-off the cache's record of the pattern's weights (``SeriesRecord``), which
+beta_j T_j is formed in the ladder's integer fixed point.  T_j depends on
+the pattern, the mode and N alone, not on R, so the series belongs to the
+cache's record of the pattern's weights (``dirichlet.SeriesRecord``): it
 holds G_j = sum_{n>=1} w_n n^-j and the exact partial sums at every N
-asked so far: ops on one pattern share them.
+asked so far, which ops on one pattern share, hands out w_0..w_N, picks
+J and charges it, and forms the series; its docstring derives the charge.
 Past the series cutoff M the pairing of beta_j and T_j is free of the
 cancellation that ruins the naive split at n = 1.  (J, N) are read off
 eps in one step: J is the most orders whose Dirichlet and fixed-point
-errors fit in eps/4, and N >= 4M the fewest terms whose proven bound on
-the tail, from the form prod (n + c)^E, fits in eps/4.  The rest of the
-certificate is a worst-case rounding bound of a few ulps.  The term's one integer form
-K' prod (n + m/L)^E and its 1/n expansion are plain ints (see
-``ratfun``), computed once per term, and feed the check, the series,
-the head and the tail bound; no ``Fraction`` is built on the way.  The
-plain series uses zeta from the all-plus ladder rather than the Gamma
-closed form, so closed forms remain an independent cross-check.
+errors fit in eps/4 (``SeriesRecord.fit``), and N >= 4M the fewest terms
+whose proven bound on the tail, from the form prod (n + c)^E, fits in
+eps/4.  The rest of the certificate is a worst-case rounding bound of a
+few ulps.  The term's one integer form K' prod (n + m/L)^E and its 1/n
+expansion are plain ints (see ``ratfun``), computed once per term, and
+feed the check, the series, the head and the tail bound; no ``Fraction``
+is built on the way.  The plain series uses zeta from the all-plus ladder
+rather than the Gamma closed form, so closed forms remain an independent
+cross-check.
 
 The accelerated path runs on Python ints and floats, with its signs from
-``sign_prefix``.  In this module numpy is imported only by the baseline
-``evaluate_direct``, and mpmath not at all.
+the record's ``weights``.  In this module numpy is imported only by the
+baseline ``evaluate_direct``, and mpmath not at all.
 
 The baseline evaluator sums terms outright, averages the partial
 log-sums over the final base-q block, and certifies the result from the
@@ -63,9 +65,9 @@ from typing import NamedTuple
 from .dirichlet import (
     _ROUND_UP,
     MAX_J,
+    MAX_N,
     DirichletCache,
     EpsUnachievableError,
-    SeriesRecord,
     check_eps,
 )
 from .ratfun import (
@@ -78,9 +80,8 @@ from .ratfun import (
     first_non_positive,
     value_pairs,
 )
-from .sequences import FrozenValue, MultiplicativeSequence, delta_prefix, sign_at, sign_prefix
+from .sequences import FrozenValue, MultiplicativeSequence, delta_prefix, sign_at
 
-MAX_N = 1_000_000
 _HEAD_RUN = 64  # the most terms whose exact product is rounded at once
 _HEAD_BITS = 1 << 16  # bits of a run's numerator; catalog, family and pinned runs stay below 2^15
 
@@ -146,13 +147,12 @@ def _require_ok(spec: ProductSpec):
 
 
 def _series_cutoff(term: FactorList) -> int:
-    """First index where the 1/n expansion terms are uniformly below 2^-j.
-    A root past MAX_N, which may be past binary64 too, gives MAX_N + 1:
-    4M is then past MAX_N, as it is for every root above MAX_N/8."""
+    """First index where the 1/n expansion terms are uniformly below 2^-j:
+    ceil(2 max(1, |c|)) + 1 over the roots -c with E != 0, read exactly off
+    the integer form, so a root past binary64 gives a cutoff past MAX_N."""
     _, L, offsets = term.integer_form
-    if any(e and abs(m) > MAX_N * L for m, e in offsets):
-        return MAX_N + 1
-    return int(math.ceil(2.0 * max(1.0, term.max_root_magnitude()))) + 1
+    top = max((abs(m) for m, e in offsets if e), default=0)
+    return -(-2 * max(L, top) // L) + 1
 
 
 def _tail_bound(offsets, J: int, N: int) -> float:
@@ -166,44 +166,6 @@ def _tail_bound(offsets, J: int, N: int) -> float:
     """
     return _ROUND_UP * sum(e * c * (c / N) ** J * (N + 1) / ((N + 1 - c) * (J + 1) * J)
                            for c, e in offsets)
-
-
-def _dirichlet_orders(pairs, record: SeriesRecord, budget: float):
-    """(J, orders, err) for the (p_j, r_j, |beta_j|) of the term's log_pairs
-    and the record of its weights: J is the most orders whose charges fit in
-    budget, orders holds (j, p_j, r_j) for each nonzero beta_j = p_j/r_j up
-    to J, and err is the sum of the charges, which bounds the error of
-    _series over those orders."""
-    J, orders, err = 0, [], 0.0
-    for j, ((p, r, mag), g) in enumerate(zip(pairs, record.orders), start=1):
-        if p:
-            _, bits, e = g
-            charge = mag * (e + math.ldexp(MAX_N, -bits)) + math.ldexp(1.0, -bits)
-            if err + charge > budget:
-                break
-            err += charge
-            orders.append((j, p, r))
-        J = j
-    return J, orders, err
-
-
-def _series(orders, record: SeriesRecord, w) -> float:
-    """sum_j beta_j T_j over the orders of _dirichlet_orders, where
-    T_j = G_j - sum_{0<n<=N} w_n n^-j = sum_{n>N} w_n n^-j and w holds
-    w_0..w_N (N < MAX_N); exact fixed point, rounded to binary64 once.
-
-    T_j comes from the record (``SeriesRecord.tails``) in its fixed point
-    2^-B: X_j less the exact sum of w_n floor(2^B / n^j), so T_j is off by
-    err_j plus fewer than MAX_N units 2^-B.  The series is sum_j floor(p_j
-    T_j / r_j), which loses less than one unit per order.  That is the
-    charge |beta_j| (err_j + MAX_N 2^-B) + 2^-B of _dirichlet_orders; the
-    final division rounds once more.
-    """
-    if not orders:
-        return 0.0
-    tails = record.tails(w)
-    total = sum(p * tails[j - 1] // r for j, p, r in orders)
-    return total / (1 << record.bits)
 
 
 def _log_quotient(num: int, den: int) -> float:
@@ -266,9 +228,9 @@ def _accel_components(spec: ProductSpec, eps: float, cache: DirichletCache):
     if lo > hi:
         raise EpsUnachievableError(refusal)
     budget = eps / 4.0
-    # J: the most orders whose errors fit in eps/4 (the ladder's and _series')
+    # J: the most orders whose errors fit in eps/4 (the ladder's and the series')
     record = cache.series_record(seq, spec.mode)
-    J, orders, series_err = _dirichlet_orders(term.log_pairs(MAX_J), record, budget)
+    J, orders, series_err = record.fit(term.log_pairs(MAX_J), budget)
     # N: the fewest terms, at least 4M, whose tail bound fits in eps/4
     _, L, live = term.integer_form
     offsets = [(abs(m) / L, abs(e)) for m, e in live if m and e]
@@ -284,11 +246,9 @@ def _accel_components(spec: ProductSpec, eps: float, cache: DirichletCache):
         mid = (lo + hi) // 2
         lo, hi = (mid + 1, hi) if _tail_bound(offsets, J, mid) > budget else (lo + 1, mid)
     N = lo
-    w = sign_prefix(seq, N + 1)
-    if spec.mode == "theta":
-        w = [(1 - s) // 2 for s in w]  # theta_n, 0 or 1
+    w = record.weights(N)
     head = _head_logs(term, spec.start, w)
-    series = _series(orders, record, w)
+    series = record.series(orders, w)
     log_value = math.fsum(head + [series])
     # Rounding, with u = 2^-53.  Each head run rounds its exact product once,
     # which moves its log by at most 2u, and takes a log good to 4 ulps: off
@@ -350,8 +310,9 @@ def _direct_sums(spec: ProductSpec, K: int):
 
     seq, term, start, q = spec.seq, spec.term, spec.start, spec.seq.q
     n_used, fb_lo = q**K, q ** (K - 1)
-    n_safe = max(start, int(math.floor(term.max_root_magnitude())) + 1)
-    pairs = _log1p_pairs(term)
+    _, L, offsets = term.integer_form
+    n_safe = max(start, max((abs(m) for m, e in offsets if e), default=0) // L + 1)
+    pairs = _log1p_pairs(term) if n_safe < n_used else []  # floats for the bulk past the roots
     # delta over [kB, (k+1)B) is delta_k times delta over [0, B)
     B = q ** min(K - 1, _top_exponent(q, _BLOCK_CAP))  # divides fb_lo
     base = delta_prefix(seq, B)

@@ -133,11 +133,6 @@ class FactorList(FrozenValue):
             pairs = self.__dict__["_log_pairs"] = tuple(out)
         return pairs[:J]
 
-    def max_root_magnitude(self) -> float:
-        """max |c| over the offsets with E != 0; the series radius of ln R(n)."""
-        _, L, offsets = self.integer_form
-        return max((abs(m) for m, e in offsets if e), default=0) / L
-
     def __str__(self) -> str:
         return format_product_term(self)
 

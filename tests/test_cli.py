@@ -349,6 +349,20 @@ class TestCacheFile:
         assert code == 0
         assert (tmp_path / ".cache" / "gtmprod" / "dirichlet.cache").is_file()
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--seq", "gtm:2:1", "--mode", "delta", "--term", "(2n+1)/(2n+2)"],
+        ["verify", "--filter", "wr"],
+    ], ids=["eval", "verify"])
+    def test_direct_method_opens_no_cache(self, capsys, cache_env, argv):
+        # a --cache-dir that is a regular file fails every accelerated run; the
+        # direct oracle reads no Dirichlet value, so it never opens the cache
+        blocker = cache_env / "not-a-directory"
+        blocker.write_text("")
+        code, _, err = run(capsys, "--cache-dir", str(blocker), *argv)
+        assert code == 2 and "Not a directory" in err
+        code, out, err = run(capsys, "--cache-dir", str(blocker), *argv, "--method", "direct")
+        assert (code, err) == (0, "") and "direct" in out
+
     def test_second_process_runs_no_sweep(self, tmp_path):
         # eval, a one-record verify and dirichlet, each on its own sequence,
         # in two processes sharing --cache-dir: the second sweeps nothing

@@ -574,7 +574,7 @@ class TestSeriesRecord:
                 "repeated": [37, 37, 5, 36, 37, 160, 5]}
         expected = {n: _tails_from_scratch(seq, mode, n, cache) for n in (5, 36, 37, 160)}
         for name, ns in asks.items():
-            record = SeriesRecord(dmod._weighted_orders(seq, mode, cache), threading.Lock())
+            record = SeriesRecord(seq, mode, cache)
             for n in ns:
                 tails, w = expected[n]
                 assert record.tails(w) == tails, (name, n)

@@ -24,10 +24,9 @@ from gtmprod.evaluator import (
 from gtmprod.evaluator import (
     _HEAD_RUN,
     MAX_J,
+    MAX_N,
     _direct_sums,
-    _dirichlet_orders,
     _head_logs,
-    _series,
     _series_cutoff,
     _tail_bound,
 )
@@ -299,12 +298,12 @@ class TestCertificate:
                 N = 4 * _series_cutoff(spec.term)
                 pairs = spec.term.log_pairs(MAX_J)
                 record = cache.series_record(spec.seq, spec.mode)
-                J, orders, charge = _dirichlet_orders(pairs, record, math.inf)
+                J, orders, charge = record.fit(pairs, math.inf)
                 assert J == MAX_J and orders
                 w = [sign_at(spec.seq, n) for n in range(N + 1)]
                 if spec.mode == "theta":
                     w = [(1 - x) // 2 for x in w]
-                series = _series(orders, record, w)
+                series = record.series(orders, w)
                 memo = memos.setdefault(spec.seq.spec, {})
                 ref = mp.mpf(0)
                 for j, p, r in orders:
@@ -454,6 +453,17 @@ class TestDirectEvaluator:
         res = evaluate_direct(spec, 1 << 16, cache=cache)
         assert abs(res.log_value - math.log(2.0)) <= res.est_error
 
+    def test_root_past_binary64_is_summed_exactly(self, cache):
+        # thm_f at a = 10^400: a root past MAX_N and past binary64, which the
+        # accelerated path refuses; every term below 64 lies below the roots,
+        # so the oracle takes them all exactly and builds no float offset
+        term, rhs = build_scaling_term(TM, 10**400, 1)
+        assert 4 * _series_cutoff(term) > MAX_N
+        res = evaluate_direct(ProductSpec(TM, "delta", 1, term), 64, cache=cache)
+        with mp.workdps(30):
+            exact = float(mp.log(mp.mpf(rhs.numerator) / rhs.denominator))
+        assert abs(res.log_value - exact) <= res.est_error
+
     def test_n_too_small(self, cache):
         with pytest.raises(ValueError):
             evaluate_direct(wr_spec(), 3, cache=cache)
@@ -514,32 +524,35 @@ class TestFunctionalEquations:
         assert abs(rep.rhs_value - math.pi / 4.0) < 1e-13
 
     def test_random_batches(self, cache):
-        rng = random.Random(7331)
-        for _ in range(10):
-            q = rng.randint(2, 5)
-            bits = "".join(rng.choice("01") for _ in range(q - 1))
-            if "1" not in bits:
-                bits = "1" + bits[1:]
-            a = Fraction(rng.randint(1, 60), rng.randint(1, 12))
-            b = Fraction(rng.randint(1, 60), rng.randint(1, 12))
-            rep = verify_functional_equation("thm_f", q, bits,
-                                             {"a": a, "b": b}, cache=cache)
-            assert rep.ok, (q, bits, a, b, rep)
-        for _ in range(10):
-            q = rng.randint(2, 4)
-            bits = "".join(rng.choice("01") for _ in range(q - 1))
-            if "1" not in bits:
-                bits = "1" + bits[1:]
-            d = rng.randint(1, 3)
-            a = [Fraction(rng.randint(1, 40), rng.randint(1, 8)) for _ in range(d)]
-            b = [Fraction(rng.randint(1, 40), rng.randint(1, 8)) for _ in range(d - 1)]
-            b.append(sum(a) - sum(b))
-            if b[-1] <= 0:
-                a[0] += 1 - b[-1]
-                b[-1] += 1 - b[-1]
-            rep = verify_functional_equation("thm_frak", q, bits,
-                                             {"a_list": a, "b_list": b}, cache=cache)
-            assert rep.ok, (q, bits, a, b, rep)
+        # each batch has its seed and its bases for thm_f and thm_frak: the
+        # small ones, then q = 6..16, the large bases the contract promises
+        for seed, f_bases, frak_bases in ((7331, (2, 5), (2, 4)), (1616, (6, 16), (6, 16))):
+            rng = random.Random(seed)
+            for _ in range(10):
+                q = rng.randint(*f_bases)
+                bits = "".join(rng.choice("01") for _ in range(q - 1))
+                if "1" not in bits:
+                    bits = "1" + bits[1:]
+                a = Fraction(rng.randint(1, 60), rng.randint(1, 12))
+                b = Fraction(rng.randint(1, 60), rng.randint(1, 12))
+                rep = verify_functional_equation("thm_f", q, bits,
+                                                 {"a": a, "b": b}, cache=cache)
+                assert rep.ok, (q, bits, a, b, rep)
+            for _ in range(10):
+                q = rng.randint(*frak_bases)
+                bits = "".join(rng.choice("01") for _ in range(q - 1))
+                if "1" not in bits:
+                    bits = "1" + bits[1:]
+                d = rng.randint(1, 3)
+                a = [Fraction(rng.randint(1, 40), rng.randint(1, 8)) for _ in range(d)]
+                b = [Fraction(rng.randint(1, 40), rng.randint(1, 8)) for _ in range(d - 1)]
+                b.append(sum(a) - sum(b))
+                if b[-1] <= 0:
+                    a[0] += 1 - b[-1]
+                    b[-1] += 1 - b[-1]
+                rep = verify_functional_equation("thm_frak", q, bits,
+                                                 {"a_list": a, "b_list": b}, cache=cache)
+                assert rep.ok, (q, bits, a, b, rep)
 
     def test_value_past_binary64_is_certified(self, cache):
         # the product's log is about 862, past ln(2^1024): the right-hand side

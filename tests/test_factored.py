@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from gtmprod.evaluator import _log1p_pairs, _log_quotient
+from gtmprod.evaluator import _log1p_pairs, _log_quotient, _series_cutoff
 from gtmprod.ratfun import (
     EvaluationError,
     Factor,
@@ -214,8 +214,8 @@ def test_integer_core_matches_fraction_offsets(f):
         assert type(p) is int and r == j * L**j
         assert Fraction(p, r) == beta and mag == float(abs(beta))
 
-    live = [c for c, e in merged.items() if e]
-    assert f.max_root_magnitude() == max((abs(float(c)) for c in live), default=0.0)
+    top = max((abs(c) for c, e in merged.items() if e), default=Fraction(0))
+    assert _series_cutoff(f) == math.ceil(2 * max(1, top)) + 1
     ups = sorted(c for c, e in merged.items() for _ in range(e))
     downs = sorted(c for c, e in merged.items() for _ in range(-e))
     assert _log1p_pairs(f) == [(float(a - b), float(a), float(b)) for a, b in zip(ups, downs)]
