@@ -39,25 +39,34 @@ The accelerated path runs on Python ints and floats, with its signs from
 the record's ``weights``.  In this module numpy is imported only by the
 baseline ``evaluate_direct``, and mpmath not at all.
 
-The baseline evaluator sums terms outright, averages the partial
-log-sums over the final base-q block, and certifies the result from the
-spread of the last few block-boundary partial sums.  It takes its signs
-block by block from one prefix of B = q^m <= 2^17 signs (delta over
-[kB, (k+1)B) is delta_k times delta over [0, B)), so memory is O(B) for
-every N; fl_round bounds the rounding of every sum in the worst case.
-Below the roots it takes ln R(n) of the exact R(n) of
+The baseline evaluator sums the terms, averages the partial log-sums over
+the final base-q block, and estimates its error from the spread of the
+last few block-boundary partial sums; that estimate is not a proof.  It
+reads no Dirichlet constant, ladder or 1/n expansion at infinity, so it
+stays independent of the accelerated path.  It takes its signs block by
+block from one prefix of B = q^m <= 2^17 signs (delta over [kB, (k+1)B) is
+delta_k times delta over [0, B)), so memory is O(B) for every N; fl_round
+is a proven bound on the rounding, and on the truncation below, of every
+sum it returns.  Below the roots it takes ln R(n) of the exact R(n) of
 ``ratfun.value_pairs``, as the accelerated head does.  Past the roots it
-takes w_n ln R(n) as one log1p per numerator/denominator pair (a, b) of
-R(n) = prod (n + a)/(n + b) (``_log1p_pairs``), with the weight folded
-into the argument: with d = a - b, w_n log1p(d/(n + b)) is
-log1p(d/(n + b)), log1p(-d/(n + a)) or 0 for w_n = 1, -1 or 0, since
--ln(1 + d/(n + b)) = ln(1 - d/(n + a)).  A term costs one add, one divide
-and one log1p per pair, and no pass over the block applies weights.
+takes w_n ln R(n) as one log1p per distinct numerator/denominator pair (a,
+b) of R(n) = prod (n + a)/(n + b) (``_log1p_pairs``), times the number of
+times the pair occurs, with the weight folded into the argument: with d = a
+- b, w_n log1p(d/(n + b)) is log1p(d/(n + b)), log1p(-d/(n + a)) or 0 for
+w_n = 1, -1 or 0, since -ln(1 + d/(n + b)) = ln(1 - d/(n + a)).  A term
+costs one add, one divide and one log1p per distinct pair, and no pass
+over the block applies weights.  A block whose half-width is at most
+1/_MOMENT_SPAN of its distance to the nearest root is summed without
+forming its terms (``_moment_blocks``): ln R is smooth across it while the
+signs stay q-multiplicative, so its sum is a short series in the exact
+sign moments of one block, one vector pass per order and distinct pair
+over all such blocks at once.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
@@ -283,6 +292,7 @@ def evaluate_product(spec: ProductSpec, eps: float = 1e-9,
     return EvalResult(_exp(log_value), log_value, est, "accel", n, j)
 
 _BLOCK_CAP = 1 << 17
+_MOMENT_SPAN = 32  # half-widths from a block to its nearest root, past which its moments sum it
 
 
 def _top_exponent(q: int, n: int) -> int:
@@ -290,31 +300,120 @@ def _top_exponent(q: int, n: int) -> int:
     return next(k for k in range(n.bit_length()) if q ** (k + 1) > n)
 
 
-def _log1p_pairs(term: FactorList) -> list[tuple[float, float, float]]:
-    """(a_i - b_i, a_i, b_i) as floats, for the pairs (a_i, b_i) with R(n) =
-    prod_i (n + a_i)/(n + b_i): over the integer form, c = m/L, the sorted
-    numerator offsets a_i matched with the sorted denominator offsets b_i (a
-    checked term has K' = 1), each float one correctly rounded int
-    division."""
+def _log1p_pairs(term: FactorList) -> list[tuple[float, float, float, int]]:
+    """(a - b, a, b, count) for the distinct pairs (a, b) with R(n) =
+    prod_i (n + a_i)/(n + b_i), in the order they first appear: over the
+    integer form, c = m/L, the sorted numerator offsets a_i matched with the
+    sorted denominator offsets b_i (a checked term has K' = 1), each float
+    one correctly rounded int division, and count the times (a, b) occurs."""
     _, L, offsets = term.integer_form
     num = sorted(m for m, e in offsets for _ in range(e))
     den = sorted(m for m, e in offsets for _ in range(-e))
-    return [((a - b) / L, a / L, b / L) for a, b in zip(num, den)]
+    counts = Counter(zip(num, den))
+    return [((a - b) / L, a / L, b / L, c) for (a, b), c in counts.items()]
+
+
+def _block_moments(signs, m: int, H: int, top: int) -> list[int]:
+    """sum_{j<q^m} s_j (j - H)^i for i = 0..top, exactly, where q =
+    len(signs) and s_j is the product of signs[d] over the base-q digits d
+    of j.  Raw moments come
+    from the digit recursion j = q j' + d, M_i = sum_l C(i, l) q^l c_(i-l)
+    M'_l with c_t = sum_d signs[d] d^t, and are then shifted to H."""
+    q, c = len(signs), [sum(s * d**t for d, s in enumerate(signs)) for t in range(top + 1)]
+    raw = [1] + [0] * top
+    for _ in range(m):
+        raw = [sum(math.comb(i, l) * q**l * c[i - l] * raw[l] for l in range(i + 1))
+               for i in range(top + 1)]
+    return [sum(math.comb(i, l) * (-H) ** (i - l) * raw[l] for l in range(i + 1))
+            for i in range(top + 1)]
+
+
+def _moment_blocks(spec: ProductSpec, pairs, B: int, k_t: int, k_end: int, base, I: int):
+    """Yield (k0, totals, ramps) for the blocks k_t..k_end-1, at most B
+    blocks at a time: totals[i] approximates sum_j w_n ln R(n) and ramps[i]
+    sum_j (B - j) w_n ln R(n), over n = (k0 + i)B + j, j < B, from the
+    expansion of ln R to order I about the block's centre x = kB + H.
+
+    With h = n - x, y_c = 1/(x + c) and d = a - b, each pair gives
+    ln((x + a + h)/(x + b + h)) = log1p(d y_b) + sum_{i=1..I} ((-1)^(i+1)/i)
+    h^i (y_a^i - y_b^i) + remainder, and y_a^i - y_b^i = -d y_a y_b S_i,
+    S_1 = 1, S_(i+1) = y_a S_i + y_b^i, a sum of positive terms.  A block's
+    two sums are then sum_i e_i W_i, e_i the pairs' coefficients, with W_i
+    = sum_j w_j h^i for the sums and (B - H) W_i - W_(i+1) for the ramps:
+    exact ints from the sign moments of one block, with w_j = s_k delta_j
+    or (1 - s_k delta_j)/2 for the block sign s_k.
+    """
+    import numpy as np
+
+    seq, q, H = spec.seq, spec.seq.q, B // 2
+    m = _top_exponent(q, B)
+    mu, nu = (_block_moments(signs, m, H, I + 1) for signs in (seq.signs, (1,) * q))
+
+    def scaled(v: int, i: int) -> float:  # (-1)^(i+1) v/i rounded once, v for i = 0
+        return (-1) ** (i + 1) * v / i if i else float(v)
+
+    weights = {}  # per block sign: the (sum, ramp) weights of order i with their 1/i
+    for s in (1, -1):
+        W = [s * a if spec.mode == "delta" else (b - s * a) // 2 for a, b in zip(mu, nu)]
+        weights[s] = [(scaled(W[i], i), scaled((B - H) * W[i] - W[i + 1], i))
+                      for i in range(I + 1)]
+    for c in range(k_t // B, -(-k_end // B)):
+        k0, k1 = max(k_t, c * B), min(k_end, (c + 1) * B)
+        plus = base[k0 - c * B:k1 - c * B] * sign_at(seq, c) > 0  # s_k = delta_c delta_(k - cB)
+        x = np.arange(k0, k1, dtype=np.float64) * B + H
+        e = np.zeros(k1 - k0)
+        series = []  # per pair: y_a, y_b, -c d y_a y_b S_i and -c d y_a y_b y_b^i
+        for d, a, b, count in pairs:
+            yb = x + b
+            y = np.log1p(np.divide(d, yb))
+            if count > 1:
+                y *= count
+            e += y
+            np.divide(1.0, yb, out=yb)
+            ya = np.divide(1.0, x + a)
+            g = ya * (-count * d)
+            g *= yb
+            series.append((ya, yb, g, g * yb))
+        totals, ramps = (np.where(plus, weights[1][0][t], weights[-1][0][t]) * e
+                         for t in (0, 1))
+        for i in range(1, I + 1):
+            for ya, yb, g, p in series if i > 1 else ():  # S_i and y_b^i from order i - 1
+                g *= ya
+                g += p
+                p *= yb
+            e = sum(g for _, _, g, _ in series)
+            for t, acc in enumerate((totals, ramps)):
+                acc += np.where(plus, weights[1][i][t], weights[-1][i][t]) * e
+        yield k0, totals, ramps
 
 
 def _direct_sums(spec: ProductSpec, K: int):
     """Partial sums S_m = sum_{start <= n < m} w_n ln R(n): ({m: S_m} for
-    m = q^1..q^K and every block start, the mean of S_(n+1) over [q^(K-1),
-    q^K), fl_round), where fl_round bounds the rounding error of each."""
+    the boundaries m = q^1..q^K only, the mean of S_(n+1) over [q^(K-1),
+    q^K), fl_round), where fl_round bounds the error of each.
+
+    Blocks k < k_t sum their terms outright.  From k_t on, each block lies
+    past n_safe and its half-width is at most 1/_MOMENT_SPAN of its
+    distance to the nearest root; ``_moment_blocks`` sums those from the
+    sign moments of one block, and fl_round covers their truncation as well
+    as their rounding.  Block totals are chained in order either way."""
     import numpy as np
 
     seq, term, start, q = spec.seq, spec.term, spec.start, spec.seq.q
     n_used, fb_lo = q**K, q ** (K - 1)
+    bounds = {q**i for i in range(1, K)}
     _, L, offsets = term.integer_form
-    n_safe = max(start, max((abs(m) for m, e in offsets if e), default=0) // L + 1)
+    live = [m for m, e in offsets if e]
+    n_safe = max(start, max(map(abs, live), default=0) // L + 1)
     pairs = _log1p_pairs(term) if n_safe < n_used else []  # floats for the bulk past the roots
     # delta over [kB, (k+1)B) is delta_k times delta over [0, B)
     B = q ** min(K - 1, _top_exponent(q, _BLOCK_CAP))  # divides fb_lo
+    H, k_end = B // 2, n_used // B
+    # blocks k >= k_t take the moment path: kB >= n_safe, and the half-width
+    # H is at most 1/_MOMENT_SPAN of kB + min m/L, the distance to the nearest root
+    k_t = k_end if not pairs else min(k_end, max(
+        -(-n_safe // B), -(-(_MOMENT_SPAN * H * L - min(live)) // (B * L))))
+    n_out = k_t * B  # the outright terms end here; n_used when no block takes the moment path
     base = delta_prefix(seq, B)
     weights = {s: s * base if spec.mode == "delta" else (1 - s * base) // 2 for s in (1, -1)}
     # w_n ln R(n) is log1p(nu/(n + c)) per pair (a, b), d = a - b: nu = d and
@@ -322,15 +421,16 @@ def _direct_sums(spec: ProductSpec, K: int):
     # b)) = ln(1 - d/(n + a)), and nu = 0 where w_n = 0.  For each block sign,
     # nu and j + c over j in [0, B) are formed once.
     j = np.arange(B, dtype=np.float64)
-    terms = {s: [(d * w, j + np.where(w < 0, a, b)) for d, a, b in pairs]
+    terms = {s: [(d * w, j + np.where(w < 0, a, b), count) for d, a, b, count in pairs]
              for s, w in weights.items()}
     ramp = B - j  # hi - n over a block
     logs, tmp = np.empty(B), np.empty(B)
     sums: dict[int, float] = {}
     running = abs_head = mean_acc = 0.0
     pos = start
-    while pos < n_used:
-        sums[pos] = running
+    while pos < n_out:
+        if pos in bounds:
+            sums[pos] = running
         k, j0 = divmod(pos, B)
         lo, hi, s = k * B, (k + 1) * B, sign_at(seq, k)
         lv, e = logs[j0:], min(max(n_safe, pos), hi)
@@ -341,14 +441,16 @@ def _direct_sums(spec: ProductSpec, K: int):
                             for n, (p, q) in zip(ns, value_pairs(term, ns))]
             abs_head += float(np.abs(lv[:e - pos]).sum())
         # w_n ln R(n) for n = j + kB in [e, hi): one add, divide and log1p per
-        # pair, the first pair in place in lv
+        # distinct pair, times its count, the first pair in place in lv
         out, x = lv[e - pos:], tmp[e - lo:]
         if not pairs:  # R(n) = 1
             out.fill(0.0)
-        for i, (nu, off) in enumerate(terms[s]):
+        for i, (nu, off, count) in enumerate(terms[s]):
             y = x if i else out
             np.add(off[e - lo:], float(lo), out=y)
             np.log1p(np.divide(nu[e - lo:], y, out=y), out=y)
+            if count > 1:
+                y *= count
             if i:
                 out += y
         if pos < B:  # chunk 0 holds the boundaries below B; running is 0 here
@@ -360,9 +462,23 @@ def _direct_sums(spec: ProductSpec, K: int):
         if pos >= fb_lo:  # sum_{pos<=n<hi} S_(n+1) = (hi-pos) S_pos + sum_n t_n (hi-n)
             mean_acc += (hi - pos) * running + float(np.einsum("i,i->", ramp[j0:], lv))
         running, pos = total, hi
+    # the moment path: its order I is the least with r^(I+1)/(1 - r) <= 2^-53
+    # for r = H/(k_t B + min m/L) <= 1/_MOMENT_SPAN, in exact ints
+    HL, D, I = H * L, k_t * B * L + min(live, default=0), 0
+    while k_t < k_end and (HL ** (I + 1) << 53) * D > (D - HL) * D ** (I + 1):
+        I += 1
+    for k0, totals, ramps in _moment_blocks(spec, pairs, B, k_t, k_end, base, I) \
+            if k_t < k_end else ():
+        # chained in order, as the outright blocks are: run[i] is S at (k0 + i)B
+        run = np.cumsum(np.concatenate(([running], totals)))
+        k1 = k0 + len(totals)
+        sums.update((p, float(run[p // B - k0])) for p in bounds if k0 * B <= p < k1 * B)
+        f = max(0, fb_lo // B - k0)  # the first block in the final block
+        if f < len(totals):
+            mean_acc += float(np.sum(B * run[f:-1] + ramps[f:]))
+        running = float(run[-1])
     sums[n_used] = running
-
-    # fl_round, with u = 2^-53 and n0 = min(n_safe, q^K).  Terms: each of the
+    # fl_round, with u = 2^-53 and n0 = min(n_safe, q^K).  Outright terms: each of the
     # h = n0 - start exact terms rounds R(n) and takes a log good to 4 ulps,
     # times w_n exactly: off by <= 2u + 8u |t|, which covers the scaling of an
     # R(n) outside binary64's normal range as in _accel_components.  For a
@@ -373,24 +489,61 @@ def _direct_sums(spec: ProductSpec, K: int):
     # rounding of d and of the quotient, x = nu/(n + c) moves by (4 + 3 rho) u
     # |x|, hence log1p(x) by (4 + 3 rho) u |d|/(n + m), as |x/(1 + x)| is |d|/(n
     # + a) or |d|/(n + b); log1p's own 4 ulps of |log1p(x)| <= |d|/(n + m) add
-    # 8u |d|/(n + m), and adding up P pairs (P - 1) u |d|/(n + m).  As A_i =
-    # |d| (1/(n0 + m) + ln((q^K - 1 + m)/(n0 + m))) >= sum_{n0 <= n < q^K}
-    # |d|/(n + m), the terms are off by E <= u (2h + 8 abs_head + sum_i (P + 11
-    # + 3 rho_i) A_i), and A = abs_head + sum_i A_i >= sum |t_n|.  Sums: each
-    # S_m is a tree of additions of depth D <= B + chunks + 2 (a chunk sum,
+    # 8u |d|/(n + m), and adding up P pairs (P - 1) u |d|/(n + m).  A pair
+    # taken c > 1 times is one log1p times c: the product adds u c |log1p(x)|,
+    # and c - 1 additions fewer are made, so charging P, the pairs counted
+    # with multiplicity, still covers it.  As A_i =
+    # c |d| (1/(n0 + m) + ln((n1 - 1 + m)/(n0 + m))) >= sum_{n0 <= n < n1}
+    # c |d|/(n + m), n1 = k_t B the end of the outright terms, these are off
+    # by E <= u (2h + 8 abs_head + sum_i (P + 11 + 3 rho_i) A_i), and A =
+    # abs_head + sum_i A_i >= sum |t_n|.  Sums: each
+    # S_m, m <= n1, is a tree of additions of depth D <= B + chunks + 2 (a chunk sum,
     # einsum or cumsum in any order, has depth < B): off by E + D u A to first
     # order.  The mean adds the final block's term and ramp-dot errors times
     # B/(q^K - q^(K-1)) <= 1, the products, the additions and the division: 2E
     # + 5 D u A; a sixth D u A covers O(u^2).
+    #
+    # Moment blocks, k_t <= k < k_end.  Truncation: with y = 1/(x + m), the
+    # pair's order-i term is at most c |d| y |h y|^i, as S_i <= i y^(i-1), so
+    # past order I a term is off by c |d| y r^(I+1)/(1 - r) <= u c |d| y, and
+    # a block by u Z_k, with Z_k = sum_pairs c |d| B/(kB + m) (x - H = kB).
+    # Rounding, with rho = max(1, -m/(k_t B + m)) as above: x + c is off by
+    # (1 + rho) u relative, y_c by (2 + rho) u; c d y_a y_b by (8 + 2 rho) u;
+    # S_i by a further (i - 1)(4 + rho) u, its terms being positive; log1p
+    # (d/(x + b)) by (12 + rho) u |d| y as for the outright terms.  The sum
+    # over pairs, the rounding of W_i/i (an exact int divided once), the
+    # product and the sum over orders add (P - 1) + 2 + I.  So order i of a
+    # pair is off by kappa u times c |d| y^(i+1) A_i, A_i = sum_h |h|^i >=
+    # |W_i|, kappa = 5I + 13 + (I + 1) rho + P, and sum_i y^i A_i <= B/(1 -
+    # r): a block is off by E_k <= u sum_pairs (kappa/(1 - r) + 1) c |d| B/(kB
+    # + m).  A ramp weight is at most B, so a ramp sum is off by B E_k, and
+    # the mean's division by q^K - q^(K-1) >= B keeps it within E_k.  Z =
+    # sum_k Z_k is bounded as A_i is, and bounds the moment blocks' sum |t_n|.
+    # The chain adds each block once, and the mean one product and one
+    # addition per final block, each off by u (A + Z): S_m is off by E + D u A
+    # + E_mom + n u (A + Z), n = k_end - k_t, and the mean by 2E_mom + (2n +
+    # 3) u (A + Z) beyond the outright charge; 6 (n + 2) u (A + Z) covers that
+    # with O(u^2).
     n0, u = min(n_safe, n_used), 2.0**-53
+    P = sum(count for *_, count in pairs)
     a_tot, e_bulk = abs_head, 0.0
-    for d, a, b in pairs if n0 < n_used else ():
-        d, m = abs(d), min(a, b)
-        a_i = d * (1.0 / (n0 + m) + math.log((n_used - 1 + m) / (n0 + m)))
+    for d, a, b, count in pairs if n0 < n_out else ():
+        d, m = count * abs(d), min(a, b)
+        a_i = d * (1.0 / (n0 + m) + math.log((n_out - 1 + m) / (n0 + m)))
         a_tot += a_i
-        e_bulk += (len(pairs) + 11 + 3 * max(1.0, -m / (n0 + m))) * a_i
-    depth_u = (B + n_used // B - start // B + 2) * u
+        e_bulk += (P + 11 + 3 * max(1.0, -m / (n0 + m))) * a_i
+    depth_u = (B + n_out // B - start // B + 2) * u
     fl_round = 2.0 * u * (2 * (n0 - start) + 8 * abs_head + e_bulk) + 6.0 * depth_u * a_tot
+    if k_t < k_end:
+        r, x_t = H / (k_t * B + min(live) / L), k_t * B
+        z_tot = e_mom = 0.0
+        for d, a, b, count in pairs:
+            m = min(a, b)
+            z = count * abs(d) * (B / (x_t + m) + math.log(((k_end - 1) * B + m) / (x_t + m)))
+            kappa = 5 * I + 13 + (I + 1) * max(1.0, -m / (x_t + m)) + P
+            z_tot += z
+            e_mom += (kappa / (1.0 - r) + 1) * z
+        fl_round += _ROUND_UP * u * (2 * e_mom + 6 * (k_end - k_t + 2) * (a_tot + z_tot))
     return sums, mean_acc / (n_used - fb_lo), fl_round
 
 
@@ -403,9 +556,11 @@ def evaluate_direct(spec: ProductSpec, N: int | None = None,
     estimate is the spread of the last few block-boundary partial sums, plus
     the gap between the last of them and the mean, times 2q (q is the
     worst-case ratio implied by the n^(log_q(q-1)) growth of the partial
-    sums of the exponents), plus fl_round.  ``cache`` is accepted, for a
-    signature shared with evaluate_product, but not read: the oracle uses
-    no Dirichlet value."""
+    sums of the exponents), plus fl_round.  fl_round is proven; the rest is
+    an estimate.  Blocks far from the roots are summed from sign moments
+    (see ``_direct_sums``), so the cost grows with N/B there, not with N.
+    ``cache`` is accepted, for a signature shared with evaluate_product, but
+    not read: the oracle uses no Dirichlet value."""
     _require_ok(spec)
     q = spec.seq.q
     if N is None:

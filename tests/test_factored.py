@@ -10,6 +10,7 @@ expansion.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import mpmath as mp
@@ -197,8 +198,8 @@ def fraction_offsets(f: FactorList) -> dict[Fraction, int]:
 @example(factor_list([(1, 500, 1), (1, 1, 1), (1, 500, -1), (1, 2, -1)]))
 def test_integer_core_matches_fraction_offsets(f):
     """The ints and floats of the integer form, the expansion and the log1p
-    pairs equal what exact Fraction offsets give, repeated and cancelled
-    offsets included."""
+    pairs, each distinct pair once with its count, equal what exact Fraction
+    offsets give, repeated and cancelled offsets included."""
     merged = fraction_offsets(f)
     (num, den), L, offsets = f.integer_form
     scale = f.constant * math.prod(Fraction(fac.alpha) ** fac.exponent for fac in f.factors)
@@ -218,7 +219,8 @@ def test_integer_core_matches_fraction_offsets(f):
     assert _series_cutoff(f) == math.ceil(2 * max(1, top)) + 1
     ups = sorted(c for c, e in merged.items() for _ in range(e))
     downs = sorted(c for c, e in merged.items() for _ in range(-e))
-    assert _log1p_pairs(f) == [(float(a - b), float(a), float(b)) for a, b in zip(ups, downs)]
+    counts = Counter(zip(ups, downs))
+    assert _log1p_pairs(f) == [(float(a - b), float(a), float(b), c) for (a, b), c in counts.items()]
 
 
 def test_complex_offsets_rejected_by_real_helpers():
