@@ -43,11 +43,13 @@ The baseline evaluator sums the terms, averages the partial log-sums over
 the final base-q block, and estimates its error from the spread of the
 last few block-boundary partial sums; that estimate is not a proof.  It
 reads no Dirichlet constant, ladder or 1/n expansion at infinity, so it
-stays independent of the accelerated path.  It takes its signs block by
-block from one prefix of B = q^m <= 2^17 signs (delta over [kB, (k+1)B) is
-delta_k times delta over [0, B)), so memory is O(B) for every N; fl_round
-is a proven bound on the rounding, and on the truncation below, of every
-sum it returns.  Below the roots it takes ln R(n) of the exact R(n) of
+stays independent of the accelerated path.  It sums a short prefix term by
+term, in chunks of at most 2^17 terms whose signs come from one prefix of
+the sequence (delta over [kB, (k+1)B) is delta_k times delta over [0, B)),
+and cuts each later level [q^j, q^(j+1)) into a fixed number of blocks of
+q^(j-c) terms, so its cost and memory grow with log N, not N; fl_round is
+a proven bound on the rounding, and on the truncation below, of every sum
+it returns.  Below the roots it takes ln R(n) of the exact R(n) of
 ``ratfun.value_pairs``, as the accelerated head does.  Past the roots it
 takes w_n ln R(n) as one log1p per distinct numerator/denominator pair (a,
 b) of R(n) = prod (n + a)/(n + b) (``_log1p_pairs``), times the number of
@@ -55,12 +57,15 @@ times the pair occurs, with the weight folded into the argument: with d = a
 - b, w_n log1p(d/(n + b)) is log1p(d/(n + b)), log1p(-d/(n + a)) or 0 for
 w_n = 1, -1 or 0, since -ln(1 + d/(n + b)) = ln(1 - d/(n + a)).  A term
 costs one add, one divide and one log1p per distinct pair, and no pass
-over the block applies weights.  A block whose half-width is at most
-1/_MOMENT_SPAN of its distance to the nearest root is summed without
-forming its terms (``_moment_blocks``): ln R is smooth across it while the
-signs stay q-multiplicative, so its sum is a short series in the exact
-sign moments of one block, one vector pass per order and distinct pair
-over all such blocks at once.
+over the chunk applies weights.  A level's blocks lie past the roots with
+their half-widths at most 1/_MOMENT_SPAN of their distance to the nearest
+root (``_block_plan``; a block too near a root is cut into its q
+sub-blocks), and each is summed without forming its terms
+(``_moment_blocks``): ln R is smooth across it while the signs stay
+q-multiplicative, so its sum is a short series in the exact sign moments of
+its length (``_block_moments``, one memoized digit recursion for all
+lengths), one vector pass per order and distinct pair over the blocks of
+all levels at once.
 """
 
 from __future__ import annotations
@@ -68,7 +73,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .dirichlet import (
@@ -291,7 +296,7 @@ def evaluate_product(spec: ProductSpec, eps: float = 1e-9,
         raise EpsUnachievableError(f"certified error {est:g} exceeds eps {eps:g}")
     return EvalResult(_exp(log_value), log_value, est, "accel", n, j)
 
-_BLOCK_CAP = 1 << 17
+_BLOCK_CAP = 1 << 17  # the most terms of an outright chunk, and of moment blocks in one pass
 _MOMENT_SPAN = 32  # half-widths from a block to its nearest root, past which its moments sum it
 
 
@@ -313,26 +318,92 @@ def _log1p_pairs(term: FactorList) -> list[tuple[float, float, float, int]]:
     return [((a - b) / L, a / L, b / L, c) for (a, b), c in counts.items()]
 
 
-def _block_moments(signs, m: int, H: int, top: int) -> list[int]:
+@lru_cache(maxsize=1024)
+def _block_moments(signs: tuple[int, ...], m: int, H: int, top: int) -> tuple[int, ...]:
     """sum_{j<q^m} s_j (j - H)^i for i = 0..top, exactly, where q =
     len(signs) and s_j is the product of signs[d] over the base-q digits d
-    of j.  Raw moments come
-    from the digit recursion j = q j' + d, M_i = sum_l C(i, l) q^l c_(i-l)
-    M'_l with c_t = sum_d signs[d] d^t, and are then shifted to H."""
-    q, c = len(signs), [sum(s * d**t for d, s in enumerate(signs)) for t in range(top + 1)]
-    raw = [1] + [0] * top
-    for _ in range(m):
-        raw = [sum(math.comb(i, l) * q**l * c[i - l] * raw[l] for l in range(i + 1))
-               for i in range(top + 1)]
-    return [sum(math.comb(i, l) * (-H) ** (i - l) * raw[l] for l in range(i + 1))
-            for i in range(top + 1)]
+    of j.  From the moments M' of q^(m-1) about its centre G = q^(m-1)//2:
+    j = q j' + d gives j - H = q (j' - G) + t_d, t_d = qG + d - H, so M_i =
+    sum_l C(i, l) q^l M'_l c_(i-l) with c_t = sum_d signs[d] t_d^t.  Every
+    block length of every call walks this one memoized recursion."""
+    if m == 0:
+        return tuple((-H) ** i for i in range(top + 1))
+    q, G = len(signs), len(signs) ** (m - 1) // 2
+    prev = _block_moments(signs, m - 1, G, top)
+    c = [sum(s * (q * G + d - H) ** t for d, s in enumerate(signs)) for t in range(top + 1)]
+    return tuple(sum(math.comb(i, l) * q**l * prev[l] * c[i - l] for l in range(i + 1))
+                 for i in range(top + 1))
 
 
-def _moment_blocks(spec: ProductSpec, pairs, B: int, k_t: int, k_end: int, base, I: int):
-    """Yield (k0, totals, ramps) for the blocks k_t..k_end-1, at most B
-    blocks at a time: totals[i] approximates sum_j w_n ln R(n) and ramps[i]
-    sum_j (B - j) w_n ln R(n), over n = (k0 + i)B + j, j < B, from the
-    expansion of ln R to order I about the block's centre x = kB + H.
+@lru_cache(maxsize=256)
+def _block_weights(signs: tuple[int, ...], mode: str, top: int, I: int):
+    """(table, sigma), read-only arrays for the blocks of length B = q^m, m
+    <= top: sigma[m] = 2^e is the largest power of two <= max(H, 1), H =
+    B//2, and table[i, t, 2m + (s < 0)] is (-1)^(i+1) V/(i sigma^i) for
+    order i <= I, block sign s and V = W_i (t = 0, sums) or (B - H) W_i -
+    W_(i+1) (t = 1, ramps), V itself for i = 0, where W_i = sum_j w_j (j -
+    H)^i with w_j = s delta_j (delta) or (1 - s delta_j)/2 (theta): exact
+    ints from the sign moments, each rounded once."""
+    import numpy as np
+
+    q, table = len(signs), np.empty((I + 1, 2, 2 * (top + 1)))
+    for m in range(top + 1):
+        B, H = q**m, q**m // 2
+        e = max(H.bit_length() - 1, 0)
+        mu, nu = (_block_moments(p, m, H, I + 1) for p in (signs, (1,) * q))
+        for t, s in enumerate((1, -1)):
+            W = [s * a if mode == "delta" else (b - s * a) // 2 for a, b in zip(mu, nu)]
+            for i in range(I + 1):
+                v = (W[i], (B - H) * W[i] - W[i + 1])
+                table[i, :, 2 * m + t] = [(-1) ** (i + 1) * x / (i << e * i) if i else float(x)
+                                          for x in v]
+    sigma = np.array([2.0 ** max((q**m // 2).bit_length() - 1, 0) for m in range(top + 1)])
+    table.flags.writeable = sigma.flags.writeable = False
+    return table, sigma
+
+
+def _block_plan(q: int, K: int, c: int, n_safe: int, L: int, low: int):
+    """(n_out, runs): the terms below n_out are summed outright, and [n_out,
+    q^K) is tiled in order by runs (x0, m, count) of count blocks of length
+    B = q^m from x0, a multiple of B, each summed from its sign moments.
+
+    Level j, [q^j, q^(j+1)) for c <= j < K, is cut into blocks of q^(j-c).
+    A block [x0, x0 + B) is a moment block when x0 >= n_safe and its
+    half-width H = B//2 is at most 1/_MOMENT_SPAN of x0 + low/L, its
+    distance to the nearest root; as x0 >= q^c B >= _MOMENT_SPAN H, that
+    holds for every block of a level past roots >= 0.  A block wholly below
+    n_safe is summed outright; one that straddles n_safe or lies too near a
+    root < 0 is cut into its q sub-blocks, and those pass once past both.
+    The terms up to the end of the last outright block are all summed
+    outright, so the outright terms are a prefix."""
+    span, runs, n_out = _MOMENT_SPAN, [], q**c
+
+    def visit(x0: int, m: int, count: int):
+        nonlocal n_out
+        B, H = q**m, q**m // 2
+        below = min(count, max(0, (n_safe - x0) // B))
+        first = min(count, max(below, -(-(n_safe - x0) // B),
+                               -(-(span * H * L - low - x0 * L) // (B * L))))
+        if below:
+            runs.clear()
+            n_out = x0 + below * B
+        for i in range(below, first):  # m > 0: a single term past n_safe passes
+            visit(x0 + i * B, m - 1, q)
+        if first < count:
+            runs.append((x0 + first * B, m, count - first))
+
+    for j in range(c, K):
+        visit(q**j, j - c, (q - 1) * q**c)
+    return n_out, runs
+
+
+def _moment_blocks(spec: ProductSpec, pairs, x, ms, plus, n_ramp: int, I: int):
+    """Yield (i0, totals, ramps) for the moment blocks i0.., at most
+    _BLOCK_CAP at a time.  Block i has length B = q^ms[i], H = B//2,
+    centre x[i] = x0 + H and sign plus[i]; totals[i] approximates sum_j w_n
+    ln R(n) over n = x0 + j, j < B, and ramps, for the chunk's blocks among
+    the last n_ramp, sum_j (B - j) w_n ln R(n), both from the expansion of
+    ln R to order I about x.
 
     With h = n - x, y_c = 1/(x + c) and d = a - b, each pair gives
     ln((x + a + h)/(x + b + h)) = log1p(d y_b) + sum_{i=1..I} ((-1)^(i+1)/i)
@@ -341,50 +412,45 @@ def _moment_blocks(spec: ProductSpec, pairs, B: int, k_t: int, k_end: int, base,
     two sums are then sum_i e_i W_i, e_i the pairs' coefficients, with W_i
     = sum_j w_j h^i for the sums and (B - H) W_i - W_(i+1) for the ramps:
     exact ints from the sign moments of one block, with w_j = s_k delta_j
-    or (1 - s_k delta_j)/2 for the block sign s_k.
+    or (1 - s_k delta_j)/2 for the block sign s_k.  Order i is carried as
+    e_i sigma^i and W_i sigma^-i for sigma = 2^e <= max(H, 1): with Y_c =
+    sigma y_c, e_i sigma^i = -d y_a Y_b S'_i, S'_1 = 1, S'_(i+1) = Y_a S'_i
+    + Y_b^i, so a power of two scales both exactly and neither leaves
+    binary64's range as B grows.
     """
     import numpy as np
 
-    seq, q, H = spec.seq, spec.seq.q, B // 2
-    m = _top_exponent(q, B)
-    mu, nu = (_block_moments(signs, m, H, I + 1) for signs in (seq.signs, (1,) * q))
-
-    def scaled(v: int, i: int) -> float:  # (-1)^(i+1) v/i rounded once, v for i = 0
-        return (-1) ** (i + 1) * v / i if i else float(v)
-
-    weights = {}  # per block sign: the (sum, ramp) weights of order i with their 1/i
-    for s in (1, -1):
-        W = [s * a if spec.mode == "delta" else (b - s * a) // 2 for a, b in zip(mu, nu)]
-        weights[s] = [(scaled(W[i], i), scaled((B - H) * W[i] - W[i + 1], i))
-                      for i in range(I + 1)]
-    for c in range(k_t // B, -(-k_end // B)):
-        k0, k1 = max(k_t, c * B), min(k_end, (c + 1) * B)
-        plus = base[k0 - c * B:k1 - c * B] * sign_at(seq, c) > 0  # s_k = delta_c delta_(k - cB)
-        x = np.arange(k0, k1, dtype=np.float64) * B + H
-        e = np.zeros(k1 - k0)
-        series = []  # per pair: y_a, y_b, -c d y_a y_b S_i and -c d y_a y_b y_b^i
+    table, sigma = _block_weights(spec.seq.signs, spec.mode, int(ms.max()), I)
+    flat, sigma = 2 * ms + ~plus, sigma[ms]
+    n = len(x)
+    for i0 in range(0, n, _BLOCK_CAP):
+        i1 = min(n, i0 + _BLOCK_CAP)
+        f = min(i1 - i0, max(0, n - n_ramp - i0))  # the chunk's first block that takes a ramp
+        xc, fc, sg = x[i0:i1], flat[i0:i1], sigma[i0:i1]
+        e = np.zeros(i1 - i0)
+        series = []  # per pair: Y_a, Y_b, -c d y_a Y_b S'_i and -c d y_a Y_b Y_b^i
         for d, a, b, count in pairs:
-            yb = x + b
+            yb = xc + b
             y = np.log1p(np.divide(d, yb))
             if count > 1:
                 y *= count
             e += y
-            np.divide(1.0, yb, out=yb)
-            ya = np.divide(1.0, x + a)
+            np.divide(sg, yb, out=yb)
+            ya = np.divide(sg, xc + a)
             g = ya * (-count * d)
             g *= yb
+            g /= sg
             series.append((ya, yb, g, g * yb))
-        totals, ramps = (np.where(plus, weights[1][0][t], weights[-1][0][t]) * e
-                         for t in (0, 1))
+        totals, ramps = table[0, 0, fc] * e, table[0, 1, fc[f:]] * e[f:]
         for i in range(1, I + 1):
-            for ya, yb, g, p in series if i > 1 else ():  # S_i and y_b^i from order i - 1
+            for ya, yb, g, p in series if i > 1 else ():  # S'_i and Y_b^i from order i - 1
                 g *= ya
                 g += p
                 p *= yb
             e = sum(g for _, _, g, _ in series)
-            for t, acc in enumerate((totals, ramps)):
-                acc += np.where(plus, weights[1][i][t], weights[-1][i][t]) * e
-        yield k0, totals, ramps
+            totals += table[i, 0, fc] * e
+            ramps += table[i, 1, fc[f:]] * e[f:]
+        yield i0, totals, ramps
 
 
 def _direct_sums(spec: ProductSpec, K: int):
@@ -392,11 +458,16 @@ def _direct_sums(spec: ProductSpec, K: int):
     the boundaries m = q^1..q^K only, the mean of S_(n+1) over [q^(K-1),
     q^K), fl_round), where fl_round bounds the error of each.
 
-    Blocks k < k_t sum their terms outright.  From k_t on, each block lies
-    past n_safe and its half-width is at most 1/_MOMENT_SPAN of its
-    distance to the nearest root; ``_moment_blocks`` sums those from the
-    sign moments of one block, and fl_round covers their truncation as well
-    as their rounding.  Block totals are chained in order either way."""
+    ``_block_plan`` cuts each level [q^j, q^(j+1)) into (q - 1) q^c blocks,
+    so block lengths grow with n.  The terms of a prefix, below q^c, below
+    n_safe and in blocks too near a root, are summed outright; every later
+    block lies past n_safe with its half-width at most 1/_MOMENT_SPAN of
+    its distance to the nearest root, and ``_moment_blocks`` sums it from
+    the sign moments of its length, all such blocks in one vector pass per
+    order and distinct pair.  A call costs about K (q - 1) q^c blocks
+    beyond the prefix, whatever q^K is.  fl_round covers the moment blocks'
+    truncation as well as all rounding.  Block totals are chained in
+    order."""
     import numpy as np
 
     seq, term, start, q = spec.seq, spec.term, spec.start, spec.seq.q
@@ -406,14 +477,12 @@ def _direct_sums(spec: ProductSpec, K: int):
     live = [m for m, e in offsets if e]
     n_safe = max(start, max(map(abs, live), default=0) // L + 1)
     pairs = _log1p_pairs(term) if n_safe < n_used else []  # floats for the bulk past the roots
-    # delta over [kB, (k+1)B) is delta_k times delta over [0, B)
-    B = q ** min(K - 1, _top_exponent(q, _BLOCK_CAP))  # divides fb_lo
-    H, k_end = B // 2, n_used // B
-    # blocks k >= k_t take the moment path: kB >= n_safe, and the half-width
-    # H is at most 1/_MOMENT_SPAN of kB + min m/L, the distance to the nearest root
-    k_t = k_end if not pairs else min(k_end, max(
-        -(-n_safe // B), -(-(_MOMENT_SPAN * H * L - min(live)) // (B * L))))
-    n_out = k_t * B  # the outright terms end here; n_used when no block takes the moment path
+    c = next((c for c in range(K) if 2 * q**c >= _MOMENT_SPAN), K)
+    n_out, runs = _block_plan(q, K, c, n_safe, L, min(live)) if pairs else (n_used, [])
+    # outright chunks of B = q^mo, up to n_out: delta over [kB, (k+1)B) is
+    # delta_k times delta over [0, B), and B divides fb_lo
+    B = q ** min(K - 1, _top_exponent(q, _BLOCK_CAP), next(m for m in range(K + 1)
+                                                           if q**m >= n_out))
     base = delta_prefix(seq, B)
     weights = {s: s * base if spec.mode == "delta" else (1 - s * base) // 2 for s in (1, -1)}
     # w_n ln R(n) is log1p(nu/(n + c)) per pair (a, b), d = a - b: nu = d and
@@ -423,7 +492,6 @@ def _direct_sums(spec: ProductSpec, K: int):
     j = np.arange(B, dtype=np.float64)
     terms = {s: [(d * w, j + np.where(w < 0, a, b), count) for d, a, b, count in pairs]
              for s, w in weights.items()}
-    ramp = B - j  # hi - n over a block
     logs, tmp = np.empty(B), np.empty(B)
     sums: dict[int, float] = {}
     running = abs_head = mean_acc = 0.0
@@ -432,8 +500,9 @@ def _direct_sums(spec: ProductSpec, K: int):
         if pos in bounds:
             sums[pos] = running
         k, j0 = divmod(pos, B)
-        lo, hi, s = k * B, (k + 1) * B, sign_at(seq, k)
-        lv, e = logs[j0:], min(max(n_safe, pos), hi)
+        lo, s = k * B, sign_at(seq, k)
+        hi = min(lo + B, n_out)
+        lv, e = logs[j0:hi - lo], min(max(n_safe, pos), hi)
         if e > pos:  # exact terms below n_safe
             w = weights[s]
             ns = range(pos, e)
@@ -442,41 +511,59 @@ def _direct_sums(spec: ProductSpec, K: int):
             abs_head += float(np.abs(lv[:e - pos]).sum())
         # w_n ln R(n) for n = j + kB in [e, hi): one add, divide and log1p per
         # distinct pair, times its count, the first pair in place in lv
-        out, x = lv[e - pos:], tmp[e - lo:]
+        out, x = lv[e - pos:], tmp[e - lo:hi - lo]
         if not pairs:  # R(n) = 1
             out.fill(0.0)
         for i, (nu, off, count) in enumerate(terms[s]):
             y = x if i else out
-            np.add(off[e - lo:], float(lo), out=y)
-            np.log1p(np.divide(nu[e - lo:], y, out=y), out=y)
+            np.add(off[e - lo:hi - lo], float(lo), out=y)
+            np.log1p(np.divide(nu[e - lo:hi - lo], y, out=y), out=y)
             if count > 1:
                 y *= count
             if i:
                 out += y
         if pos < B:  # chunk 0 holds the boundaries below B; running is 0 here
             cs = np.cumsum(lv)
-            sums.update((q**i, float(cs[q**i - pos - 1])) for i in range(1, K) if q**i < B)
+            sums.update((q**i, float(cs[q**i - pos - 1])) for i in range(1, K) if q**i <= hi)
             total = float(cs[-1])
         else:
             total = running + float(np.einsum("i->", lv))
         if pos >= fb_lo:  # sum_{pos<=n<hi} S_(n+1) = (hi-pos) S_pos + sum_n t_n (hi-n)
-            mean_acc += (hi - pos) * running + float(np.einsum("i,i->", ramp[j0:], lv))
+            ramp = np.arange(hi - pos, 0, -1, dtype=np.float64)
+            mean_acc += (hi - pos) * running + float(np.einsum("i,i->", ramp, lv))
         running, pos = total, hi
-    # the moment path: its order I is the least with r^(I+1)/(1 - r) <= 2^-53
-    # for r = H/(k_t B + min m/L) <= 1/_MOMENT_SPAN, in exact ints
-    HL, D, I = H * L, k_t * B * L + min(live, default=0), 0
-    while k_t < k_end and (HL ** (I + 1) << 53) * D > (D - HL) * D ** (I + 1):
-        I += 1
-    for k0, totals, ramps in _moment_blocks(spec, pairs, B, k_t, k_end, base, I) \
-            if k_t < k_end else ():
-        # chained in order, as the outright blocks are: run[i] is S at (k0 + i)B
-        run = np.cumsum(np.concatenate(([running], totals)))
-        k1 = k0 + len(totals)
-        sums.update((p, float(run[p // B - k0])) for p in bounds if k0 * B <= p < k1 * B)
-        f = max(0, fb_lo // B - k0)  # the first block in the final block
-        if f < len(totals):
-            mean_acc += float(np.sum(B * run[f:-1] + ramps[f:]))
-        running = float(run[-1])
+    if runs:
+        # the moment path's order I is the least with r^(I+1)/(1 - r) <= 2^-53
+        # for r = 1/_MOMENT_SPAN, which bounds each block's r_k = H/(x0 + low/L)
+        span, I = _MOMENT_SPAN, 0
+        while span ** (I + 1) * (span - 1) < span << 53:
+            I += 1
+        # block i: centre x, length q^ms, sign plus: delta over the block of
+        # index k = x0/B is delta_k times delta over [0, B), and a run's k lie
+        # in one window of q^(c+1), where delta_k = delta_(k div q^(c+1)) T[k mod q^(c+1)]
+        window = q ** (c + 1)
+        T = delta_prefix(seq, window)
+        x = np.concatenate([float(x0 + q**m // 2) + np.arange(n) * float(q**m)
+                            for x0, m, n in runs])
+        ms = np.repeat([m for _, m, _ in runs], [n for *_, n in runs])
+        plus = np.concatenate([sign_at(seq, x0 // q**m // window)
+                               * T[x0 // q**m % window:][:n] for x0, m, n in runs]) > 0
+        n_ramp = sum(n for x0, _, n in runs if x0 >= fb_lo)
+        # a boundary q^j >= n_out starts level j, and so a run: at[i] = q^j for its first block i
+        firsts = np.cumsum([0] + [n for *_, n in runs])
+        at = {int(i): x0 for i, (x0, _, _) in zip(firsts, runs) if x0 in bounds}
+        sizes = [q**m for m in range(int(ms.max()) + 1)]
+        lengths, halves = (np.array(v, dtype=np.float64)[ms]
+                           for v in (sizes, [b // 2 for b in sizes]))
+        for i0, totals, ramps in _moment_blocks(spec, pairs, x, ms, plus, n_ramp, I):
+            # chained in order, as the outright chunks are: run[i] is S at block i0 + i
+            run = np.cumsum(np.concatenate(([running], totals)))
+            i1 = i0 + len(totals)
+            sums.update((p, float(run[i - i0])) for i, p in at.items() if i0 <= i < i1)
+            if len(ramps):  # the chunk's final-block sums, B S_x0 + ramp each
+                f = len(totals) - len(ramps)
+                mean_acc += float(np.sum(lengths[i0 + f:i1] * run[f:-1] + ramps))
+            running = float(run[-1])
     sums[n_used] = running
     # fl_round, with u = 2^-53 and n0 = min(n_safe, q^K).  Outright terms: each of the
     # h = n0 - start exact terms rounds R(n) and takes a log good to 4 ulps,
@@ -494,7 +581,7 @@ def _direct_sums(spec: ProductSpec, K: int):
     # and c - 1 additions fewer are made, so charging P, the pairs counted
     # with multiplicity, still covers it.  As A_i =
     # c |d| (1/(n0 + m) + ln((n1 - 1 + m)/(n0 + m))) >= sum_{n0 <= n < n1}
-    # c |d|/(n + m), n1 = k_t B the end of the outright terms, these are off
+    # c |d|/(n + m), n1 = n_out the end of the outright terms, these are off
     # by E <= u (2h + 8 abs_head + sum_i (P + 11 + 3 rho_i) A_i), and A =
     # abs_head + sum_i A_i >= sum |t_n|.  Sums: each
     # S_m, m <= n1, is a tree of additions of depth D <= B + chunks + 2 (a chunk sum,
@@ -503,27 +590,30 @@ def _direct_sums(spec: ProductSpec, K: int):
     # B/(q^K - q^(K-1)) <= 1, the products, the additions and the division: 2E
     # + 5 D u A; a sixth D u A covers O(u^2).
     #
-    # Moment blocks, k_t <= k < k_end.  Truncation: with y = 1/(x + m), the
-    # pair's order-i term is at most c |d| y |h y|^i, as S_i <= i y^(i-1), so
-    # past order I a term is off by c |d| y r^(I+1)/(1 - r) <= u c |d| y, and
-    # a block by u Z_k, with Z_k = sum_pairs c |d| B/(kB + m) (x - H = kB).
-    # Rounding, with rho = max(1, -m/(k_t B + m)) as above: x + c is off by
-    # (1 + rho) u relative, y_c by (2 + rho) u; c d y_a y_b by (8 + 2 rho) u;
-    # S_i by a further (i - 1)(4 + rho) u, its terms being positive; log1p
-    # (d/(x + b)) by (12 + rho) u |d| y as for the outright terms.  The sum
-    # over pairs, the rounding of W_i/i (an exact int divided once), the
-    # product and the sum over orders add (P - 1) + 2 + I.  So order i of a
-    # pair is off by kappa u times c |d| y^(i+1) A_i, A_i = sum_h |h|^i >=
-    # |W_i|, kappa = 5I + 13 + (I + 1) rho + P, and sum_i y^i A_i <= B/(1 -
-    # r): a block is off by E_k <= u sum_pairs (kappa/(1 - r) + 1) c |d| B/(kB
-    # + m).  A ramp weight is at most B, so a ramp sum is off by B E_k, and
-    # the mean's division by q^K - q^(K-1) >= B keeps it within E_k.  Z =
-    # sum_k Z_k is bounded as A_i is, and bounds the moment blocks' sum |t_n|.
-    # The chain adds each block once, and the mean one product and one
-    # addition per final block, each off by u (A + Z): S_m is off by E + D u A
-    # + E_mom + n u (A + Z), n = k_end - k_t, and the mean by 2E_mom + (2n +
-    # 3) u (A + Z) beyond the outright charge; 6 (n + 2) u (A + Z) covers that
-    # with O(u^2).
+    # Moment block k, [x0, x0 + B_k), H_k = B_k//2, r_k = H_k/(x0 + low/L),
+    # charged with its own B_k and r_k.  Truncation: with y = 1/(x0 + m),
+    # the pair's order-i term is at most c |d| y |h y|^i, as S_i <= i y^(i-1),
+    # so past order I a term is off by c |d| y r_k^(I+1)/(1 - r_k) <= u c |d|
+    # y, and the block by u Z_k, with Z_k = sum_pairs c |d| B_k/(x0 + m).
+    # Rounding, with rho_k = max(1, -m/(x0 + m)): x is exact while q^K <=
+    # 2^53 and within 4u x beyond, and x <= (1 + rho_k)(x + c), so x + c is
+    # off by alpha u relative, alpha = 5 + 5 rho_k; Y_c by alpha + 1; -c d
+    # y_a Y_b by 2 alpha + 6; S'_i by a further (i - 1)(alpha + 3), its terms
+    # being positive; log1p(d/(x + b)) by (alpha + 11) u |d| y as for the
+    # outright terms.  Scaling by sigma is exact.  The sum over pairs, the
+    # rounding of W_i/(i sigma^i) (an exact int divided once), the product
+    # and the sum over orders add (P - 1) + 2 + I.  So order i of a pair is
+    # off by kappa_k u times c |d| y^(i+1) A_i, A_i = sum_h |h|^i >= |W_i|,
+    # kappa_k = 9I + 17 + 5 (I + 1) rho_k + P, and sum_i y^i A_i <= B_k/(1 -
+    # r_k): the block is off by E_k <= u sum_pairs (kappa_k/(1 - r_k) + 1) c
+    # |d| B_k/(x0 + m).  A ramp weight is at most B_k, so a ramp sum is off
+    # by B_k E_k, and the mean's division by q^K - q^(K-1) >= B_k keeps it
+    # within E_k.  Z = sum_k Z_k bounds the moment blocks' sum |t_n|.  The
+    # chain adds each block once, and the mean one product and one addition
+    # per final block, each off by u (A + Z): S_m is off by E + D u A + E_mom
+    # + n u (A + Z), n the number of moment blocks, and the mean by 2E_mom +
+    # (2n + 3) u (A + Z) beyond the outright charge; 6 (n + 2) u (A + Z)
+    # covers that with O(u^2).
     n0, u = min(n_safe, n_used), 2.0**-53
     P = sum(count for *_, count in pairs)
     a_tot, e_bulk = abs_head, 0.0
@@ -532,18 +622,19 @@ def _direct_sums(spec: ProductSpec, K: int):
         a_i = d * (1.0 / (n0 + m) + math.log((n_out - 1 + m) / (n0 + m)))
         a_tot += a_i
         e_bulk += (P + 11 + 3 * max(1.0, -m / (n0 + m))) * a_i
-    depth_u = (B + n_out // B - start // B + 2) * u
+    depth_u = (B - (-n_out // B) - start // B + 2) * u
     fl_round = 2.0 * u * (2 * (n0 - start) + 8 * abs_head + e_bulk) + 6.0 * depth_u * a_tot
-    if k_t < k_end:
-        r, x_t = H / (k_t * B + min(live) / L), k_t * B
+    if runs:
+        x0 = x - halves
+        r = halves / (x0 + min(live) / L)
         z_tot = e_mom = 0.0
         for d, a, b, count in pairs:
             m = min(a, b)
-            z = count * abs(d) * (B / (x_t + m) + math.log(((k_end - 1) * B + m) / (x_t + m)))
-            kappa = 5 * I + 13 + (I + 1) * max(1.0, -m / (x_t + m)) + P
-            z_tot += z
-            e_mom += (kappa / (1.0 - r) + 1) * z
-        fl_round += _ROUND_UP * u * (2 * e_mom + 6 * (k_end - k_t + 2) * (a_tot + z_tot))
+            z = count * abs(d) * lengths / (x0 + m)
+            kappa = 9 * I + 17 + 5 * (I + 1) * np.maximum(1.0, -m / (x0 + m)) + P
+            z_tot += float(z.sum())
+            e_mom += float(((kappa / (1.0 - r) + 1) * z).sum())
+        fl_round += _ROUND_UP * u * (2 * e_mom + 6 * (len(x) + 2) * (a_tot + z_tot))
     return sums, mean_acc / (n_used - fb_lo), fl_round
 
 
@@ -557,16 +648,22 @@ def evaluate_direct(spec: ProductSpec, N: int | None = None,
     the gap between the last of them and the mean, times 2q (q is the
     worst-case ratio implied by the n^(log_q(q-1)) growth of the partial
     sums of the exponents), plus fl_round.  fl_round is proven; the rest is
-    an estimate.  Blocks far from the roots are summed from sign moments
-    (see ``_direct_sums``), so the cost grows with N/B there, not with N.
-    ``cache`` is accepted, for a signature shared with evaluate_product, but
-    not read: the oracle uses no Dirichlet value."""
+    an estimate.  Each level [q^j, q^(j+1)) past a short prefix is summed
+    from the sign moments of a fixed number of blocks (see
+    ``_direct_sums``), so the cost grows with K = log_q N, not with N.  N
+    must be an int (a bool or a float is a TypeError) below 2^500.  ``cache`` is
+    accepted, for a signature shared with evaluate_product, but not read:
+    the oracle uses no Dirichlet value."""
+    if N is not None and (not isinstance(N, int) or isinstance(N, bool)):
+        raise TypeError(f"N must be an int, got {N!r}")
     _require_ok(spec)
     q = spec.seq.q
     if N is None:
         N = q**10
     if N < q * q:
         raise ValueError(f"direct evaluation needs N >= q^2 = {q * q}")
+    if N >= 2**500:  # past it a final block's ramp weights, ~B^2, may leave binary64
+        raise ValueError("direct evaluation needs N < 2^500")
     K = _top_exponent(q, N)
     sums, log_value, fl_round = _direct_sums(spec, K)
     last = [sums[q**k] for k in range(max(1, K - q + 1), K + 1)]

@@ -334,6 +334,14 @@ class TestJsonErrors:
             "exit_code": 2, "kind": "usage", "message": message}}
         assert run(capsys, *argv) == (2, "", err)
 
+    def test_verify_both_at_ten_to_the_fifteen_terms(self, capsys, cache_env):
+        # the direct oracle's cost grows with log N: 2^49 terms return at once
+        code, out, _ = run(capsys, "--format", "json", "verify", "--method", "both",
+                           "--filter", "wr", "--direct-n", "1000000000000000")
+        doc = json.loads(out)
+        assert code == 0 and doc["summary"] == {"fail": 0, "pass": 2, "total": 2}
+        assert [r["terms_used"] for r in doc["results"]][1] == 2**49
+
     def test_unparsed_usage_error_emits_nothing(self, capsys, cache_env):
         code, out, err = run(capsys, "--format", "json", "eval", "--seq", "gtm:2:1")
         assert code == 2 and out == "" and "required" in err

@@ -2,17 +2,20 @@
 
 The reference sums w_n ln R(n) term by term at 40 digits, with ln R(n) taken
 from the exact rational value, and forms the q^k boundary sums and the mean
-over the final block from those.  The block length is shrunk in some cases
-(``_BLOCK_CAP``) so that small N still run many blocks, blocks outside the
-final one, and a first block that starts off a multiple of B.  Every capped
-case also reaches the blocks far from the roots that are summed from their
-sign moments, and the oracle's proven fl_round must cover those sums, their
-truncation included, against the reference; its estimate stays an
-estimate.  The oracle reads no Dirichlet constant.
+over the final block from those.  The oracle sums a short prefix term by
+term and each later level [q^j, q^(j+1)) in a fixed number of blocks from
+their sign moments.  ``_BLOCK_CAP`` is shrunk in some cases so that the
+prefix still runs several chunks, the first of them starting off a multiple
+of the chunk length, and the moment blocks several passes; every capped
+case reaches the moment blocks.  The oracle's proven fl_round must cover
+every sum, the moment blocks' truncation included, against the reference;
+its estimate stays an estimate.  The oracle reads no Dirichlet constant.
 """
 
 import math
+import random
 import tracemalloc
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -25,10 +28,13 @@ from gtmprod.evaluator import (
     _direct_sums,
     _top_exponent,
     build_gamma_ratio_term,
+    build_scaling_term,
     evaluate_direct,
+    evaluate_product,
 )
 from gtmprod.ratfun import exact_real_value, parse_product_term
-from gtmprod.sequences import parse_seq_spec, sign_at, sign_prefix
+from gtmprod.sequences import make_sequence, parse_seq_spec, sign_at, sign_prefix
+from test_evaluator import _pinned_specs
 
 
 def reference_sums(spec, K):
@@ -85,19 +91,26 @@ CASES = [
 ]
 
 
+def _count_moment_blocks(monkeypatch) -> list[int]:
+    """Wrap ``_moment_blocks``: the list returned gets the number of blocks
+    of each vector pass it yields."""
+    counts, real = [], evaluator._moment_blocks
+
+    def counting(*args):
+        for chunk in real(*args):
+            counts.append(len(chunk[1]))
+            yield chunk
+
+    monkeypatch.setattr(evaluator, "_moment_blocks", counting)
+    return counts
+
+
 @pytest.mark.parametrize("seq_text, mode, start, lhs, N, cap", CASES)
 def test_matches_brute_force_reference(seq_text, mode, start, lhs, N, cap, monkeypatch):
     moment_blocks = []
     if cap is not None:
         monkeypatch.setattr(evaluator, "_BLOCK_CAP", cap)
-        real = evaluator._moment_blocks
-
-        def counting(*args):
-            for chunk in real(*args):
-                moment_blocks.append(len(chunk[1]))
-                yield chunk
-
-        monkeypatch.setattr(evaluator, "_moment_blocks", counting)
+        moment_blocks = _count_moment_blocks(monkeypatch)
     spec = ProductSpec(parse_seq_spec(seq_text), mode, start, parse_product_term(lhs))
     q = spec.seq.q
     K = _top_exponent(q, N)
@@ -135,8 +148,8 @@ def test_memory_stays_within_one_block():
 
 
 def test_memory_stays_within_one_block_at_65536_blocks():
-    # N = 4^16: B = 4^8 and 65,536 blocks, all but 16 summed from moments;
-    # neither they nor the q^k boundaries are kept per block
+    # N = 4^16: 16 terms summed outright, then 14 levels of 48 moment
+    # blocks each; no array grows with N
     spec = ProductSpec(parse_seq_spec("dcount:4:2"), "delta", 0,
                        parse_product_term("(4n+2)/(4n+3)"))
     tracemalloc.start()
@@ -159,30 +172,116 @@ def test_block_moments_match_a_sum_over_the_block(seq_text, m):
     for H in (0, B // 2, B - 1):
         for sgn, got in ((signs, _block_moments(seq.signs, m, H, 12)),
                          ([1] * B, _block_moments((1,) * seq.q, m, H, 12))):
-            assert got == [sum(s * (j - H) ** i for j, s in enumerate(sgn)) for i in range(13)]
+            want = [sum(s * (j - H) ** i for j, s in enumerate(sgn)) for i in range(13)]
+            assert list(got) == want
 
 
 def _moment_cases():
     records = {r.id: r.product_spec() for r in load_catalog("builtin")}
     q5 = parse_seq_spec("gtm:5:1011")
     frak = ProductSpec(q5, "theta", 1, build_gamma_ratio_term(q5, [1, 3], [2, 2])[0])
-    return [(records["g1.q4.k2"], 11), (records["g1.q5.k4"], 10), (records["g2.q5"], 10),
-            (frak, 9)]
+    cases = {"g1.q4.k2": (records["g1.q4.k2"], 11), "g1.q5.k4": (records["g1.q5.k4"], 10),
+             "g2.q5": (records["g2.q5"], 10), "thm_frak": (frak, 9)}
+    cases.update((f"pinned-{name}", (spec, 7)) for name, spec in _pinned_specs().items())
+    return cases
 
 
-@pytest.mark.parametrize("case", range(4), ids=["g1.q4.k2", "g1.q5.k4", "g2.q5", "thm_frak"])
+@pytest.mark.parametrize("case", list(_moment_cases()))
 def test_moment_path_agrees_with_the_outright_sums(case, monkeypatch):
-    # each case reaches blocks past k = 16; with the moment path off every
-    # term is summed outright, and both results hold within both fl_rounds
+    # each case reaches the moment path; with it off every term is summed
+    # outright, and both results hold within both fl_rounds
     spec, K = _moment_cases()[case]
     q = spec.seq.q
+    blocks = _count_moment_blocks(monkeypatch)
     sums, mean, fl_round = _direct_sums(spec, K)
+    n_blocks = sum(blocks)
     monkeypatch.setattr(evaluator, "_MOMENT_SPAN", q ** (K + 1))
     out_sums, out_mean, out_round = _direct_sums(spec, K)
-    assert fl_round < out_round
+    assert n_blocks > 0 and sum(blocks) == n_blocks  # the second call takes no moment block
+    if K > 7:  # long outright chunks: the moment path's bound is the smaller
+        assert fl_round < out_round
     for k in range(1, K + 1):
         assert abs(sums[q**k] - out_sums[q**k]) <= fl_round + out_round, k
     assert abs(mean - out_mean) <= fl_round + out_round
+
+
+def _count_outright_ends(monkeypatch) -> list[int]:
+    """Wrap ``_block_plan``: the list returned gets the end n_out of the
+    outright terms of each plan."""
+    ends, real = [], evaluator._block_plan
+
+    def counting(*args):
+        n_out, runs = real(*args)
+        ends.append(n_out)
+        return n_out, runs
+
+    monkeypatch.setattr(evaluator, "_block_plan", counting)
+    return ends
+
+
+@pytest.mark.parametrize("seq_text, mode, start, lhs, c, cut", [
+    ("gtm:2:1", "delta", 0, "(2n+1)/(2n+2)", 4, 0),
+    ("dcount:4:2", "delta", 0, "(4n+2)/(4n+3)", 2, 0),
+    ("gtm:5:1011", "theta", 1, "((5n+1)(5n+4))/((5n+2)(5n+3))", 2, 0),
+    # a root < 0: the first block of each level is cut into its q sub-blocks
+    ("gtm:2:1", "delta", 0, "((2n-9)^2)/((2n-7)^2)", 4, 1),
+])
+def test_cost_follows_k_not_n(seq_text, mode, start, lhs, c, cut, monkeypatch):
+    # q^K to q^(K+4) adds four levels of (q - 1) q^c moment blocks, q - 1
+    # more for each cut block, and no outright term
+    spec = ProductSpec(parse_seq_spec(seq_text), mode, start, parse_product_term(lhs))
+    q = spec.seq.q
+    blocks, ends = _count_moment_blocks(monkeypatch), _count_outright_ends(monkeypatch)
+    cost = []
+    for K in (8, 12):
+        del blocks[:]
+        evaluate_direct(spec, q**K)
+        cost.append(sum(blocks))
+    assert ends == [q**c, q**c]
+    assert cost[1] - cost[0] == 4 * ((q - 1) * q**c + cut * (q - 1))
+
+
+def test_woods_robbins_at_ten_to_the_fifteen():
+    # 2^49 terms in 45 levels: the moment chain is short, so fl_round stays small
+    spec = ProductSpec(parse_seq_spec("gtm:2:1"), "delta", 0, parse_product_term("(2n+1)/(2n+2)"))
+    res = evaluate_direct(spec, 10**15)
+    assert res.terms_used == 2**49
+    assert abs(res.log_value + math.log(2) / 2) <= res.est_error <= 1e-9
+
+
+@pytest.mark.parametrize("N", [1e6, 4.0, 4096.5, True])
+def test_non_int_n_is_a_type_error(N):
+    # refused before any work: this spec would be rejected if it were checked
+    spec = ProductSpec(parse_seq_spec("gtm:2:0"), "delta", 0, parse_product_term("(2n+1)/(2n+2)"))
+    with pytest.raises(TypeError, match=r"^N must be an int, got "):
+        evaluate_direct(spec, N)
+
+
+def test_n_is_refused_from_two_to_the_500():
+    # theta weights sum to B/2 over a block, so a final block's ramp weight
+    # is about B^2/4, which leaves binary64 for B past 2^511
+    spec = ProductSpec(parse_seq_spec("gtm:2:1"), "theta", 0,
+                       parse_product_term("((n+1)(2n+3)^2)/((n+3)(2n+1)^2)"))
+    res = evaluate_direct(spec, 2**500 - 1)
+    assert res.terms_used == 2**499 and abs(res.log_value - math.log(2)) <= res.est_error
+    with pytest.raises(ValueError, match=r"^direct evaluation needs N < 2\^500$"):
+        evaluate_direct(spec, 2**500)
+
+
+@pytest.mark.parametrize("q", range(6, 17))
+def test_large_bases_agree_with_the_accelerated_value(q, cache, monkeypatch):
+    # a seeded thm_f instance per base: the oracle at q^8, its far levels
+    # summed from moments, against the accelerated value
+    rng = random.Random(2400 + q)
+    bits = "".join(rng.choice("01") for _ in range(q - 2)) + "1"
+    seq = make_sequence("gtm", q, bits="".join(rng.sample(bits, len(bits))))
+    a, b = (Fraction(rng.randint(1, 40), rng.randint(1, 9)) for _ in range(2))
+    spec = ProductSpec(seq, "delta", 1, build_scaling_term(seq, a, b)[0])
+    blocks = _count_moment_blocks(monkeypatch)
+    direct = evaluate_direct(spec, q**8)
+    accel = evaluate_product(spec, eps=1e-9, cache=cache)
+    assert direct.terms_used == q**8 and sum(blocks) > 0
+    assert abs(direct.log_value - accel.log_value) <= direct.est_error + accel.est_error
 
 
 def test_repeated_pairs_take_one_pass():

@@ -754,21 +754,21 @@ _PINNED = {
 # (float.hex(log_value), float.hex(est_error)) of evaluate_direct at N = q^7;
 # every term but cosine sums an exact head below its roots (n_safe > start)
 _PINNED_DIRECT = {
-    "wr": ("-0x1.62e42145360ddp-2", "0x1.dc49c32c454d2p-20"),
-    "ex1.5.9": ("0x1.0b4f7ceda68a6p-21", "0x1.200ddf60c7eb2p-6"),
-    "ex1.6.14": ("-0x1.030bb1f6df6cap-10", "0x1.c7882f1c95337p-6"),
-    "ex1.7.10": ("-0x1.a5ddf975010b4p+0", "0x1.3a80fcee31308p-7"),
-    "ex1.7.16": ("0x1.0c42f00f9b911p-22", "0x1.41470fffa8360p-6"),
-    "cor1.10.5.6": ("0x1.2ccd5fde47fb8p-3", "0x1.38ccd1376cd6dp-8"),
-    "cor1.10.5.9": ("0x1.1c267e744f3e8p+0", "0x1.9aa1e95d2695dp-5"),
-    "g1.q4.k2": ("-0x1.6157280494335p-1", "0x1.301daba6a35f2p-3"),
-    "g1.q5.k2": ("-0x1.94c30ef9b1355p-1", "0x1.96457842392aap-1"),
-    "g2.q5": ("-0x1.9c041f7e24b19p-1", "0x1.0623fae97221bp-6"),
-    "thm_f": ("0x1.15ae0df00002ep-4", "0x1.d38d51ae8db3bp-8"),
-    "thm_frak": ("0x1.b734a9261688cp-6", "0x1.b906039df53fap-10"),
-    "beta_like": ("0x1.5893c6cbb1329p-1", "0x1.4387846d0c9e0p-5"),
-    "cosine": ("-0x1.d6b30e0e85272p-4", "0x1.003f3c9e93e1ap-9"),
-    "neg_offsets": ("-0x1.7ed3ba5c53d0bp+0", "0x1.54428e42c7976p-17"),
+    "wr": ("-0x1.62e42145360dep-2", "0x1.dc49c39704187p-20"),
+    "ex1.5.9": ("0x1.0b4f7ced5cecbp-21", "0x1.200ddf5f98f8bp-6"),
+    "ex1.6.14": ("-0x1.030bb1f6df842p-10", "0x1.c7882f1b68424p-6"),
+    "ex1.7.10": ("-0x1.a5ddf975010b1p+0", "0x1.3a80fcecc5c29p-7"),
+    "ex1.7.16": ("0x1.0c42f00ffb9aep-22", "0x1.41470ffe75e86p-6"),
+    "cor1.10.5.6": ("0x1.2ccd5fde47fb9p-3", "0x1.38ccd1377a04ap-8"),
+    "cor1.10.5.9": ("0x1.1c267e744f3e8p+0", "0x1.9aa1e95d2befdp-5"),
+    "g1.q4.k2": ("-0x1.6157280494313p-1", "0x1.301daba66237ap-3"),
+    "g1.q5.k2": ("-0x1.94c30ef9b138bp-1", "0x1.96457841fcdecp-1"),
+    "g2.q5": ("-0x1.9c041f7e24affp-1", "0x1.0623fad9d9594p-6"),
+    "thm_f": ("0x1.15ae0df000030p-4", "0x1.d38d5188a6608p-8"),
+    "thm_frak": ("0x1.b734a92616885p-6", "0x1.b906039ae8b94p-10"),
+    "beta_like": ("0x1.5893c6cbb1328p-1", "0x1.4387846d1239ep-5"),
+    "cosine": ("-0x1.d6b30e0e85272p-4", "0x1.003f3c9ea68c6p-9"),
+    "neg_offsets": ("-0x1.7ed3ba5c53d07p+0", "0x1.54428e97638fep-17"),
 }
 
 
