@@ -31,9 +31,13 @@ eps/4.  The rest of the certificate is a worst-case rounding bound of a
 few ulps.  The term's one integer form K' prod (n + m/L)^E and its 1/n
 expansion are plain ints (see ``ratfun``), computed once per term, and
 feed the check, the series, the head and the tail bound; no ``Fraction``
-is built on the way.  The plain series uses zeta from the all-plus ladder
-rather than the Gamma closed form, so closed forms remain an independent
-cross-check.
+is built on the way.  The self-similarity builders ``build_scaling_term``
+and ``build_gamma_ratio_term`` work in ints too: the parameters over one
+common denominator D, the base-q step's offsets (b + kD)/D, and each Gamma
+argument of the right-hand side one int division; the only ``Fraction``
+they build is the exact right-hand side ``build_scaling_term`` returns.
+The plain series uses zeta from the all-plus ladder rather than the Gamma
+closed form, so closed forms remain an independent cross-check.
 
 The accelerated path runs on Python ints and floats, with its signs from
 the record's ``weights``.  In this module numpy is imported only by the
@@ -87,11 +91,11 @@ from .dirichlet import (
 from .ratfun import (
     FactorList,
     ProductCheck,
-    as_fraction,
-    factor_list,
+    as_pair,
     factored_convergence,
     factored_zeros_poles,
     first_non_positive,
+    over_common_denominator,
     value_pairs,
 )
 from .sequences import FrozenValue, MultiplicativeSequence, delta_prefix, sign_at
@@ -749,14 +753,29 @@ def plain_product_log_closed(term: FactorList, start: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _base_q_step(seq: MultiplicativeSequence, a: Fraction, b: Fraction) -> list:
-    """Factor triples of (n+a)/(n+b) and its base-q step: for every digit k,
-    (qn+b+k)/(qn+a+k) where delta_k = 1 and its inverse where delta_k = -1."""
-    q, triples = seq.q, [(1, a, 1), (1, b, -1)]
+def _base_q_step(seq: MultiplicativeSequence, A: int, B: int, D: int) -> list:
+    """(alpha, P, e) triples, offsets P/D, of (n+a)/(n+b) with a = A/D and
+    b = B/D, and of its base-q step: for every digit k, (qn+b+k)/(qn+a+k)
+    where delta_k = 1 and its inverse where delta_k = -1."""
+    q, triples = seq.q, [(1, A, 1), (1, B, -1)]
     for k in range(q):
-        up, down = (b + k, a + k) if seq.signs[k] == 1 else (a + k, b + k)
+        kD = k * D
+        up, down = (B + kD, A + kD) if seq.signs[k] == 1 else (A + kD, B + kD)
         triples += [(q, up, 1), (q, down, -1)]
     return triples
+
+
+def _scaling_term(seq: MultiplicativeSequence, a, b) -> tuple[FactorList, int, int]:
+    """``build_scaling_term`` with its RHS as a reduced pair num/den, den > 0."""
+    (A, B), D = over_common_denominator((a, b))
+    triples = _base_q_step(seq, A, B, D)
+    num = den = 1
+    for (_, up, _), (_, down, _) in zip(triples[4::2], triples[5::2]):
+        num, den = num * down, den * up
+    if den == 0:
+        raise ZeroDivisionError("the right-hand side has a zero denominator")
+    g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+    return FactorList.from_ints(triples, D), num // g, den // g
 
 
 def build_scaling_term(seq: MultiplicativeSequence, a, b) -> tuple[FactorList, Fraction]:
@@ -764,11 +783,30 @@ def build_scaling_term(seq: MultiplicativeSequence, a, b) -> tuple[FactorList, F
     f(a,b) = prod ((n+a)/(n+b))^delta_n, and its exact rational RHS
     prod_{k=1}^{q-1} ((a+k)/(b+k))^delta_k, the step's digit factors past
     k = 0 turned upside down."""
-    triples = _base_q_step(seq, as_fraction(a), as_fraction(b))
-    rhs = Fraction(1)
-    for (_, up, _), (_, down, _) in zip(triples[4::2], triples[5::2]):
-        rhs *= Fraction(down, up)
-    return factor_list(triples), rhs
+    term, num, den = _scaling_term(seq, a, b)
+    return term, Fraction(num, den)
+
+
+def _gamma_ratio_term(seq: MultiplicativeSequence, A_list, B_list,
+                      D: int) -> tuple[FactorList, float]:
+    """``build_gamma_ratio_term`` of a_i = A_i/D and b_i = B_i/D, whose sums
+    the caller has checked; each Gamma argument (B_i + kD)/(qD) is one
+    correctly rounded int division."""
+    from .gammafn import log_gamma
+
+    q = seq.q
+    triples = [t for A, B in zip(A_list, B_list) for t in _base_q_step(seq, A, B, D)]
+    rhs_log = 0.0
+    try:
+        for k in range(1, q):
+            if seq.signs[k] == -1:  # theta_k = 1
+                for A, B in zip(A_list, B_list):
+                    rhs_log += (log_gamma((B + k * D) / (q * D))
+                                - log_gamma((A + k * D) / (q * D))).real
+    except OverflowError:  # from the int division
+        raise ValueError("a Gamma argument of the right-hand side is past binary64's "
+                         "range") from None
+    return FactorList.from_ints(triples, D), rhs_log
 
 
 def build_gamma_ratio_term(seq: MultiplicativeSequence, a_list, b_list) -> tuple[FactorList, float]:
@@ -776,26 +814,14 @@ def build_gamma_ratio_term(seq: MultiplicativeSequence, a_list, b_list) -> tuple
     theta-weighted product of prod_i (n+a_i)/(n+b_i), plus its Gamma RHS log.
     A parameter so large that a Gamma argument (b_i + k)/q or (a_i + k)/q is
     past binary64's range is a ValueError."""
-    from .gammafn import log_gamma
-
-    a_list = [as_fraction(x) for x in a_list]
-    b_list = [as_fraction(x) for x in b_list]
+    a_list, b_list = list(a_list), list(b_list)
+    nums, D = over_common_denominator(a_list + b_list)
     if len(a_list) != len(b_list):
         raise ValueError("parameter lists must have equal lengths")
-    if sum(a_list) != sum(b_list):
+    A_list, B_list = nums[:len(a_list)], nums[len(a_list):]
+    if sum(A_list) != sum(B_list):
         raise ValueError("parameter sums must match exactly")
-    q = seq.q
-    triples = [t for a, b in zip(a_list, b_list) for t in _base_q_step(seq, a, b)]
-    rhs_log = 0.0
-    try:
-        for k in range(1, q):
-            if seq.signs[k] == -1:  # theta_k = 1
-                for a, b in zip(a_list, b_list):
-                    rhs_log += (log_gamma(float((b + k) / q)) - log_gamma(float((a + k) / q))).real
-    except OverflowError:  # from float()
-        raise ValueError("a Gamma argument of the right-hand side is past binary64's "
-                         "range") from None
-    return factor_list(triples), rhs_log
+    return _gamma_ratio_term(seq, A_list, B_list, D)
 
 
 class FunctionalEquationReport(NamedTuple):
@@ -828,14 +854,13 @@ def verify_functional_equation(kind: str, q: int, theta_bits, params: dict,
     eps = _verify_eps(tol)
     seq = make_sequence("gtm", q, bits=theta_bits)
     if kind == "thm_f":
-        a, b = as_fraction(params["a"]), as_fraction(params["b"])
-        if a <= 0 or b <= 0:
+        a, b = params["a"], params["b"]
+        if as_pair(a)[0] <= 0 or as_pair(b)[0] <= 0:
             raise ValueError("thm_f needs a, b > 0")
         _, mode, term, rhs_log = scaling_family(seq, a, b)
     elif kind == "thm_frak":
-        a_list = [as_fraction(x) for x in params["a_list"]]
-        b_list = [as_fraction(x) for x in params["b_list"]]
-        if any(x <= 0 for x in a_list + b_list):
+        a_list, b_list = list(params["a_list"]), list(params["b_list"])
+        if any(as_pair(x)[0] <= 0 for x in a_list + b_list):
             raise ValueError("thm_frak needs positive parameters")
         term, rhs_log = build_gamma_ratio_term(seq, a_list, b_list)
         mode = "theta"

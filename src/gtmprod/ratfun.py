@@ -20,11 +20,19 @@ and the decisions read that:
 * R(n) itself is K' L^-(sum E) prod (L n + m)^E, a quotient of integer
   products (``value_pairs``, and ``exact_real_value`` as a Fraction).
 
-The form is plain ints: K' is a reduced pair (num, den), L and each m
-are ints, so each decision is an integer comparison, and each beta_j an
-integer pair (p_j, r_j).  ``Fraction`` appears only where the parser
-builds a term and where a public helper returns an exact rational;
-floating point enters only through correctly rounded int divisions.
+A term is stored in plain ints: each factor as (alpha, p, d, e) with
+beta = p/d reduced, and K as a reduced pair.  The parser and the
+identity builders (``evaluator.build_*_term``, ``families``) emit that
+store directly, putting their rational parameters over one common
+denominator (``over_common_denominator``); a term built from ``Factor``
+triples converts to it once.  The integer form is derived from the store
+with int gcd and lcm: K' is a reduced pair (num, den), L and each m are
+ints, so each decision is an integer comparison, and each beta_j an
+integer pair (p_j, r_j).  ``Fraction`` appears only in the public view of
+a term (``FactorList.factors`` and ``.constant``, built when read), in
+``as_fraction`` and ``factor_list``, and where a public helper returns an
+exact rational; floating point enters only through correctly rounded int
+divisions.
 
 Product terms and the right-hand sides of ``expr`` are read by one scanner,
 ``_Tokens``: a compiled pattern per grammar splits the text once into
@@ -55,13 +63,35 @@ class EvaluationError(ValueError):
     """A factor of the term vanishes where its exact value was asked for."""
 
 
-def as_fraction(x) -> Fraction:
-    """An exact rational parameter: int or Fraction; anything else is a TypeError."""
-    if isinstance(x, Fraction):
+def _as_int(x, what: str) -> int:
+    """x itself if it is an int; anything else, bool included, is a TypeError."""
+    if isinstance(x, int) and not isinstance(x, bool):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
+    raise TypeError(f"{what} must be an int, got {type(x).__name__}")
+
+
+def as_pair(x) -> tuple[int, int]:
+    """An exact rational parameter as a reduced pair (p, d), d > 0: int or
+    Fraction; anything else, bool included, is a TypeError."""
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x, 1
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+
+
+def as_fraction(x) -> Fraction:
+    """An exact rational parameter (see ``as_pair``) as a Fraction; a Fraction
+    is returned unchanged."""
+    return x if isinstance(x, Fraction) else Fraction(*as_pair(x))
+
+
+def over_common_denominator(xs) -> tuple[list[int], int]:
+    """Exact rational parameters (see ``as_pair``) as ints X_i over one
+    denominator D > 0, the lcm of theirs: x_i = X_i/D."""
+    pairs = [as_pair(x) for x in xs]
+    D = math.lcm(*(d for _, d in pairs))
+    return [p * (D // d) for p, d in pairs], D
 
 
 class Factor(NamedTuple):
@@ -71,21 +101,56 @@ class Factor(NamedTuple):
 
 
 class FactorList(FrozenValue):
-    """Product of (alpha*n + beta)^exponent factors times a rational constant."""
+    """Product of (alpha*n + beta)^exponent factors times a rational constant.
+
+    The term is stored in plain ints: each factor as (alpha, p, d, e) with
+    beta = p/d reduced, d > 0, and the constant K as a reduced pair (num,
+    den), den > 0; equality and hashing read these.  ``factors`` and
+    ``constant``, the public shape of ``Factor`` triples and a ``Fraction``,
+    are views built when first read, except on a term built from them, which
+    keeps what it was given."""
 
     _fields = ("factors", "constant")
 
     def __init__(self, factors: tuple[Factor, ...], constant: Fraction = Fraction(1)):
         for f in factors:
-            if f.alpha < 1:
+            if _as_int(f.alpha, "factor slope") < 1:
                 raise ValueError(f"factor slope must be a positive integer, got {f.alpha}")
-            if f.exponent == 0:
+            if _as_int(f.exponent, "factor exponent") == 0:
                 raise ValueError("factor exponents must be nonzero")
             if not isinstance(f.beta, Fraction):
                 raise TypeError("factor offsets must be Fraction")
-        if constant == 0:
+        k = as_pair(constant)
+        if k[0] == 0:
             raise ValueError("constant multiplier must be nonzero")
-        self._set(factors, constant)
+        self.__dict__.update(factors=factors, constant=constant, _constant=k, _factors=tuple(
+            (f.alpha, f.beta.numerator, f.beta.denominator, f.exponent) for f in factors))
+
+    @classmethod
+    def from_ints(cls, triples, D: int = 1, constant: tuple[int, int] = (1, 1)) -> FactorList:
+        """The term of (alpha, P, e) int triples, with offsets beta = P/D over
+        one denominator D > 0, times the constant given as a reduced pair
+        (num, den), den > 0.  The callers, the parser and the builders, have
+        checked that every slope is positive, every exponent nonzero and num
+        nonzero."""
+        factors = []
+        for alpha, p, e in triples:
+            g = math.gcd(p, D)
+            factors.append((alpha, p // g, D // g, e))
+        term = cls.__new__(cls)
+        term.__dict__.update(_factors=tuple(factors), _constant=constant)
+        return term
+
+    def _key(self) -> tuple:
+        return self._factors, self._constant
+
+    @cached_property
+    def factors(self) -> tuple[Factor, ...]:
+        return tuple(Factor(alpha, Fraction(p, d), e) for alpha, p, d, e in self._factors)
+
+    @cached_property
+    def constant(self) -> Fraction:
+        return Fraction(*self._constant)
 
     @cached_property
     def integer_form(self) -> tuple[tuple[int, int], int, tuple[tuple[int, int], ...]]:
@@ -95,17 +160,18 @@ class FactorList(FrozenValue):
         the offsets c = beta/alpha, and E the summed exponents of the factors
         with offset c, in the order the offsets first appear.  Sums of 0 are
         kept, so the -m/L are every root of the unreduced term."""
-        num, den = self.constant.numerator, self.constant.denominator
+        num, den = self._constant
         merged = {}
-        for alpha, beta, e in self.factors:
-            if e > 0:
-                num *= alpha**e
-            else:
-                den *= alpha**-e
-            p, d = beta.numerator, beta.denominator * alpha
-            g = math.gcd(p, d)
-            key = (p // g, d // g)
-            merged[key] = merged.get(key, 0) + e
+        for alpha, p, d, e in self._factors:
+            if alpha != 1:
+                if e > 0:
+                    num *= alpha**e
+                else:
+                    den *= alpha**-e
+                d *= alpha
+                g = math.gcd(p, d)
+                p, d = p // g, d // g
+            merged[p, d] = merged.get((p, d), 0) + e
         g = math.gcd(num, den)
         L = math.lcm(*(d for _, d in merged))
         return (num // g, den // g), L, tuple((p * (L // d), e) for (p, d), e in merged.items())
@@ -138,8 +204,9 @@ class FactorList(FrozenValue):
 
 
 def factor_list(triples, constant=Fraction(1)) -> FactorList:
-    """Build a FactorList from (alpha, beta, exponent) triples."""
-    return FactorList(tuple(Factor(int(a), as_fraction(b), int(e)) for a, b, e in triples),
+    """Build a FactorList from (alpha, beta, exponent) triples: int slopes
+    and exponents, int or Fraction offsets and constant."""
+    return FactorList(tuple(Factor(a, as_fraction(b), e) for a, b, e in triples),
                       as_fraction(constant))
 
 
@@ -224,12 +291,13 @@ def _parse_linear(tk: _Tokens) -> tuple[int, int | None]:
     return alpha, _int(tk) if tk.peek() in ("+", "-") else 0
 
 
-def _parse_factorseq(tk: _Tokens) -> tuple[list[Factor], Fraction]:
-    """factor+, with integer factors folded into the constant; a zero
-    exponent or constant is reported where its integer starts."""
+def _parse_factorseq(tk: _Tokens) -> tuple[list[tuple[int, int, int]], int, int]:
+    """factor+ as (alpha, beta, e) int triples, with integer factors folded
+    into the constant num/den; a zero exponent or constant is reported where
+    its integer starts."""
     if tk.peek() != "(":
         raise tk.error("expected at least one factor")
-    factors, constant = [], Fraction(1)
+    factors, num, den = [], 1, 1
     while tk.peek() == "(":
         tk.take()
         start = tk.i
@@ -243,15 +311,17 @@ def _parse_factorseq(tk: _Tokens) -> tuple[list[Factor], Fraction]:
             if e == 0:
                 raise tk.error("factor exponent must be nonzero", at)
         if b is not None:
-            factors.append(Factor(a, Fraction(b), e))
+            factors.append((a, b, e))
         elif a == 0:
             raise tk.error("zero constant factor", start)
+        elif e > 0:
+            num *= a**e
         else:
-            constant *= Fraction(a) ** e
-    return factors, constant
+            den *= a**-e
+    return factors, num, den
 
 
-def _parse_part(tk: _Tokens) -> tuple[list[Factor], Fraction]:
+def _parse_part(tk: _Tokens) -> tuple[list[tuple[int, int, int]], int, int]:
     """A factorseq, or one wrapped in parentheses: a factor's linear never
     starts with '(', so only a part that opens with '((' may be wrapped."""
     if tk.peek() == "(" and tk.toks[tk.i + 1] == "(":
@@ -271,41 +341,40 @@ def _parse_part(tk: _Tokens) -> tuple[list[Factor], Fraction]:
 def parse_product_term(text: str) -> FactorList:
     """Parse product-term syntax like ``(2n+1)/(2n+2)`` into a FactorList."""
     tk = _Tokens(_TERM_TOKENS, text)
-    factors, constant = _parse_part(tk)
+    factors, num, den = _parse_part(tk)
     if tk.peek() == "/":
         tk.take()
-        dfactors, dconstant = _parse_part(tk)
-        factors += [Factor(f.alpha, f.beta, -f.exponent) for f in dfactors]
-        constant /= dconstant
+        dfactors, dnum, dden = _parse_part(tk)
+        factors += [(a, b, -e) for a, b, e in dfactors]
+        num, den = num * dden, den * dnum
     if tk.peek():
         raise tk.error("unexpected trailing input")
-    return FactorList(tuple(factors), constant)
+    g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+    return FactorList.from_ints(factors, 1, (num // g, den // g))
 
 
-def _format_linear(alpha: int, beta: Fraction) -> str:
+def _format_linear(alpha: int, p: int, d: int) -> str:
     head = "n" if alpha == 1 else f"{alpha}n"
-    if beta == 0:
+    if p == 0:
         return head
-    if beta.denominator == 1:
-        b = beta.numerator
-        return f"{head}+{b}" if b > 0 else f"{head}-{-b}"
+    if d == 1:
+        return f"{head}+{p}" if p > 0 else f"{head}-{-p}"
     # non-integer offsets are not grammar-expressible; printed for debugging
-    return f"{head}+({beta})"
+    return f"{head}+({p}/{d})"
 
 
 def format_product_term(f: FactorList) -> str:
     """Render to the grammar; reparsing gives the term, numerator factors first."""
     num_parts, den_parts = [], []
-    p, q = f.constant.numerator, f.constant.denominator
+    p, q = f._constant
     if p != 1:
         num_parts.append(f"({p})")
     if q != 1:
         den_parts.append(f"({q})")
-    for fac in f.factors:
-        side = num_parts if fac.exponent > 0 else den_parts
-        e = abs(fac.exponent)
-        body = f"({_format_linear(fac.alpha, fac.beta)})"
-        side.append(body if e == 1 else f"{body}^{e}")
+    for alpha, b, d, e in f._factors:
+        side = num_parts if e > 0 else den_parts
+        body = f"({_format_linear(alpha, b, d)})"
+        side.append(body if abs(e) == 1 else f"{body}^{abs(e)}")
     if not num_parts:
         num_parts = ["(1)"]
     num = "".join(num_parts)

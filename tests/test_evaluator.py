@@ -894,3 +894,108 @@ class TestFamilyBuilders:
             families.zero_sum_family(TM, [Fraction(1, 2), Fraction(1, 2)])
         with pytest.raises(ValueError):
             families.tm_factorial_family(0)
+
+
+Q3 = make_sequence("gtm", 3, bits="01")
+Q5 = make_sequence("gtm", 5, bits="1011")
+HALF = Fraction(1, 2)
+
+# (builder, arguments with int parameters, arguments with Fraction ones); None
+# where the builder's domain has no such instance.  zero_sum_family's "int"
+# case mixes ints and Fractions: its only all-int instance is all zeros.
+_BUILDER_ARGS = [
+    ("build_scaling_term", (Q5, 2, 3), (Q5, Fraction(7, 3), Fraction(5, 2))),
+    ("build_gamma_ratio_term", (Q5, [1, 3], [2, 2]),
+     (Q5, [Fraction(9, 4), Fraction(2, 5)], [Fraction(7, 3), Fraction(19, 60)])),
+    ("scaling_family", (Q3, 1, 2), (Q3, Fraction(3, 2), Fraction(5, 2))),
+    ("shifted_ratio_family", (Q3, 1, 2, 3), (Q3, HALF, Fraction(3, 4), Fraction(2, 3))),
+    ("zero_sum_family", (Q3, [1, -HALF, -HALF]), (Q3, [HALF, -HALF])),
+    ("symmetric_pair_family", None, (Q3, Fraction(2, 5))),
+    ("tm_gamma_ratio_family", ([1, 3], [2, 2]), ([HALF, Fraction(5, 2)], [1, 2])),
+    ("tm_three_parameter_family", (1, 2, 3), (HALF, Fraction(5, 4), Fraction(1, 3))),
+    ("tm_beta_like_family", (1, 2), (HALF, Fraction(3, 2))),
+    ("tm_beta_like_reciprocal_family", (1, 2), (Fraction(2, 3), HALF)),
+    ("tm_power_of_two_family", (1,), (Fraction(1, 3),)),
+    ("tm_power_over_linear_family", (2,), (Fraction(3, 4),)),
+    ("tm_cosine_family", None, (HALF,)),
+    ("tm_scaled_cosine_family", None, (Fraction(1, 4),)),
+    ("tm_quartic_reflection_family", None, (Fraction(2, 3),)),
+    ("tm_factorial_family", (3,), None),
+]
+
+
+def _counting_fractions(monkeypatch) -> list:
+    """Patches Fraction.__new__ to record the arguments of every Fraction built."""
+    built, new = [], Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    return built
+
+
+class TestIntegerBuilders:
+    """The builders work in ints: the term is stored as ints, and its public
+    Factor/Fraction view is built only when read."""
+
+    @pytest.mark.parametrize("name,args", [
+        pytest.param(name, args, id=f"{name}-{kind}")
+        for name, *cases in _BUILDER_ARGS
+        for kind, args in zip(("int", "Fraction"), cases) if args is not None])
+    def test_builders_build_no_fraction(self, name, args, cache, monkeypatch):
+        builder = getattr(families, name, None) or globals()[name]
+        built = _counting_fractions(monkeypatch)
+        out = builder(*args)
+        if name == "build_scaling_term":  # the exact RHS it returns is its one Fraction
+            assert built == [(out[1].numerator, out[1].denominator)]
+            built.clear()
+            seq, mode, term = args[0], "delta", out[0]
+        elif name == "build_gamma_ratio_term":
+            seq, mode, term = args[0], "theta", out[0]
+        else:
+            seq, mode, term, _ = out
+        assert built == []
+        res = evaluate_product(ProductSpec(seq, mode, 1, term), eps=1e-9, cache=cache)
+        assert built == [] and res.est_error <= 1e-9
+
+    def test_int_store_and_public_view_agree(self):
+        rng = random.Random(4242)
+
+        def rat(integer):
+            den = 1 if integer else rng.randint(1, 12)
+            x = Fraction(rng.randint(1, 5 * den), den)
+            return int(x) if integer else x
+
+        terms = []
+        for q in range(2, 17):
+            bits = "".join(rng.choice("01") for _ in range(q - 2)) + "1"
+            seq = make_sequence("gtm", q, bits=bits)
+            for integer in (True, False):
+                terms.append(build_scaling_term(seq, rat(integer), rat(integer))[0])
+                terms.append(families.scaling_family(seq, rat(integer), rat(integer))[2])
+                a_list = [rat(integer), rat(integer)]
+                b0 = rng.randint(1, sum(a_list) - 1) if integer \
+                    else sum(a_list) * Fraction(rng.randint(1, 9), 10)
+                terms.append(build_gamma_ratio_term(seq, a_list, [b0, sum(a_list) - b0])[0])
+                terms.append(families.shifted_ratio_family(
+                    seq, rat(integer), rat(integer), rat(integer))[2])
+            x = Fraction(rng.randint(1, 19), 20)
+            terms.append(families.zero_sum_family(seq, [x, 1 - x, -HALF, -HALF])[2])
+            terms.append(families.symmetric_pair_family(seq, x)[2])
+        for name, *cases in _BUILDER_ARGS:
+            if name.startswith("tm_"):
+                terms += [getattr(families, name)(*args)[2] for args in cases if args is not None]
+        round_trips = 0
+        for term in terms:
+            view = FactorList(term.factors, term.constant)
+            assert view == term and hash(view) == hash(term)
+            assert view.integer_form == term.integer_form
+            if all(f.beta.denominator == 1 for f in term.factors):
+                # the grammar prints the numerator's factors first
+                ups = tuple(f for f in term.factors if f.exponent > 0)
+                downs = tuple(f for f in term.factors if f.exponent < 0)
+                assert parse_product_term(str(term)) == FactorList(ups + downs, term.constant)
+                round_trips += 1
+        assert round_trips >= 60

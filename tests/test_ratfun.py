@@ -390,3 +390,36 @@ def test_as_fraction_returns_a_fraction_unchanged():
     assert as_fraction(half) is half
     term = factor_list([(2, half, 1), (2, 1, -1)])
     assert term.factors[0].beta is half
+
+
+@pytest.mark.parametrize("triples_,kind", [
+    ([(2.7, 1, 1), (2, 1, -1)], "float"),
+    ([(2, 1, 1), (2, 1, -1.0)], "float"),
+    ([(True, 1, 1), (1, 1, -1)], "bool"),
+    ([(1, 1, True), (1, 2, -1)], "bool"),
+], ids=["float-slope", "float-exponent", "bool-slope", "bool-exponent"])
+def test_factor_list_takes_int_slopes_and_exponents_only(triples_, kind):
+    # a float slope used to be truncated and a float exponent kept, so the
+    # first case built (2n+1)/(2n+1); offsets were already int or Fraction only
+    with pytest.raises(TypeError, match=f"must be an int, got {kind}"):
+        factor_list(triples_)
+
+
+def test_bool_is_not_a_rational_parameter():
+    """bool is an int subclass, but True is no parameter: the one coercion
+    rule refuses it with its message, and the factorial family's degree too."""
+    q3 = make_sequence("gtm", 3, bits="01")
+    calls = [
+        lambda x: as_fraction(x),
+        lambda x: factor_list([(1, x, 1), (1, 1, -1)]),
+        lambda x: build_scaling_term(q3, x, 2),
+        lambda x: build_gamma_ratio_term(q3, [x, 1], [1, x]),
+        lambda x: families.tm_power_of_two_family(x),
+        lambda x: families.symmetric_pair_family(q3, x),
+        lambda x: log_gamma_product([x], [x]),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match="expected int or Fraction, got bool"):
+            call(True)
+    with pytest.raises(ValueError, match="d must be a positive integer"):
+        families.tm_factorial_family(True)
