@@ -17,12 +17,7 @@ import os
 import sys
 from pathlib import Path
 
-from .dirichlet import (
-    DirichletCache,
-    check_eps,
-    default_cache_path,
-    dirichlet_value,
-)
+from .dirichlet import check_eps, dirichlet_value
 from .evaluator import ProductRejectedError, ProductSpec, evaluate_direct, evaluate_product
 from .ratfun import ParseError, factored_convergence, parse_product_term
 from .sequences import SequenceError, parse_seq_spec, partial_sum, sign_prefix
@@ -45,7 +40,7 @@ def _config_path() -> Path | None:
 
 def load_config() -> argparse.Namespace:
     """The config file's defaults; ValueError if the file or a value it sets is bad."""
-    cfg = argparse.Namespace(tol=1e-9, cache_dir=None, format="text")
+    cfg = argparse.Namespace(tol=1e-9, format="text")
     path = _config_path()
     if path is not None and path.exists():
         try:
@@ -54,7 +49,7 @@ def load_config() -> argparse.Namespace:
             raise ValueError(f"config {path} is not JSON: {exc}") from None
         if not isinstance(data, dict):
             raise ValueError(f"config {path} must hold a JSON object")
-        for key in ("tol", "cache_dir", "format"):
+        for key in ("tol", "format"):
             if key in data:
                 setattr(cfg, key, data[key])
     if isinstance(cfg.tol, bool) or not isinstance(cfg.tol, (int, float)):
@@ -63,8 +58,6 @@ def load_config() -> argparse.Namespace:
     if cfg.format not in FORMATS:
         raise ValueError(f"config format must be one of {', '.join(FORMATS)}, "
                          f"got {cfg.format!r}")
-    if cfg.cache_dir is not None and not isinstance(cfg.cache_dir, str):
-        raise ValueError(f"config cache_dir must be a string or null, got {cfg.cache_dir!r}")
     return cfg
 
 
@@ -89,12 +82,6 @@ def _emit(args, payload: dict, text_lines: list[str], csv_rows: list[dict]):
     else:
         for line in text_lines:
             print(line)
-
-
-def _make_cache(args) -> DirichletCache:
-    if args.cache_dir:
-        return DirichletCache(Path(args.cache_dir) / "dirichlet.cache")
-    return DirichletCache(default_cache_path())
 
 
 def _cmd_seq(args) -> int:
@@ -153,8 +140,8 @@ def _cmd_eval(args) -> int:
     check_eps(args.tol, "tol")  # both methods: direct ignores it, but a bad one is a usage error
     direct_n = _direct_n(args)
     if args.method == "accel":
-        res = evaluate_product(spec, eps=args.tol, cache=_make_cache(args))
-    else:  # the direct oracle reads no Dirichlet value: no cache is opened
+        res = evaluate_product(spec, eps=args.tol)
+    else:
         res = evaluate_direct(spec, direct_n)
     payload = {"command": "eval", "seq": seq.spec, "mode": args.mode,
                "from": args.start, "term": args.term,
@@ -177,8 +164,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_dirichlet(args) -> int:
     seq = parse_seq_spec(args.seq)
-    cache = _make_cache(args)
-    value, eps = dirichlet_value(seq, args.s, eps=args.eps, cache=cache)
+    value, eps = dirichlet_value(seq, args.s, eps=args.eps)
     payload = {"command": "dirichlet", "seq": seq.spec, "s": args.s,
                "value": value, "eps_achieved": eps}
     lines = [f"F({args.s}) = {_num(value)}", f"eps       = {eps:.3e}"]
@@ -193,9 +179,7 @@ def _cmd_verify(args) -> int:
 
     direct_n = _direct_n(args)
     records = load_catalog(args.catalog, filter=args.filter)
-    cache = None if args.method == "direct" else _make_cache(args)  # direct reads no constant
-    report = run_catalog(records, tol=args.tol, method=args.method, cache=cache,
-                         direct_n=direct_n)
+    report = run_catalog(records, tol=args.tol, method=args.method, direct_n=direct_n)
     results = [{
         "id": r.id, "paper": r.paper, "method": r.method,
         "lhs_value": r.lhs_value, "rhs_value": r.rhs_value,
@@ -227,8 +211,7 @@ def build_parser(config: argparse.Namespace) -> argparse.ArgumentParser:
                     "infinite products of rational terms.")
     parser.add_argument("--format", choices=FORMATS,
                         default=config.format)
-    parser.add_argument("--cache-dir", default=config.cache_dir,
-                        help="directory for the Dirichlet constant cache")
+    parser.add_argument("--cache-dir", help=argparse.SUPPRESS)  # retired: accepted, ignored
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("seq", help="print a sequence prefix")
@@ -287,6 +270,9 @@ def main(argv=None) -> int:
     args = None
     try:
         args = build_parser(load_config()).parse_args(argv)
+        if args.cache_dir is not None:
+            print("warning: --cache-dir is ignored; the Dirichlet cache is in memory only",
+                  file=sys.stderr)
         return args.func(args)
     except SystemExit as exc:  # argparse: --help, or a usage error it has printed
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK

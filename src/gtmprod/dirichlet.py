@@ -46,11 +46,10 @@ binary64 intermediate values would silently lose the product's tail.
 which adds one relative rounding to their error), importing mpmath on
 demand.  numpy is imported only by the partial-summation oracle
 ``dirichlet_direct``.  ``DirichletCache`` memoizes the triples (X, B, err)
-under the pattern's gtm spec and, given a path, persists them: every sweep
-or direct sum that grows the memo merges the file's entries and rewrites
-it, and a later cache on the same path starts warm.  In memory only, it
-also keeps one ``SeriesRecord`` per (pattern, weight mode), the owner of
-the accelerated evaluator's series: it holds the MAX_J orders of G_j =
+under the pattern's gtm spec for as long as the cache object lives; nothing
+is written to disk, since a sweep costs about a millisecond.  It also keeps
+one ``SeriesRecord`` per (pattern, weight mode), the owner of the
+accelerated evaluator's series: it holds the MAX_J orders of G_j =
 sum_n w_n n^-j and the exact partial sums of w_n n^-j at every N asked so
 far, hands out the weights, chooses and charges the orders J of a term,
 and forms the series in fixed point.
@@ -61,10 +60,8 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-import os
 import threading
 from itertools import compress, islice
-from pathlib import Path
 
 from .sequences import MultiplicativeSequence, delta_prefix, make_sequence, sign_prefix
 
@@ -102,86 +99,23 @@ def power_moments(seq: MultiplicativeSequence, i: int) -> int:
     return total
 
 
-def default_cache_path() -> Path:
-    env = os.environ.get("GTMPROD_CACHE_DIR")
-    base = Path(env) if env else Path.home() / ".cache" / "gtmprod"
-    return base / "dirichlet.cache"
-
-
 class DirichletCache:
-    """Memo of the ladder's fixed-point triples, persisted when given a path.
+    """In-memory memo of the ladder's fixed-point triples and the series records.
 
     An entry maps (seqspec, s) to (X, bits, err), |X 2^-bits - F(s)| <= err,
     before the x4 factor of ``dirichlet_fixed``; seqspec is the pattern's
-    ``gtm_spec``, which all of its names share.  A file line is one entry,
-    ``seqspec|s|hex(X)|bits|float.hex(err)``, so a reload is bitwise exact.
-    A line is skipped if it does not parse, if its err is not finite and
-    non-negative, or if its bits differ from _BITS (the series takes one
-    bits for every order); files in any other format therefore load cold.
+    ``gtm_spec``, which all of its names share.  The memo lives as long as
+    the cache object: a fresh cache starts cold.
 
     ``series_record`` hands out the ``SeriesRecord`` of a (seqspec, mode),
-    built from the memo on first use.  Records live in memory only: they
-    are neither saved nor read from the file.  Each holds one entry of
-    2 MAX_J ints for each distinct N it was asked for.
+    built from the memo on first use.  Each holds one entry of 2 MAX_J ints
+    for each distinct N it was asked for.
     """
 
-    def __init__(self, path: str | os.PathLike | None = None):
-        self.path = Path(path) if path is not None else None
-        self._mp: dict[tuple[str, int], tuple[int, int, float]] = self._read()
+    def __init__(self):
+        self._mp: dict[tuple[str, int], tuple[int, int, float]] = {}
         self._records: dict[tuple[str, str], SeriesRecord] = {}
         self._lock = threading.Lock()
-
-    def _read(self) -> dict[tuple[str, int], tuple[int, int, float]]:
-        """The valid entries of the file; none without a path or a file."""
-        entries = {}
-        if self.path is None:
-            return entries
-        try:
-            text = self.path.read_text()
-        except FileNotFoundError:
-            return entries
-        for line in text.splitlines():
-            parts = line.strip().split("|")
-            if len(parts) != 5:
-                continue
-            spec, s_text, x_text, bits_text, err_text = parts
-            try:
-                key = (spec, int(s_text))
-                x, bits, err = int(x_text, 16), int(bits_text), float.fromhex(err_text)
-            except ValueError:
-                continue
-            if bits == _BITS and 0.0 <= err < math.inf:
-                entries[key] = (x, bits, err)
-        return entries
-
-    def save(self):
-        """Merge the file's entries under the memo's and rewrite it; a no-op without a path.
-
-        An entry only another writer has saved since this cache loaded is
-        kept.  The text goes to a temporary file of this writer's own in the
-        same directory, renamed over the file, so that a reader sees the old
-        file or the new one and writers sharing the directory never rename
-        each other's half-written file; of two saves whose read and rename
-        interleave, the last rename wins."""
-        if self.path is None:
-            return
-        import tempfile
-
-        merged = self._read()
-        with self._lock:
-            merged.update(self._mp)
-        text = "".join(f"{spec}|{s}|{x:x}|{bits}|{err.hex()}\n"
-                       for (spec, s), (x, bits, err) in sorted(merged.items()))
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.path.parent, prefix=self.path.name + ".",
-                                   suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(text)
-            os.replace(tmp, self.path)
-        except BaseException:
-            Path(tmp).unlink(missing_ok=True)
-            raise
 
     def mp_lookup(self, spec: str, s: int):
         with self._lock:
@@ -349,8 +283,7 @@ def dirichlet_fixed(seq: MultiplicativeSequence, s: int,
 
     err carries a x4 safety factor over the accounted error.  A miss at or
     below S_DIRECT sweeps the whole ladder of the sequence into the cache's
-    memo; a miss above it sums F(s) directly.  Either way the cache then
-    saves, once.
+    memo; a miss above it sums F(s) directly.
     """
     if s < 1:
         raise ValueError("s must be a positive integer")
@@ -366,7 +299,6 @@ def dirichlet_fixed(seq: MultiplicativeSequence, s: int,
             fixed = _ladder_fixed(seq, _BITS)
         for t, (x, e) in fixed.items():
             cache.mp_store(seq.gtm_spec, t, x, _BITS, e)
-        cache.save()
         hit = (fixed[s][0], _BITS, fixed[s][1])
     x, bits, err = hit
     return x, bits, 4.0 * err  # a x4 safety factor over the accounted error

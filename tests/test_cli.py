@@ -14,8 +14,7 @@ from gtmprod.cli import main
 
 
 @pytest.fixture()
-def cache_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("GTMPROD_CACHE_DIR", str(tmp_path))
+def no_config(tmp_path, monkeypatch):
     monkeypatch.delenv("GTMPROD_CONFIG", raising=False)
     return tmp_path
 
@@ -27,58 +26,56 @@ def run(capsys, *argv):
 
 
 class TestSeq:
-    def test_theta_prefix(self, capsys, cache_env):
+    def test_theta_prefix(self, capsys, no_config):
         code, out, _ = run(capsys, "seq", "--seq", "gtm:3:011", "--count", "9")
         assert code == 0 and out.strip() == "011100100"
 
-    def test_sign_values(self, capsys, cache_env):
+    def test_sign_values(self, capsys, no_config):
         code, out, _ = run(capsys, "seq", "--seq", "gtm:2:1", "--count", "4",
                            "--values", "sign")
         assert code == 0 and out.strip() == "+1 -1 -1 +1"
 
-    def test_bad_spec_is_usage_error(self, capsys, cache_env):
+    def test_bad_spec_is_usage_error(self, capsys, no_config):
         code, _, err = run(capsys, "seq", "--seq", "gtm:9", "--count", "4")
         assert code == 2 and "error" in err
 
 
 class TestSum:
-    def test_value(self, capsys, cache_env):
+    def test_value(self, capsys, no_config):
         code, out, _ = run(capsys, "sum", "--seq", "gtm:3:001", "--n", "10")
         assert code == 0 and out.strip() == "2"
 
 
 class TestAliasNames:
     # an alias shares the ladder of its gtm pattern but is echoed by the name given
-    def test_sum_echoes_given_name(self, capsys, cache_env):
+    def test_sum_echoes_given_name(self, capsys, no_config):
         code, out, _ = run(capsys, "--format", "json", "sum", "--seq", "dcount:3:1", "--n", "10")
         doc = json.loads(out)
         assert code == 0 and doc["seq"] == "dcount:3:1" and doc["partial_sum"] == 0
 
-    def test_dirichlet_echoes_given_name(self, capsys, cache_env):
+    def test_dirichlet_echoes_given_name(self, capsys, no_config):
         code, out, _ = run(capsys, "--format", "json", "dirichlet", "--seq", "dparity:3", "--s", "2")
         assert code == 0 and json.loads(out)["seq"] == "dparity:3"
-        lines = (cache_env / "dirichlet.cache").read_text().splitlines()
-        assert lines and all(line.startswith("gtm:3:10|") for line in lines)
 
 
 class TestCheck:
-    def test_ok(self, capsys, cache_env):
+    def test_ok(self, capsys, no_config):
         code, out, _ = run(capsys, "check", "--term", "(2n+1)/(2n+2)",
                            "--mode", "delta")
         assert code == 0 and out.strip() == "ok"
 
-    def test_rejected_exit_3(self, capsys, cache_env):
+    def test_rejected_exit_3(self, capsys, no_config):
         code, out, _ = run(capsys, "check", "--term", "(2n+1)/(2n+2)",
                            "--mode", "theta")
         assert code == 3 and out.strip() == "rejected: sum-of-roots"
 
-    def test_parse_error_exit_2(self, capsys, cache_env):
+    def test_parse_error_exit_2(self, capsys, no_config):
         code, _, err = run(capsys, "check", "--term", "(2n+1", "--mode", "delta")
         assert code == 2 and "position" in err
 
 
 class TestEval:
-    def test_woods_robbins(self, capsys, cache_env):
+    def test_woods_robbins(self, capsys, no_config):
         code, out, _ = run(capsys, "eval", "--seq", "gtm:2:1", "--mode", "delta",
                            "--from", "0", "--term", "(2n+1)/(2n+2)",
                            "--tol", "1e-9")
@@ -87,30 +84,30 @@ class TestEval:
         est = [l for l in out.splitlines() if l.startswith("est_error")][0]
         assert float(est.split("=")[1]) <= 1e-9
 
-    def test_rejected_exit_3(self, capsys, cache_env):
+    def test_rejected_exit_3(self, capsys, no_config):
         code, _, err = run(capsys, "eval", "--seq", "gtm:2:0", "--mode", "delta",
                            "--term", "(2n+1)/(2n+2)")
         assert code == 3 and "trivial-pattern" in err
 
-    def test_late_negative_term_rejected_exit_3(self, capsys, cache_env):
+    def test_late_negative_term_rejected_exit_3(self, capsys, no_config):
         # -1 at n = 101; rejected at check time, not partway through evaluation
         code, _, err = run(capsys, "eval", "--seq", "gtm:2:1", "--mode", "delta",
                            "--from", "1", "--term", "(2n-201)/(2n-203)")
         assert code == 3 and "non-positive-term at n=101" in err
 
-    def test_unachievable_eps_exit_4(self, capsys, cache_env):
+    def test_unachievable_eps_exit_4(self, capsys, no_config):
         code, _, err = run(capsys, "eval", "--seq", "gtm:2:1", "--mode", "delta",
                            "--term", "(2n+1)/(2n+2)", "--tol", "1e-18")
         assert code == 4 and "numeric failure" in err
 
-    def test_json_document(self, capsys, cache_env):
+    def test_json_document(self, capsys, no_config):
         code, out, _ = run(capsys, "--format", "json", "eval", "--seq", "gtm:2:1",
                            "--mode", "delta", "--term", "(2n+1)/(2n+2)")
         doc = json.loads(out)
         assert code == 0 and abs(doc["value"] - 0.7071067811865476) < 1e-10
         assert abs(doc["log_value"] + 0.5 * math.log(2.0)) <= doc["est_error"] <= 1e-9
 
-    def test_value_past_binary64_prints_inf(self, capsys, cache_env):
+    def test_value_past_binary64_prints_inf(self, capsys, no_config):
         # the value overflows binary64; the certified log is printed, exit 0
         argv = ["eval", "--seq", "gtm:2:1", "--mode", "delta", "--from", "1", "--term",
                 "((n+1)^6000(n+3)^6000)/((n+2)^12000)", "--tol", "1e-6"]
@@ -125,7 +122,7 @@ class TestEval:
         assert abs(doc["log_value"] - 877.6016515993) <= 1e-9 and doc["est_error"] <= 1e-6
 
     @pytest.mark.parametrize("tol", ["1e-12", "1e-13"])
-    def test_tight_tol_certifies(self, capsys, cache_env, tol):
+    def test_tight_tol_certifies(self, capsys, no_config, tol):
         code, out, _ = run(capsys, "--format", "json", "eval", "--seq", "gtm:2:1",
                            "--mode", "delta", "--term", "(2n+1)/(2n+2)", "--tol", tol)
         assert code == 0 and json.loads(out)["est_error"] <= float(tol)
@@ -133,25 +130,24 @@ class TestEval:
     @pytest.mark.parametrize("tol,method", [
         pytest.param(tol, method, id=tol if method == "accel" else f"{tol}-{method}")
         for method in ("accel", "direct") for tol in ("nan", "0", "-1")])
-    def test_bad_tol_exit_2(self, capsys, cache_env, tol, method):
+    def test_bad_tol_exit_2(self, capsys, no_config, tol, method):
         code, out, err = run(capsys, "eval", "--seq", "gtm:2:1", "--mode", "delta",
                              "--term", "(2n+1)/(2n+2)", "--tol", tol, "--method", method)
         assert code == 2 and out == "" and "must be a positive finite number" in err
 
 
 class TestDirichlet:
-    def test_zeta2(self, capsys, cache_env):
+    def test_zeta2(self, capsys, no_config):
         code, out, _ = run(capsys, "dirichlet", "--seq", "gtm:2:0", "--s", "2")
         assert code == 0 and "1.64493406684823" in out
-        assert (cache_env / "dirichlet.cache").exists()
 
-    def test_pole_usage_error(self, capsys, cache_env):
+    def test_pole_usage_error(self, capsys, no_config):
         code, _, err = run(capsys, "dirichlet", "--seq", "gtm:2:0", "--s", "1")
         assert code == 2
 
 
 class TestVerify:
-    def test_filtered_json(self, capsys, cache_env):
+    def test_filtered_json(self, capsys, no_config):
         code, out, _ = run(capsys, "--format", "json", "verify",
                            "--filter", "g2.*", "--tol", "1e-8")
         doc = json.loads(out)
@@ -161,19 +157,19 @@ class TestVerify:
         assert set(row) == {"id", "paper", "method", "lhs_value", "rhs_value",
                             "abs_dlog", "est_error", "terms_used", "pass"}
 
-    def test_csv_header(self, capsys, cache_env):
+    def test_csv_header(self, capsys, no_config):
         code, out, _ = run(capsys, "--format", "csv", "verify", "--filter", "wr")
         rows = list(csv.DictReader(io.StringIO(out)))
         assert code == 0 and len(rows) == 1
         assert rows[0]["id"] == "wr" and rows[0]["pass"] == "True"
 
-    def test_failure_exit_1(self, capsys, cache_env, tmp_path):
+    def test_failure_exit_1(self, capsys, no_config, tmp_path):
         bad = tmp_path / "bad.catalog"
         bad.write_text("w1|Eq.(W-R)|gtm:2:1|delta|0|(2n+1)/(2n+2)|1/2|x\n")
         code, out, _ = run(capsys, "verify", "--catalog", str(bad))
         assert code == 1 and "FAIL" in out
 
-    def test_missing_catalog_exit_2(self, capsys, cache_env):
+    def test_missing_catalog_exit_2(self, capsys, no_config):
         code, _, err = run(capsys, "verify", "--catalog", "/nonexistent/zzz")
         assert code == 2
 
@@ -184,14 +180,14 @@ class TestVerify:
         ("0-1", "right-hand side -1.0 is not positive"),
         ("1-1", "right-hand side 0.0 is not positive"),
     ])
-    def test_rhs_without_value_exit_2(self, capsys, cache_env, tmp_path, rhs, reason):
+    def test_rhs_without_value_exit_2(self, capsys, no_config, tmp_path, rhs, reason):
         bad = tmp_path / "bad.catalog"
         bad.write_text(f"w1|Eq.(W-R)|gtm:2:1|delta|0|(2n+1)/(2n+2)|{rhs}|x\n")
         code, _, err = run(capsys, "verify", "--catalog", str(bad))
         assert code == 2
         assert err.strip() == f"error: record 'w1' does not validate: {reason} (line 1)"
 
-    def test_builtin_filter_parses_only_the_records_that_run(self, capsys, cache_env,
+    def test_builtin_filter_parses_only_the_records_that_run(self, capsys, no_config,
                                                              monkeypatch):
         import gtmprod.catalog as catalog_mod
 
@@ -204,7 +200,7 @@ class TestVerify:
         assert code == 0 and out.startswith("pass  wr ")
         assert calls == ["(2n+1)/(2n+2)", "1/sqrt(2)"]
 
-    def test_builtin_verify_checks_each_record_once(self, capsys, cache_env, monkeypatch):
+    def test_builtin_verify_checks_each_record_once(self, capsys, no_config, monkeypatch):
         # load_catalog validates each record and evaluate_product then reads
         # the same spec's verdict: one check_product per record, not two
         import gtmprod.evaluator as emod
@@ -218,7 +214,7 @@ class TestVerify:
         assert code == 0 and len(records) == 79
         assert len(checked) == len(set(map(id, checked))) == 79
 
-    def test_user_file_is_validated_whole(self, capsys, cache_env, tmp_path):
+    def test_user_file_is_validated_whole(self, capsys, no_config, tmp_path):
         path = tmp_path / "c.catalog"
         path.write_text("wr2|Eq.(W-R)|gtm:2:1|delta|0|(2n+1)/(2n+2)|1/sqrt(2)|x\n"
                         "bad|x|gtm:2:1|theta|0|(2n+1)/(2n+2)|1/sqrt(2)|y\n")
@@ -228,14 +224,14 @@ class TestVerify:
 
 
 class TestDeterminism:
-    def test_repeat_invocations_byte_identical(self, capsys, cache_env):
+    def test_repeat_invocations_byte_identical(self, capsys, no_config):
         args = ("--format", "json", "eval", "--seq", "gtm:3:001", "--mode", "delta",
                 "--term", "(3n+2)/(3n+3)")
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
 
-    def test_verify_deterministic(self, capsys, cache_env):
+    def test_verify_deterministic(self, capsys, no_config):
         args = ("--format", "json", "verify", "--filter", "ex1.7.1*", "--tol", "1e-8")
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
@@ -243,22 +239,23 @@ class TestDeterminism:
 
 
 class TestUsage:
-    def test_no_command(self, capsys, cache_env):
+    def test_no_command(self, capsys, no_config):
         assert run(capsys, )[0] == 2
 
-    def test_unknown_flag(self, capsys, cache_env):
+    def test_unknown_flag(self, capsys, no_config):
         assert run(capsys, "seq", "--nope", "1")[0] == 2
 
-    def test_config_file_defaults(self, capsys, cache_env, tmp_path, monkeypatch):
+    def test_config_file_defaults(self, capsys, no_config, tmp_path, monkeypatch):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"format": "json"}))
         monkeypatch.setenv("GTMPROD_CONFIG", str(cfg))
         code, out, _ = run(capsys, "sum", "--seq", "gtm:2:1", "--n", "5")
         assert code == 0 and json.loads(out)["partial_sum"] == -1
 
-    def test_config_file_ignores_retired_keys(self, capsys, cache_env, tmp_path, monkeypatch):
+    def test_config_file_ignores_retired_keys(self, capsys, no_config, tmp_path, monkeypatch):
         cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({"format": "json", "j_max": 8, "n_max": 1000}))
+        cfg.write_text(json.dumps({"format": "json", "j_max": 8, "n_max": 1000,
+                                   "cache_dir": "/x"}))
         monkeypatch.setenv("GTMPROD_CONFIG", str(cfg))
         code, out, _ = run(capsys, "eval", "--seq", "gtm:2:1", "--mode", "delta",
                            "--term", "(2n+1)/(2n+2)")
@@ -273,11 +270,10 @@ class TestConfigErrors:
         pytest.param({"tol": 0}, id="tol-zero"),
         pytest.param({"tol": -1e-9}, id="tol-negative"),
         pytest.param({"format": "xml"}, id="format"),
-        pytest.param({"cache_dir": 5}, id="cache_dir"),
         pytest.param(["tol"], id="not-an-object"),
         pytest.param('{"tol": 1e-3,', id="not-json"),
     ])
-    def test_bad_config_exit_2(self, capsys, cache_env, tmp_path, monkeypatch, config):
+    def test_bad_config_exit_2(self, capsys, no_config, tmp_path, monkeypatch, config):
         cfg = tmp_path / "config.json"
         cfg.write_text(config if isinstance(config, str) else json.dumps(config))
         monkeypatch.setenv("GTMPROD_CONFIG", str(cfg))
@@ -294,7 +290,7 @@ class TestJsonErrors:
         (4, "numeric", ("--seq", "gtm:2:1", "--tol", "1e-17"),
          "numeric failure: certified error "),
     ], ids=["exit2", "exit3", "exit4"])
-    def test_error_document(self, capsys, cache_env, code, kind, argv, message):
+    def test_error_document(self, capsys, no_config, code, kind, argv, message):
         args = ("eval", "--mode", "delta", "--term", "(2n+1)/(2n+2)", *argv)
         got, out, err = run(capsys, "--format", "json", *args)
         assert got == code and out.count("\n") == 1 and err.startswith(message)
@@ -311,7 +307,7 @@ class TestJsonErrors:
          "error: [Errno 2] No such file or directory: '/nonexistent/zzz'"),
         (("seq", "--seq", "gtm:2:1", "--count", "-1"), "error: count must be >= 0"),
     ], ids=["check", "dirichlet", "verify", "seq"])
-    def test_usage_error_document_per_command(self, capsys, cache_env, argv, message):
+    def test_usage_error_document_per_command(self, capsys, no_config, argv, message):
         got, out, err = run(capsys, "--format", "json", *argv)
         assert got == 2 and out.count("\n") == 1 and err == message + "\n"
         assert json.loads(out) == {"command": argv[0], "error": {
@@ -324,7 +320,7 @@ class TestJsonErrors:
          "--method", "direct"),
         ("verify", "--filter", "wr", "--method", "direct"),
     ], ids=["eval", "verify"])
-    def test_direct_n_below_one_is_usage_error(self, capsys, cache_env, argv, n):
+    def test_direct_n_below_one_is_usage_error(self, capsys, no_config, argv, n):
         # eval once ran q^10 terms for 0, and verify reported every record as FAIL
         argv = (*argv, "--direct-n", n)
         message = f"error: --direct-n must be >= 1, got {n}"
@@ -334,7 +330,7 @@ class TestJsonErrors:
             "exit_code": 2, "kind": "usage", "message": message}}
         assert run(capsys, *argv) == (2, "", err)
 
-    def test_verify_both_at_ten_to_the_fifteen_terms(self, capsys, cache_env):
+    def test_verify_both_at_ten_to_the_fifteen_terms(self, capsys, no_config):
         # the direct oracle's cost grows with log N: 2^49 terms return at once
         code, out, _ = run(capsys, "--format", "json", "verify", "--method", "both",
                            "--filter", "wr", "--direct-n", "1000000000000000")
@@ -342,69 +338,42 @@ class TestJsonErrors:
         assert code == 0 and doc["summary"] == {"fail": 0, "pass": 2, "total": 2}
         assert [r["terms_used"] for r in doc["results"]][1] == 2**49
 
-    def test_unparsed_usage_error_emits_nothing(self, capsys, cache_env):
+    def test_unparsed_usage_error_emits_nothing(self, capsys, no_config):
         code, out, err = run(capsys, "--format", "json", "eval", "--seq", "gtm:2:1")
         assert code == 2 and out == "" and "required" in err
 
 
 class TestCacheFile:
-    def test_default_location_under_home(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("HOME", str(tmp_path))
-        monkeypatch.delenv("GTMPROD_CACHE_DIR", raising=False)
-        monkeypatch.delenv("GTMPROD_CONFIG", raising=False)
-        code, _, _ = run(capsys, "eval", "--seq", "gtm:2:1", "--mode", "delta",
-                         "--term", "(2n+1)/(2n+2)")
-        assert code == 0
-        assert (tmp_path / ".cache" / "gtmprod" / "dirichlet.cache").is_file()
+    # the Dirichlet cache is in memory only: the retired --cache-dir is
+    # accepted for one release, warned about and ignored
+    def test_cache_dir_is_ignored(self, capsys, no_config):
+        argv = ["--format", "json", "eval", "--seq", "gtm:3:01", "--mode", "delta",
+                "--term", "(2n+1)/(2n+2)"]
+        plain = run(capsys, *argv)
+        cache_dir = no_config / "cache"
+        cache_dir.mkdir()
+        code, out, err = run(capsys, "--cache-dir", str(cache_dir), *argv)
+        assert (code, out) == plain[:2] and code == 0
+        assert err == "warning: --cache-dir is ignored; the Dirichlet cache is in memory only\n"
+        assert list(cache_dir.iterdir()) == []
+        assert "--cache-dir" not in run(capsys, "--help")[1]
 
     @pytest.mark.parametrize("argv", [
         ["eval", "--seq", "gtm:2:1", "--mode", "delta", "--term", "(2n+1)/(2n+2)"],
         ["verify", "--filter", "wr"],
     ], ids=["eval", "verify"])
-    def test_direct_method_opens_no_cache(self, capsys, cache_env, argv):
-        # a --cache-dir that is a regular file fails every accelerated run; the
-        # direct oracle reads no Dirichlet value, so it never opens the cache
-        blocker = cache_env / "not-a-directory"
-        blocker.write_text("")
-        code, _, err = run(capsys, "--cache-dir", str(blocker), *argv)
-        assert code == 2 and "Not a directory" in err
-        code, out, err = run(capsys, "--cache-dir", str(blocker), *argv, "--method", "direct")
-        assert (code, err) == (0, "") and "direct" in out
+    def test_direct_method_opens_no_cache(self, capsys, no_config, monkeypatch, argv):
+        # the direct oracle reads no Dirichlet value: no sweep and no direct F(s) sum
+        import gtmprod.dirichlet as dmod
 
-    def test_second_process_runs_no_sweep(self, tmp_path):
-        # eval, a one-record verify and dirichlet, each on its own sequence,
-        # in two processes sharing --cache-dir: the second sweeps nothing
-        script = textwrap.dedent("""
-            import json, sys
-            import gtmprod.dirichlet as dmod
-            from gtmprod.cli import main
-            sweeps = []
-            ladder = dmod._ladder_fixed
-            def counted(seq, bits):
-                sweeps.append(seq.spec)
-                return ladder(seq, bits)
-            dmod._ladder_fixed = counted
-            cache = ["--format", "json", "--cache-dir", sys.argv[1]]
-            codes = [main(cache + argv) for argv in (
-                ["eval", "--seq", "gtm:5:0110", "--mode", "delta", "--term", "(2n+1)/(2n+2)"],
-                ["verify", "--filter", "wr"],
-                ["dirichlet", "--seq", "gtm:3:01", "--s", "3"])]
-            print(json.dumps({"codes": codes, "sweeps": sweeps}))
-        """)
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = {k: v for k, v in os.environ.items() if k != "GTMPROD_CACHE_DIR"}
-        env.update(PYTHONPATH=str(src), HOME=str(tmp_path),
-                   GTMPROD_CONFIG=str(tmp_path / "absent.json"))
-        outs = []
-        for _ in range(2):
-            proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "cache")],
-                                  env=env, capture_output=True, text=True, timeout=120)
-            assert proc.returncode == 0, proc.stderr
-            outs.append(proc.stdout.splitlines())
-        first, second = (json.loads(out[-1]) for out in outs)
-        assert first == {"codes": [0, 0, 0], "sweeps": ["gtm:5:0110", "gtm:2:1", "gtm:3:01"]}
-        assert second == {"codes": [0, 0, 0], "sweeps": []}
-        assert outs[0][:-1] == outs[1][:-1] and len(outs[0]) == 4
+        def refuse(*args, **kwargs):
+            raise ArithmeticError("a Dirichlet constant was built")
+
+        monkeypatch.setattr(dmod, "_ladder_fixed", refuse)
+        monkeypatch.setattr(dmod, "_direct_fixed", refuse)
+        assert run(capsys, *argv)[0] != 0  # the accelerated method needs one
+        code, out, err = run(capsys, *argv, "--method", "direct")
+        assert (code, err) == (0, "") and "direct" in out
 
 
 class TestLazyImports:

@@ -1,7 +1,5 @@
 import math
-import os
 import random
-import struct
 import sys
 import threading
 from fractions import Fraction
@@ -31,8 +29,6 @@ from gtmprod.dirichlet import (
     zeta_fixed,
     zeta_mp,
 )
-from gtmprod.evaluator import ProductSpec, evaluate_product
-from gtmprod.ratfun import parse_product_term
 from gtmprod.sequences import make_sequence, parse_seq_spec, sign_prefix
 
 
@@ -290,23 +286,26 @@ def _clear_shared_rows():
 
 
 class TestSharedRows:
-    # The cache file of every pattern with q = 2..7 and of the all-plus
-    # pattern, each swept once (from order 1, or 2 for an all-plus pattern)
-    # and summed directly at S_DIRECT + 1.  Its digest was taken before the
-    # sweeps shared their rows: a sweep from shared rows must not move a bit.
+    # The memo of every pattern with q = 2..7 and of the all-plus pattern,
+    # each swept once (from order 1, or 2 for an all-plus pattern) and summed
+    # directly at S_DIRECT + 1, one sorted line per triple in the text the
+    # cache file once held, seqspec|s|hex(X)|bits|float.hex(err).  Its digest
+    # was taken from that file before the sweeps shared their rows: a sweep
+    # from shared rows must not move a bit.
     SAVE_DIGEST = "5e444edec058e3a848d61d19a62ac4f8dfaf0d2a830208b838d00dd1a9c7b572"
 
-    def test_save_text_is_pinned(self, tmp_path):
+    def test_save_text_is_pinned(self):
         import hashlib
         import itertools
 
         seqs = [make_sequence("gtm", q, bits="".join(bits))
                 for q in range(2, 8) for bits in itertools.product("01", repeat=q - 1)]
-        cache = DirichletCache(tmp_path / "dirichlet.cache")
+        cache = DirichletCache()
         for seq in seqs + [dmod._ALL_PLUS]:
             dirichlet_fixed(seq, 1 if seq.nontrivial else 2, cache)
             dirichlet_fixed(seq, S_DIRECT + 1, cache)
-        text = (tmp_path / "dirichlet.cache").read_text()
+        text = "".join(f"{spec}|{s}|{x:x}|{bits}|{err.hex()}\n"
+                       for (spec, s), (x, bits, err) in sorted(cache._mp.items()))
         assert hashlib.sha256(text.encode()).hexdigest() == self.SAVE_DIGEST
 
     def test_sweeps_agree_in_any_order_cold_or_warm(self):
@@ -339,166 +338,17 @@ class TestSharedRows:
         assert tight_err < err
 
 
-def _swept_entry(spec: str, s: int):
-    cache = DirichletCache()
-    dirichlet_fixed(parse_seq_spec(spec), s, cache)
-    return cache.mp_lookup(spec, s)
-
-
 class TestCache:
-    def test_round_trip_bit_identical(self, tmp_path, monkeypatch):
-        # every (X, bits, err) and every catalog answer is bitwise the same
-        # from the swept cache and from a reload of its file, with no sweep
-        path = tmp_path / "dirichlet.cache"
-        specs = [r.product_spec() for r in load_catalog("builtin")]
-        assert len(specs) == 79
-
-        def answers(cache):
-            out = []
-            for spec in specs:
-                res = evaluate_product(spec, eps=2.5e-9, cache=cache)
-                out.append((res.log_value.hex(), res.est_error.hex(), res.terms_used,
-                            res.dirichlet_orders))
-            return out
-
-        swept = DirichletCache(path)
-        first = answers(swept)
-        monkeypatch.setattr(dmod, "_ladder_fixed", None)  # a sweep would raise
-        reloaded = DirichletCache(path)
-        assert sorted(reloaded._mp) == sorted(swept._mp)
-        for (spec, s), (x, bits, err) in swept._mp.items():
-            x2, bits2, err2 = reloaded.mp_lookup(spec, s)
-            assert (x2, bits2, err2.hex()) == (x, bits, err.hex()), (spec, s)
-        assert answers(reloaded) == first
-
-    @pytest.mark.parametrize("kind", ["binary64", "bits", "negative-err", "nan-err", "inf-err"])
-    def test_foreign_lines_load_cold(self, tmp_path, kind):
-        x, bits, err = _swept_entry("gtm:2:1", 3)
-        line = {
-            "binary64": f"gtm:2:1|3|{struct.pack('>d', x / (1 << bits)).hex()}|1e-16|ladder",
-            "bits": f"gtm:2:1|3|{x >> 1:x}|{bits - 1}|{err.hex()}",
-            "negative-err": f"gtm:2:1|3|{x:x}|{bits}|{(-err).hex()}",
-            "nan-err": f"gtm:2:1|3|{x:x}|{bits}|nan",
-            "inf-err": f"gtm:2:1|3|{x:x}|{bits}|inf",
-        }[kind]
-        path = tmp_path / "dirichlet.cache"
-        path.write_text(line + "\n")
-        assert DirichletCache(path).mp_lookup("gtm:2:1", 3) is None
-
-    def test_line_of_the_unshifted_ladder_is_used(self, tmp_path, monkeypatch):
-        # F(1) of gtm:2:1 as the functional equation expanded over every m >= 1 wrote it
-        x_old, err_old = -0x2647f3d720ee62ec5dcbf1e7c15d75ae73755152a2, float.fromhex(
-            "0x1.e6bd14d8be38ep-103")
-        path = tmp_path / "dirichlet.cache"
-        path.write_text(f"gtm:2:1|1|{x_old:x}|{_BITS}|{err_old.hex()}\n")
-        x_new, _, err_new = _swept_entry("gtm:2:1", 1)
-        assert abs(x_old - x_new) <= (err_old + err_new) * 2.0**_BITS
-        monkeypatch.setattr(dmod, "_ladder_fixed", None)  # a sweep would raise
-        seq = parse_seq_spec("gtm:2:1")
-        assert dirichlet_fixed(seq, 1, DirichletCache(path)) == (x_old, _BITS, 4.0 * err_old)
-
-    def test_aliases_share_one_ladder(self, tmp_path, monkeypatch):
+    def test_aliases_share_one_ladder(self, monkeypatch):
         # dcount:3:1, dparity:3 and gtm:3:10 are all (-1)^n: one sweep, filed under gtm:3:10
-        path = tmp_path / "dirichlet.cache"
-        cache = DirichletCache(path)
+        cache = DirichletCache()
         first = dirichlet_fixed(parse_seq_spec("dcount:3:1"), 2, cache)
         monkeypatch.setattr(dmod, "_ladder_fixed", None)  # a second sweep would raise
         monkeypatch.setattr(dmod, "_direct_fixed", None)  # so would a direct sum
         for spec in ("dparity:3", "gtm:3:10"):
             assert dirichlet_fixed(parse_seq_spec(spec), 2, cache) == first
             assert cache.mp_lookup(parse_seq_spec(spec).gtm_spec, S_DIRECT) is not None
-        lines = path.read_text().splitlines()
-        assert len(lines) == S_DIRECT and all(line.startswith("gtm:3:10|") for line in lines)
-        assert dirichlet_fixed(parse_seq_spec("dparity:3"), 2, DirichletCache(path)) == first
-
-    def test_unknown_lines_ignored(self, tmp_path):
-        x, bits, err = _swept_entry("gtm:2:1", 2)
-        assert bits == _BITS
-        good = f"gtm:2:1|2|{x:x}|{bits}|{err.hex()}"
-        path = tmp_path / "dirichlet.cache"
-        path.write_text("# comment\nnot a record\na|b|c\n" + good
-                        + "\nbad|x|zz|1|0x0p+0\ngtm:2:1|3|zz|1|0x0p+0\n")
-        c = DirichletCache(path)
-        assert c.mp_lookup("gtm:2:1", 2) == (x, bits, err)
-        assert c.mp_lookup("gtm:2:1", 3) is None
-        assert len(c._mp) == 1
-
-    def test_env_var_default_location(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("GTMPROD_CACHE_DIR", str(tmp_path))
-        from gtmprod.dirichlet import default_cache_path
-        assert default_cache_path() == tmp_path / "dirichlet.cache"
-
-    def test_atomic_rewrite(self, tmp_path, monkeypatch):
-        # one rename over the file per sweep or direct sum, none on a hit
-        renames = []
-        real_replace = os.replace
-
-        def replace(src, dst):
-            renames.append(dst)
-            real_replace(src, dst)
-
-        monkeypatch.setattr(dmod.os, "replace", replace)
-        path = tmp_path / "dirichlet.cache"
-        c = DirichletCache(path)
-        seq = parse_seq_spec("gtm:2:1")
-        dirichlet_fixed(seq, 3, c)  # sweeps orders 1..16
-        dirichlet_fixed(seq, 5, c)
-        dirichlet_fixed(seq, 16, c)
-        assert renames == [path] and len(path.read_text().splitlines()) == 16
-        dirichlet_fixed(seq, 20, c)  # a direct sum
-        assert renames == [path, path] and len(path.read_text().splitlines()) == 17
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["dirichlet.cache"]
-
-    def test_concurrent_writers_do_not_collide(self, tmp_path, monkeypatch):
-        # the first writer's rename waits until the second has written and renamed
-        path = tmp_path / "dirichlet.cache"
-        first, second = DirichletCache(path), DirichletCache(path)
-        first.mp_store("gtm:2:1", 3, 12345, _BITS, 1e-40)
-        second.mp_store("gtm:3:01", 3, -678, _BITS, 2e-40)
-        real_replace = os.replace
-        deferred = []
-
-        def replace(src, dst):
-            if not deferred:
-                deferred.append(src)
-                second.save()
-            real_replace(src, dst)
-
-        monkeypatch.setattr(dmod.os, "replace", replace)
-        first.save()
-        assert len(deferred) == 1
-        loaded = DirichletCache(path)
-        assert loaded.mp_lookup("gtm:2:1", 3) == (12345, _BITS, 1e-40)
-        assert list(tmp_path.glob("*.tmp")) == []
-
-    def test_save_merges_entries_saved_by_another_cache(self, tmp_path):
-        # both caches load the empty file, then save one after the other
-        path = tmp_path / "dirichlet.cache"
-        first, second = DirichletCache(path), DirichletCache(path)
-        dirichlet_fixed(parse_seq_spec("gtm:2:1"), 3, first)
-        dirichlet_fixed(parse_seq_spec("gtm:3:01"), 3, second)
-        loaded = DirichletCache(path)
-        assert loaded.mp_lookup("gtm:2:1", 3) == first.mp_lookup("gtm:2:1", 3)
-        assert loaded.mp_lookup("gtm:3:01", 3) == second.mp_lookup("gtm:3:01", 3)
-        assert len(loaded._mp) == 32 and second.mp_lookup("gtm:2:1", 3) is None
-
-    def test_failed_save_leaves_no_temporary(self, tmp_path, monkeypatch):
-        def replace(src, dst):
-            raise OSError("rename refused")
-
-        monkeypatch.setattr(dmod.os, "replace", replace)
-        c = DirichletCache(tmp_path / "dirichlet.cache")
-        c.mp_store("gtm:2:1", 3, 1, _BITS, 0.0)
-        with pytest.raises(OSError, match="rename refused"):
-            c.save()
-        assert list(tmp_path.iterdir()) == []
-
-    def test_save_without_path_is_a_no_op(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        c = DirichletCache()
-        dirichlet_fixed(parse_seq_spec("gtm:2:1"), 20, c)
-        c.save()
-        assert list(tmp_path.iterdir()) == []
+        assert sorted(cache._mp) == [("gtm:3:10", s) for s in range(1, S_DIRECT + 1)]
 
 
 class TestDirectOracle:
@@ -633,18 +483,3 @@ class TestSeriesRecord:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
             DirichletCache().series_record(parse_seq_spec("gtm:2:1"), "plain")
-
-    def test_record_is_not_persisted(self, tmp_path):
-        # the file holds the ladders alone, in the format it always had, and a
-        # reload starts with no record
-        path = tmp_path / "dirichlet.cache"
-        first = DirichletCache(path)
-        spec = ProductSpec(parse_seq_spec("gtm:3:01"), "theta", 1,
-                           parse_product_term("((n+1)(n+4))/((n+2)(n+3))"))
-        res = evaluate_product(spec, eps=1e-12, cache=first)
-        lines = path.read_text().splitlines()
-        assert len(lines) == 31 and all(len(line.split("|")) == 5 for line in lines)
-        assert {line.split("|")[0] for line in lines} == {"gtm:3:01", "gtm:2:0"}
-        reloaded = DirichletCache(path)
-        assert reloaded._records == {} and reloaded._mp == first._mp
-        assert evaluate_product(spec, eps=1e-12, cache=reloaded) == res
