@@ -20,7 +20,6 @@ Of the CLI commands only ``verify`` imports this module, and with it
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fnmatch import fnmatch
 from functools import cached_property
 from importlib import resources
@@ -30,7 +29,7 @@ from .dirichlet import DirichletCache, check_eps
 from .evaluator import ProductSpec, verify_identity
 from .expr import eval_expr, parse_expr
 from .ratfun import parse_product_term
-from .sequences import parse_seq_spec
+from .sequences import FrozenValue, parse_seq_spec
 
 
 class CatalogError(ValueError):
@@ -42,16 +41,14 @@ class CatalogError(ValueError):
         self.lineno = lineno
 
 
-@dataclass(frozen=True)
-class IdentityRecord:
-    id: str
-    paper: str
-    seqspec: str
-    mode: str
-    start: int
-    lhs: str
-    rhs: str
-    tags: tuple[str, ...]
+class IdentityRecord(FrozenValue):
+    """One catalog line: its eight fields, ``start`` an int and ``tags`` a tuple."""
+
+    _fields = ("id", "paper", "seqspec", "mode", "start", "lhs", "rhs", "tags")
+
+    def __init__(self, id: str, paper: str, seqspec: str, mode: str, start: int,
+                 lhs: str, rhs: str, tags: tuple[str, ...]):
+        self._set(id, paper, seqspec, mode, start, lhs, rhs, tags)
 
     def product_spec(self) -> ProductSpec:
         return self._spec
@@ -132,26 +129,26 @@ def load_catalog(source: str | Path = "builtin",
     return records
 
 
-@dataclass(frozen=True)
-class RecordResult:
-    id: str
-    paper: str
-    method: str
-    passed: bool
-    lhs_value: float
-    rhs_value: float
-    abs_dlog: float
-    est_error: float
-    terms_used: int
-    reason: str | None = None
+class RecordResult(FrozenValue):
+    """The outcome of one record by one method; ``reason`` says why it failed."""
+
+    _fields = ("id", "paper", "method", "passed", "lhs_value", "rhs_value", "abs_dlog",
+               "est_error", "terms_used", "reason")
+
+    def __init__(self, id: str, paper: str, method: str, passed: bool, lhs_value: float,
+                 rhs_value: float, abs_dlog: float, est_error: float, terms_used: int,
+                 reason: str | None = None):
+        self._set(id, paper, method, passed, lhs_value, rhs_value, abs_dlog, est_error,
+                  terms_used, reason)
 
 
-@dataclass(frozen=True)
-class CatalogReport:
-    results: tuple[RecordResult, ...]
-    total: int
-    passed: int
-    failed: int
+class CatalogReport(FrozenValue):
+    """The results of a run in id order, and how many passed and failed."""
+
+    _fields = ("results", "total", "passed", "failed")
+
+    def __init__(self, results: tuple[RecordResult, ...], total: int, passed: int, failed: int):
+        self._set(results, total, passed, failed)
 
     @property
     def all_passed(self) -> bool:

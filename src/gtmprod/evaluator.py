@@ -76,9 +76,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .dirichlet import (
     _ROUND_UP,
@@ -91,6 +90,8 @@ from .dirichlet import (
 from .ratfun import (
     FactorList,
     ProductCheck,
+    _as_int,
+    _fraction,
     as_pair,
     factored_convergence,
     factored_zeros_poles,
@@ -99,6 +100,9 @@ from .ratfun import (
     value_pairs,
 )
 from .sequences import FrozenValue, MultiplicativeSequence, delta_prefix, sign_at
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 _HEAD_RUN = 64  # the most terms whose exact product is rounded at once
 _HEAD_BITS = 1 << 16  # bits of a run's numerator; catalog, family and pinned runs stay below 2^15
@@ -113,13 +117,15 @@ class ProductRejectedError(ValueError):
 
 
 class ProductSpec(FrozenValue):
-    """An infinite product: sequence, exponent mode, start index, and term."""
+    """An infinite product: sequence, exponent mode, start index (an int, not
+    a bool), and term."""
 
     _fields = ("seq", "mode", "start", "term")
 
     def __init__(self, seq: MultiplicativeSequence, mode: str, start: int, term: FactorList):
         if mode not in ("delta", "theta"):
             raise ValueError(f"mode must be 'delta' or 'theta', got {mode!r}")
+        _as_int(start, "start")
         self._set(seq, mode, start, term)
 
     @cached_property
@@ -445,15 +451,16 @@ def _moment_blocks(spec: ProductSpec, pairs, x, ms, plus, n_ramp: int, I: int):
             g *= yb
             g /= sg
             series.append((ya, yb, g, g * yb))
-        totals, ramps = table[0, 0, fc] * e, table[0, 1, fc[f:]] * e[f:]
+        tw, rw = table[:, 0, fc], table[:, 1, fc[f:]]  # every order's weights at once
+        totals, ramps = tw[0] * e, rw[0] * e[f:]
         for i in range(1, I + 1):
             for ya, yb, g, p in series if i > 1 else ():  # S'_i and Y_b^i from order i - 1
                 g *= ya
                 g += p
                 p *= yb
             e = sum(g for _, _, g, _ in series)
-            totals += table[i, 0, fc] * e
-            ramps += table[i, 1, fc[f:]] * e[f:]
+            totals += tw[i] * e
+            ramps += rw[i] * e[f:]
         yield i0, totals, ramps
 
 
@@ -547,14 +554,21 @@ def _direct_sums(spec: ProductSpec, K: int):
         # in one window of q^(c+1), where delta_k = delta_(k div q^(c+1)) T[k mod q^(c+1)]
         window = q ** (c + 1)
         T = delta_prefix(seq, window)
-        x = np.concatenate([float(x0 + q**m // 2) + np.arange(n) * float(q**m)
-                            for x0, m, n in runs])
-        ms = np.repeat([m for _, m, _ in runs], [n for *_, n in runs])
-        plus = np.concatenate([sign_at(seq, x0 // q**m // window)
-                               * T[x0 // q**m % window:][:n] for x0, m, n in runs]) > 0
+        counts = [n for *_, n in runs]
+        firsts = np.cumsum([0] + counts)  # a run's first block
+        k0 = [x0 // q**m for x0, m, _ in runs]  # in ints: q^K may pass 2^63
+
+        def per_block(values):
+            return np.repeat(values, counts)
+
+        j = np.arange(firsts[-1]) - per_block(firsts[:-1])  # a block's place in its run
+        x = per_block([float(x0 + q**m // 2) for x0, m, _ in runs]) \
+            + j * per_block([float(q**m) for _, m, _ in runs])
+        ms = per_block([m for _, m, _ in runs])
+        plus = per_block([sign_at(seq, k // window) for k in k0]) \
+            * T[per_block([k % window for k in k0]) + j] > 0
         n_ramp = sum(n for x0, _, n in runs if x0 >= fb_lo)
         # a boundary q^j >= n_out starts level j, and so a run: at[i] = q^j for its first block i
-        firsts = np.cumsum([0] + [n for *_, n in runs])
         at = {int(i): x0 for i, (x0, _, _) in zip(firsts, runs) if x0 in bounds}
         sizes = [q**m for m in range(int(ms.max()) + 1)]
         lengths, halves = (np.array(v, dtype=np.float64)[ms]
@@ -784,7 +798,7 @@ def build_scaling_term(seq: MultiplicativeSequence, a, b) -> tuple[FactorList, F
     prod_{k=1}^{q-1} ((a+k)/(b+k))^delta_k, the step's digit factors past
     k = 0 turned upside down."""
     term, num, den = _scaling_term(seq, a, b)
-    return term, Fraction(num, den)
+    return term, _fraction(num, den)
 
 
 def _gamma_ratio_term(seq: MultiplicativeSequence, A_list, B_list,

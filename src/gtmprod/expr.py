@@ -23,43 +23,77 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 from .gammafn import gamma
-from .ratfun import _is_number, _Tokens
+from .ratfun import _fraction, _is_number, _Tokens, as_pair
+from .sequences import FrozenValue
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class ExprDomainError(ValueError):
     """Evaluation left the defined domain (negative sqrt, Gamma pole, ...)."""
 
 
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
+class Num(FrozenValue):
+    """A number, int or Fraction, kept as a reduced int pair (p, q), q > 0,
+    which it is equal and hashed by; ``value`` is the Fraction view, and the
+    node's float and str are those of p/q."""
+
+    _fields = ("value",)
+
+    def __init__(self, value):
+        self.__dict__["_pair"] = as_pair(value)
+
+    @classmethod
+    def _from_pair(cls, p: int, q: int) -> Num:
+        node = cls.__new__(cls)
+        g = math.gcd(p, q)
+        node.__dict__["_pair"] = (p // g, q // g)
+        return node
+
+    def _key(self) -> tuple[int, int]:
+        return self._pair
+
+    @cached_property
+    def value(self) -> Fraction:
+        return _fraction(*self._pair)
+
+    def __float__(self) -> float:
+        p, q = self._pair
+        return p / q
+
+    def __str__(self) -> str:
+        p, q = self._pair
+        return str(p) if q == 1 else f"{p}/{q}"
 
 
-@dataclass(frozen=True)
-class Pi:
+class Pi(FrozenValue):
     pass
 
 
-@dataclass(frozen=True)
-class Neg:
-    arg: "Expr"
+class Neg(FrozenValue):
+    _fields = ("arg",)
+
+    def __init__(self, arg: Expr):
+        self._set(arg)
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: "Expr"
-    right: "Expr"
+class BinOp(FrozenValue):
+    _fields = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Expr, right: Expr):
+        self._set(op, left, right)
 
 
-@dataclass(frozen=True)
-class Call:
-    fn: str
-    arg: "Expr"
+class Call(FrozenValue):
+    _fields = ("fn", "arg")
+
+    def __init__(self, fn: str, arg: Expr):
+        self._set(fn, arg)
 
 
 Expr = Num | Pi | Neg | BinOp | Call
@@ -104,10 +138,14 @@ def _parse_atom(tk: _Tokens) -> Expr:
         tk.expect(")")
         return inner
     if _is_number(tok):
-        try:
-            return Num(Fraction(tok))
-        except ZeroDivisionError:
-            raise tk.error(f"zero denominator in {tok}", at) from None
+        whole, slash, den = tok.partition("/")
+        if slash:
+            if not int(den):
+                raise tk.error(f"zero denominator in {tok}", at)
+            return Num._from_pair(int(whole), int(den))
+        whole, _, digits = tok.partition(".")
+        scale = 10 ** len(digits)
+        return Num._from_pair(int(whole) * scale + int(digits or "0"), scale)
     if tok == "pi":
         return Pi()
     if tok in _FUNCTIONS:
@@ -148,7 +186,7 @@ def eval_expr(node: Expr) -> float:
             raise ExprDomainError(f"gamma pole at {x}")
         return gamma(x).real
     if isinstance(node, Num):
-        op, args, what = float, (node.value,), ""
+        op, args, what = float, (node,), ""
     elif isinstance(node, BinOp):
         op, args, what = _ARITH[node.op], (eval_expr(node.left), eval_expr(node.right)), node.op
         if node.op == "^" and args[0] < 0 and not args[1].is_integer():

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
 
 from .ratfun import as_fraction
 
@@ -196,6 +195,8 @@ def check_gamma_identity(identity: str, z, n: int | None = None) -> float:
     if identity == "special":
         if z.imag != 0.0:
             raise GammaDomainError("special values are real")
+        from fractions import Fraction
+
         key = Fraction(z.real).limit_denominator(2)
         if float(key) != z.real or (key.numerator, key.denominator) not in _SPECIAL_VALUES:
             raise GammaDomainError(f"no tabulated special value at {z}")

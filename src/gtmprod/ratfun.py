@@ -31,8 +31,8 @@ ints, so each decision is an integer comparison, and each beta_j an
 integer pair (p_j, r_j).  ``Fraction`` appears only in the public view of
 a term (``FactorList.factors`` and ``.constant``, built when read), in
 ``as_fraction`` and ``factor_list``, and where a public helper returns an
-exact rational; floating point enters only through correctly rounded int
-divisions.
+exact rational, and ``fractions`` is imported only there; floating point
+enters only through correctly rounded int divisions.
 
 Product terms and the right-hand sides of ``expr`` are read by one scanner,
 ``_Tokens``: a compiled pattern per grammar splits the text once into
@@ -43,12 +43,14 @@ from __future__ import annotations
 
 import math
 import re
-from fractions import Fraction
 from functools import cached_property
 from itertools import islice
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .sequences import FrozenValue
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class ParseError(ValueError):
@@ -73,16 +75,27 @@ def _as_int(x, what: str) -> int:
 def as_pair(x) -> tuple[int, int]:
     """An exact rational parameter as a reduced pair (p, d), d > 0: int or
     Fraction; anything else, bool included, is a TypeError."""
-    if isinstance(x, Fraction):
-        return x.numerator, x.denominator
     if isinstance(x, int) and not isinstance(x, bool):
         return x, 1
+    from fractions import Fraction
+
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+
+
+def _fraction(p: int, d: int) -> Fraction:
+    """The Fraction p/d: ``fractions`` is imported where a Fraction is built."""
+    from fractions import Fraction
+
+    return Fraction(p, d)
 
 
 def as_fraction(x) -> Fraction:
     """An exact rational parameter (see ``as_pair``) as a Fraction; a Fraction
     is returned unchanged."""
+    from fractions import Fraction
+
     return x if isinstance(x, Fraction) else Fraction(*as_pair(x))
 
 
@@ -107,12 +120,15 @@ class FactorList(FrozenValue):
     beta = p/d reduced, d > 0, and the constant K as a reduced pair (num,
     den), den > 0; equality and hashing read these.  ``factors`` and
     ``constant``, the public shape of ``Factor`` triples and a ``Fraction``,
-    are views built when first read, except on a term built from them, which
-    keeps what it was given."""
+    are views built when first read; a term built from ``Factor`` triples
+    keeps the ``factors`` it was given, and an int or Fraction ``constant``
+    only as its pair."""
 
     _fields = ("factors", "constant")
 
-    def __init__(self, factors: tuple[Factor, ...], constant: Fraction = Fraction(1)):
+    def __init__(self, factors: tuple[Factor, ...], constant: int | Fraction = 1):
+        from fractions import Fraction
+
         for f in factors:
             if _as_int(f.alpha, "factor slope") < 1:
                 raise ValueError(f"factor slope must be a positive integer, got {f.alpha}")
@@ -123,7 +139,7 @@ class FactorList(FrozenValue):
         k = as_pair(constant)
         if k[0] == 0:
             raise ValueError("constant multiplier must be nonzero")
-        self.__dict__.update(factors=factors, constant=constant, _constant=k, _factors=tuple(
+        self.__dict__.update(factors=factors, _constant=k, _factors=tuple(
             (f.alpha, f.beta.numerator, f.beta.denominator, f.exponent) for f in factors))
 
     @classmethod
@@ -146,11 +162,11 @@ class FactorList(FrozenValue):
 
     @cached_property
     def factors(self) -> tuple[Factor, ...]:
-        return tuple(Factor(alpha, Fraction(p, d), e) for alpha, p, d, e in self._factors)
+        return tuple(Factor(alpha, _fraction(p, d), e) for alpha, p, d, e in self._factors)
 
     @cached_property
     def constant(self) -> Fraction:
-        return Fraction(*self._constant)
+        return _fraction(*self._constant)
 
     @cached_property
     def integer_form(self) -> tuple[tuple[int, int], int, tuple[tuple[int, int], ...]]:
@@ -203,11 +219,10 @@ class FactorList(FrozenValue):
         return format_product_term(self)
 
 
-def factor_list(triples, constant=Fraction(1)) -> FactorList:
+def factor_list(triples, constant=1) -> FactorList:
     """Build a FactorList from (alpha, beta, exponent) triples: int slopes
     and exponents, int or Fraction offsets and constant."""
-    return FactorList(tuple(Factor(a, as_fraction(b), e) for a, b, e in triples),
-                      as_fraction(constant))
+    return FactorList(tuple(Factor(a, as_fraction(b), e) for a, b, e in triples), constant)
 
 
 class _Tokens:
@@ -463,7 +478,7 @@ def factored_log_expansion(f: FactorList, J: int) -> list[Fraction]:
     verdict = factored_convergence(f, "delta")
     if not verdict:
         raise ValueError(f"expansion needs delta-convergent R ({verdict.reason})")
-    return [Fraction(p, r) for p, r, _ in f.log_pairs(J)]
+    return [_fraction(p, r) for p, r, _ in f.log_pairs(J)]
 
 
 def value_pairs(f: FactorList, ns):
@@ -490,4 +505,4 @@ def exact_real_value(f: FactorList, n: int) -> Fraction:
         raise EvaluationError(f"a factor vanishes at n={n}")
     p, q = next(value_pairs(f, (n,)))
     degree = sum(e for _, e in offsets)
-    return Fraction(num * p * L ** max(0, -degree), den * q * L ** max(0, degree))
+    return _fraction(num * p * L ** max(0, -degree), den * q * L ** max(0, degree))

@@ -1,11 +1,13 @@
 import math
-from dataclasses import replace
 
 import pytest
 
 import gtmprod.catalog as catalog_mod
 from gtmprod.catalog import (
     CatalogError,
+    CatalogReport,
+    IdentityRecord,
+    RecordResult,
     load_catalog,
     parse_catalog_line,
     run_catalog,
@@ -51,6 +53,42 @@ class TestBuiltinCatalog:
     def test_line_round_trip(self, records):
         for r in records:
             assert parse_catalog_line(r.to_line()) == r
+
+
+class TestValueSemantics:
+    # records and results are immutable values: equal and hashed by their
+    # fields, shown as Name(field=value, ...)
+    def test_records_of_two_loads_are_equal(self, records):
+        again = load_catalog("builtin")
+        assert again == records and again[0] is not records[0]
+        assert [hash(r) for r in again] == [hash(r) for r in records]
+        assert len(set(records) | set(again)) == len(records)
+
+    def test_repr(self):
+        wr, = load_catalog("builtin", filter="wr")
+        assert repr(wr) == ("IdentityRecord(id='wr', paper='Eq.(W-R)', seqspec='gtm:2:1', "
+                            "mode='delta', start=0, lhs='(2n+1)/(2n+2)', rhs='1/sqrt(2)', "
+                            "tags=('classic', 'delta'))")
+        result = RecordResult("wr", "p", "accel", True, 1.0, 1.0, 0.0, 1e-9, 5)
+        assert repr(result) == ("RecordResult(id='wr', paper='p', method='accel', passed=True, "
+                                "lhs_value=1.0, rhs_value=1.0, abs_dlog=0.0, est_error=1e-09, "
+                                "terms_used=5, reason=None)")
+        assert repr(CatalogReport((), 0, 0, 0)) == \
+            "CatalogReport(results=(), total=0, passed=0, failed=0)"
+
+    def test_fields_are_read_only(self, records):
+        result = RecordResult("wr", "p", "accel", True, 1.0, 1.0, 0.0, 1e-9, 5)
+        report = CatalogReport((result,), 1, 1, 0)
+        for value, name in ((records[0], "rhs"), (result, "passed"), (report, "failed")):
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+        assert records[0].rhs_value() > 0  # the cached parse is still kept
+
+    def test_result_reason_defaults_to_none(self):
+        args = ("wr", "p", "accel", True, 1.0, 1.0, 0.0, 1e-9, 5)
+        assert RecordResult(*args).reason is None
+        assert RecordResult(*args) == RecordResult(*args, None) != RecordResult(*args, "why")
+        assert hash(RecordResult(*args)) == hash(RecordResult(*args, reason=None))
 
 
 class TestLoad:
@@ -195,7 +233,8 @@ class TestRunCatalog:
         assert calls == [wr.rhs, wr.lhs]
 
     def test_failures_are_data(self, records, cache):
-        bad = replace(records[0], rhs="2/3")
+        r = records[0]
+        bad = IdentityRecord(r.id, r.paper, r.seqspec, r.mode, r.start, r.lhs, "2/3", r.tags)
         report = run_catalog([bad], tol=1e-8, cache=cache)
         assert report.failed == 1
         assert math.isfinite(report.results[0].abs_dlog)
@@ -214,7 +253,8 @@ class TestCrossRecordConsistency:
         # alternating signs, so evaluations must coincide
         by_id = {r.id: r for r in records}
         rec = by_id[rid]
-        swapped = replace(rec, seqspec="dparity:3")
+        swapped = IdentityRecord(rec.id, rec.paper, "dparity:3", rec.mode, rec.start, rec.lhs,
+                                 rec.rhs, rec.tags)
         v1 = evaluate_product(rec.product_spec(), eps=1e-9, cache=cache)
         v2 = evaluate_product(swapped.product_spec(), eps=1e-9, cache=cache)
         assert abs(v1.log_value - v2.log_value) < 1e-12

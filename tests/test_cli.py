@@ -401,8 +401,7 @@ class TestLazyImports:
                 "numpy_after": "numpy" in sys.modules}))
         """)
         src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ, PYTHONPATH=str(src), GTMPROD_CACHE_DIR=str(tmp_path),
-                   GTMPROD_CONFIG=str(tmp_path / "absent.json"))
+        env = dict(os.environ, PYTHONPATH=str(src), GTMPROD_CONFIG=str(tmp_path / "absent.json"))
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
@@ -416,7 +415,8 @@ class TestLazyImports:
 class TestImportSet:
     def test_commands_load_only_what_they_run(self, tmp_path):
         # a fresh interpreter: check, eval and dirichlet load five gtmprod
-        # modules and none of the modules below; verify loads the catalog
+        # modules and none of the modules below; verify loads the catalog,
+        # and no command loads dataclasses, inspect, fractions or decimal
         script = textwrap.dedent("""
             import json, sys
             preloaded = set(sys.modules)
@@ -425,17 +425,19 @@ class TestImportSet:
                 ["check", "--term", "(2n+1)/(2n+2)", "--mode", "delta"],
                 ["eval", "--seq", "gtm:3:01", "--mode", "delta", "--term", "(2n+1)/(2n+2)"],
                 ["dirichlet", "--seq", "gtm:3:01", "--s", "3"])]
-            absent = ("dataclasses", "inspect", "csv", "gtmprod.catalog", "gtmprod.expr",
-                      "gtmprod.gammafn", "gtmprod.families", "numpy", "mpmath")
+            never = ("dataclasses", "inspect", "fractions", "decimal")
+            absent = never + ("csv", "gtmprod.catalog", "gtmprod.expr", "gtmprod.gammafn",
+                              "gtmprod.families", "numpy", "mpmath")
             loaded = sorted(m for m in absent if m in sys.modules and m not in preloaded)
             package = sorted(m for m in sys.modules if m.startswith("gtmprod."))
             codes.append(main(["verify", "--filter", "wr"]))
             print(json.dumps({"codes": codes, "loaded": loaded, "package": package,
-                              "catalog_after_verify": "gtmprod.catalog" in sys.modules}))
+                              "catalog_after_verify": "gtmprod.catalog" in sys.modules,
+                              "verify_loaded": sorted(m for m in never
+                                                      if m in sys.modules and m not in preloaded)}))
         """)
         src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ, PYTHONPATH=str(src), GTMPROD_CACHE_DIR=str(tmp_path),
-                   GTMPROD_CONFIG=str(tmp_path / "absent.json"))
+        env = dict(os.environ, PYTHONPATH=str(src), GTMPROD_CONFIG=str(tmp_path / "absent.json"))
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
@@ -443,4 +445,4 @@ class TestImportSet:
         assert doc == {"codes": [0, 0, 0, 0], "loaded": [],
                        "package": ["gtmprod.cli", "gtmprod.dirichlet", "gtmprod.evaluator",
                                    "gtmprod.ratfun", "gtmprod.sequences"],
-                       "catalog_after_verify": True}
+                       "catalog_after_verify": True, "verify_loaded": []}

@@ -80,6 +80,13 @@ class TestCheckProduct:
         chk = check_product(ProductSpec(TM, "delta", 2, WR_TERM))
         assert chk.reason == "start-out-of-range"
 
+    @pytest.mark.parametrize("start", [1.0, 0.0, True, False, Fraction(1), "1", None])
+    def test_start_must_be_an_int(self, start):
+        # 1.0 in (0, 1) holds, so a float start used to pass the check and
+        # fail inside the evaluation; True ran as start 1
+        with pytest.raises(TypeError, match=f"^start must be an int, got {type(start).__name__}$"):
+            ProductSpec(TM, "delta", start, WR_TERM)
+
     def test_rejects_negative_term_value(self):
         term = parse_product_term("(n-20)/(n+1)")  # negative on a long prefix
         chk = check_product(ProductSpec(TM, "delta", 0, term))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gtmprod.expr import (
     BinOp,
+    Call,
     ExprDomainError,
     Neg,
     Num,
@@ -69,6 +70,44 @@ class TestEvaluation:
 
     def test_cos(self):
         assert abs(value_of("cos(pi/3)") - 0.5) < 1e-15
+
+
+class TestNodes:
+    # expression nodes are immutable values: equal and hashed by their
+    # fields, a number by its reduced pair, shown as Name(field=value, ...)
+    TEXT = "-gamma(1/4)^2.5/pi+3"
+
+    def test_equal_and_hashed_by_fields(self):
+        node, again = parse_expr(self.TEXT), parse_expr(self.TEXT)
+        assert node == again and node is not again and hash(node) == hash(again)
+        assert node != parse_expr("-gamma(1/4)^2.5/pi+4")
+        assert Num(3) == Num(Fraction(6, 2)) and hash(Num(3)) == hash(Num(Fraction(3)))
+        assert Pi() == Pi() != Num(3)
+
+    def test_repr(self):
+        assert repr(parse_expr(self.TEXT)) == (
+            "BinOp(op='+', left=BinOp(op='/', left=Neg(arg=BinOp(op='^', left=Call(fn='gamma', "
+            "arg=Num(value=Fraction(1, 4))), right=Num(value=Fraction(5, 2)))), right=Pi()), "
+            "right=Num(value=Fraction(3, 1)))")
+
+    def test_fields_are_read_only(self):
+        node = parse_expr(self.TEXT)
+        for value, name in ((node, "op"), (node.right, "value"), (Call("cos", Pi()), "arg")):
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+
+    @pytest.mark.parametrize("tok", ["7", "007", "10/4", "0/5", "2.", "0.50", "3.14159",
+                                     "1/" + "3" * 400, "1" + "0" * 400])
+    def test_number_is_the_fraction_of_its_literal(self, tok):
+        node = parse_expr(tok)
+        assert node == Num(Fraction(tok)) and type(node.value) is Fraction
+        try:
+            want = float(Fraction(tok))
+        except OverflowError:
+            with pytest.raises(ExprDomainError, match=f"^{Fraction(tok)} has no finite value$"):
+                eval_expr(node)
+        else:
+            assert eval_expr(node) == want
 
 
 class TestErrors:
