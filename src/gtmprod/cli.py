@@ -18,7 +18,8 @@ import sys
 from pathlib import Path
 
 from .dirichlet import check_eps, dirichlet_value
-from .evaluator import ProductRejectedError, ProductSpec, evaluate_direct, evaluate_product
+from .evaluator import (DIRECT_N_LIMIT, ProductRejectedError, ProductSpec, evaluate_direct,
+                        evaluate_product)
 from .ratfun import ParseError, factored_convergence, parse_product_term
 from .sequences import SequenceError, parse_seq_spec, partial_sum, sign_prefix
 
@@ -127,9 +128,13 @@ def _cmd_check(args) -> int:
 
 
 def _direct_n(args) -> int | None:
-    """--direct-n, checked before any work: a term count below 1 is a usage error."""
+    """--direct-n, checked before any work: a term count below 1, or at or
+    past 2^500, is a usage error.  (The bound N >= q^2 depends on each
+    record's q, so evaluate_direct checks it per record.)"""
     if args.direct_n is not None and args.direct_n < 1:
         raise ValueError(f"--direct-n must be >= 1, got {args.direct_n}")
+    if args.direct_n is not None and args.direct_n >= DIRECT_N_LIMIT:
+        raise ValueError(f"--direct-n must be below 2^500, got {args.direct_n}")
     return args.direct_n
 
 

@@ -30,13 +30,18 @@ further safety factor of 4.
 
 Most of a sweep depends on no pattern: the floors of 2^B / n^t of the
 direct sums (n from M0) and of H(t) (n < M0), the head floors of
-2^B q^t / n^t (n < q M0), and the extent of each order.  Pure functions
-build them at the first sweep that reads them and keep them for the
-process (``functools.cache``), keyed on what may vary: B, q, t and the
-range of n, whose end follows the target _MP_EPS for a direct sum, and
-for an extent q^t - c_0 and the target.  A sweep itself forms the
-signed sums of those rows over its pattern's signs and runs the moment
-series.  Nothing is built at import.
+2^B q^t / n^t (n < q M0), the extent of each order and the binomials
+|C(-t, i)| up to it.  Pure functions build them at the first sweep that
+reads them and keep them for the process (``functools.cache``: the
+``_floors`` and ``_direct_row`` rows, ``_extent`` and ``_binomials``),
+keyed on what may vary: B, q, t and the range of n, whose end follows
+the target _MP_EPS for a direct sum, for an extent q^t - c_0 and the
+target, and for the binomials t and the extent.  A direct-sum row above
+the lowest order of its sum is the row below it divided by n, and no row
+forms a power whose floors its bit length shows to be 0.  A sweep itself
+takes the moments c_0..c_I in one pass, forms the signed sums of the
+rows over its pattern's signs and runs the moment series, dividing by
+q^i with a shift where q is a power of two.  Nothing is built at import.
 
 The result stays in fixed point.  The accelerated evaluator multiplies
 X by exact expansion coefficients that grow geometrically, in integers;
@@ -47,7 +52,9 @@ which adds one relative rounding to their error), importing mpmath on
 demand.  numpy is imported only by the partial-summation oracle
 ``dirichlet_direct``.  ``DirichletCache`` memoizes the triples (X, B, err)
 under the pattern's gtm spec for as long as the cache object lives; nothing
-is written to disk, since a sweep costs about a millisecond.  It also keeps
+is written to disk, since a sweep of a catalog pattern costs 0.6-1.0 ms
+with none of the rows above built, 0.2-0.4 ms with them (2-core x86-64,
+Python 3.11).  It also keeps
 one ``SeriesRecord`` per (pattern, weight mode), the owner of the
 accelerated evaluator's series: it holds the MAX_J orders of G_j =
 sum_n w_n n^-j and the exact partial sums of w_n n^-j at every N asked so
@@ -60,8 +67,9 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import operator
 import threading
-from itertools import compress, islice
+from itertools import compress, islice, repeat
 
 from .sequences import MultiplicativeSequence, delta_prefix, make_sequence, sign_prefix
 
@@ -74,6 +82,7 @@ _I_CAP = 20000
 _GUARD_BITS = 32  # fixed-point bits beyond _MP_DPS digits
 _BITS = math.ceil(_MP_DPS * math.log2(10)) + _GUARD_BITS  # the fixed point's B
 _M0 = 8  # the sweep expands (qm + k)^-s binomially only for m >= _M0
+_T_MAX = 1023 // (_M0.bit_length() - 1)  # the largest t with _M0**t (a power of two) in binary64
 _ROUND_UP = 1.0 + 2.0**-30  # covers the binary64 rounding of error bounds
 _ROW = 256  # dirichlet_direct sums rows of this many terms, then fsums the rows
 
@@ -164,19 +173,75 @@ def _ladder_extent(q: int, s: int, denom: int) -> tuple[int, float]:
 
 @functools.cache
 def _extent(q: int, s: int, denom: int, target: float) -> tuple[int, float]:
-    """``_ladder_extent`` for the bound target on the last term, kept for the process."""
-    i, binom = 0, 1  # |C(-s,i)|
-    while True:
-        i += 1
-        binom = binom * (s + i - 1) // i
+    """``_ladder_extent`` for the bound target on the last term, kept for the process.
+
+    I is the first i >= 1 at which the bound b_i, evaluated as the float
+    expression in ``below``, is under target while r(i) < 1.  r(i)
+    and its float value fall with i (for s >= 1), so past the first i0 with
+    r(i0) < 1 only the bound decides, and there it falls strictly: each step
+    multiplies the true bound by less than r(i) <= 1 - 1/(q M0 (i+1)), at
+    least 3e-7 below 1 for i <= _I_CAP and q <= 16, while the expression is
+    good to a few ulps of a normal binary64.  The search therefore returns
+    the index, and the bound at it, that a scan from i = 1 returns: it
+    gallops from an estimate of I (Newton's method on the log of the bound)
+    to a bracket and bisects it, evaluating the bound at a few i only.  No
+    i past _I_CAP + 1 or _T_MAX - s is tried; past either the series is
+    refused.
+    """
+    log_rho = math.log((q - 1) / (q * _M0))
+    bounds = {}
+
+    def below(i: int) -> bool:  # b_i / denom < target, keeping b_i / denom
         t = s + i
-        bound = binom * _moment_bound(q, i) * (1.0 + _M0 / (t - 1)) / _M0**t / denom
-        r = t / (i + 1) * (q - 1) / (q * _M0)
-        if bound < target and r < 1.0:
-            break
-        if i > _I_CAP:
-            raise EpsUnachievableError(f"ladder series did not converge by i={_I_CAP}")
-    return i, bound * r / (1.0 - r) * _ROUND_UP
+        b = bounds[i] = (math.comb(t - 1, i) * _moment_bound(q, i) * (1.0 + _M0 / (t - 1))
+                         / _M0**t / denom)
+        return b < target
+
+    def ratio(i: int) -> float:  # r(i)
+        return (s + i) / (i + 1) * (q - 1) / (q * _M0)
+
+    # i0: r(i) < 1 exactly when i (q M0 - q + 1) > s (q - 1) - q M0; the float
+    # ratio agrees, and the two loops only guard that
+    i0 = max(1, (s * (q - 1) - q * _M0) // (q * _M0 - q + 1) + 1)
+    while ratio(i0) >= 1.0:
+        i0 += 1
+    while i0 > 1 and ratio(i0 - 1) < 1.0:
+        i0 -= 1
+    limit = min(_I_CAP + 1, _T_MAX - s)
+    lo, hi = i0 - 1, limit + 1  # not below at lo (or lo < i0), below at hi (or hi > limit)
+    if i0 <= limit:
+        # ln(b_x / denom / target), continued to real x by lgamma, is concave in x
+        const = (math.log(q - 1) - math.lgamma(s) - s * math.log(_M0) - math.log(denom)
+                 - math.log(target))
+        x = float(min(limit, 40))
+        for _ in range(2):  # Newton's method: two steps put ceil(x) at I nearly always
+            excess = (math.lgamma(s + x) - math.lgamma(x + 1) + x * log_rho + const
+                      + math.log1p(_M0 / (s + x - 1)))
+            slope = math.log((s + x - 0.5) / (x + 0.5)) + log_rho
+            if slope > -0.05:
+                break
+            x = min(max(x - excess / slope, i0), limit)
+        guess, step = min(max(math.ceil(x), i0), limit), 1
+        if below(guess):
+            hi = guess
+            while hi - step > lo and below(hi - step):
+                hi, step = hi - step, 2 * step
+            lo = max(lo, hi - step)
+        else:
+            lo = guess
+            while lo + step < hi and not below(lo + step):
+                lo, step = lo + step, 2 * step
+            hi = min(hi, lo + step)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if below(mid):
+                hi = mid
+            else:
+                lo = mid
+    if hi > limit:
+        raise EpsUnachievableError(f"ladder series did not converge by i={min(_I_CAP, limit)}")
+    r = ratio(hi)
+    return hi, bounds[hi] * r / (1.0 - r) * _ROUND_UP
 
 
 def _direct_terms(t: int) -> int:
@@ -196,10 +261,32 @@ def _floors(bits: int, q: int, t: int, lo: int, hi: int) -> tuple[int, tuple[int
 
     A row depends on no pattern, so it is built at the first sweep that
     reads it and kept for the process; the key holds every value it reads.
+    The row ends before the first n whose floor bit lengths alone show to
+    be 0: from n = 2^ceil(len(num)/t) on, n^t >= 2^len(num) > num.  So a
+    large t forms no large power.
     """
     num = (1 << bits) * q**t
-    floors = tuple(num // n**t for n in range(lo, hi + 1))
+    end = min(hi, (1 << -(-num.bit_length() // t)) - 1)
+    floors = tuple(map(num.__floordiv__, map(pow, range(lo, end + 1), repeat(t))))
     return lo, floors, sum(floors)
+
+
+@functools.cache
+def _direct_row(bits: int, t: int, lo: int, first: int, eps: float):
+    """(row, err) of a direct sum of order t from lo: the q = 1 ``_floors``
+    row over n = lo..max(lo, _direct_terms(t)) at _MP_EPS = eps (the key
+    holds what _direct_terms reads), and the sum's ``_direct_err``.  The row
+    is built as such at t = first; above it, it is the row of order t - 1,
+    whose range is no shorter, cut to this range and divided by n:
+    floor(floor(a/b)/c) = floor(a/(bc)).
+    """
+    hi = max(lo, _direct_terms(t))
+    err = _direct_err(t, hi, hi + 1 - max(lo, 2), bits)
+    if t == first:
+        return _floors(bits, 1, t, lo, hi), err
+    (_, lower, _), _ = _direct_row(bits, t - 1, lo, first, eps)
+    floors = tuple(map(operator.floordiv, lower[:hi + 1 - lo], range(lo, hi + 1)))
+    return (lo, floors, sum(floors)), err
 
 
 def _signed_sum(plus: list[bool], row) -> int:
@@ -208,19 +295,43 @@ def _signed_sum(plus: list[bool], row) -> int:
     return 2 * sum(compress(floors, islice(plus, lo, None))) - total
 
 
-def _direct_fixed(seq: MultiplicativeSequence, orders: range, bits: int,
-                  start: int = 1) -> dict[int, tuple[int, float]]:
+def _plus(seq: MultiplicativeSequence, length: int) -> list[bool]:
+    """[delta_n = 1 for n < length], the signs ``_signed_sum`` reads."""
+    return [s > 0 for s in sign_prefix(seq, length)]
+
+
+def _direct_fixed(seq: MultiplicativeSequence, orders: range, bits: int, start: int = 1,
+                  plus: list[bool] | None = None) -> dict[int, tuple[int, float]]:
     """Fixed-point sum_{n>=start} delta_n n^-t for each t in ``orders`` (all >= 2).
 
     Each floor of 2^bits / n^t loses less than one unit (n = 1 is exact);
-    one sign prefix, as long as the lowest order needs, serves every order.
+    one sign prefix, as long as the lowest order needs (``plus``, when the
+    caller has it), serves every order.
     """
-    plus = [s > 0 for s in sign_prefix(seq, max(start, _direct_terms(orders[0])) + 1)]
+    if plus is None:
+        plus = _plus(seq, max(start, _direct_terms(orders[0])) + 1)
     out = {}
     for t in orders:
-        n_max = max(start, _direct_terms(t))
-        x = _signed_sum(plus, _floors(bits, 1, t, start, n_max))
-        out[t] = (x, _direct_err(t, n_max, n_max + 1 - max(start, 2), bits))
+        row, err = _direct_row(bits, t, start, orders[0], _MP_EPS)
+        out[t] = (_signed_sum(plus, row), err)
+    return out
+
+
+@functools.cache
+def _binomials(t: int, n: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """|C(-t, i)| = C(t + i - 1, i) for i = 0..n, as ints and as floats, kept
+    for the process."""
+    sizes = tuple(map(math.comb, range(t - 1, t + n), range(n + 1)))
+    return sizes, tuple(map(float, sizes))
+
+
+def _moments(seq: MultiplicativeSequence, i_max: int) -> list[int]:
+    """c_0..c_{i_max} (``power_moments``) in one pass of running powers delta_k k^i."""
+    terms = list(seq.signs)  # delta_k k^0, with 0^0 = 1
+    out = [sum(terms)]
+    for _ in range(i_max):
+        terms = list(map(operator.mul, terms, range(seq.q)))
+        out.append(sum(terms))
     return out
 
 
@@ -238,36 +349,39 @@ def _ladder_fixed(seq: MultiplicativeSequence, bits: int) -> dict[int, tuple[int
     by q^t - c_0.
     """
     q = seq.q
-    c0 = power_moments(seq, 0)
+    c0 = sum(seq.signs)  # c_0
     levels = range(S_DIRECT - 1, 0 if seq.nontrivial else 1, -1)
     extents = {t: _ladder_extent(q, t, q**t - c0) for t in levels}
     top = max(t + n_terms for t, (n_terms, _) in extents.items())
-    tails = _direct_fixed(seq, range(S_DIRECT, top + 1), bits, start=_M0)
+    n_top = _direct_terms(S_DIRECT)
+    plus = _plus(seq, max(q * _M0, n_top + 1))  # the head's n < q M0 and the direct sums'
+    tails = _direct_fixed(seq, range(S_DIRECT, top + 1), bits, _M0, plus)
 
     i_max = max(n_terms for n_terms, _ in extents.values())
-    moments = [c0] + [power_moments(seq, i) for i in range(1, i_max + 1)]
+    moments = _moments(seq, i_max)
+    # C(-t, i) c_i = |C(-t, i)| (-1)^i c_i
+    signed = [-c if i % 2 else c for i, c in enumerate(moments)]
     q_pows = [q**i for i in range(i_max + 1)]
     moment_sizes = [abs(c) / qi for c, qi in zip(moments, q_pows)]  # |c_i| q^-i
-    plus = [s > 0 for s in sign_prefix(seq, q * _M0)]
+    shift = q.bit_length() - 1 if q & (q - 1) == 0 else 0  # q = 2^shift: // q^i is >> shift i
     head_units = q * _M0 - 2 + abs(c0) * (_M0 - 2)
-    n_top = _direct_terms(S_DIRECT)
     h_top = _signed_sum(plus, _floors(bits, 1, S_DIRECT, 1, _M0 - 1))
     known = {S_DIRECT: (h_top + tails[S_DIRECT][0],
                         _direct_err(S_DIRECT, n_top, n_top - 1, bits))}
     for t in levels:
         n_terms, trunc = extents[t]
+        binoms, binom_floats = _binomials(t, n_terms)  # |C(-t, i)| as ints and floats
         denom = q**t - c0  # > 0: c_0 <= q, with equality only for the all-plus pattern
         h = _signed_sum(plus, _floors(bits, 1, t, 1, _M0 - 1))  # 2^bits H(t)
         acc = _signed_sum(plus, _floors(bits, q, t, 1, q * _M0 - 1)) - c0 * h
         units = head_units
         carried = 0.0
-        binom = 1  # C(-t, i)
         for i in range(1, n_terms + 1):
-            binom = binom * (-t - i + 1) // i
-            if moments[i]:
+            if signed[i]:
                 x, e = tails[t + i]
-                acc += binom * moments[i] * x // q_pows[i]
-                carried += abs(binom) * moment_sizes[i] * e
+                term = binoms[i] * signed[i] * x
+                acc += term >> shift * i if shift else term // q_pows[i]
+                carried += binom_floats[i] * moment_sizes[i] * e
                 units += 1
         # F(t) = (head - c_0 H(t) + sum_i C(-t,i) c_i q^-i T(t+i)) / (q^t - c_0)
         x = acc // denom
@@ -365,9 +479,10 @@ class SeriesRecord:
         orders holds (j, p_j, r_j) for each nonzero beta_j = p_j/r_j up to J,
         and err is the sum of their charges."""
         J, orders, err = 0, [], 0.0
+        max_n_units, unit = math.ldexp(MAX_N, -self.bits), math.ldexp(1.0, -self.bits)
         for j, ((p, r, mag), g) in enumerate(zip(pairs, self.orders), start=1):
             if p:
-                charge = mag * (g[2] + math.ldexp(MAX_N, -self.bits)) + math.ldexp(1.0, -self.bits)
+                charge = mag * (g[2] + max_n_units) + unit
                 if err + charge > budget:
                     break
                 err += charge

@@ -255,21 +255,24 @@ def _accel_components(spec: ProductSpec, eps: float, cache: DirichletCache):
     # J: the most orders whose errors fit in eps/4 (the ladder's and the series')
     record = cache.series_record(seq, spec.mode)
     J, orders, series_err = record.fit(term.log_pairs(MAX_J), budget)
-    # N: the fewest terms, at least 4M, whose tail bound fits in eps/4
+    # N: the fewest terms, at least 4M, whose tail bound fits in eps/4.  The
+    # bound falls as N grows, and N = 4M fits on most terms, so it is tried first
     _, L, live = term.integer_form
     offsets = [(abs(m) / L, abs(e)) for m, e in live if m and e]
-    if J == 0 or _tail_bound(offsets, J, hi) > budget:
-        # no N up to MAX_N fits.  If all MAX_J orders would fit, it is the
-        # Dirichlet constants that fail: order J + 1 was charged past eps/4
-        if J == 0 or _tail_bound(offsets, MAX_J, hi) <= budget:
-            raise EpsUnachievableError(
-                f"eps {eps:g} is below the accuracy of the Dirichlet constants: "
-                f"order {J + 1} is good to {record.orders[J][2]:.1e}")
-        raise EpsUnachievableError(refusal)
-    while _tail_bound(offsets, J, lo) > budget:  # the bound falls as N grows
-        mid = (lo + hi) // 2
-        lo, hi = (mid + 1, hi) if _tail_bound(offsets, J, mid) > budget else (lo + 1, mid)
     N = lo
+    if J == 0 or _tail_bound(offsets, J, lo) > budget:
+        if J == 0 or _tail_bound(offsets, J, hi) > budget:
+            # no N up to MAX_N fits.  If all MAX_J orders would fit, it is the
+            # Dirichlet constants that fail: order J + 1 was charged past eps/4
+            if J == 0 or _tail_bound(offsets, MAX_J, hi) <= budget:
+                raise EpsUnachievableError(
+                    f"eps {eps:g} is below the accuracy of the Dirichlet constants: "
+                    f"order {J + 1} is good to {record.orders[J][2]:.1e}")
+            raise EpsUnachievableError(refusal)
+        while hi - lo > 1:  # the bound is over budget at lo and within it at hi
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if _tail_bound(offsets, J, mid) > budget else (lo, mid)
+        N = hi
     w = record.weights(N)
     head = _head_logs(term, spec.start, w)
     series = record.series(orders, w)
@@ -306,6 +309,7 @@ def evaluate_product(spec: ProductSpec, eps: float = 1e-9,
         raise EpsUnachievableError(f"certified error {est:g} exceeds eps {eps:g}")
     return EvalResult(_exp(log_value), log_value, est, "accel", n, j)
 
+DIRECT_N_LIMIT = 2**500  # evaluate_direct's N is below it
 _BLOCK_CAP = 1 << 17  # the most terms of an outright chunk, and of moment blocks in one pass
 _MOMENT_SPAN = 32  # half-widths from a block to its nearest root, past which its moments sum it
 
@@ -680,7 +684,7 @@ def evaluate_direct(spec: ProductSpec, N: int | None = None,
         N = q**10
     if N < q * q:
         raise ValueError(f"direct evaluation needs N >= q^2 = {q * q}")
-    if N >= 2**500:  # past it a final block's ramp weights, ~B^2, may leave binary64
+    if N >= DIRECT_N_LIMIT:  # past it a final block's ramp weights, ~B^2, may leave binary64
         raise ValueError("direct evaluation needs N < 2^500")
     K = _top_exponent(q, N)
     sums, log_value, fl_round = _direct_sums(spec, K)

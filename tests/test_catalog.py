@@ -131,6 +131,27 @@ class TestLoad:
             load_catalog(path)
         assert "non-positive-term at n=101" in str(err.value)
 
+    def test_one_load_parses_each_text_once(self, monkeypatch):
+        # its records share the sequence of a seqspec and the value of an rhs;
+        # a second load parses again
+        calls = {"parse_seq_spec": [], "parse_expr": []}
+        for name, seen in calls.items():
+            parse = getattr(catalog_mod, name)
+            monkeypatch.setattr(catalog_mod, name, lambda text, parse=parse, seen=seen:
+                                seen.append(text) or parse(text))
+        records = load_catalog("builtin")
+        assert sorted(calls["parse_seq_spec"]) == sorted({r.seqspec for r in records})
+        assert sorted(calls["parse_expr"]) == sorted({r.rhs for r in records})
+        assert len(records) == 79
+        assert (len(calls["parse_seq_spec"]), len(calls["parse_expr"])) == (18, 25)
+        seqs = {}
+        for r in records:
+            assert seqs.setdefault(r.seqspec, r.product_spec().seq) is r.product_spec().seq
+        again = load_catalog("builtin")
+        assert len(calls["parse_seq_spec"]) == 36 and len(calls["parse_expr"]) == 50
+        assert again[0].product_spec().seq is not records[0].product_spec().seq
+        assert again[0].product_spec() == records[0].product_spec()
+
     def test_bad_rhs_rejected(self, tmp_path):
         path = tmp_path / "c.catalog"
         path.write_text("bad|x|gtm:2:1|delta|0|(2n+1)/(2n+2)|sqrt(|x\n")

@@ -145,6 +145,28 @@ class TestDirichlet:
         code, _, err = run(capsys, "dirichlet", "--seq", "gtm:2:0", "--s", "1")
         assert code == 2
 
+    def test_large_order_returns_at_once(self, tmp_path):
+        # the direct sum once formed n^s for n = 2..4, although each floor of
+        # 2^B / n^s is 0 there: 5 s at s = 10^7, and growing faster than s
+        script = textwrap.dedent("""
+            import contextlib, io, json
+            from gtmprod.cli import main
+            docs = []
+            for s in ("10000000", "1000000000"):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = main(["--format", "json", "dirichlet", "--seq", "gtm:2:1", "--s", s])
+                docs.append([code, json.loads(out.getvalue())])
+            print(json.dumps(docs))
+        """)
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), GTMPROD_CONFIG=str(tmp_path / "absent.json"))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        for code, doc in json.loads(proc.stdout):
+            assert code == 0 and doc["value"] == -1.0 and doc["eps_achieved"] <= 1e-15
+
 
 class TestVerify:
     def test_filtered_json(self, capsys, no_config):
@@ -314,16 +336,18 @@ class TestJsonErrors:
             "exit_code": 2, "kind": "usage", "message": message}}
         assert run(capsys, *argv) == (2, "", err)  # text mode: the same stderr only
 
-    @pytest.mark.parametrize("n", ["0", "-5"])
+    @pytest.mark.parametrize("n", ["0", "-5", pytest.param(str(2**500), id="2^500")])
     @pytest.mark.parametrize("argv", [
         ("eval", "--seq", "gtm:2:1", "--mode", "delta", "--term", "(2n+1)/(2n+2)",
          "--method", "direct"),
         ("verify", "--filter", "wr", "--method", "direct"),
     ], ids=["eval", "verify"])
     def test_direct_n_below_one_is_usage_error(self, capsys, no_config, argv, n):
-        # eval once ran q^10 terms for 0, and verify reported every record as FAIL
+        # eval once ran q^10 terms for 0, and verify reported every record as
+        # FAIL, for 0 and for 2^500 (which evaluate_direct refuses)
         argv = (*argv, "--direct-n", n)
-        message = f"error: --direct-n must be >= 1, got {n}"
+        message = (f"error: --direct-n must be >= 1, got {n}" if int(n) < 1
+                   else f"error: --direct-n must be below 2^500, got {n}")
         got, out, err = run(capsys, "--format", "json", *argv)
         assert got == 2 and err == message + "\n"
         assert json.loads(out) == {"command": argv[0], "error": {

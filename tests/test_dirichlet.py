@@ -16,6 +16,7 @@ from gtmprod.dirichlet import (
     MAX_J,
     S_DIRECT,
     DirichletCache,
+    EpsUnachievableError,
     SeriesRecord,
     _direct_terms,
     _ladder_extent,
@@ -48,6 +49,12 @@ class TestPowerMoments:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             power_moments(parse_seq_spec("gtm:2:1"), -1)
+
+    @pytest.mark.parametrize("spec", ["gtm:2:1", "gtm:2:0", "gtm:3:01", "dcount:5:2",
+                                      "gtm:16:010011101100101"])
+    def test_one_pass_matches_each_order(self, spec):
+        seq = parse_seq_spec(spec)
+        assert dmod._moments(seq, 70) == [power_moments(seq, i) for i in range(71)]
 
 
 class TestLadder:
@@ -179,6 +186,50 @@ def _exact(raw):
     return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
 
 
+def _scan_extent(q, s, denom, target):
+    """The extent by a linear scan from i = 1, with a running binomial: the
+    reference that the search of ``_extent`` must reproduce bit for bit."""
+    i, binom = 0, 1  # |C(-s,i)|
+    while True:
+        i += 1
+        binom = binom * (s + i - 1) // i
+        t = s + i
+        bound = binom * _moment_bound(q, i) * (1.0 + _M0 / (t - 1)) / _M0**t / denom
+        r = t / (i + 1) * (q - 1) / (q * _M0)
+        if bound < target and r < 1.0:
+            break
+        if i > dmod._I_CAP:
+            raise EpsUnachievableError(f"ladder series did not converge by i={dmod._I_CAP}")
+    return i, bound * r / (1.0 - r) * dmod._ROUND_UP
+
+
+class TestExtent:
+    # every base up to 16, order up to S_DIRECT and c_0 = sum_k delta_k
+    # (delta_0 = 1, so c_0 is q, q - 2, ..., 2 - q; q only for the all-plus pattern)
+    CASES = [(q, s, q**s - c0) for q in range(2, 17) for c0 in range(2 - q, q + 1, 2)
+             for s in range(1 if c0 < q else 2, S_DIRECT + 1)]
+
+    @pytest.mark.parametrize("target", [10.0**-k for k in range(3, 61, 3)] + [dmod._MP_EPS / 10])
+    def test_search_matches_the_scan(self, target):
+        for q, s, denom in self.CASES:
+            assert dmod._extent.__wrapped__(q, s, denom, target) == \
+                _scan_extent(q, s, denom, target), (q, s, denom)
+
+    def test_refused_past_the_cap(self, monkeypatch):
+        monkeypatch.setattr(dmod, "_I_CAP", 5)
+        for q, s, denom in ((2, 1, 2), (16, 15, 16**15 - 14)):
+            with pytest.raises(EpsUnachievableError, match="did not converge by i=5"):
+                _scan_extent(q, s, denom, 1e-60)
+            with pytest.raises(EpsUnachievableError, match="did not converge by i=5"):
+                dmod._extent.__wrapped__(q, s, denom, 1e-60)
+
+    def test_powers_of_m0_stay_in_range(self):
+        # the search never forms M0^t past _T_MAX, where float() overflows
+        assert math.isfinite(float(_M0**dmod._T_MAX))
+        with pytest.raises(OverflowError):
+            float(_M0 ** (dmod._T_MAX + 1))
+
+
 class TestSweep:
     @pytest.mark.parametrize("q", range(2, 17))
     def test_truncation_covers_remaining_terms(self, q):
@@ -259,29 +310,35 @@ class TestSweep:
             assert fresh.mp_lookup(seq.spec, s) is None, s
             assert fresh.mp_lookup("gtm:2:0", s) is None, s
 
-    def test_one_moment_call_per_order(self, monkeypatch):
-        import gtmprod.dirichlet as dmod
+    def test_one_moment_pass_per_sweep(self, monkeypatch):
+        # a sweep takes c_0..c_I in one pass, and a hit or a direct sum takes none
         calls = []
 
-        def counted(seq, i):
-            calls.append((seq.spec, i))
-            return power_moments(seq, i)
+        def counted(seq, i_max):
+            calls.append(seq.spec)
+            return moments(seq, i_max)
 
-        monkeypatch.setattr(dmod, "power_moments", counted)
+        moments = dmod._moments
+        monkeypatch.setattr(dmod, "_moments", counted)
         cache = DirichletCache()
         seq = parse_seq_spec("gtm:5:0110")
         for s in (2, 1, 7, 15, 16, 20):
             dirichlet_mp(seq, s, cache)
         zeta_mp(3, cache)
         zeta_mp(2, cache)
-        assert calls and len(calls) == len(set(calls))
+        assert calls == ["gtm:5:0110", "gtm:2:0"]
         # the first miss filled the ladder down to order 1
         assert all(cache.mp_lookup(seq.spec, s) is not None for s in range(1, 16))
 
 
+def _shared_memos():
+    """Every process-wide memo of gtmprod.dirichlet, found by its cache_clear."""
+    return {name: f for name, f in vars(dmod).items() if hasattr(f, "cache_clear")}
+
+
 def _clear_shared_rows():
     """Empty the process-wide memos of the sweep's pattern-independent rows."""
-    for memo in (dmod._floors, dmod._extent):
+    for memo in _shared_memos().values():
         memo.cache_clear()
 
 
@@ -322,6 +379,25 @@ class TestSharedRows:
             _clear_shared_rows()
         assert len(runs[0]) == 14
         assert all(run == runs[0] for run in runs)
+
+    def test_every_memo_is_cleared(self):
+        # a memo left uncleared would make the cold sweeps above warm
+        assert {"_floors", "_direct_row", "_extent", "_binomials"} <= set(_shared_memos())
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 16])
+    def test_rows_are_the_floors(self, q):
+        # a row is floor(2^B q^t / n^t) for each n, cut only where the floors are
+        # 0; a direct-sum row above its first order comes from the one below it
+        for t in (1, 2, 15, 16, 40, 60, 200):
+            lo, floors, total = dmod._floors(_BITS, q, t, 1, 300)
+            full = [(q**t << _BITS) // n**t for n in range(1, 301)]
+            assert lo == 1 and list(floors) == full[:len(floors)] and total == sum(full)
+            assert not any(full[len(floors):]), t
+        for t in range(S_DIRECT, 90):
+            (lo, floors, total), _ = dmod._direct_row(_BITS, t, _M0, S_DIRECT, dmod._MP_EPS)
+            full = [(1 << _BITS) // n**t for n in range(_M0, max(_M0, _direct_terms(t)) + 1)]
+            assert lo == _M0 and list(floors) == full[:len(floors)] and total == sum(full)
+            assert not any(full[len(floors):]), t
 
     def test_rows_follow_the_ladder_target(self, monkeypatch):
         # the extent and the direct-sum rows are kept per target: asked again
