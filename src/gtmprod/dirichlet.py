@@ -36,12 +36,17 @@ reads them and keep them for the process (``functools.cache``: the
 ``_floors`` and ``_direct_row`` rows, ``_extent`` and ``_binomials``),
 keyed on what may vary: B, q, t and the range of n, whose end follows
 the target _MP_EPS for a direct sum, for an extent q^t - c_0 and the
-target, and for the binomials t and the extent.  A direct-sum row above
-the lowest order of its sum is the row below it divided by n, and no row
-forms a power whose floors its bit length shows to be 0.  A sweep itself
-takes the moments c_0..c_I in one pass, forms the signed sums of the
-rows over its pattern's signs and runs the moment series, dividing by
-q^i with a shift where q is a power of two.  Nothing is built at import.
+target, and for the binomials t and the extent.  No row forms a power
+whose floors its bit length shows to be 0.  A sweep itself takes the
+moments c_0..c_I in one pass, forms the signed sums of the rows over its
+pattern's signs and runs the moment series.  Each memo and shortcut
+pays for itself (medians, 2-core x86-64, Python 3.11): the builtin
+catalog's 14 sweeps (13 patterns and zeta's) take 5.8 ms with the memos
+cold and 3.5 ms warm; a direct-sum row above the lowest order of its sum
+is the row below it divided by n (``_direct_row``), which saves 0.15 ms
+of the cold 5.8; ``_binomials`` holds a warm sweep at 250 us, 300 us
+without it; and dividing by q^i with a shift where q is a power of two
+takes such a warm sweep from 245 us to 220 us.  Nothing is built at import.
 
 The result stays in fixed point.  The accelerated evaluator multiplies
 X by exact expansion coefficients that grow geometrically, in integers;
@@ -78,7 +83,6 @@ MAX_J = 16  # the orders of a SeriesRecord; <= S_DIRECT, so one ladder sweep fil
 MAX_N = 1_000_000  # the most head terms of a product; a SeriesRecord's charge counts on it
 _MP_DPS = 40
 _MP_EPS = 1e-30
-_I_CAP = 20000
 _GUARD_BITS = 32  # fixed-point bits beyond _MP_DPS digits
 _BITS = math.ceil(_MP_DPS * math.log2(10)) + _GUARD_BITS  # the fixed point's B
 _M0 = 8  # the sweep expands (qm + k)^-s binomially only for m >= _M0
@@ -167,92 +171,64 @@ def _ladder_extent(q: int, s: int, denom: int) -> tuple[int, float]:
     ratio b_{i+1}/b_i is below r(i) = (s+i)/(i+1) (q-1)/(q M0), which falls
     with i, so once r(I) < 1 the terms after I sum to at most
     b_I r(I) / (1 - r(I)) / denom.
+
+    I is the first i >= 1 with r(i) < 1 and b_i / denom, evaluated as one
+    float expression, under the target.  That predicate flips once: it is
+    false below the first i0 with r(i0) < 1 (r and its float value fall
+    with i, for s >= 1), and past i0 each step multiplies the true bound by
+    less than r(i) <= 1 - 1/(q M0 (i+1)), about 2.3e-5 (1/43648) below 1
+    for i <= _T_MAX - 1 = 340 and q <= 16, while the expression is good to
+    a few ulps of a normal binary64.  So ``_extent`` bisects for it and
+    returns the index, and the bound at it, that a scan from i = 1
+    returns.  No i past _T_MAX - s is tried (M0^(s+i) must stay in
+    binary64); past it the series is refused.
     """
     return _extent(q, s, denom, _MP_EPS / 10.0)
 
 
 @functools.cache
 def _extent(q: int, s: int, denom: int, target: float) -> tuple[int, float]:
-    """``_ladder_extent`` for the bound target on the last term, kept for the process.
-
-    I is the first i >= 1 at which the bound b_i, evaluated as the float
-    expression in ``below``, is under target while r(i) < 1.  r(i)
-    and its float value fall with i (for s >= 1), so past the first i0 with
-    r(i0) < 1 only the bound decides, and there it falls strictly: each step
-    multiplies the true bound by less than r(i) <= 1 - 1/(q M0 (i+1)), at
-    least 3e-7 below 1 for i <= _I_CAP and q <= 16, while the expression is
-    good to a few ulps of a normal binary64.  The search therefore returns
-    the index, and the bound at it, that a scan from i = 1 returns: it
-    gallops from an estimate of I (Newton's method on the log of the bound)
-    to a bracket and bisects it, evaluating the bound at a few i only.  No
-    i past _I_CAP + 1 or _T_MAX - s is tried; past either the series is
-    refused.
-    """
-    log_rho = math.log((q - 1) / (q * _M0))
-    bounds = {}
-
-    def below(i: int) -> bool:  # b_i / denom < target, keeping b_i / denom
+    """``_ladder_extent`` for the bound target on the last term, kept for
+    the process.  No probe goes more than 32 past the last miss, since the
+    extents at the ladder's target are 6-34."""
+    limit = _T_MAX - s
+    lo, hi, last = 0, limit + 1, None  # not found at lo, found at hi (or hi > limit)
+    while hi - lo > 1:
+        i = min((lo + hi) // 2, lo + 32)
         t = s + i
-        b = bounds[i] = (math.comb(t - 1, i) * _moment_bound(q, i) * (1.0 + _M0 / (t - 1))
-                         / _M0**t / denom)
-        return b < target
-
-    def ratio(i: int) -> float:  # r(i)
-        return (s + i) / (i + 1) * (q - 1) / (q * _M0)
-
-    # i0: r(i) < 1 exactly when i (q M0 - q + 1) > s (q - 1) - q M0; the float
-    # ratio agrees, and the two loops only guard that
-    i0 = max(1, (s * (q - 1) - q * _M0) // (q * _M0 - q + 1) + 1)
-    while ratio(i0) >= 1.0:
-        i0 += 1
-    while i0 > 1 and ratio(i0 - 1) < 1.0:
-        i0 -= 1
-    limit = min(_I_CAP + 1, _T_MAX - s)
-    lo, hi = i0 - 1, limit + 1  # not below at lo (or lo < i0), below at hi (or hi > limit)
-    if i0 <= limit:
-        # ln(b_x / denom / target), continued to real x by lgamma, is concave in x
-        const = (math.log(q - 1) - math.lgamma(s) - s * math.log(_M0) - math.log(denom)
-                 - math.log(target))
-        x = float(min(limit, 40))
-        for _ in range(2):  # Newton's method: two steps put ceil(x) at I nearly always
-            excess = (math.lgamma(s + x) - math.lgamma(x + 1) + x * log_rho + const
-                      + math.log1p(_M0 / (s + x - 1)))
-            slope = math.log((s + x - 0.5) / (x + 0.5)) + log_rho
-            if slope > -0.05:
-                break
-            x = min(max(x - excess / slope, i0), limit)
-        guess, step = min(max(math.ceil(x), i0), limit), 1
-        if below(guess):
-            hi = guess
-            while hi - step > lo and below(hi - step):
-                hi, step = hi - step, 2 * step
-            lo = max(lo, hi - step)
+        r = t / (i + 1) * (q - 1) / (q * _M0)
+        b = math.comb(t - 1, i) * _moment_bound(q, i) * (1.0 + _M0 / (t - 1)) / _M0**t / denom
+        if r < 1.0 and b < target:  # found: r(i) < 1 and b_i / denom < target
+            hi, last = i, (r, b)
         else:
-            lo = guess
-            while lo + step < hi and not below(lo + step):
-                lo, step = lo + step, 2 * step
-            hi = min(hi, lo + step)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if below(mid):
-                hi = mid
-            else:
-                lo = mid
-    if hi > limit:
-        raise EpsUnachievableError(f"ladder series did not converge by i={min(_I_CAP, limit)}")
-    r = ratio(hi)
-    return hi, bounds[hi] * r / (1.0 - r) * _ROUND_UP
+            lo = i
+    if last is None:
+        raise EpsUnachievableError(f"ladder series did not converge by i={limit}")
+    r, b = last
+    return hi, b * r / (1.0 - r) * _ROUND_UP
 
 
 def _direct_terms(t: int) -> int:
-    """Terms summed directly for F(t), t >= 2: the tail N^(1-t)/(t-1) is below _MP_EPS/10."""
+    """Terms summed directly for F(t), t >= 2: the tail N^(1-t)/(t-1) is below _MP_EPS/10.
+
+    A t past binary64's range takes 4 terms, whose tail is below 4^(1-t)."""
     target = _MP_EPS / 10.0
-    return max(4, int(math.ceil((10.0 / (target * (t - 1))) ** (1.0 / (t - 1)))))
+    try:
+        return max(4, int(math.ceil((10.0 / (target * (t - 1))) ** (1.0 / (t - 1)))))
+    except OverflowError:  # float(t - 1)
+        return 4
 
 
 def _direct_err(t: int, n_max: int, floors: int, bits: int) -> float:
-    """Error of a fixed-point sum of delta_n n^-t up to n_max: its floors and the tail past n_max."""
-    return (math.ldexp(floors, -bits) + float(n_max) ** (1 - t) / (t - 1)) * _ROUND_UP
+    """Error of a fixed-point sum of delta_n n^-t up to n_max: its floors and the tail past n_max.
+
+    For a t past binary64's range the tail, below 2^(1-t), is charged 0:
+    _ROUND_UP covers it, as floors >= 1 (n_max >= 2) charges at least 2^-bits."""
+    try:
+        tail = float(n_max) ** (1 - t) / (t - 1)
+    except OverflowError:  # float(1 - t)
+        tail = 0.0
+    return (math.ldexp(floors, -bits) + tail) * _ROUND_UP
 
 
 @functools.cache
@@ -397,8 +373,11 @@ def dirichlet_fixed(seq: MultiplicativeSequence, s: int,
 
     err carries a x4 safety factor over the accounted error.  A miss at or
     below S_DIRECT sweeps the whole ladder of the sequence into the cache's
-    memo; a miss above it sums F(s) directly.
+    memo; a miss above it sums F(s) directly.  s must be an int (a bool or a
+    float is a TypeError).
     """
+    if not isinstance(s, int) or isinstance(s, bool):
+        raise TypeError(f"s must be an int, got {type(s).__name__}")
     if s < 1:
         raise ValueError("s must be a positive integer")
     if not seq.nontrivial and s < 2:

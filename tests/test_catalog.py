@@ -219,6 +219,12 @@ class TestRunCatalog:
             run_catalog(records, tol=tol, cache=fresh)
         assert fresh.mp_lookup("gtm:2:1", 1) is None
 
+    def test_rejects_unknown_method_before_any_work(self, records):
+        fresh = DirichletCache()
+        with pytest.raises(ValueError, match="method must be accel, direct or both, got 'x'"):
+            run_catalog(records, method="x", cache=fresh)
+        assert fresh._mp == {}
+
     @pytest.mark.parametrize("method, tol", [("accel", 1e-4), ("direct", 1e-4),
                                              ("accel", 1e-20)])  # the last cannot certify
     def test_record_result_is_the_identity_report(self, records, method, tol, cache):
@@ -259,6 +265,27 @@ class TestRunCatalog:
         report = run_catalog([bad], tol=1e-8, cache=cache)
         assert report.failed == 1
         assert math.isfinite(report.results[0].abs_dlog)
+
+
+class TestBitwiseCatalog:
+    # SHA-256 of id|hex(log_value)|hex(est_error)|terms_used|dirichlet_orders,
+    # one line per builtin record in id order, from a fresh cache; both eps
+    # give the same answers.  A change that moves an answer on purpose
+    # re-pins it and says why.
+    DIGEST = "17669a8087d99028b6dc975fb45b0b5b561e823de4c3130ad93cbb5b3238d451"
+
+    @pytest.mark.parametrize("eps", [2.5e-9, 1e-13])
+    def test_answers_are_pinned(self, records, eps):
+        import hashlib
+
+        cache = DirichletCache()
+        text = ""
+        for r in sorted(records, key=lambda r: r.id):
+            res = evaluate_product(r.product_spec(), eps, cache)
+            text += (f"{r.id}|{res.log_value.hex()}|{res.est_error.hex()}|{res.terms_used}"
+                     f"|{res.dirichlet_orders}\n")
+        assert text.count("\n") == 79
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGEST
 
 
 class TestCrossRecordConsistency:

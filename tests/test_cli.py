@@ -147,12 +147,14 @@ class TestDirichlet:
 
     def test_large_order_returns_at_once(self, tmp_path):
         # the direct sum once formed n^s for n = 2..4, although each floor of
-        # 2^B / n^s is 0 there: 5 s at s = 10^7, and growing faster than s
+        # 2^B / n^s is 0 there: 5 s at s = 10^7, and growing faster than s;
+        # s = 10^400, past binary64's range, once exited 4 ("int too large
+        # to convert to float")
         script = textwrap.dedent("""
             import contextlib, io, json
             from gtmprod.cli import main
             docs = []
-            for s in ("10000000", "1000000000"):
+            for s in ("10000000", "1000000000", "1" + "0" * 400):
                 out = io.StringIO()
                 with contextlib.redirect_stdout(out):
                     code = main(["--format", "json", "dirichlet", "--seq", "gtm:2:1", "--s", s])
@@ -328,7 +330,10 @@ class TestJsonErrors:
         (("verify", "--catalog", "/nonexistent/zzz"),
          "error: [Errno 2] No such file or directory: '/nonexistent/zzz'"),
         (("seq", "--seq", "gtm:2:1", "--count", "-1"), "error: count must be >= 0"),
-    ], ids=["check", "dirichlet", "verify", "seq"])
+        (("seq", "--seq", "gtm:2:1", "--count", "10000001"),
+         "error: count exceeds the prefix cap of 10^7"),
+        (("sum", "--seq", "gtm:2:1", "--n", "-1"), "error: n must be >= 0"),
+    ], ids=["check", "dirichlet", "verify", "seq", "seq-cap", "sum"])
     def test_usage_error_document_per_command(self, capsys, no_config, argv, message):
         got, out, err = run(capsys, "--format", "json", *argv)
         assert got == 2 and out.count("\n") == 1 and err == message + "\n"

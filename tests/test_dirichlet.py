@@ -85,6 +85,25 @@ class TestLadder:
         v, _ = dirichlet_value(zeta_seq, 2, cache=cache)
         assert abs(v - math.pi**2 / 6) < 1e-12
 
+    @pytest.mark.parametrize("s", [2.5, 2.0, 17.0, True], ids=["2.5", "2.0", "17.0", "True"])
+    def test_s_must_be_an_int(self, s):
+        # 2.5 once swept the ladder and filed its triples before a KeyError,
+        # 17.0 failed inside range and True ran as s = 1
+        seq = parse_seq_spec("gtm:2:1")
+        calls = [lambda c: dirichlet_value(seq, s, cache=c), lambda c: dirichlet_mp(seq, s, c),
+                 lambda c: dirichlet_fixed(seq, s, c), lambda c: zeta_mp(s, c)]
+        for call in calls:
+            fresh = DirichletCache()
+            with pytest.raises(TypeError, match=f"s must be an int, got {type(s).__name__}$"):
+                call(fresh)
+            assert fresh._mp == {}
+
+    def test_order_past_binary64_range_is_delta_1(self):
+        # the direct sum once converted s to a float and raised OverflowError
+        for spec, delta_1 in (("gtm:3:01", 1.0), ("gtm:2:1", -1.0)):
+            value, eps = dirichlet_value(parse_seq_spec(spec), 10**400, cache=DirichletCache())
+            assert value == delta_1 and eps <= 1e-15, spec
+
     @pytest.mark.parametrize("spec", ["gtm:2:1", "gtm:3:01", "dcount:4:3", "dparity:5"])
     def test_ladder_vs_direct(self, spec, cache):
         seq = parse_seq_spec(spec)
@@ -103,9 +122,10 @@ class TestLadder:
 
     @pytest.mark.parametrize("q", range(2, 17))
     def test_moment_bound_stays_in_range(self, q):
-        # q^-i alone underflows (i = 463 for q = 5) and (q-1)^(i+1) alone
-        # overflows binary64 (q >= 10); the bound itself must do neither
-        for i in (1, 340, 463, 1000):
+        # at i = _T_MAX - 1 = 340, the largest i an extent tries, q^-i alone
+        # underflows (q >= 9) and (q-1)^(i+1) alone overflows binary64
+        # (q >= 10); the bound itself must do neither, there or past it
+        for i in (1, dmod._T_MAX - 1, 463, 1000):
             b = _moment_bound(q, i)
             assert math.isfinite(b) and b > 0, (q, i)
 
@@ -198,8 +218,8 @@ def _scan_extent(q, s, denom, target):
         r = t / (i + 1) * (q - 1) / (q * _M0)
         if bound < target and r < 1.0:
             break
-        if i > dmod._I_CAP:
-            raise EpsUnachievableError(f"ladder series did not converge by i={dmod._I_CAP}")
+        if i >= dmod._T_MAX - s:
+            raise EpsUnachievableError(f"ladder series did not converge by i={dmod._T_MAX - s}")
     return i, bound * r / (1.0 - r) * dmod._ROUND_UP
 
 
@@ -216,8 +236,8 @@ class TestExtent:
                 _scan_extent(q, s, denom, target), (q, s, denom)
 
     def test_refused_past_the_cap(self, monkeypatch):
-        monkeypatch.setattr(dmod, "_I_CAP", 5)
         for q, s, denom in ((2, 1, 2), (16, 15, 16**15 - 14)):
+            monkeypatch.setattr(dmod, "_T_MAX", s + 5)
             with pytest.raises(EpsUnachievableError, match="did not converge by i=5"):
                 _scan_extent(q, s, denom, 1e-60)
             with pytest.raises(EpsUnachievableError, match="did not converge by i=5"):
@@ -381,8 +401,9 @@ class TestSharedRows:
         assert all(run == runs[0] for run in runs)
 
     def test_every_memo_is_cleared(self):
-        # a memo left uncleared would make the cold sweeps above warm
-        assert {"_floors", "_direct_row", "_extent", "_binomials"} <= set(_shared_memos())
+        # a memo left uncleared would make the cold sweeps above warm; a new
+        # memo must be added here on purpose
+        assert set(_shared_memos()) == {"_floors", "_direct_row", "_extent", "_binomials"}
 
     @pytest.mark.parametrize("q", [1, 2, 3, 16])
     def test_rows_are_the_floors(self, q):

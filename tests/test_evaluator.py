@@ -210,6 +210,14 @@ class TestAcceleratedEvaluator:
         with pytest.raises(EpsUnachievableError, match="cannot be certified with N <= 1000000"):
             evaluate_product(spec, eps=1e-9, cache=cache)
 
+    def test_refusal_blames_n_where_j_fits_but_no_n_does(self, cache):
+        # 4M is within MAX_N and the constants fit J orders, but the tail
+        # bound at MAX_N is past eps/4 even with all MAX_J orders
+        spec = ProductSpec(TM, "delta", 0, parse_product_term("(n+100001)/(n+100000)"))
+        with pytest.raises(EpsUnachievableError,
+                           match="^eps 1e-15 cannot be certified with N <= 1000000$"):
+            evaluate_product(spec, eps=1e-15, cache=cache)
+
 
 def _rhs_log_30(text: str):
     """log of a catalog right-hand side, evaluated by mpmath at 30 digits.

@@ -172,6 +172,13 @@ class TestParser:
         fl = parse_product_term("(2n+1)^-2(2n+2)^2")
         assert triples(fl) == [(2, 1, -2), (2, 2, 2)]
 
+    def test_constant_with_negative_exponent(self):
+        # (2)^-1 folds into the denominator, which prints as its own factor
+        fl = parse_product_term("(2)^-1(n+1)/(n+2)")
+        assert fl.constant == Fraction(1, 2) and triples(fl) == [(1, 1, 1), (1, 2, -1)]
+        assert format_product_term(fl) == "(n+1)/((2)(n+2))"
+        assert parse_product_term(format_product_term(fl)) == fl
+
     def test_error_position(self):
         with pytest.raises(ParseError) as err:
             parse_product_term("(2n+1")
