@@ -76,6 +76,7 @@ import operator
 import threading
 from itertools import compress, islice, repeat
 
+from .ratfun import _as_int
 from .sequences import MultiplicativeSequence, delta_prefix, make_sequence, sign_prefix
 
 S_DIRECT = 16
@@ -376,9 +377,7 @@ def dirichlet_fixed(seq: MultiplicativeSequence, s: int,
     memo; a miss above it sums F(s) directly.  s must be an int (a bool or a
     float is a TypeError).
     """
-    if not isinstance(s, int) or isinstance(s, bool):
-        raise TypeError(f"s must be an int, got {type(s).__name__}")
-    if s < 1:
+    if _as_int(s, "s") < 1:
         raise ValueError("s must be a positive integer")
     if not seq.nontrivial and s < 2:
         raise ValueError("the all-plus pattern needs s >= 2 (zeta pole at s=1)")
@@ -566,17 +565,23 @@ def dirichlet_direct(seq: MultiplicativeSequence, s: int, N: int) -> tuple[float
     Rewriting the tail through Delta gives
     F - F_N = -Delta_{N+1} (N+1)^-s + sum_{n>N+1} Delta_n ((n-1)^-s - n^-s),
     so the returned value applies the boundary correction and the error
-    estimate integrates the Delta-bound against s n^-(s+1).
+    estimate integrates the Delta-bound against s n^-(s+1).  s and N must
+    be ints (a bool or a float is a TypeError); an s past binary64's range
+    gives delta_1, as F(s) - delta_1 is below 2^(1-s).
     """
-    if s < 1:
+    if _as_int(s, "s") < 1:
         raise ValueError("s must be a positive integer")
-    if N < 4:
+    if _as_int(N, "N") < 4:
         raise ValueError("N must be at least 4")
+    try:
+        power = -float(s)
+    except OverflowError:
+        return float(seq.signs[1]), 5e-324
     import numpy as np
 
     signs = delta_prefix(seq, N + 1)
     terms = np.arange(1, N + 1, dtype=np.float64)
-    np.power(terms, -float(s), out=terms)
+    np.power(terms, power, out=terms)
     terms *= signs[1:]  # exact: the signs are +-1
     whole = N - N % _ROW
     rows = terms[:whole].reshape(-1, _ROW).sum(axis=1)

@@ -48,28 +48,21 @@ the final base-q block, and estimates its error from the spread of the
 last few block-boundary partial sums; that estimate is not a proof.  It
 reads no Dirichlet constant, ladder or 1/n expansion at infinity, so it
 stays independent of the accelerated path.  It sums a short prefix term by
-term, in chunks of at most 2^17 terms whose signs come from one prefix of
-the sequence (delta over [kB, (k+1)B) is delta_k times delta over [0, B)),
-and cuts each later level [q^j, q^(j+1)) into a fixed number of blocks of
-q^(j-c) terms, so its cost and memory grow with log N, not N; fl_round is
-a proven bound on the rounding, and on the truncation below, of every sum
-it returns.  Below the roots it takes ln R(n) of the exact R(n) of
-``ratfun.value_pairs``, as the accelerated head does.  Past the roots it
-takes w_n ln R(n) as one log1p per distinct numerator/denominator pair (a,
-b) of R(n) = prod (n + a)/(n + b) (``_log1p_pairs``), times the number of
-times the pair occurs, with the weight folded into the argument: with d = a
-- b, w_n log1p(d/(n + b)) is log1p(d/(n + b)), log1p(-d/(n + a)) or 0 for
-w_n = 1, -1 or 0, since -ln(1 + d/(n + b)) = ln(1 - d/(n + a)).  A term
-costs one add, one divide and one log1p per distinct pair, and no pass
-over the chunk applies weights.  A level's blocks lie past the roots with
-their half-widths at most 1/_MOMENT_SPAN of their distance to the nearest
-root (``_block_plan``; a block too near a root is cut into its q
-sub-blocks), and each is summed without forming its terms
-(``_moment_blocks``): ln R is smooth across it while the signs stay
-q-multiplicative, so its sum is a short series in the exact sign moments of
-its length (``_block_moments``, one memoized digit recursion for all
-lengths), one vector pass per order and distinct pair over the blocks of
-all levels at once.
+term and cuts each later level [q^j, q^(j+1)) into a fixed number of
+blocks of q^(j-c) terms, so its cost and memory grow with log N, not N;
+fl_round is a proven bound on the rounding, and on the truncation below,
+of every sum it returns.  A prefix term is w_n ln R(n) of the exact R(n)
+of ``ratfun.value_pairs``, as in the accelerated head, and the prefix is
+chained by ``math.fsum``, in chunks of at most _BLOCK_CAP terms.  A
+level's blocks lie past the roots with their half-widths at most
+1/_MOMENT_SPAN of their distance to the nearest root (``_block_plan``; a
+block too near a root is cut into its q sub-blocks), and each is summed
+without forming its terms (``_moment_blocks``): ln R is smooth across it
+while the signs stay q-multiplicative, so its sum is a short series in the
+exact sign moments of its length (``_block_moments``, one memoized digit
+recursion for all lengths), one vector pass per order and distinct
+numerator/denominator pair of R(n) = prod (n + a)/(n + b)
+(``_log1p_pairs``) over the blocks of all levels at once.
 """
 
 from __future__ import annotations
@@ -310,13 +303,24 @@ def evaluate_product(spec: ProductSpec, eps: float = 1e-9,
     return EvalResult(_exp(log_value), log_value, est, "accel", n, j)
 
 DIRECT_N_LIMIT = 2**500  # evaluate_direct's N is below it
-_BLOCK_CAP = 1 << 17  # the most terms of an outright chunk, and of moment blocks in one pass
+_BLOCK_CAP = 1 << 17  # the most terms in one fsum of the prefix, and moment blocks in one pass
 _MOMENT_SPAN = 32  # half-widths from a block to its nearest root, past which its moments sum it
 
 
 def _top_exponent(q: int, n: int) -> int:
     """Largest K with q^K <= n (n >= 1), in exact integer arithmetic."""
     return next(k for k in range(n.bit_length()) if q ** (k + 1) > n)
+
+
+def _sign_range(seq: MultiplicativeSequence, lo: int, hi: int) -> list[int]:
+    """delta_lo .. delta_(hi-1), from delta_(qk+d) = delta_k delta_d: the
+    signs of [lo, hi) from those of [lo div q, ceil(hi/q)), q times fewer."""
+    q = seq.q
+    if hi - lo <= q:
+        return [sign_at(seq, n) for n in range(lo, hi)]
+    k0 = lo // q
+    signs = [s * d for s in _sign_range(seq, k0, -(-hi // q)) for d in seq.signs]
+    return signs[lo - k0 * q:hi - k0 * q]
 
 
 def _log1p_pairs(term: FactorList) -> list[tuple[float, float, float, int]]:
@@ -475,79 +479,52 @@ def _direct_sums(spec: ProductSpec, K: int):
 
     ``_block_plan`` cuts each level [q^j, q^(j+1)) into (q - 1) q^c blocks,
     so block lengths grow with n.  The terms of a prefix, below q^c, below
-    n_safe and in blocks too near a root, are summed outright; every later
-    block lies past n_safe with its half-width at most 1/_MOMENT_SPAN of
-    its distance to the nearest root, and ``_moment_blocks`` sums it from
-    the sign moments of its length, all such blocks in one vector pass per
-    order and distinct pair.  A call costs about K (q - 1) q^c blocks
-    beyond the prefix, whatever q^K is.  fl_round covers the moment blocks'
-    truncation as well as all rounding.  Block totals are chained in
-    order."""
-    import numpy as np
-
+    n_safe and in blocks too near a root, are summed outright, each from its
+    exact R(n) and chained by ``math.fsum``; every later block lies past
+    n_safe with its half-width at most 1/_MOMENT_SPAN of its distance to
+    the nearest root, and ``_moment_blocks`` sums it from the sign moments
+    of its length, all such blocks in one vector pass per order and
+    distinct pair.  A call costs about K (q - 1) q^c blocks beyond the
+    prefix, whatever q^K is.  fl_round covers the moment blocks' truncation
+    as well as all rounding.  Block totals are chained in order."""
     seq, term, start, q = spec.seq, spec.term, spec.start, spec.seq.q
     n_used, fb_lo = q**K, q ** (K - 1)
     bounds = {q**i for i in range(1, K)}
     _, L, offsets = term.integer_form
     live = [m for m, e in offsets if e]
-    n_safe = max(start, max(map(abs, live), default=0) // L + 1)
-    pairs = _log1p_pairs(term) if n_safe < n_used else []  # floats for the bulk past the roots
+    if not live:  # R = 1: every term is 0
+        return dict.fromkeys((q**i for i in range(1, K + 1)), 0.0), 0.0, 0.0
+    n_safe = max(start, max(map(abs, live)) // L + 1)
+    pairs = _log1p_pairs(term) if n_safe < n_used else []  # floats for the blocks past the roots
     c = next((c for c in range(K) if 2 * q**c >= _MOMENT_SPAN), K)
     n_out, runs = _block_plan(q, K, c, n_safe, L, min(live)) if pairs else (n_used, [])
-    # outright chunks of B = q^mo, up to n_out: delta over [kB, (k+1)B) is
-    # delta_k times delta over [0, B), and B divides fb_lo
-    B = q ** min(K - 1, _top_exponent(q, _BLOCK_CAP), next(m for m in range(K + 1)
-                                                           if q**m >= n_out))
-    base = delta_prefix(seq, B)
-    weights = {s: s * base if spec.mode == "delta" else (1 - s * base) // 2 for s in (1, -1)}
-    # w_n ln R(n) is log1p(nu/(n + c)) per pair (a, b), d = a - b: nu = d and
-    # c = b where w_n = 1, nu = -d and c = a where w_n = -1, as -ln(1 + d/(n +
-    # b)) = ln(1 - d/(n + a)), and nu = 0 where w_n = 0.  For each block sign,
-    # nu and j + c over j in [0, B) are formed once.
-    j = np.arange(B, dtype=np.float64)
-    terms = {s: [(d * w, j + np.where(w < 0, a, b), count) for d, a, b, count in pairs]
-             for s, w in weights.items()}
-    logs, tmp = np.empty(B), np.empty(B)
+    # outright: t_n = w_n ln R(n) of the exact R(n) for every n in [start, n_out)
+    # with w_n != 0 (delta_n, or 1 where delta_n = -1 for theta), in chunks of
+    # at most _BLOCK_CAP that end at the boundaries, each fsummed; S at a
+    # boundary is the fsum of the chunk sums before it
+    delta = spec.mode == "delta"
     sums: dict[int, float] = {}
-    running = abs_head = mean_acc = 0.0
+    chunks, ramp_sums, h, a_tot = [], [], 0, 0.0
     pos = start
-    while pos < n_out:
-        if pos in bounds:
-            sums[pos] = running
-        k, j0 = divmod(pos, B)
-        lo, s = k * B, sign_at(seq, k)
-        hi = min(lo + B, n_out)
-        lv, e = logs[j0:hi - lo], min(max(n_safe, pos), hi)
-        if e > pos:  # exact terms below n_safe
-            w = weights[s]
-            ns = range(pos, e)
-            lv[:e - pos] = [int(w[n - lo]) * _log_quotient(p, q)
-                            for n, (p, q) in zip(ns, value_pairs(term, ns))]
-            abs_head += float(np.abs(lv[:e - pos]).sum())
-        # w_n ln R(n) for n = j + kB in [e, hi): one add, divide and log1p per
-        # distinct pair, times its count, the first pair in place in lv
-        out, x = lv[e - pos:], tmp[e - lo:hi - lo]
-        if not pairs:  # R(n) = 1
-            out.fill(0.0)
-        for i, (nu, off, count) in enumerate(terms[s]):
-            y = x if i else out
-            np.add(off[e - lo:hi - lo], float(lo), out=y)
-            np.log1p(np.divide(nu[e - lo:hi - lo], y, out=y), out=y)
-            if count > 1:
-                y *= count
-            if i:
-                out += y
-        if pos < B:  # chunk 0 holds the boundaries below B; running is 0 here
-            cs = np.cumsum(lv)
-            sums.update((q**i, float(cs[q**i - pos - 1])) for i in range(1, K) if q**i <= hi)
-            total = float(cs[-1])
-        else:
-            total = running + float(np.einsum("i->", lv))
-        if pos >= fb_lo:  # sum_{pos<=n<hi} S_(n+1) = (hi-pos) S_pos + sum_n t_n (hi-n)
-            ramp = np.arange(hi - pos, 0, -1, dtype=np.float64)
-            mean_acc += (hi - pos) * running + float(np.einsum("i,i->", ramp, lv))
-        running, pos = total, hi
+    for stop in sorted(b for b in bounds if b < n_out) + [n_out]:
+        while pos < stop:
+            end = min(pos + _BLOCK_CAP, stop)
+            ws = {n: s if delta else 1 for n, s in zip(range(pos, end), _sign_range(seq, pos, end))
+                  if delta or s < 0}
+            t = [w * _log_quotient(num, den)
+                 for w, (num, den) in zip(ws.values(), value_pairs(term, ws))]
+            chunks.append(math.fsum(t))
+            h, a_tot = h + len(t), a_tot + math.fsum(map(abs, t))
+            if pos >= fb_lo:  # sum_{fb_lo<=n<n_out} S_(n+1) = (n_out - fb_lo) S_fb_lo + this
+                ramp_sums.append(math.fsum([x * (n_out - n) for n, x in zip(ws, t)]))
+            pos = end
+        running = math.fsum(chunks)
+        if stop in bounds:
+            sums[stop] = running
+    mean_acc = (n_out - fb_lo) * sums[fb_lo] + math.fsum(ramp_sums) if n_out > fb_lo else 0.0
     if runs:
+        import numpy as np
+
         # the moment path's order I is the least with r^(I+1)/(1 - r) <= 2^-53
         # for r = 1/_MOMENT_SPAN, which bounds each block's r_k = H/(x0 + low/L)
         span, I = _MOMENT_SPAN, 0
@@ -578,7 +555,7 @@ def _direct_sums(spec: ProductSpec, K: int):
         lengths, halves = (np.array(v, dtype=np.float64)[ms]
                            for v in (sizes, [b // 2 for b in sizes]))
         for i0, totals, ramps in _moment_blocks(spec, pairs, x, ms, plus, n_ramp, I):
-            # chained in order, as the outright chunks are: run[i] is S at block i0 + i
+            # chained in order from the outright sum: run[i] is S at block i0 + i
             run = np.cumsum(np.concatenate(([running], totals)))
             i1 = i0 + len(totals)
             sums.update((p, float(run[i - i0])) for i, p in at.items() if i0 <= i < i1)
@@ -587,68 +564,55 @@ def _direct_sums(spec: ProductSpec, K: int):
                 mean_acc += float(np.sum(lengths[i0 + f:i1] * run[f:-1] + ramps))
             running = float(run[-1])
     sums[n_used] = running
-    # fl_round, with u = 2^-53 and n0 = min(n_safe, q^K).  Outright terms: each of the
-    # h = n0 - start exact terms rounds R(n) and takes a log good to 4 ulps,
-    # times w_n exactly: off by <= 2u + 8u |t|, which covers the scaling of an
-    # R(n) outside binary64's normal range as in _accel_components.  For a
-    # pair with offset c (b or a), rounding c, j + c and kB + (j + c) moves
-    # n + c by (2 + 3 rho) u (n + c), where rho = max(1, -m/(n0 + m)), m =
-    # min(a, b), bounds |c|/(n + c), so that |j + c| <= (1 + 2 rho)(n + c)
-    # covers a negative c.  With the
-    # rounding of d and of the quotient, x = nu/(n + c) moves by (4 + 3 rho) u
-    # |x|, hence log1p(x) by (4 + 3 rho) u |d|/(n + m), as |x/(1 + x)| is |d|/(n
-    # + a) or |d|/(n + b); log1p's own 4 ulps of |log1p(x)| <= |d|/(n + m) add
-    # 8u |d|/(n + m), and adding up P pairs (P - 1) u |d|/(n + m).  A pair
-    # taken c > 1 times is one log1p times c: the product adds u c |log1p(x)|,
-    # and c - 1 additions fewer are made, so charging P, the pairs counted
-    # with multiplicity, still covers it.  As A_i =
-    # c |d| (1/(n0 + m) + ln((n1 - 1 + m)/(n0 + m))) >= sum_{n0 <= n < n1}
-    # c |d|/(n + m), n1 = n_out the end of the outright terms, these are off
-    # by E <= u (2h + 8 abs_head + sum_i (P + 11 + 3 rho_i) A_i), and A =
-    # abs_head + sum_i A_i >= sum |t_n|.  Sums: each
-    # S_m, m <= n1, is a tree of additions of depth D <= B + chunks + 2 (a chunk sum,
-    # einsum or cumsum in any order, has depth < B): off by E + D u A to first
-    # order.  The mean adds the final block's term and ramp-dot errors times
-    # B/(q^K - q^(K-1)) <= 1, the products, the additions and the division: 2E
-    # + 5 D u A; a sixth D u A covers O(u^2).
+    # fl_round, with u = 2^-53.  Outright terms: each of the h terms of nonzero
+    # weight rounds its exact R(n) once and takes a log good to 4 ulps, times
+    # w_n exactly: off by <= 2u + 8u |t_n|, which covers the scaling of an R(n)
+    # outside binary64's normal range as in _accel_components.  In all they
+    # are off by E = u (2h + 8A), A = sum |t_n|.  fsum rounds the exact sum of
+    # its inputs once, so a chunk's sum is off by u times its terms' sum |t_n|
+    # beyond their own errors, and S_m, m <= n_out, the fsum of the chunk sums
+    # before m, by E + 2uA.  The W = n_out - fb_lo outright terms of the final
+    # block add W S_(fb_lo) + sum_n t_n (n_out - n) to the mean's numerator.
+    # The weights are exact ints below 2^53 (every term below n_out is
+    # visited), each product rounds once and the ramp's two fsums once each:
+    # off by W (E + 3uA); W S_(fb_lo) by W (E + 2uA) and its product's
+    # rounding, u W A; their sum by one more rounding, u W A.  Dividing by
+    # q^K - q^(K-1) >= W, itself rounded to a float, adds two roundings: the
+    # mean is off by 2E + 9uA, which covers every S_m as well.
     #
     # Moment block k, [x0, x0 + B_k), H_k = B_k//2, r_k = H_k/(x0 + low/L),
     # charged with its own B_k and r_k.  Truncation: with y = 1/(x0 + m),
-    # the pair's order-i term is at most c |d| y |h y|^i, as S_i <= i y^(i-1),
-    # so past order I a term is off by c |d| y r_k^(I+1)/(1 - r_k) <= u c |d|
-    # y, and the block by u Z_k, with Z_k = sum_pairs c |d| B_k/(x0 + m).
-    # Rounding, with rho_k = max(1, -m/(x0 + m)): x is exact while q^K <=
-    # 2^53 and within 4u x beyond, and x <= (1 + rho_k)(x + c), so x + c is
-    # off by alpha u relative, alpha = 5 + 5 rho_k; Y_c by alpha + 1; -c d
-    # y_a Y_b by 2 alpha + 6; S'_i by a further (i - 1)(alpha + 3), its terms
-    # being positive; log1p(d/(x + b)) by (alpha + 11) u |d| y as for the
-    # outright terms.  Scaling by sigma is exact.  The sum over pairs, the
+    # m = min(a, b), the pair's order-i term is at most c |d| y |h y|^i, as
+    # S_i <= i y^(i-1), so past order I a term is off by c |d| y r_k^(I+1)/(1
+    # - r_k) <= u c |d| y, and the block by u Z_k, with Z_k = sum_pairs c |d|
+    # B_k/(x0 + m).  Rounding, with rho_k = max(1, -m/(x0 + m)): x is exact
+    # while q^K <= 2^53 and within 4u x beyond, and x <= (1 + rho_k)(x + c),
+    # so x + c is off by alpha u relative, alpha = 5 + 5 rho_k; Y_c by alpha +
+    # 1; -c d y_a Y_b by 2 alpha + 6; S'_i by a further (i - 1)(alpha + 3),
+    # its terms being positive.  log1p(d/(x + b)) is off by (alpha + 11) u |d|
+    # y: d and the quotient round once each, which moves the argument by
+    # (alpha + 2) u times itself and the log1p by (alpha + 2) u |d|/(x + a),
+    # log1p's own 4 ulps of at most |d| y add 8, and the product by the
+    # pair's count 1.  Scaling by sigma is exact.  The sum over pairs, the
     # rounding of W_i/(i sigma^i) (an exact int divided once), the product
-    # and the sum over orders add (P - 1) + 2 + I.  So order i of a pair is
-    # off by kappa_k u times c |d| y^(i+1) A_i, A_i = sum_h |h|^i >= |W_i|,
-    # kappa_k = 9I + 17 + 5 (I + 1) rho_k + P, and sum_i y^i A_i <= B_k/(1 -
-    # r_k): the block is off by E_k <= u sum_pairs (kappa_k/(1 - r_k) + 1) c
-    # |d| B_k/(x0 + m).  A ramp weight is at most B_k, so a ramp sum is off
-    # by B_k E_k, and the mean's division by q^K - q^(K-1) >= B_k keeps it
-    # within E_k.  Z = sum_k Z_k bounds the moment blocks' sum |t_n|.  The
-    # chain adds each block once, and the mean one product and one addition
-    # per final block, each off by u (A + Z): S_m is off by E + D u A + E_mom
-    # + n u (A + Z), n the number of moment blocks, and the mean by 2E_mom +
-    # (2n + 3) u (A + Z) beyond the outright charge; 6 (n + 2) u (A + Z)
-    # covers that with O(u^2).
-    n0, u = min(n_safe, n_used), 2.0**-53
-    P = sum(count for *_, count in pairs)
-    a_tot, e_bulk = abs_head, 0.0
-    for d, a, b, count in pairs if n0 < n_out else ():
-        d, m = count * abs(d), min(a, b)
-        a_i = d * (1.0 / (n0 + m) + math.log((n_out - 1 + m) / (n0 + m)))
-        a_tot += a_i
-        e_bulk += (P + 11 + 3 * max(1.0, -m / (n0 + m))) * a_i
-    depth_u = (B - (-n_out // B) - start // B + 2) * u
-    fl_round = 2.0 * u * (2 * (n0 - start) + 8 * abs_head + e_bulk) + 6.0 * depth_u * a_tot
+    # and the sum over orders add (P - 1) + 2 + I, P the pairs counted with
+    # multiplicity.  So order i of a pair is off by kappa_k u times c |d|
+    # y^(i+1) A_i, A_i = sum_h |h|^i >= |W_i|, kappa_k = 9I + 17 + 5 (I + 1)
+    # rho_k + P, and sum_i y^i A_i <= B_k/(1 - r_k): the block is off by E_k
+    # <= u sum_pairs (kappa_k/(1 - r_k) + 1) c |d| B_k/(x0 + m).  A ramp
+    # weight is at most B_k, so a ramp sum is off by B_k E_k, and the mean's
+    # division by q^K - q^(K-1) >= B_k keeps it within E_k.  Z = sum_k Z_k
+    # bounds the moment blocks' sum |t_n|.  The chain adds each block once,
+    # and the mean one product and one addition per final block, each off by
+    # u (A + Z): S_m is off by E + 2uA + E_mom + n u (A + Z), n the number of
+    # moment blocks, and the mean by 2E_mom + (2n + 3) u (A + Z) beyond the
+    # outright charge; 6 (n + 2) u (A + Z) covers that with O(u^2).
+    # _ROUND_UP covers the outright O(u^2) and the rounding of this bound.
+    fl_round = 4 * h + 25 * a_tot
     if runs:
         x0 = x - halves
         r = halves / (x0 + min(live) / L)
+        P = sum(count for *_, count in pairs)
         z_tot = e_mom = 0.0
         for d, a, b, count in pairs:
             m = min(a, b)
@@ -656,8 +620,8 @@ def _direct_sums(spec: ProductSpec, K: int):
             kappa = 9 * I + 17 + 5 * (I + 1) * np.maximum(1.0, -m / (x0 + m)) + P
             z_tot += float(z.sum())
             e_mom += float(((kappa / (1.0 - r) + 1) * z).sum())
-        fl_round += _ROUND_UP * u * (2 * e_mom + 6 * (len(x) + 2) * (a_tot + z_tot))
-    return sums, mean_acc / (n_used - fb_lo), fl_round
+        fl_round += 2 * e_mom + 6 * (len(x) + 2) * (a_tot + z_tot)
+    return sums, mean_acc / (n_used - fb_lo), _ROUND_UP * 2.0**-53 * fl_round
 
 
 def evaluate_direct(spec: ProductSpec, N: int | None = None,
@@ -676,8 +640,8 @@ def evaluate_direct(spec: ProductSpec, N: int | None = None,
     must be an int (a bool or a float is a TypeError) below 2^500.  ``cache`` is
     accepted, for a signature shared with evaluate_product, but not read:
     the oracle uses no Dirichlet value."""
-    if N is not None and (not isinstance(N, int) or isinstance(N, bool)):
-        raise TypeError(f"N must be an int, got {N!r}")
+    if N is not None:
+        _as_int(N, "N")
     _require_ok(spec)
     q = spec.seq.q
     if N is None:

@@ -368,27 +368,34 @@ def parse_product_term(text: str) -> FactorList:
     return FactorList.from_ints(factors, 1, (num // g, den // g))
 
 
-def _format_linear(alpha: int, p: int, d: int) -> str:
+def _format_linear(alpha: int, p: int) -> str:
     head = "n" if alpha == 1 else f"{alpha}n"
     if p == 0:
         return head
-    if d == 1:
-        return f"{head}+{p}" if p > 0 else f"{head}-{-p}"
-    # non-integer offsets are not grammar-expressible; printed for debugging
-    return f"{head}+({p}/{d})"
+    return f"{head}+{p}" if p > 0 else f"{head}-{-p}"
 
 
 def format_product_term(f: FactorList) -> str:
-    """Render to the grammar; reparsing gives the term, numerator factors first."""
+    """Render to the grammar, numerator factors first.  An offset p/d prints
+    as (alpha n + p/d)^e = d^-e (alpha d n + p)^e, with d^-e folded into the
+    constant, so reparsing gives a term of the same integer form, and the
+    term itself when every offset is an integer."""
     num_parts, den_parts = [], []
     p, q = f._constant
+    for _, _, d, e in f._factors:
+        if e > 0:
+            q *= d**e
+        else:
+            p *= d**-e
+    g = math.gcd(p, q)
+    p, q = p // g, q // g
     if p != 1:
         num_parts.append(f"({p})")
     if q != 1:
         den_parts.append(f"({q})")
     for alpha, b, d, e in f._factors:
         side = num_parts if e > 0 else den_parts
-        body = f"({_format_linear(alpha, b, d)})"
+        body = f"({_format_linear(alpha * d, b)})"
         side.append(body if abs(e) == 1 else f"{body}^{abs(e)}")
     if not num_parts:
         num_parts = ["(1)"]

@@ -322,6 +322,15 @@ class TestJsonErrors:
             "exit_code": code, "kind": kind, "message": err.rstrip("\n")}}
         assert run(capsys, *args) == (code, "", err)  # text mode: the same stderr only
 
+    def test_dirichlet_eps_out_of_reach_is_numeric(self, capsys, no_config):
+        argv = ("dirichlet", "--seq", "gtm:2:1", "--s", "2", "--eps", "1e-20")
+        got, out, err = run(capsys, "--format", "json", *argv)
+        assert got == 4 and err.startswith("numeric failure: achieved eps ")
+        assert err.endswith(" exceeds requested 1e-20\n")
+        assert json.loads(out) == {"command": "dirichlet", "error": {
+            "exit_code": 4, "kind": "numeric", "message": err.rstrip("\n")}}
+        assert run(capsys, *argv) == (4, "", err)
+
     @pytest.mark.parametrize("argv,message", [
         (("check", "--term", "(2n+1", "--mode", "delta"),
          "error: expected ')' (at position 5)"),

@@ -3,17 +3,19 @@
 The reference sums w_n ln R(n) term by term at 40 digits, with ln R(n) taken
 from the exact rational value, and forms the q^k boundary sums and the mean
 over the final block from those.  The oracle sums a short prefix term by
-term and each later level [q^j, q^(j+1)) in a fixed number of blocks from
-their sign moments.  ``_BLOCK_CAP`` is shrunk in some cases so that the
-prefix still runs several chunks, the first of them starting off a multiple
-of the chunk length, and the moment blocks several passes; every capped
-case reaches the moment blocks.  The oracle's proven fl_round must cover
-every sum, the moment blocks' truncation included, against the reference;
-its estimate stays an estimate.  The oracle reads no Dirichlet constant.
+term, each term from the exact R(n) and the sums chained by ``math.fsum``,
+and each later level [q^j, q^(j+1)) in a fixed number of blocks from their
+sign moments.  ``_BLOCK_CAP`` is shrunk in some cases so that the prefix
+still runs several fsum chunks, cut at the cap and at the boundaries q^i,
+and the moment blocks several passes; every capped case reaches the moment
+blocks.  The oracle's proven fl_round must cover every sum, the moment
+blocks' truncation included, against the reference; its estimate stays an
+estimate.  The oracle reads no Dirichlet constant.
 """
 
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -26,6 +28,7 @@ from gtmprod.evaluator import (
     ProductSpec,
     _block_moments,
     _direct_sums,
+    _sign_range,
     _top_exponent,
     build_gamma_ratio_term,
     build_scaling_term,
@@ -70,23 +73,23 @@ CASES = [
     ("gtm:5:0110", "theta", 0, "((n+1)(n+4))/((n+2)(n+3))", 5**5 + 17, None),
     ("dcount:6:5", "delta", 0, "(6n+1)/(6n+5)", 6**5, None),
     ("gtm:7:101010", "theta", 1, "((n+2)(n+5))/((n+3)(n+4))", 7**4 + 3, None),
-    # n_safe = 303 lies inside the final block [256, 512): B = 256
+    # n_safe = 303 lies inside the final block [256, 512)
     ("gtm:2:1", "delta", 0, "((2n+601)(2n+605))/((2n+603)^2)", 2**9, None),
-    # B = 9: chunks before the final block, the head ends in chunk 2
+    # n_safe = 23, n_out = 27: the prefix is cut at 3, 9 and the cap, into
+    # [1, 3), [3, 9), [9, 25) and [25, 27)
     ("gtm:3:01", "theta", 1, "((n+20)(n+22))/((n+21)^2)", 3**7, 16),
     ("gtm:2:1", "delta", 1, "((3n+1)(6n+5))/((3n+2)(6n+1))", 2**12, 8),
     ("dcount:7:3", "delta", 0, "((7n+3)(7n+10))/((7n+5)(7n+8))", 7**4, 49),
-    # a = -9/2 < b = -7/2: where w_n = -1 the offset is n + a, 1/2 at n_safe = 5
+    # a = -9/2 < b = -7/2: both roots above 0, n_safe = 5
     ("gtm:2:1", "delta", 0, "((2n-9)^2)/((2n-7)^2)", 2**12, None),
-    # three pairs, B = 9: the final block [729, 2187) spans chunks of both signs
+    # three pairs; the prefix [1, 27) is cut at 3, 9 and the cap
     ("gtm:3:01", "delta", 1, "((3n+1)(3n+5)(n+4))/((3n+2)(3n+4)(n+3))", 3**7, 16),
-    # B = 11 and B = 16: 121 and 256 blocks, most of them summed from moments
+    # caps 11 and 16: 121 and 256 blocks, most of them summed from moments
     ("gtm:11:1011001101", "delta", 0, "((11n+2)(11n+9))/((11n+4)(11n+7))", 11**3, 11),
     ("dparity:16", "theta", 0, "((n+1)(n+6))/((n+2)(n+5))", 16**3, 16),
-    # theta from start 1, B = 25
+    # theta from start 1, cap 25
     ("gtm:5:1011", "theta", 1, "((5n+1)(5n+4))/((5n+2)(5n+3))", 5**5, 25),
-    # the pair a = -9/2 < b = -7/2, taken twice, is live where w_n = -1, in
-    # the outright blocks and in the moment blocks; B = 8
+    # the pair a = -9/2 < b = -7/2, taken twice, in the moment blocks; cap 8
     ("gtm:2:1", "delta", 0, "((2n-9)^2(3n+1))/((2n-7)^2(3n+2))", 2**12, 8),
 ]
 
@@ -180,8 +183,8 @@ def _moment_cases():
     records = {r.id: r.product_spec() for r in load_catalog("builtin")}
     q5 = parse_seq_spec("gtm:5:1011")
     frak = ProductSpec(q5, "theta", 1, build_gamma_ratio_term(q5, [1, 3], [2, 2])[0])
-    cases = {"g1.q4.k2": (records["g1.q4.k2"], 11), "g1.q5.k4": (records["g1.q5.k4"], 10),
-             "g2.q5": (records["g2.q5"], 10), "thm_frak": (frak, 9)}
+    cases = {"g1.q4.k2": (records["g1.q4.k2"], 8), "g1.q5.k4": (records["g1.q5.k4"], 8),
+             "g2.q5": (records["g2.q5"], 8), "thm_frak": (frak, 8)}
     cases.update((f"pinned-{name}", (spec, 7)) for name, spec in _pinned_specs().items())
     return cases
 
@@ -241,6 +244,45 @@ def test_cost_follows_k_not_n(seq_text, mode, start, lhs, c, cut, monkeypatch):
     assert cost[1] - cost[0] == 4 * ((q - 1) * q**c + cut * (q - 1))
 
 
+# SHA-256 of id|hex(log_value)|hex(est_error) of evaluate_direct, one line per
+# builtin record in id order at N = q^7, then at N = q^12.  A change that
+# moves an answer on purpose re-pins it and says why.
+CATALOG_DIGEST = "7a3757680bee836ccb76a2fea0633654f6b8ffeb456644358a0c25afc58b1c2c"
+
+
+def test_catalog_answers_are_pinned():
+    import hashlib
+
+    records = sorted(load_catalog("builtin"), key=lambda r: r.id)
+    text = ""
+    for K in (7, 12):
+        for r in records:
+            spec = r.product_spec()
+            res = evaluate_direct(spec, spec.seq.q**K)
+            text += f"{r.id}|{res.log_value.hex()}|{res.est_error.hex()}\n"
+    assert text.count("\n") == 2 * 79
+    assert hashlib.sha256(text.encode()).hexdigest() == CATALOG_DIGEST
+
+
+def test_a_term_equal_to_one_sums_no_term(monkeypatch):
+    # every offset cancels, so R = 1 and no term is evaluated: 3^14 zeros
+    # were once summed one by one
+    spec = ProductSpec(parse_seq_spec("gtm:3:01"), "delta", 0,
+                       parse_product_term("((n+2)(n+1))/((n+2)(n+1))"))
+    evaluated, real = [], evaluator.value_pairs
+
+    def counting(term, ns):
+        evaluated.extend(ns)
+        return real(term, ns)
+
+    monkeypatch.setattr(evaluator, "value_pairs", counting)
+    t0 = time.perf_counter()
+    res = evaluate_direct(spec, 3**14)
+    assert time.perf_counter() - t0 < 0.1
+    assert (res.log_value, res.est_error, res.terms_used) == (0.0, 0.0, 3**14)
+    assert evaluated == []
+
+
 def test_woods_robbins_at_ten_to_the_fifteen():
     # 2^49 terms in 45 levels: the moment chain is short, so fl_round stays small
     spec = ProductSpec(parse_seq_spec("gtm:2:1"), "delta", 0, parse_product_term("(2n+1)/(2n+2)"))
@@ -293,6 +335,15 @@ def test_repeated_pairs_take_one_pass():
     assert evaluator._log1p_pairs(big.term) == [(-1.0, 1.0, 2.0, 3000), (1.0, 3.0, 2.0, 3000)]
     base, big = evaluate_direct(base), evaluate_direct(big)
     assert abs(big.log_value - 3000 * base.log_value) <= 3000 * base.est_error + big.est_error
+
+
+@pytest.mark.parametrize("seq_text", ["gtm:2:1", "gtm:3:01", "dcount:7:3", "dparity:16"])
+def test_sign_range_matches_sign_at(seq_text):
+    seq = parse_seq_spec(seq_text)
+    rng = random.Random(seq.q)
+    for lo in [0, 1, seq.q - 1] + [rng.randrange(10**9) for _ in range(40)]:
+        hi = lo + rng.randrange(300)
+        assert _sign_range(seq, lo, hi) == [sign_at(seq, n) for n in range(lo, hi)], lo
 
 
 @pytest.mark.parametrize("q", range(2, 17))

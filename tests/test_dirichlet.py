@@ -491,6 +491,26 @@ class TestDirectOracle:
         with pytest.raises(ValueError):
             dirichlet_direct(seq, 2, 3)
 
+    @pytest.mark.parametrize("s, N, bad", [(True, 1000, ("s", "bool")), (2.5, 1000, ("s", "float")),
+                                           (2, 1000.0, ("N", "float")), (2, True, ("N", "bool"))])
+    def test_non_int_arguments_are_type_errors(self, s, N, bad):
+        # True once ran as s = 1, 2.5 summed n^-2.5 and 1000.0 failed in a slice
+        with pytest.raises(TypeError, match=r"^%s must be an int, got %s$" % bad):
+            dirichlet_direct(parse_seq_spec("gtm:2:1"), s, N)
+
+    @pytest.mark.parametrize("spec", ["gtm:2:1", "gtm:3:01", "gtm:4:011"])
+    def test_order_past_binary64_range_is_delta_1(self, spec):
+        # s = 10^400 once raised OverflowError converting s to a float; F(s)
+        # is delta_1 within 2^(1-s), as dirichlet_value gives it
+        seq = parse_seq_spec(spec)
+        value, err = dirichlet_direct(seq, 10**400, 1000)
+        assert value == seq.signs[1] == dirichlet_value(seq, 10**400)[0]
+        assert 0 < err <= 1e-300
+
+    def test_fixed_order_zero_is_refused(self):
+        with pytest.raises(ValueError, match="^s must be a positive integer$"):
+            dirichlet_fixed(parse_seq_spec("gtm:2:1"), 0)
+
 
 def _tails_from_scratch(seq, mode, n_top, cache):
     """T_j 2^B = X_j - sum_{0<n<=N} w_n floor(2^B / n^j) for j = 1..MAX_J,

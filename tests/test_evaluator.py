@@ -507,6 +507,10 @@ class TestVerifyIdentity:
         with pytest.raises(ValueError):
             verify_identity(wr_spec(), -1.0, 1e-8, cache=cache)
 
+    def test_unknown_method_is_refused(self, cache):
+        with pytest.raises(ValueError, match="^unknown method 'x'$"):
+            verify_identity(wr_spec(), INV_SQRT2, 1e-8, cache=cache, method="x")
+
     @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
     def test_rejects_bad_tol_before_any_work(self, tol):
         fresh = DirichletCache()
@@ -518,6 +522,15 @@ class TestVerifyIdentity:
 
 
 class TestFunctionalEquations:
+    def test_thm_frak_needs_positive_parameters(self, cache):
+        with pytest.raises(ValueError, match="^thm_frak needs positive parameters$"):
+            verify_functional_equation("thm_frak", 2, "1", {"a_list": [0, 2], "b_list": [1, 1]},
+                                       cache=cache)
+
+    def test_gamma_ratio_lists_of_unequal_length_are_refused(self):
+        with pytest.raises(ValueError, match="^parameter lists must have equal lengths$"):
+            build_gamma_ratio_term(TM, [1, 2], [3])
+
     def test_scaling_instance(self, cache):
         rep = verify_functional_equation(
             "thm_f", 2, "1", {"a": Fraction(1), "b": Fraction(2)}, cache=cache)
@@ -656,6 +669,32 @@ class TestBuilderTerms:
         assert [(f.alpha, str(f.beta), f.exponent) for f in term.factors] == triples
         assert term.constant == 1 and got_log.hex() == rhs_log
 
+    def test_terms_print_to_the_grammar(self, cache):
+        # an offset p/d prints as (alpha d n + p) with d^-e in the constant:
+        # the reparsed term has the same integer form, up to the order of
+        # its offsets (numerator factors print first), and the same answer
+        specs = list(_pinned_specs().values())
+        for text, a, b in [("gtm:2:1", 1, 2), ("gtm:3:01", Fraction(5, 3), Fraction(1, 2)),
+                           ("gtm:5:1011", 59, Fraction(1, 12))]:
+            seq = parse_seq_spec(text)
+            specs.append(ProductSpec(seq, "delta", 1, build_scaling_term(seq, a, b)[0]))
+        for text, a, b in [("gtm:2:1", [1, 3], [2, 2]),
+                           ("gtm:4:010", [Fraction(3, 2), Fraction(1, 3)], [Fraction(5, 6), 1])]:
+            seq = parse_seq_spec(text)
+            specs.append(ProductSpec(seq, "theta", 1, build_gamma_ratio_term(seq, a, b)[0]))
+        for spec in specs:
+            again = parse_product_term(str(spec.term))
+            (k, L, offsets), (k2, L2, offsets2) = spec.term.integer_form, again.integer_form
+            assert (k, L, sorted(offsets)) == (k2, L2, sorted(offsets2)), str(spec.term)
+            want = evaluate_product(spec, eps=1e-13, cache=cache)
+            got = evaluate_product(ProductSpec(spec.seq, spec.mode, spec.start, again),
+                                   eps=1e-13, cache=cache)
+            assert (got.log_value.hex(), got.est_error.hex()) == \
+                (want.log_value.hex(), want.est_error.hex()), str(spec.term)
+        assert str(_pinned_specs()["thm_f"].term) == (  # (n + 7/3) is (3n + 7)/3
+            "((4)(3n+7)(10n+5)(15n+10)(10n+9)(15n+16)(15n+19))/"
+            "((9)(2n+5)(15n+7)(10n+7)(15n+13)(10n+11)(10n+13))")
+
 
 class TestModeConsistency:
     @pytest.mark.parametrize("lhs", [
@@ -674,6 +713,12 @@ class TestModeConsistency:
     def test_closed_form_rejects_divergent(self):
         with pytest.raises(ValueError):
             plain_product_log_closed(WR_TERM, 0)  # root sums differ
+
+    def test_closed_form_refuses_a_gamma_pole(self):
+        # the plain product of ((n-1)(n+3))/((n+1)^2) converges, but from 0
+        # its factor n - 1 gives Gamma(-1)
+        with pytest.raises(ValueError, match="^Gamma argument -1 is a nonpositive integer$"):
+            plain_product_log_closed(parse_product_term("((n-1)(n+3))/((n+1)^2)"), 0)
 
 
 class TestTelescoping:
@@ -769,21 +814,21 @@ _PINNED = {
 # (float.hex(log_value), float.hex(est_error)) of evaluate_direct at N = q^7;
 # every term but cosine sums an exact head below its roots (n_safe > start)
 _PINNED_DIRECT = {
-    "wr": ("-0x1.62e42145360dep-2", "0x1.dc49c39704187p-20"),
-    "ex1.5.9": ("0x1.0b4f7ced5cecbp-21", "0x1.200ddf5f98f8bp-6"),
-    "ex1.6.14": ("-0x1.030bb1f6df842p-10", "0x1.c7882f1b68424p-6"),
-    "ex1.7.10": ("-0x1.a5ddf975010b1p+0", "0x1.3a80fcecc5c29p-7"),
-    "ex1.7.16": ("0x1.0c42f00ffb9aep-22", "0x1.41470ffe75e86p-6"),
-    "cor1.10.5.6": ("0x1.2ccd5fde47fb9p-3", "0x1.38ccd1377a04ap-8"),
-    "cor1.10.5.9": ("0x1.1c267e744f3e8p+0", "0x1.9aa1e95d2befdp-5"),
-    "g1.q4.k2": ("-0x1.6157280494313p-1", "0x1.301daba66237ap-3"),
-    "g1.q5.k2": ("-0x1.94c30ef9b138bp-1", "0x1.96457841fcdecp-1"),
-    "g2.q5": ("-0x1.9c041f7e24affp-1", "0x1.0623fad9d9594p-6"),
-    "thm_f": ("0x1.15ae0df000030p-4", "0x1.d38d5188a6608p-8"),
-    "thm_frak": ("0x1.b734a92616885p-6", "0x1.b906039ae8b94p-10"),
-    "beta_like": ("0x1.5893c6cbb1328p-1", "0x1.4387846d1239ep-5"),
-    "cosine": ("-0x1.d6b30e0e85272p-4", "0x1.003f3c9ea68c6p-9"),
-    "neg_offsets": ("-0x1.7ed3ba5c53d07p+0", "0x1.54428e97638fep-17"),
+    "wr": ("-0x1.62e42145360e2p-2", "0x1.dc49c328c3a28p-20"),
+    "ex1.5.9": ("0x1.0b4f7cebdcecbp-21", "0x1.200ddf5f70888p-6"),
+    "ex1.6.14": ("-0x1.030bb1f6df7c1p-10", "0x1.c7882f1b52e67p-6"),
+    "ex1.7.10": ("-0x1.a5ddf975010b1p+0", "0x1.3a80fcecb57f3p-7"),
+    "ex1.7.16": ("0x1.0c42f0119b9aep-22", "0x1.41470ffe639b1p-6"),
+    "cor1.10.5.6": ("0x1.2ccd5fde47fb4p-3", "0x1.38ccd1375b531p-8"),
+    "cor1.10.5.9": ("0x1.1c267e744f3e6p+0", "0x1.9aa1e95d24450p-5"),
+    "g1.q4.k2": ("-0x1.6157280494313p-1", "0x1.301daba66203cp-3"),
+    "g1.q5.k2": ("-0x1.94c30ef9b138bp-1", "0x1.96457841fcca4p-1"),
+    "g2.q5": ("-0x1.9c041f7e24b03p-1", "0x1.0623fad9d2fd9p-6"),
+    "thm_f": ("0x1.15ae0df00002bp-4", "0x1.d38d5188879e2p-8"),
+    "thm_frak": ("0x1.b734a926168e9p-6", "0x1.b906039a64d3cp-10"),
+    "beta_like": ("0x1.5893c6cbb1326p-1", "0x1.4387846d0831dp-5"),
+    "cosine": ("-0x1.d6b30e0e85275p-4", "0x1.003f3c9e6dd6ep-9"),
+    "neg_offsets": ("-0x1.7ed3ba5c53d0ap+0", "0x1.54428dbe858cbp-17"),
 }
 
 
@@ -909,6 +954,15 @@ class TestFamilyBuilders:
             families.zero_sum_family(TM, [Fraction(1, 2), Fraction(1, 2)])
         with pytest.raises(ValueError):
             families.tm_factorial_family(0)
+
+    def test_zero_sum_parameters_must_exceed_minus_one(self):
+        with pytest.raises(ValueError, match="^parameters must exceed -1$"):
+            families.zero_sum_family(TM, [-1, 1])
+
+    @pytest.mark.parametrize("a", [0, 1, Fraction(-3, 2)])
+    def test_symmetric_pair_parameter_lies_inside_minus_one_to_one(self, a):
+        with pytest.raises(ValueError, match=r"^parameter must satisfy 0 < \|a\| < 1$"):
+            families.symmetric_pair_family(TM, a)
 
 
 Q3 = make_sequence("gtm", 3, bits="01")

@@ -253,6 +253,10 @@ class TestConvergence:
         assert factored_convergence(fl, "delta").ok
         assert factored_convergence(fl, "theta").ok
 
+    def test_unknown_mode_is_refused(self):
+        with pytest.raises(ValueError, match="^mode must be 'delta' or 'theta', got 'plain'$"):
+            factored_convergence(parse_product_term("(2n+1)/(2n+2)"), "plain")
+
     def test_degree_mismatch(self):
         fl = parse_product_term("((n+1)(n+2))/(n+3)")
         assert factored_convergence(fl, "delta").reason == "degree"
@@ -297,6 +301,10 @@ class TestLogExpansion:
     def test_requires_delta_convergence(self):
         with pytest.raises(ValueError):
             factored_log_expansion(parse_product_term("(2n+1)/(n+1)"), 4)
+
+    def test_negative_order_is_refused(self):
+        with pytest.raises(ValueError, match="^J must be >= 0$"):
+            factored_log_expansion(parse_product_term("(2n+1)/(2n+2)"), -1)
 
     def test_beta1_vanishes_for_theta_convergent(self):
         rng = random.Random(5)
