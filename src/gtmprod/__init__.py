@@ -18,16 +18,17 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "catalog": ("CatalogError", "CatalogReport", "IdentityRecord", "RecordResult",
                 "load_catalog", "parse_catalog_line", "run_catalog"),
+    "direct": ("evaluate_direct",),
     "dirichlet": ("DirichletCache", "EpsUnachievableError", "dirichlet_direct", "dirichlet_mp",
                   "dirichlet_value", "power_moments", "zeta_mp"),
-    "evaluator": ("EvalResult", "FunctionalEquationReport", "IdentityReport",
-                  "ProductRejectedError", "ProductSpec", "build_gamma_ratio_term",
-                  "build_scaling_term", "check_product", "evaluate_direct", "evaluate_product",
-                  "plain_product_log_closed", "verify_functional_equation", "verify_identity"),
+    "evaluator": ("FunctionalEquationReport", "IdentityReport", "build_gamma_ratio_term",
+                  "build_scaling_term", "evaluate_product", "plain_product_log_closed",
+                  "verify_functional_equation", "verify_identity"),
     "expr": ("eval_expr", "parse_expr"),
     "gammafn": ("GammaDomainError", "check_gamma_identity", "gamma", "log_gamma",
                 "log_gamma_product"),
-    "ratfun": ("EvaluationError", "Factor", "FactorList", "ParseError", "ProductCheck",
+    "ratfun": ("EvalResult", "EvaluationError", "Factor", "FactorList", "ParseError",
+               "ProductCheck", "ProductRejectedError", "ProductSpec", "check_product",
                "exact_real_value", "factor_list", "factored_convergence",
                "factored_log_expansion", "factored_zeros_poles", "first_non_positive",
                "format_product_term", "parse_product_term"),

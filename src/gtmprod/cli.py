@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -66,9 +67,21 @@ def _num(x: float) -> str:
     return f"{x:.15g}"
 
 
+def _finite(value):
+    """value with every float that is NaN or infinite, at any depth, as None:
+    JSON has no token for them."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return value
+
+
 def _emit(args, payload: dict, text_lines: list[str], csv_rows: list[dict]):
     if args.format == "json":
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps(_finite(payload), sort_keys=True, allow_nan=False))
     elif args.format == "csv":
         if not csv_rows:
             return

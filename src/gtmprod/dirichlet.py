@@ -38,9 +38,9 @@ keyed on what may vary: B, q, t and the range of n, whose end follows
 the target _MP_EPS for a direct sum, for an extent q^t - c_0 and the
 target, and for the binomials t and the extent.  No row forms a power
 whose floors its bit length shows to be 0.  A sweep itself takes the
-moments c_0..c_I in one pass, forms the signed sums of the rows over its
-pattern's signs and runs the moment series.  Each memo and shortcut
-pays for itself (medians, 2-core x86-64, Python 3.11): the builtin
+moments c_0..c_I from ``sequences.block_moments`` (its m = 1 row),
+forms the signed sums of the rows over its pattern's signs and runs the
+moment series.  Each memo and shortcut pays for itself (medians, 2-core x86-64, Python 3.11): the builtin
 catalog's 14 sweeps (13 patterns and zeta's) take 5.8 ms with the memos
 cold and 3.5 ms warm; a direct-sum row above the lowest order of its sum
 is the row below it divided by n (``_direct_row``), which saves 0.15 ms
@@ -76,8 +76,15 @@ import operator
 import threading
 from itertools import compress, islice, repeat
 
-from .ratfun import _as_int
-from .sequences import MultiplicativeSequence, delta_prefix, make_sequence, sign_prefix
+from .ratfun import _ROUND_UP
+from .sequences import (
+    MultiplicativeSequence,
+    _as_int,
+    block_moments,
+    delta_prefix,
+    make_sequence,
+    sign_prefix,
+)
 
 S_DIRECT = 16
 MAX_J = 16  # the orders of a SeriesRecord; <= S_DIRECT, so one ladder sweep fills them
@@ -88,7 +95,6 @@ _GUARD_BITS = 32  # fixed-point bits beyond _MP_DPS digits
 _BITS = math.ceil(_MP_DPS * math.log2(10)) + _GUARD_BITS  # the fixed point's B
 _M0 = 8  # the sweep expands (qm + k)^-s binomially only for m >= _M0
 _T_MAX = 1023 // (_M0.bit_length() - 1)  # the largest t with _M0**t (a power of two) in binary64
-_ROUND_UP = 1.0 + 2.0**-30  # covers the binary64 rounding of error bounds
 _ROW = 256  # dirichlet_direct sums rows of this many terms, then fsums the rows
 
 
@@ -104,13 +110,11 @@ def check_eps(value: float, name: str = "eps") -> float:
 
 
 def power_moments(seq: MultiplicativeSequence, i: int) -> int:
-    """c_i = sum_{k=0}^{q-1} delta_k k^i, with 0^0 := 1."""
-    if i < 0:
+    """c_i = sum_{k=0}^{q-1} delta_k k^i, with 0^0 := 1: the m = 1 row of
+    ``block_moments``.  i must be an int (a bool or a float is a TypeError)."""
+    if _as_int(i, "i") < 0:
         raise ValueError("moment order must be >= 0")
-    total = 0
-    for k, s in enumerate(seq.signs):
-        total += s * (1 if (k == 0 and i == 0) else k**i)
-    return total
+    return block_moments(seq.signs, 1, 0, i)[i]
 
 
 class DirichletCache:
@@ -302,16 +306,6 @@ def _binomials(t: int, n: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
     return sizes, tuple(map(float, sizes))
 
 
-def _moments(seq: MultiplicativeSequence, i_max: int) -> list[int]:
-    """c_0..c_{i_max} (``power_moments``) in one pass of running powers delta_k k^i."""
-    terms = list(seq.signs)  # delta_k k^0, with 0^0 = 1
-    out = [sum(terms)]
-    for _ in range(i_max):
-        terms = list(map(operator.mul, terms, range(seq.q)))
-        out.append(sum(terms))
-    return out
-
-
 def _ladder_fixed(seq: MultiplicativeSequence, bits: int) -> dict[int, tuple[int, float]]:
     """Fixed-point F(t) for every t from the lowest order up to S_DIRECT.
 
@@ -335,7 +329,7 @@ def _ladder_fixed(seq: MultiplicativeSequence, bits: int) -> dict[int, tuple[int
     tails = _direct_fixed(seq, range(S_DIRECT, top + 1), bits, _M0, plus)
 
     i_max = max(n_terms for n_terms, _ in extents.values())
-    moments = _moments(seq, i_max)
+    moments = block_moments(seq.signs, 1, 0, i_max)  # c_0..c_i_max
     # C(-t, i) c_i = |C(-t, i)| (-1)^i c_i
     signed = [-c if i % 2 else c for i, c in enumerate(moments)]
     q_pows = [q**i for i in range(i_max + 1)]

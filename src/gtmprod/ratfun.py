@@ -37,6 +37,12 @@ enters only through correctly rounded int divisions.
 Product terms and the right-hand sides of ``expr`` are read by one scanner,
 ``_Tokens``: a compiled pattern per grammar splits the text once into
 tokens, and a ``ParseError`` gives where the offending token starts.
+
+The module also holds what both evaluators share: the product spec
+(``ProductSpec``), its exact check (``check_product``) and refusal
+(``ProductRejectedError``), and the result both return (``EvalResult``).
+It imports only ``sequences``, so a spec is built and checked, and the
+direct oracle runs, without loading the Dirichlet ladder.
 """
 
 from __future__ import annotations
@@ -47,10 +53,14 @@ from functools import cached_property
 from itertools import islice
 from typing import TYPE_CHECKING, NamedTuple
 
-from .sequences import FrozenValue
+from .sequences import FrozenValue, _as_int
 
 if TYPE_CHECKING:
     from fractions import Fraction
+
+    from .sequences import MultiplicativeSequence
+
+_ROUND_UP = 1.0 + 2.0**-30  # covers the binary64 rounding of error bounds
 
 
 class ParseError(ValueError):
@@ -63,13 +73,6 @@ class ParseError(ValueError):
 
 class EvaluationError(ValueError):
     """A factor of the term vanishes where its exact value was asked for."""
-
-
-def _as_int(x, what: str) -> int:
-    """x itself if it is an int; anything else, bool included, is a TypeError."""
-    if isinstance(x, int) and not isinstance(x, bool):
-        return x
-    raise TypeError(f"{what} must be an int, got {type(x).__name__}")
 
 
 def as_pair(x) -> tuple[int, int]:
@@ -513,3 +516,92 @@ def exact_real_value(f: FactorList, n: int) -> Fraction:
     p, q = next(value_pairs(f, (n,)))
     degree = sum(e for _, e in offsets)
     return _fraction(num * p * L ** max(0, -degree), den * q * L ** max(0, degree))
+
+
+# ---------------------------------------------------------------------------
+# the product spec, its exact check, and the evaluators' shared result
+# ---------------------------------------------------------------------------
+
+
+class ProductRejectedError(ValueError):
+    """The product spec fails a convergence or well-definedness criterion."""
+
+    def __init__(self, reason: str):
+        super().__init__(f"rejected: {reason}")
+        self.reason = reason
+
+
+class ProductSpec(FrozenValue):
+    """An infinite product: sequence, exponent mode, start index (an int, not
+    a bool), and term."""
+
+    _fields = ("seq", "mode", "start", "term")
+
+    def __init__(self, seq: MultiplicativeSequence, mode: str, start: int, term: FactorList):
+        if mode not in ("delta", "theta"):
+            raise ValueError(f"mode must be 'delta' or 'theta', got {mode!r}")
+        _as_int(start, "start")
+        self._set(seq, mode, start, term)
+
+    @cached_property
+    def verdict(self) -> ProductCheck:
+        """``check_product`` of this spec, decided once: a spec is immutable."""
+        return check_product(self)
+
+
+class EvalResult(NamedTuple):
+    value: float
+    log_value: float
+    est_error: float
+    method: str
+    terms_used: int
+    dirichlet_orders: int
+
+
+def check_product(spec: ProductSpec) -> ProductCheck:
+    """Enforce every ProductSpec invariant, reporting the first violation.
+
+    Every decision is exact and read off the term's factors; positivity is
+    decided for every n >= start, not sampled.
+    """
+    if not spec.seq.nontrivial:
+        return ProductCheck(False, "trivial-pattern")
+    if spec.start not in (0, 1):
+        return ProductCheck(False, "start-out-of-range")
+    offenders = factored_zeros_poles(spec.term, spec.start)
+    if offenders:
+        return ProductCheck(False, f"zero-or-pole at n={offenders[0]}")
+    verdict = factored_convergence(spec.term, spec.mode)
+    if not verdict:
+        return verdict
+    n = first_non_positive(spec.term, spec.start)
+    if n is not None:
+        return ProductCheck(False, f"non-positive-term at n={n}")
+    return ProductCheck(True)
+
+
+def _require_ok(spec: ProductSpec):
+    if not spec.verdict:
+        raise ProductRejectedError(spec.verdict.reason)
+
+
+def _log_quotient(num: int, den: int) -> float:
+    """ln(num/den) for a positive quotient of ints, num/den rounded once.  A
+    quotient that may leave binary64's normal range, 2^(k-1) < num/den <
+    2^(k+1) with k outside [-1021, 1022], is first scaled exactly by 2^-k,
+    into (1/2, 2], and k ln 2 is added back."""
+    k = num.bit_length() - den.bit_length()
+    if -1021 <= k <= 1022:
+        return math.log(num / den)
+    x = num / (den << k) if k > 0 else (num << -k) / den
+    return math.log(x) + k * math.log(2.0)
+
+
+def _exp(log_value: float) -> float:
+    """exp(log_value) rounded to binary64.  Past ln(2^1024) that is inf,
+    returned where math.exp raises OverflowError, as it returns 0.0 past
+    the underflow threshold."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        return math.inf

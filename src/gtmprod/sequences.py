@@ -5,12 +5,16 @@ delta_{nq+k} = delta_n * delta_k for every base-q digit k.  It is fully
 determined by its first q signs, so a ``MultiplicativeSequence`` is
 ``(q, signs)`` plus the ``spec`` it was named by.  Element access and partial sums walk
 the base-q digits of n in O(log n) exact integer arithmetic, with no
-array.  Two routines materialize signs: ``sign_prefix`` builds a short
-list for the accelerated evaluator and the ladder's direct sums, and
-``delta_prefix`` grows a numpy prefix block by block for the bulk sums
-(the direct oracles and the extremal enumeration).  numpy is imported
-only inside the bulk routines (``delta_prefix``, ``partial_sums_upto``
-and ``extremal_partial_sums``), so digit access loads no array library.
+array.  One engine lists signs, ``sign_range`` (delta over [lo, hi), with
+``sign_prefix`` its lo = 0 case): it serves the accelerated evaluator's
+weights, the ladder's direct sums, the direct oracle and ``gtmprod seq``.
+One engine takes sign moments, ``block_moments`` (sum_j delta_j (j - H)^i
+over a block of q^m, memoized): it serves the ladder's c_i and the
+oracle's moment blocks.  ``delta_prefix`` grows a numpy prefix block by
+block, kept for the bulk arrays of ``dirichlet_direct`` and the extremal
+enumeration.  numpy is imported only inside the bulk routines
+(``delta_prefix``, ``partial_sums_upto`` and ``extremal_partial_sums``),
+so digit access loads no array library.
 
 Supported names:
 
@@ -26,7 +30,8 @@ The last two name gtm patterns: ``dcount:3:1``, ``dparity:3`` and
 from __future__ import annotations
 
 import math
-from functools import cached_property
+import operator
+from functools import cached_property, lru_cache
 from itertools import product as _cartesian
 from typing import TYPE_CHECKING
 
@@ -77,6 +82,13 @@ class FrozenValue:
         return f"{type(self).__name__}({fields})"
 
 
+def _as_int(x, what: str) -> int:
+    """x itself if it is an int; anything else, bool included, is a TypeError."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    raise TypeError(f"{what} must be an int, got {type(x).__name__}")
+
+
 def _as_bit(value) -> int:
     b = int(value)
     if b not in (0, 1):
@@ -114,13 +126,14 @@ class MultiplicativeSequence(FrozenValue):
     """A strongly q-multiplicative +-1 sequence, delta_0 .. delta_{q-1} = ``signs``.
 
     Equality and hashing read ``(q, signs)`` only; ``spec`` is the name it
-    was given and is shown by.
+    was given and is shown by.  q must be an int (a bool or a float is a
+    TypeError).
     """
 
     _fields = ("q", "signs", "spec")
 
     def __init__(self, q: int, signs: tuple[int, ...], spec: str):
-        if q < 2:
+        if _as_int(q, "q") < 2:
             raise SequenceError(f"q must be >= 2, got {q}")
         if len(signs) != q:
             raise SequenceError("need exactly q signs")
@@ -164,9 +177,10 @@ def make_sequence(kind: str, q: int, *, bits=None, k: int | None = None) -> Mult
     ``gtm`` needs ``bits`` (theta_1..theta_{q-1}); ``dcount`` needs the
     counted digit ``k`` with 1 <= k <= q-1; ``dparity`` needs neither.
     The all-plus gtm pattern is constructible but flagged trivial; product
-    evaluation rejects it downstream.
+    evaluation rejects it downstream.  q and k must be ints (a bool or a
+    float is a TypeError).
     """
-    if q < 2:
+    if _as_int(q, "q") < 2:
         raise SequenceError(f"q must be >= 2, got {q}")
     if kind == "gtm":
         if bits is None:
@@ -174,7 +188,7 @@ def make_sequence(kind: str, q: int, *, bits=None, k: int | None = None) -> Mult
         signs = (1,) + tuple(1 - 2 * b for b in normalize_gtm_bits(q, bits))
         spec = _gtm_spec(q, signs)
     elif kind == "dcount":
-        if k is None or not 1 <= k <= q - 1:
+        if k is None or not 1 <= _as_int(k, "k") <= q - 1:
             raise SequenceError(f"dcount digit k must satisfy 1 <= k <= q-1, got {k}")
         signs = tuple(-1 if j == k else 1 for j in range(q))
         spec = f"dcount:{q}:{k}"
@@ -227,15 +241,71 @@ def sign_at(seq: MultiplicativeSequence, n: int) -> int:
     return out
 
 
-def sign_prefix(seq: MultiplicativeSequence, length: int) -> list[int]:
-    """delta_0 .. delta_(length-1) as a list, from delta_(nq+k) = delta_n delta_k."""
-    if length < 0:
-        raise ValueError("length must be >= 0")
+def sign_range(seq: MultiplicativeSequence, lo: int, hi: int) -> list[int]:
+    """delta_lo .. delta_(hi-1) as a list, the package's one list of signs.
+
+    delta over [kB, (k+1)B), B = q^K, is delta_k times delta over [0, B).
+    [0, B) and its negation grow by list extends to the largest B below hi -
+    lo (1 for one sign), so the at most q + 1 blocks k0..k1-1 that cover
+    [lo, hi) hold fewer than 3 (hi - lo) signs.  delta_k = delta_(k div q)
+    delta_(k mod q) takes one ``sign_at`` per value of k div q, and none
+    when k1 <= q, as from lo = 0.
+    """
+    if not 0 <= lo <= hi:
+        raise ValueError(f"need 0 <= lo <= hi, got [{lo}, {hi})")
     q, signs = seq.q, seq.signs
-    out = [1]
-    for n in range(1, length):
-        out.append(out[n // q] * signs[n % q])
-    return out[:length]
+    plus, minus = [1], [-1]  # delta over [0, B) and its negation
+    while len(plus) * q < hi - lo:
+        up, down = [], []
+        for s in signs:
+            up += plus if s > 0 else minus
+            down += minus if s > 0 else plus
+        plus, minus = up, down
+    B = len(plus)
+    k0, k1 = lo // B, -(-hi // B)
+    if k1 <= q:
+        heads = signs[k0:k1]
+    else:
+        t = k0 // q
+        tops = (sign_at(seq, t), sign_at(seq, t + 1))
+        heads = [tops[k // q - t] * signs[k % q] for k in range(k0, k1)]
+    out = []
+    for s in heads:
+        out += plus if s > 0 else minus
+    del out[hi - k0 * B:], out[:lo - k0 * B]
+    return out
+
+
+def sign_prefix(seq: MultiplicativeSequence, length: int) -> list[int]:
+    """delta_0 .. delta_(length-1): ``sign_range`` from 0."""
+    return sign_range(seq, 0, length)
+
+
+@lru_cache(maxsize=1024)
+def block_moments(signs: tuple[int, ...], m: int, H: int, top: int) -> tuple[int, ...]:
+    """sum_{j<q^m} s_j (j - H)^i for i = 0..top, exactly, where q =
+    len(signs) and s_j is the product of signs[d] over the base-q digits d
+    of j: the package's one engine of sign moments.  From the moments M' of
+    q^(m-1) about its centre G = q^(m-1)//2: j = q j' + d gives j - H = q
+    (j' - G) + t_d, t_d = qG + d - H, so M_i = sum_l C(i, l) q^l M'_l
+    c_(i-l) with the digit sums c_t = sum_d signs[d] t_d^t, built as running
+    products.  At m = 1, M' is (1, 0, 0, ...) and M_i = c_i; at m = 1 and H
+    = 0 these are c_i = sum_d delta_d d^i, with 0^0 = 1.  Every block
+    length of every call walks this one memoized recursion."""
+    if m == 0:
+        return tuple((-H) ** i for i in range(top + 1))
+    q, G = len(signs), len(signs) ** (m - 1) // 2
+    steps = range(q * G - H, q * G - H + q)  # t_d
+    terms = list(signs)  # signs[d] t_d^0, with 0^0 = 1
+    c = [sum(terms)]
+    for _ in range(top):
+        terms = list(map(operator.mul, terms, steps))
+        c.append(sum(terms))
+    if m == 1:
+        return tuple(c)
+    prev = block_moments(signs, m - 1, G, top)
+    return tuple(sum(math.comb(i, l) * q**l * prev[l] * c[i - l] for l in range(i + 1))
+                 for i in range(top + 1))
 
 
 def partial_sum(seq: MultiplicativeSequence, n: int) -> int:

@@ -117,8 +117,8 @@ class TestEval:
         assert lines["value    "] == "inf" and lines["log_value"].startswith("877.6016515993")
         assert float(lines["est_error"]) <= 1e-6
         code, out, err = run(capsys, "--format", "json", *argv)
-        doc = json.loads(out)
-        assert code == 0 and err == "" and doc["value"] == math.inf
+        doc = json.loads(out)  # JSON has no inf: the value is null, the log carries it
+        assert code == 0 and err == "" and doc["value"] is None
         assert abs(doc["log_value"] - 877.6016515993) <= 1e-9 and doc["est_error"] <= 1e-6
 
     @pytest.mark.parametrize("tol", ["1e-12", "1e-13"])
@@ -181,6 +181,21 @@ class TestVerify:
         assert set(row) == {"id", "paper", "method", "lhs_value", "rhs_value",
                             "abs_dlog", "est_error", "terms_used", "pass"}
 
+    def test_non_finite_fields_are_null(self, capsys, no_config):
+        # the oracle refuses N = 3 < q^2, so the record fails with a NaN value
+        # and infinite errors; they print as null, and a strict parser, which
+        # refuses NaN and Infinity, reads the document
+        code, out, _ = run(capsys, "--format", "json", "verify", "--filter", "wr",
+                           "--method", "direct", "--direct-n", "3")
+
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        (row,) = json.loads(out, parse_constant=refuse)["results"]
+        assert code == 1 and row["pass"] is False and row["terms_used"] == 0
+        assert row["lhs_value"] is row["abs_dlog"] is row["est_error"] is None
+        assert row["rhs_value"] == 1 / math.sqrt(2)
+
     def test_csv_header(self, capsys, no_config):
         code, out, _ = run(capsys, "--format", "csv", "verify", "--filter", "wr")
         rows = list(csv.DictReader(io.StringIO(out)))
@@ -227,11 +242,11 @@ class TestVerify:
     def test_builtin_verify_checks_each_record_once(self, capsys, no_config, monkeypatch):
         # load_catalog validates each record and evaluate_product then reads
         # the same spec's verdict: one check_product per record, not two
-        import gtmprod.evaluator as emod
+        import gtmprod.ratfun as rmod
 
         checked = []
-        real = emod.check_product
-        monkeypatch.setattr(emod, "check_product",
+        real = rmod.check_product
+        monkeypatch.setattr(rmod, "check_product",
                             lambda spec: checked.append(spec) or real(spec))
         code, out, _ = run(capsys, "verify")
         records = out.splitlines()[:-1]  # the last line is the summary
@@ -452,8 +467,9 @@ class TestLazyImports:
 
 class TestImportSet:
     def test_commands_load_only_what_they_run(self, tmp_path):
-        # a fresh interpreter: check, eval and dirichlet load five gtmprod
-        # modules and none of the modules below; verify loads the catalog,
+        # a fresh interpreter: check, eval and dirichlet load six gtmprod
+        # modules (the direct oracle's among them, which evaluator imports)
+        # and none of the modules below; verify loads the catalog,
         # and no command loads dataclasses, inspect, fractions or decimal
         script = textwrap.dedent("""
             import json, sys
@@ -481,6 +497,6 @@ class TestImportSet:
         assert proc.returncode == 0, proc.stderr
         doc = json.loads(proc.stdout.splitlines()[-1])
         assert doc == {"codes": [0, 0, 0, 0], "loaded": [],
-                       "package": ["gtmprod.cli", "gtmprod.dirichlet", "gtmprod.evaluator",
-                                   "gtmprod.ratfun", "gtmprod.sequences"],
+                       "package": ["gtmprod.cli", "gtmprod.direct", "gtmprod.dirichlet",
+                                   "gtmprod.evaluator", "gtmprod.ratfun", "gtmprod.sequences"],
                        "catalog_after_verify": True, "verify_loaded": []}

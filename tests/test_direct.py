@@ -10,33 +10,44 @@ still runs several fsum chunks, cut at the cap and at the boundaries q^i,
 and the moment blocks several passes; every capped case reaches the moment
 blocks.  The oracle's proven fl_round must cover every sum, the moment
 blocks' truncation included, against the reference; its estimate stays an
-estimate.  The oracle reads no Dirichlet constant.
+estimate.  The oracle reads no Dirichlet constant: its module loads neither
+``dirichlet`` nor ``evaluator`` (``test_the_oracle_loads_no_accelerated_code``).
 """
 
+import json
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
 
-from gtmprod import evaluator
+from gtmprod import direct
 from gtmprod.catalog import load_catalog
+from gtmprod.direct import _direct_sums, _top_exponent
 from gtmprod.evaluator import (
     ProductSpec,
-    _block_moments,
-    _direct_sums,
-    _sign_range,
-    _top_exponent,
     build_gamma_ratio_term,
     build_scaling_term,
     evaluate_direct,
     evaluate_product,
 )
 from gtmprod.ratfun import exact_real_value, parse_product_term
-from gtmprod.sequences import make_sequence, parse_seq_spec, sign_at, sign_prefix
+from gtmprod.sequences import (
+    block_moments,
+    make_sequence,
+    parse_seq_spec,
+    sign_at,
+    sign_prefix,
+    sign_range,
+)
 from test_evaluator import _pinned_specs
 
 
@@ -97,14 +108,14 @@ CASES = [
 def _count_moment_blocks(monkeypatch) -> list[int]:
     """Wrap ``_moment_blocks``: the list returned gets the number of blocks
     of each vector pass it yields."""
-    counts, real = [], evaluator._moment_blocks
+    counts, real = [], direct._moment_blocks
 
     def counting(*args):
         for chunk in real(*args):
             counts.append(len(chunk[1]))
             yield chunk
 
-    monkeypatch.setattr(evaluator, "_moment_blocks", counting)
+    monkeypatch.setattr(direct, "_moment_blocks", counting)
     return counts
 
 
@@ -112,7 +123,7 @@ def _count_moment_blocks(monkeypatch) -> list[int]:
 def test_matches_brute_force_reference(seq_text, mode, start, lhs, N, cap, monkeypatch):
     moment_blocks = []
     if cap is not None:
-        monkeypatch.setattr(evaluator, "_BLOCK_CAP", cap)
+        monkeypatch.setattr(direct, "_BLOCK_CAP", cap)
         moment_blocks = _count_moment_blocks(monkeypatch)
     spec = ProductSpec(parse_seq_spec(seq_text), mode, start, parse_product_term(lhs))
     q = spec.seq.q
@@ -173,8 +184,8 @@ def test_block_moments_match_a_sum_over_the_block(seq_text, m):
     B = seq.q**m
     signs = sign_prefix(seq, B)
     for H in (0, B // 2, B - 1):
-        for sgn, got in ((signs, _block_moments(seq.signs, m, H, 12)),
-                         ([1] * B, _block_moments((1,) * seq.q, m, H, 12))):
+        for sgn, got in ((signs, block_moments(seq.signs, m, H, 12)),
+                         ([1] * B, block_moments((1,) * seq.q, m, H, 12))):
             want = [sum(s * (j - H) ** i for j, s in enumerate(sgn)) for i in range(13)]
             assert list(got) == want
 
@@ -198,7 +209,7 @@ def test_moment_path_agrees_with_the_outright_sums(case, monkeypatch):
     blocks = _count_moment_blocks(monkeypatch)
     sums, mean, fl_round = _direct_sums(spec, K)
     n_blocks = sum(blocks)
-    monkeypatch.setattr(evaluator, "_MOMENT_SPAN", q ** (K + 1))
+    monkeypatch.setattr(direct, "_MOMENT_SPAN", q ** (K + 1))
     out_sums, out_mean, out_round = _direct_sums(spec, K)
     assert n_blocks > 0 and sum(blocks) == n_blocks  # the second call takes no moment block
     if K > 7:  # long outright chunks: the moment path's bound is the smaller
@@ -211,14 +222,14 @@ def test_moment_path_agrees_with_the_outright_sums(case, monkeypatch):
 def _count_outright_ends(monkeypatch) -> list[int]:
     """Wrap ``_block_plan``: the list returned gets the end n_out of the
     outright terms of each plan."""
-    ends, real = [], evaluator._block_plan
+    ends, real = [], direct._block_plan
 
     def counting(*args):
         n_out, runs = real(*args)
         ends.append(n_out)
         return n_out, runs
 
-    monkeypatch.setattr(evaluator, "_block_plan", counting)
+    monkeypatch.setattr(direct, "_block_plan", counting)
     return ends
 
 
@@ -264,18 +275,44 @@ def test_catalog_answers_are_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == CATALOG_DIGEST
 
 
+def test_the_oracle_loads_no_accelerated_code():
+    # a fresh interpreter builds a catalog spec from ratfun and sequences and
+    # runs the oracle at 5^12: it gives this process's answer bit for bit and
+    # has loaded neither the ladder's module nor the accelerated evaluator's
+    record = next(r for r in load_catalog("builtin") if r.id == "g1.q5.k4")
+    script = textwrap.dedent(f"""
+        import json, sys
+        from gtmprod.ratfun import ProductSpec, parse_product_term
+        from gtmprod.sequences import parse_seq_spec
+        from gtmprod.direct import evaluate_direct
+        spec = ProductSpec(parse_seq_spec({record.seqspec!r}), {record.mode!r},
+                           {record.start!r}, parse_product_term({record.lhs!r}))
+        res = evaluate_direct(spec, 5**12)
+        print(json.dumps([res.log_value.hex(), res.est_error.hex(),
+                          sorted(m for m in sys.modules if m.startswith("gtmprod"))]))
+    """)
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    log_hex, est_hex, loaded = json.loads(proc.stdout)
+    res = evaluate_direct(record.product_spec(), 5**12)
+    assert (log_hex, est_hex) == (res.log_value.hex(), res.est_error.hex())
+    assert loaded == ["gtmprod", "gtmprod.direct", "gtmprod.ratfun", "gtmprod.sequences"]
+
+
 def test_a_term_equal_to_one_sums_no_term(monkeypatch):
     # every offset cancels, so R = 1 and no term is evaluated: 3^14 zeros
     # were once summed one by one
     spec = ProductSpec(parse_seq_spec("gtm:3:01"), "delta", 0,
                        parse_product_term("((n+2)(n+1))/((n+2)(n+1))"))
-    evaluated, real = [], evaluator.value_pairs
+    evaluated, real = [], direct.value_pairs
 
     def counting(term, ns):
         evaluated.extend(ns)
         return real(term, ns)
 
-    monkeypatch.setattr(evaluator, "value_pairs", counting)
+    monkeypatch.setattr(direct, "value_pairs", counting)
     t0 = time.perf_counter()
     res = evaluate_direct(spec, 3**14)
     assert time.perf_counter() - t0 < 0.1
@@ -332,18 +369,27 @@ def test_repeated_pairs_take_one_pass():
     seq = parse_seq_spec("gtm:2:1")
     base, big = (ProductSpec(seq, "delta", 1, parse_product_term(
         f"((n+1)^{e}(n+3)^{e})/((n+2)^{2 * e})")) for e in (1, 3000))
-    assert evaluator._log1p_pairs(big.term) == [(-1.0, 1.0, 2.0, 3000), (1.0, 3.0, 2.0, 3000)]
+    assert direct._log1p_pairs(big.term) == [(-1.0, 1.0, 2.0, 3000), (1.0, 3.0, 2.0, 3000)]
     base, big = evaluate_direct(base), evaluate_direct(big)
     assert abs(big.log_value - 3000 * base.log_value) <= 3000 * base.est_error + big.est_error
 
 
-@pytest.mark.parametrize("seq_text", ["gtm:2:1", "gtm:3:01", "dcount:7:3", "dparity:16"])
+@pytest.mark.parametrize("seq_text", ["gtm:2:1", "gtm:3:01", "dcount:7:3", "dparity:16",
+                                      "gtm:5:1011", "gtm:16:010011101100101"])
 def test_sign_range_matches_sign_at(seq_text):
+    # widths up to 3 q^3 at lo up to 10^15, so the range is cut from blocks
+    # of several lengths, and every prefix up to q^3 + 1 (``sign_prefix``)
     seq = parse_seq_spec(seq_text)
-    rng = random.Random(seq.q)
-    for lo in [0, 1, seq.q - 1] + [rng.randrange(10**9) for _ in range(40)]:
-        hi = lo + rng.randrange(300)
-        assert _sign_range(seq, lo, hi) == [sign_at(seq, n) for n in range(lo, hi)], lo
+    q = seq.q
+    rng = random.Random(q)
+    for lo in [0, 1, q - 1] + [rng.randrange(10 ** rng.randint(3, 15)) for _ in range(60)]:
+        hi = lo + rng.randrange(3 * q ** rng.randint(1, 3) + 1)
+        assert sign_range(seq, lo, hi) == [sign_at(seq, n) for n in range(lo, hi)], (lo, hi)
+    want = [sign_at(seq, n) for n in range(q**3 + 1)]
+    for n in range(q**3 + 2):
+        assert sign_range(seq, 0, n) == sign_prefix(seq, n) == want[:n], n
+    with pytest.raises(ValueError):
+        sign_range(seq, 5, 4)
 
 
 @pytest.mark.parametrize("q", range(2, 17))

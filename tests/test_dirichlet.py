@@ -53,8 +53,17 @@ class TestPowerMoments:
     @pytest.mark.parametrize("spec", ["gtm:2:1", "gtm:2:0", "gtm:3:01", "dcount:5:2",
                                       "gtm:16:010011101100101"])
     def test_one_pass_matches_each_order(self, spec):
+        # the sweep's c_0..c_70, the m = 1 row of the moment engine, against
+        # sum_k delta_k k^i summed here, with 0^0 = 1
         seq = parse_seq_spec(spec)
-        assert dmod._moments(seq, 70) == [power_moments(seq, i) for i in range(71)]
+        want = [sum(s * (1 if k == i == 0 else k**i) for k, s in enumerate(seq.signs))
+                for i in range(71)]
+        assert list(dmod.block_moments(seq.signs, 1, 0, 70)) == want
+
+    @pytest.mark.parametrize("i", [2.5, 2.0, True])
+    def test_non_int_order_is_a_type_error(self, i):
+        with pytest.raises(TypeError, match=r"^i must be an int, got "):
+            power_moments(parse_seq_spec("gtm:3:01"), i)
 
 
 class TestLadder:
@@ -334,19 +343,19 @@ class TestSweep:
         # a sweep takes c_0..c_I in one pass, and a hit or a direct sum takes none
         calls = []
 
-        def counted(seq, i_max):
-            calls.append(seq.spec)
-            return moments(seq, i_max)
+        def counted(signs, m, H, top):
+            calls.append(signs)
+            return moments(signs, m, H, top)
 
-        moments = dmod._moments
-        monkeypatch.setattr(dmod, "_moments", counted)
+        moments = dmod.block_moments
+        monkeypatch.setattr(dmod, "block_moments", counted)
         cache = DirichletCache()
         seq = parse_seq_spec("gtm:5:0110")
         for s in (2, 1, 7, 15, 16, 20):
             dirichlet_mp(seq, s, cache)
         zeta_mp(3, cache)
         zeta_mp(2, cache)
-        assert calls == ["gtm:5:0110", "gtm:2:0"]
+        assert calls == [seq.signs, parse_seq_spec("gtm:2:0").signs]
         # the first miss filled the ladder down to order 1
         assert all(cache.mp_lookup(seq.spec, s) is not None for s in range(1, 16))
 
@@ -402,8 +411,10 @@ class TestSharedRows:
 
     def test_every_memo_is_cleared(self):
         # a memo left uncleared would make the cold sweeps above warm; a new
-        # memo must be added here on purpose
-        assert set(_shared_memos()) == {"_floors", "_direct_row", "_extent", "_binomials"}
+        # memo must be added here on purpose.  block_moments, the sign-moment
+        # engine of ``sequences``, is the one memo keyed on the pattern
+        assert set(_shared_memos()) == {"_floors", "_direct_row", "_extent", "_binomials",
+                                        "block_moments"}
 
     @pytest.mark.parametrize("q", [1, 2, 3, 16])
     def test_rows_are_the_floors(self, q):

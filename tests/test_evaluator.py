@@ -21,11 +21,11 @@ from gtmprod.evaluator import (
     verify_functional_equation,
     verify_identity,
 )
+from gtmprod.direct import _direct_sums
 from gtmprod.evaluator import (
     _HEAD_RUN,
     MAX_J,
     MAX_N,
-    _direct_sums,
     _head_logs,
     _series_cutoff,
     _tail_bound,
@@ -115,10 +115,10 @@ class TestCheckProduct:
     def test_a_spec_is_checked_once(self, monkeypatch):
         # a library caller's evaluate_product still checks a fresh spec, and
         # a spec evaluated again reads its verdict instead of a second check
-        import gtmprod.evaluator as emod
+        import gtmprod.ratfun as rmod
 
         calls = []
-        monkeypatch.setattr(emod, "check_product",
+        monkeypatch.setattr(rmod, "check_product",
                             lambda spec, real=check_product: calls.append(spec) or real(spec))
         good, bad = wr_spec(), wr_spec("theta")
         for _ in range(2):

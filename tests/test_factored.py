@@ -18,7 +18,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from gtmprod.evaluator import _log1p_pairs, _log_quotient, _series_cutoff
+from gtmprod.direct import _log1p_pairs
+from gtmprod.evaluator import _log_quotient, _series_cutoff
 from gtmprod.ratfun import (
     EvaluationError,
     Factor,

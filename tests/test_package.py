@@ -11,9 +11,11 @@ import gtmprod
 
 
 def test_public_names_are_their_defining_modules_objects():
+    # the export map names the module that defines each name, so a name
+    # loads its own module and no other
     for name in gtmprod.__all__:
         value = getattr(gtmprod, name)
-        assert value.__module__.startswith("gtmprod."), name
+        assert value.__module__ == f"gtmprod.{gtmprod._MODULE_OF[name]}", name
         assert getattr(sys.modules[value.__module__], name) is value, name
 
 

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gtmprod.sequences import (
+    MultiplicativeSequence,
     SequenceError,
     asymptotic_exponent,
     delta_prefix,
@@ -110,6 +111,22 @@ class TestConstruction:
     ])
     def test_bad_construction(self, call):
         with pytest.raises(SequenceError):
+            call()
+
+    @pytest.mark.parametrize("call, message", [
+        # a float base once built a sequence equal to, and hashed like, the
+        # int one, which an evaluation then failed on or answered from a cache
+        (lambda: make_sequence("gtm", 2.0, bits="1"), "q must be an int, got float"),
+        (lambda: make_sequence("gtm", True, bits=""), "q must be an int, got bool"),
+        (lambda: MultiplicativeSequence(2.0, (1, -1), "gtm:2:1"), "q must be an int, got float"),
+        (lambda: MultiplicativeSequence(True, (1,), "x"), "q must be an int, got bool"),
+        (lambda: make_sequence("dparity", 4.0), "q must be an int, got float"),
+        # a bool or float digit once named a sequence its spec parser refuses
+        (lambda: make_sequence("dcount", 3, k=True), "k must be an int, got bool"),
+        (lambda: make_sequence("dcount", 3, k=1.0), "k must be an int, got float"),
+    ])
+    def test_non_int_base_or_digit_is_a_type_error(self, call, message):
+        with pytest.raises(TypeError, match=f"^{message}$"):
             call()
 
 
