@@ -197,12 +197,15 @@ def _cmd_verify(args) -> int:
 
     direct_n = _direct_n(args)
     records = load_catalog(args.catalog, filter=args.filter)
+    if not records:  # a mistyped filter must not pass as "0/0 pass"
+        raise ValueError(f"no record matches --filter {args.filter!r}" if args.filter
+                         else "the catalog holds no record")
     report = run_catalog(records, tol=args.tol, method=args.method, direct_n=direct_n)
     results = [{
         "id": r.id, "paper": r.paper, "method": r.method,
         "lhs_value": r.lhs_value, "rhs_value": r.rhs_value,
         "abs_dlog": r.abs_dlog, "est_error": r.est_error,
-        "terms_used": r.terms_used, "pass": r.passed,
+        "terms_used": r.terms_used, "pass": r.passed, "reason": r.reason,
     } for r in report.results]
     payload = {"command": "verify",
                "results": results,

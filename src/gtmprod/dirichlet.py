@@ -446,21 +446,22 @@ class SeriesRecord:
         return [(1 - s) // 2 for s in w] if self._theta else w
 
     def fit(self, pairs, budget: float):
-        """(J, orders, err) for the (p_j, r_j, |beta_j|) of a term's
+        """(J, orders, err, over) for the (p_j, r_j, |beta_j|) of a term's
         ``log_pairs``: J is the most orders whose charges fit in budget,
         orders holds (j, p_j, r_j) for each nonzero beta_j = p_j/r_j up to J,
-        and err is the sum of their charges."""
+        err is the sum of their charges, and over is the charge of order J +
+        1, the one that did not fit (0.0 if every order fit)."""
         J, orders, err = 0, [], 0.0
         max_n_units, unit = math.ldexp(MAX_N, -self.bits), math.ldexp(1.0, -self.bits)
         for j, ((p, r, mag), g) in enumerate(zip(pairs, self.orders), start=1):
             if p:
                 charge = mag * (g[2] + max_n_units) + unit
                 if err + charge > budget:
-                    break
+                    return J, orders, err, charge
                 err += charge
                 orders.append((j, p, r))
             J = j
-        return J, orders, err
+        return J, orders, err, 0.0
 
     def series(self, orders, w) -> float:
         """sum_j beta_j T_j over the orders of ``fit``, for w = w_0..w_N,

@@ -145,7 +145,8 @@ def _accel_components(spec: ProductSpec, eps: float, cache: DirichletCache):
     budget = eps / 4.0
     # J: the most orders whose errors fit in eps/4 (the ladder's and the series')
     record = cache.series_record(seq, spec.mode)
-    J, orders, series_err = record.fit(term.log_pairs(MAX_J), budget)
+    pairs = term.log_pairs(MAX_J)
+    J, orders, series_err, over = record.fit(pairs, budget)
     # N: the fewest terms, at least 4M, whose tail bound fits in eps/4.  The
     # bound falls as N grows, and N = 4M fits on most terms, so it is tried first
     _, L, live = term.integer_form
@@ -156,9 +157,12 @@ def _accel_components(spec: ProductSpec, eps: float, cache: DirichletCache):
             # no N up to MAX_N fits.  If all MAX_J orders would fit, it is the
             # Dirichlet constants that fail: order J + 1 was charged past eps/4
             if J == 0 or _tail_bound(offsets, MAX_J, hi) <= budget:
+                spent = f" and the {series_err:.1e} of orders 1-{J} are" if J else " is"
                 raise EpsUnachievableError(
                     f"eps {eps:g} is below the accuracy of the Dirichlet constants: "
-                    f"order {J + 1} is good to {record.orders[J][2]:.1e}")
+                    f"order {J + 1} is good to {record.orders[J][2]:.1e}; its charge "
+                    f"{over:.1e} (|beta_{J + 1}| = {pairs[J][2]:.1e}){spent} past "
+                    f"eps/4 = {budget:.1e}")
             raise EpsUnachievableError(refusal)
         while hi - lo > 1:  # the bound is over budget at lo and within it at hi
             mid = (lo + hi) // 2

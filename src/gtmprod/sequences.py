@@ -10,11 +10,12 @@ array.  One engine lists signs, ``sign_range`` (delta over [lo, hi), with
 weights, the ladder's direct sums, the direct oracle and ``gtmprod seq``.
 One engine takes sign moments, ``block_moments`` (sum_j delta_j (j - H)^i
 over a block of q^m, memoized): it serves the ladder's c_i and the
-oracle's moment blocks.  ``delta_prefix`` grows a numpy prefix block by
-block, kept for the bulk arrays of ``dirichlet_direct`` and the extremal
-enumeration.  numpy is imported only inside the bulk routines
-(``delta_prefix``, ``partial_sums_upto`` and ``extremal_partial_sums``),
-so digit access loads no array library.
+oracle's moment blocks.  One numpy engine grows a prefix block by block:
+``delta_prefix`` (the signs, for the bulk arrays of ``dirichlet_direct``)
+and ``partial_sums_upto`` (the partial sums, which the extremal
+enumeration reads) are its two callers.  numpy is imported only inside the
+bulk routines (``delta_prefix``, ``partial_sums_upto`` and
+``extremal_partial_sums``), so digit access loads no array library.
 
 Supported names:
 
@@ -230,7 +231,7 @@ def _digits_msb(n: int, q: int) -> list[int]:
 
 def sign_at(seq: MultiplicativeSequence, n: int) -> int:
     """delta_n: product of the pattern signs over the base-q digits of n."""
-    if n < 0:
+    if _as_int(n, "n") < 0:
         raise ValueError("n must be >= 0")
     signs = seq.signs
     q = seq.q
@@ -251,7 +252,7 @@ def sign_range(seq: MultiplicativeSequence, lo: int, hi: int) -> list[int]:
     delta_(k mod q) takes one ``sign_at`` per value of k div q, and none
     when k1 <= q, as from lo = 0.
     """
-    if not 0 <= lo <= hi:
+    if not 0 <= _as_int(lo, "lo") <= _as_int(hi, "hi"):
         raise ValueError(f"need 0 <= lo <= hi, got [{lo}, {hi})")
     q, signs = seq.q, seq.signs
     plus, minus = [1], [-1]  # delta over [0, B) and its negation
@@ -278,7 +279,7 @@ def sign_range(seq: MultiplicativeSequence, lo: int, hi: int) -> list[int]:
 
 def sign_prefix(seq: MultiplicativeSequence, length: int) -> list[int]:
     """delta_0 .. delta_(length-1): ``sign_range`` from 0."""
-    return sign_range(seq, 0, length)
+    return sign_range(seq, 0, _as_int(length, "length"))
 
 
 @lru_cache(maxsize=1024)
@@ -315,7 +316,7 @@ def partial_sum(seq: MultiplicativeSequence, n: int) -> int:
     (Delta_of_prefix, delta_of_prefix); appending digit d maps
     Delta -> Delta * Delta_q + delta * Delta_d.
     """
-    if n < 0:
+    if _as_int(n, "n") < 0:
         raise ValueError("n must be >= 0")
     pre = seq.prefix_sums
     dq = seq.delta_q
@@ -327,48 +328,47 @@ def partial_sum(seq: MultiplicativeSequence, n: int) -> int:
     return total
 
 
-def partial_sums_upto(seq: MultiplicativeSequence, n_max: int) -> np.ndarray:
-    """Vectorized Delta_0..Delta_{n_max} (same digit recursion, all n at once)."""
-    import numpy as np
+def _grow(seq: MultiplicativeSequence, length: int, sums: bool) -> np.ndarray:
+    """f(0) .. f(length - 1): the signs delta_n as int8, or with ``sums``
+    the partial sums Delta_n as int64; the package's one numpy grower.
 
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    q = seq.q
-    pre = np.array(seq.prefix_sums[: q], dtype=np.int64)
-    sgn = np.array(seq.signs, dtype=np.int64)
-    dq = seq.delta_q
-    n = np.arange(n_max + 1, dtype=np.int64)
-    total = np.zeros_like(n)
-    s = np.ones_like(n)
-    ndigits = len(_digits_msb(n_max, q)) if n_max else 0
-    for j in range(ndigits - 1, -1, -1):
-        d = (n // q**j) % q
-        total = total * dq + s * pre[d]
-        s = s * sgn[d]
-    return total
-
-
-def delta_prefix(seq: MultiplicativeSequence, length: int) -> np.ndarray:
-    """First ``length`` signs as int8, grown block-wise from the pattern.
-
-    Uses delta over [k*q^m, (k+1)*q^m) = delta_k * (delta over [0, q^m)).
+    Over [dB, (d+1)B), B = q^K, f is o_d(K) + delta_d f(x) for x in [0, B),
+    with o = 0 for the signs and o = Delta_d Delta_q^K for the sums, as
+    Delta_(dB) = Delta_d Delta_B.  The blocks grow from f(0) to the largest
+    B below length, and the last step forms only the blocks that reach
+    length, cut at it.
     """
     import numpy as np
 
-    if length < 0:
-        raise ValueError("length must be >= 0")
-    arr = np.array([1], dtype=np.int8)
-    signs = seq.signs
+    q, signs = seq.q, seq.signs
+    pre = seq.prefix_sums if sums else (0,) * q  # o_d(K) = pre[d] Delta_B
+    arr = np.array([0 if sums else 1], dtype=np.int64 if sums else np.int8)
+    delta_b = 1  # Delta_B = Delta_q^K
     while arr.size < length:
-        out = np.empty(arr.size * seq.q, dtype=np.int8)
-        for i, s in enumerate(signs):
-            block = out[i * arr.size:(i + 1) * arr.size]
-            if s < 0:
-                np.negative(arr, out=block)
-            else:
-                block[:] = arr
-        arr = out
+        B = arr.size
+        out = np.empty(min(B * q, length), dtype=arr.dtype)
+        for d in range(-(-out.size // B)):
+            block = out[d * B:(d + 1) * B]
+            off = pre[d] * delta_b
+            np.multiply(arr[:block.size], signs[d], out=block)
+            if off:  # 0 for the signs, at d = 0, and past K = 0 when Delta_q = 0
+                block += off
+        arr, delta_b = out, delta_b * seq.delta_q
     return arr[:length]
+
+
+def partial_sums_upto(seq: MultiplicativeSequence, n_max: int) -> np.ndarray:
+    """Delta_0 .. Delta_{n_max} as int64, from the numpy grower."""
+    if _as_int(n_max, "n_max") < 0:
+        raise ValueError("n_max must be >= 0")
+    return _grow(seq, n_max + 1, sums=True)
+
+
+def delta_prefix(seq: MultiplicativeSequence, length: int) -> np.ndarray:
+    """delta_0 .. delta_(length-1) as int8, from the numpy grower."""
+    if _as_int(length, "length") < 0:
+        raise ValueError("length must be >= 0")
+    return _grow(seq, length, sums=False)
 
 
 def geometric_bound(q: int, k: int) -> int:
@@ -388,23 +388,19 @@ def extremal_partial_sums(q: int, k: int) -> tuple[int, int]:
     """
     import numpy as np
 
-    if q < 2 or k < 0:
+    if _as_int(q, "q") < 2 or _as_int(k, "k") < 0:
         raise ValueError("need q >= 2 and k >= 0")
     if q > EXTREMAL_Q_CAP or k > EXTREMAL_K_CAP:
         raise ValueError(
             f"enumeration capped at q <= {EXTREMAL_Q_CAP}, k <= {EXTREMAL_K_CAP}"
         )
-    n_top = q**k
     best_at_power = 0
     best_upto = 0
     for tail in _cartesian((1, -1), repeat=q - 1):
         if all(s == 1 for s in tail):
             continue
-        seq = MultiplicativeSequence(q, (1,) + tail, "enum")
-        best_at_power = max(best_at_power, abs(partial_sum(seq, n_top)))
-        deltas = np.concatenate(
-            ([0], np.cumsum(delta_prefix(seq, n_top), dtype=np.int64))
-        )
+        deltas = partial_sums_upto(MultiplicativeSequence(q, (1,) + tail, "enum"), q**k)
+        best_at_power = max(best_at_power, abs(int(deltas[-1])))
         best_upto = max(best_upto, int(np.abs(deltas).max()))
     return best_at_power, best_upto
 

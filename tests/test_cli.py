@@ -179,7 +179,8 @@ class TestVerify:
         assert doc["summary"] == {"total": 4, "pass": 4, "fail": 0}
         row = doc["results"][0]
         assert set(row) == {"id", "paper", "method", "lhs_value", "rhs_value",
-                            "abs_dlog", "est_error", "terms_used", "pass"}
+                            "abs_dlog", "est_error", "terms_used", "pass", "reason"}
+        assert row["reason"] is None
 
     def test_non_finite_fields_are_null(self, capsys, no_config):
         # the oracle refuses N = 3 < q^2, so the record fails with a NaN value
@@ -195,6 +196,39 @@ class TestVerify:
         assert code == 1 and row["pass"] is False and row["terms_used"] == 0
         assert row["lhs_value"] is row["abs_dlog"] is row["est_error"] is None
         assert row["rhs_value"] == 1 / math.sqrt(2)
+
+    def test_failed_rows_carry_the_reason_the_text_prints(self, capsys, no_config):
+        # the text output explained a failure that the json and csv rows dropped
+        args = ("verify", "--filter", "wr", "--tol", "1e-300")
+        code, out, _ = run(capsys, *args)
+        assert code == 1
+        reason = out.splitlines()[1].removeprefix("      reason: ")
+        assert reason.startswith("eps 2.5e-301 is below the accuracy of the Dirichlet")
+        code, out, _ = run(capsys, "--format", "json", *args)
+        (row,) = json.loads(out)["results"]
+        assert code == 1 and row["pass"] is False and row["reason"] == reason
+        code, out, _ = run(capsys, "--format", "csv", *args)
+        (row,) = csv.DictReader(io.StringIO(out))
+        assert code == 1 and row["pass"] == "False" and row["reason"] == reason
+
+    @pytest.mark.parametrize("catalog, glob, message", [
+        (None, "nothing_matches", "no record matches --filter 'nothing_matches'"),
+        ("# only a comment\n\n", None, "the catalog holds no record"),
+    ], ids=["filter", "empty-catalog"])
+    def test_empty_selection_is_a_usage_error(self, capsys, no_config, tmp_path,
+                                              catalog, glob, message):
+        # it printed "summary: 0/0 pass" and exited 0, so a mistyped filter passed
+        args = ["--format", "json", "verify"]
+        if catalog is not None:
+            path = tmp_path / "empty.catalog"
+            path.write_text(catalog)
+            args += ["--catalog", str(path)]
+        if glob is not None:
+            args += ["--filter", glob]
+        code, out, err = run(capsys, *args)
+        assert code == 2 and err == f"error: {message}\n"
+        assert json.loads(out) == {"command": "verify", "error": {
+            "exit_code": 2, "kind": "usage", "message": f"error: {message}"}}
 
     def test_csv_header(self, capsys, no_config):
         code, out, _ = run(capsys, "--format", "csv", "verify", "--filter", "wr")

@@ -203,6 +203,19 @@ class TestAcceleratedEvaluator:
             evaluate_product(wr_spec(), eps=1e-31, cache=cache)
         assert "N <=" not in str(info.value) and summed == []
 
+    def test_dirichlet_refusal_quotes_the_charge_that_fails(self, cache):
+        # order 7 is good to 4.7e-32, far below eps, which alone read as if it
+        # should pass: what stops J is its charge, |beta_7| = 6.0e20 times that
+        # accuracy and a head of MAX_N units, with what orders 1-6 spent
+        spec = ProductSpec(parse_seq_spec("gtm:3:01"), "delta", 1,
+                           parse_product_term("((n+10000)(n+10002))/((n+10001)^2)"))
+        with pytest.raises(EpsUnachievableError) as info:
+            evaluate_product(spec, eps=1e-13, cache=cache)
+        assert str(info.value) == (
+            "eps 1e-13 is below the accuracy of the Dirichlet constants: order 7 is good "
+            "to 4.7e-32; its charge 2.8e-11 (|beta_7| = 6.0e+20) and the 1.9e-15 of "
+            "orders 1-6 are past eps/4 = 2.5e-14")
+
     def test_refusal_blames_n_where_the_tail_is_the_limit(self, cache):
         # a root near 2e5 keeps 4M below MAX_N, but its tail bound at MAX_N
         # is past eps/4 even with every order, so N is the limit
@@ -313,8 +326,8 @@ class TestCertificate:
                 N = 4 * _series_cutoff(spec.term)
                 pairs = spec.term.log_pairs(MAX_J)
                 record = cache.series_record(spec.seq, spec.mode)
-                J, orders, charge = record.fit(pairs, math.inf)
-                assert J == MAX_J and orders
+                J, orders, charge, over = record.fit(pairs, math.inf)
+                assert J == MAX_J and orders and over == 0.0
                 w = [sign_at(spec.seq, n) for n in range(N + 1)]
                 if spec.mode == "theta":
                     w = [(1 - x) // 2 for x in w]

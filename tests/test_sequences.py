@@ -20,6 +20,7 @@ from gtmprod.sequences import (
     partial_sums_upto,
     sign_at,
     sign_prefix,
+    sign_range,
 )
 
 
@@ -57,8 +58,8 @@ def digit_stats(q, n):
     return tuple(counts[1:]), s
 
 
-def random_pattern(rng, q_max=6):
-    q = rng.randint(2, q_max)
+def random_pattern(rng, q_max=6, q_min=2):
+    q = rng.randint(q_min, q_max)
     while True:
         bits = "".join(rng.choice("01") for _ in range(q - 1))
         if "1" in bits:
@@ -180,14 +181,53 @@ class TestPartialSums:
         assert partial_sum(parse_seq_spec("gtm:2:1"), 0) == 0
 
     def test_fast_equals_naive_sampled_patterns(self):
+        # one random pattern per base: the numpy grower against its
+        # independent oracles, the digit walk partial_sum for the sums and the
+        # morphism for the signs, then cut at each length where a block ends
         rng = random.Random(20240)
-        for _ in range(12):
-            seq = random_pattern(rng)
-            n_max = 20_000
+        n_max = 20_000
+        for q in range(2, 17):
+            seq = random_pattern(rng, q_min=q, q_max=q)
             fast = partial_sums_upto(seq, n_max)
+            signs = delta_prefix(seq, n_max)
+            assert fast.dtype == np.int64 and fast.shape == (n_max + 1,)
+            assert signs.dtype == np.int8 and signs.shape == (n_max,)
             assert (fast == naive_partial_sums(seq, n_max)).all()
-            for n in rng.sample(range(n_max), 25):
+            assert fast[:5000].tolist() == [partial_sum(seq, n) for n in range(5000)]
+            for n in rng.sample(range(5000, n_max + 1), 25):
                 assert partial_sum(seq, n) == fast[n]
+            bits = seq.gtm_spec.split(":")[2]
+            assert ((1 - signs) // 2).tolist() == morphism_prefix(q, bits, n_max)
+            powers = [q**k for k in range(1, 6) if q**k < n_max]
+            for length in {0, 1, q - 1, q} | {p + i for p in powers for i in (-1, 0, 1)}:
+                sums = partial_sums_upto(seq, length)
+                assert sums.dtype == np.int64 and sums.tolist() == fast[:length + 1].tolist()
+                prefix = delta_prefix(seq, length)
+                assert prefix.dtype == np.int8 and prefix.tolist() == signs[:length].tolist()
+            with pytest.raises(ValueError, match="n_max must be >= 0"):
+                partial_sums_upto(seq, -1)
+            with pytest.raises(ValueError, match="length must be >= 0"):
+                delta_prefix(seq, -1)
+
+    @pytest.mark.parametrize("call, message", [
+        # a float or bool size once gave a wrong-length array (10.0 -> 11 sums,
+        # True -> 2) or a TypeError about slices or tuple indices
+        (lambda s: partial_sums_upto(s, 10.0), "n_max must be an int, got float"),
+        (lambda s: partial_sums_upto(s, True), "n_max must be an int, got bool"),
+        (lambda s: delta_prefix(s, True), "length must be an int, got bool"),
+        (lambda s: delta_prefix(s, 4.0), "length must be an int, got float"),
+        (lambda s: partial_sum(s, 5.0), "n must be an int, got float"),
+        (lambda s: sign_at(s, 3.0), "n must be an int, got float"),
+        (lambda s: sign_at(s, True), "n must be an int, got bool"),
+        (lambda s: sign_range(s, 0.0, 4), "lo must be an int, got float"),
+        (lambda s: sign_range(s, 0, 4.0), "hi must be an int, got float"),
+        (lambda s: sign_prefix(s, 4.0), "length must be an int, got float"),
+        (lambda s: extremal_partial_sums(3.0, 2), "q must be an int, got float"),
+        (lambda s: extremal_partial_sums(3, True), "k must be an int, got bool"),
+    ])
+    def test_non_int_size_or_index_is_a_type_error(self, call, message):
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            call(parse_seq_spec("gtm:3:01"))
 
     def test_power_identity_exact(self):
         for spec in ("gtm:2:1", "gtm:3:01", "gtm:4:011", "gtm:5:0101", "dcount:5:2"):
@@ -273,6 +313,21 @@ class TestExtremalSums:
         # delta = (+,+,-) attains Delta_5 = 3 = 1 + (3-2) + (3-2)^2
         seq = make_sequence("gtm", 3, bits="01")
         assert partial_sum(seq, 5) == 3
+
+    # the enumeration's answers for q = 2..6 and k = 0..6, as (max |Delta_(q^k)|
+    # for k = 0..6, max_(n <= q^k) |Delta_n| for k = 0..6)
+    PINNED = {
+        2: ([1, 0, 0, 0, 0, 0, 0], [1, 1, 1, 1, 1, 1, 1]),
+        3: ([1, 1, 1, 1, 1, 1, 1], [1, 2, 3, 4, 5, 6, 7]),
+        4: ([1, 2, 4, 8, 16, 32, 64], [1, 3, 7, 15, 31, 63, 127]),
+        5: ([1, 3, 9, 27, 81, 243, 729], [1, 4, 13, 40, 121, 364, 1093]),
+        6: ([1, 4, 16, 64, 256, 1024, 4096], [1, 5, 21, 85, 341, 1365, 5461]),
+    }
+
+    @pytest.mark.parametrize("q", sorted(PINNED))
+    def test_pinned(self, q):
+        got = [extremal_partial_sums(q, k) for k in range(7)]
+        assert got == list(zip(*self.PINNED[q]))
 
     def test_caps(self):
         with pytest.raises(ValueError):
