@@ -20,7 +20,7 @@ _EXPORTS = {
                 "load_catalog", "parse_catalog_line", "run_catalog"),
     "direct": ("evaluate_direct",),
     "dirichlet": ("DirichletCache", "EpsUnachievableError", "dirichlet_direct", "dirichlet_mp",
-                  "dirichlet_value", "power_moments", "zeta_mp"),
+                  "dirichlet_value", "zeta_mp"),
     "evaluator": ("FunctionalEquationReport", "IdentityReport", "build_gamma_ratio_term",
                   "build_scaling_term", "evaluate_product", "plain_product_log_closed",
                   "verify_functional_equation", "verify_identity"),

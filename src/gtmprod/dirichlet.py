@@ -69,7 +69,6 @@ and forms the series in fixed point.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 import operator
@@ -109,14 +108,6 @@ def check_eps(value: float, name: str = "eps") -> float:
     return value
 
 
-def power_moments(seq: MultiplicativeSequence, i: int) -> int:
-    """c_i = sum_{k=0}^{q-1} delta_k k^i, with 0^0 := 1: the m = 1 row of
-    ``block_moments``.  i must be an int (a bool or a float is a TypeError)."""
-    if _as_int(i, "i") < 0:
-        raise ValueError("moment order must be >= 0")
-    return block_moments(seq.signs, 1, 0, i)[i]
-
-
 class DirichletCache:
     """In-memory memo of the ladder's fixed-point triples and the series records.
 
@@ -126,7 +117,7 @@ class DirichletCache:
     the cache object: a fresh cache starts cold.
 
     ``series_record`` hands out the ``SeriesRecord`` of a (seqspec, mode),
-    built from the memo on first use.  Each holds one entry of 2 MAX_J ints
+    built from the memo on first use.  Each holds one entry of MAX_J ints
     for each distinct N it was asked for.
     """
 
@@ -417,11 +408,11 @@ class SeriesRecord:
     charges each order |beta_j| (err_j + MAX_N 2^-B) + 2^-B, and ``series``
     rounds the fixed-point sum to binary64 once more.
 
-    S_j(N) is split by the sign of w_n and kept for every N asked, one entry
-    of 2 MAX_J ints each.  A new N extends the sums of the nearest lower one,
-    so the loop over n runs only up to the largest N asked.  The lock is the
-    cache's: new sums are built outside it and published under it, and never
-    change after.
+    S_j(N) is kept for every N asked, one signed entry of MAX_J ints each,
+    in a dict keyed on N.  A new N extends the sums of the largest N below
+    it, so the loop over n runs only up to the largest N asked.  The lock is
+    the cache's: new sums are built outside it and published under it, and
+    never change after.
     """
 
     def __init__(self, seq: MultiplicativeSequence, mode: str, cache: DirichletCache):
@@ -437,8 +428,7 @@ class SeriesRecord:
         self.orders, self.bits = tuple(orders), bits
         self._seq, self._theta = seq, mode == "theta"
         self._lock = cache._lock
-        self._ns = [0]  # the memoized N, sorted
-        self._sums = {0: ((0,) * MAX_J, (0,) * MAX_J)}
+        self._sums = {0: (0,) * MAX_J}  # N -> (S_1(N), ..., S_MAX_J(N))
 
     def weights(self, N: int) -> list[int]:
         """w_0..w_N."""
@@ -476,25 +466,25 @@ class SeriesRecord:
         X_j is.  One pass over n builds every j, as floor(floor(2^B /
         n^(j-1)) / n) = floor(2^B / n^j)."""
         n_top = len(w) - 1
-        with self._lock:
-            low = self._ns[bisect.bisect_right(self._ns, n_top) - 1]
-            plus, minus = self._sums[low]
+        with self._lock:  # an exact hit, or the largest N below to extend
+            low = n_top if n_top in self._sums else max(n for n in self._sums if n < n_top)
+            sums = self._sums[low]
         if low < n_top:
-            plus, minus = list(plus), list(minus)
-            one = 1 << self.bits
+            acc, one = list(sums), 1 << self.bits
             for n in range(low + 1, n_top + 1):
-                if w[n]:
-                    acc, x = (plus if w[n] > 0 else minus), one
+                if w[n] > 0:
+                    x = one
                     for j in range(MAX_J):
                         x //= n
                         acc[j] += x
-            plus, minus = tuple(plus), tuple(minus)
+                elif w[n]:
+                    x = one
+                    for j in range(MAX_J):
+                        x //= n
+                        acc[j] -= x
             with self._lock:
-                if n_top not in self._sums:
-                    self._sums[n_top] = (plus, minus)
-                    bisect.insort(self._ns, n_top)
-        return [None if g is None else g[0] - p + m
-                for g, p, m in zip(self.orders, plus, minus)]
+                sums = self._sums.setdefault(n_top, tuple(acc))
+        return [None if g is None else g[0] - s for g, s in zip(self.orders, sums)]
 
 
 def dirichlet_mp(seq: MultiplicativeSequence, s: int,

@@ -74,7 +74,7 @@ from .ratfun import (
     over_common_denominator,
     value_pairs,
 )
-from .sequences import MultiplicativeSequence
+from .sequences import MultiplicativeSequence, partial_sum
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -168,6 +168,18 @@ def _accel_components(spec: ProductSpec, eps: float, cache: DirichletCache):
             mid = (lo + hi) // 2
             lo, hi = (mid, hi) if _tail_bound(offsets, J, mid) > budget else (lo, mid)
         N = hi
+    # The head has k weighted terms in [start, N], so at least ceil(k/_HEAD_RUN)
+    # runs, and fl_round below charges 2u for each: its fsum is at least
+    # 2 len(head).  Formed the same way, least <= the final estimate, so this
+    # refusal, before the head is summed, refuses only what the final check would
+    k = N + 1 - spec.start
+    if spec.mode == "theta":  # the n with delta_n = -1
+        k = (k - partial_sum(seq, N + 1) + partial_sum(seq, spec.start)) // 2
+    bound = _tail_bound(offsets, J, N) + series_err
+    least = bound + 2.0**-53 * _ROUND_UP * (2 * -(-k // _HEAD_RUN))
+    if least > eps:
+        raise EpsUnachievableError(f"certified error of at least {least:g} exceeds eps "
+                                   f"{eps:g} (a lower bound, taken before the head is summed)")
     w = record.weights(N)
     head = _head_logs(term, spec.start, w)
     series = record.series(orders, w)
@@ -182,7 +194,7 @@ def _accel_components(spec: ProductSpec, eps: float, cache: DirichletCache):
     # this bound.
     fl_round = 2.0**-53 * _ROUND_UP * math.fsum(
         [2 * len(head), 8 * sum(map(abs, head)), abs(series), abs(log_value)])
-    return log_value, _tail_bound(offsets, J, N) + series_err + fl_round, N, J
+    return log_value, bound + fl_round, N, J
 
 
 def evaluate_product(spec: ProductSpec, eps: float = 1e-9,
@@ -192,8 +204,9 @@ def evaluate_product(spec: ProductSpec, eps: float = 1e-9,
     (J, N) are chosen once from eps: J is the largest order <= MAX_J whose
     Dirichlet and fixed-point errors fit in eps/4, N the smallest N >= 4M whose
     proven tail bound fits in eps/4.  Raises EpsUnachievableError, before
-    any summing, if that N would exceed MAX_N, and after it if the rounding
-    bound takes the certified error past eps.
+    any summing, if that N would exceed MAX_N or if the head's least rounding
+    bound already takes the certified error past eps, and after it if the
+    whole rounding bound does.
     """
     check_eps(eps)
     _require_ok(spec)

@@ -90,6 +90,14 @@ def _as_int(x, what: str) -> int:
     raise TypeError(f"{what} must be an int, got {type(x).__name__}")
 
 
+def _check_q(q) -> int:
+    """q if it is an int >= 2: a float or bool is a TypeError, a smaller int
+    a SequenceError."""
+    if _as_int(q, "q") < 2:
+        raise SequenceError(f"q must be >= 2, got {q}")
+    return q
+
+
 def _as_bit(value) -> int:
     b = int(value)
     if b not in (0, 1):
@@ -134,8 +142,7 @@ class MultiplicativeSequence(FrozenValue):
     _fields = ("q", "signs", "spec")
 
     def __init__(self, q: int, signs: tuple[int, ...], spec: str):
-        if _as_int(q, "q") < 2:
-            raise SequenceError(f"q must be >= 2, got {q}")
+        _check_q(q)
         if len(signs) != q:
             raise SequenceError("need exactly q signs")
         if any(s not in (1, -1) for s in signs):
@@ -181,8 +188,7 @@ def make_sequence(kind: str, q: int, *, bits=None, k: int | None = None) -> Mult
     evaluation rejects it downstream.  q and k must be ints (a bool or a
     float is a TypeError).
     """
-    if _as_int(q, "q") < 2:
-        raise SequenceError(f"q must be >= 2, got {q}")
+    _check_q(q)
     if kind == "gtm":
         if bits is None:
             raise SequenceError("gtm sequence needs theta bits")
@@ -373,6 +379,9 @@ def delta_prefix(seq: MultiplicativeSequence, length: int) -> np.ndarray:
 
 def geometric_bound(q: int, k: int) -> int:
     """1 + (q-2) + ... + (q-2)^k with the 0^0 := 1 convention."""
+    _check_q(q)
+    if _as_int(k, "k") < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     total = 0
     for i in range(k + 1):
         total += 1 if i == 0 else (q - 2) ** i
@@ -410,8 +419,7 @@ def k0_threshold(q: int) -> int:
 
     Past this level every n >= q^k satisfies |Delta_n| <= n^(log_q(q-1)).
     """
-    if q < 2:
-        raise SequenceError(f"q must be >= 2, got {q}")
+    _check_q(q)
     k = 0
     while geometric_bound(q, k + 1) > (q - 1) ** k:
         k += 1
@@ -420,4 +428,4 @@ def k0_threshold(q: int) -> int:
 
 def asymptotic_exponent(q: int) -> float:
     """log_q(q-1), the growth exponent of the worst-case partial sums."""
-    return math.log(q - 1) / math.log(q)
+    return math.log(_check_q(q) - 1) / math.log(q)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from gtmprod.cli import main
+from gtmprod.cli import console_main, main
 
 
 @pytest.fixture()
@@ -59,10 +59,16 @@ class TestAliasNames:
 
 
 class TestCheck:
-    def test_ok(self, capsys, no_config):
+    def test_ok(self, capsys, no_config, monkeypatch):
         code, out, _ = run(capsys, "check", "--term", "(2n+1)/(2n+2)",
                            "--mode", "delta")
         assert code == 0 and out.strip() == "ok"
+        # the console script reads sys.argv and exits with main's code
+        monkeypatch.setattr(sys, "argv", ["gtmprod", "check", "--term", "(2n+1)/(2n+2)",
+                                          "--mode", "delta"])
+        with pytest.raises(SystemExit) as info:
+            console_main()
+        assert info.value.code == 0 and capsys.readouterr().out.strip() == "ok"
 
     def test_rejected_exit_3(self, capsys, no_config):
         code, out, _ = run(capsys, "check", "--term", "(2n+1)/(2n+2)",

@@ -189,6 +189,23 @@ class TestAcceleratedEvaluator:
             evaluate_product(wr_spec(), eps=5e-32, cache=cache)
         assert "N <=" not in str(info.value) and summed == []
 
+    @pytest.mark.parametrize("mode, term", [("delta", "(2n+1)/(2n+2)"),
+                                            ("theta", "((2n+1)(4n+3))/((2n+2)(4n+1))")])
+    def test_refuses_below_the_heads_rounding_before_summing(self, mode, term, cache,
+                                                              monkeypatch):
+        # at eps 4e-31 the Dirichlet constants fit and so does an N <= MAX_N,
+        # but the head's fewest runs, at 2u each, are past eps on their own
+        import gtmprod.evaluator as emod
+
+        def summed(*args):
+            raise AssertionError("the head was summed")
+
+        monkeypatch.setattr(emod, "_head_logs", summed)
+        spec = ProductSpec(TM, mode, 0, parse_product_term(term))
+        with pytest.raises(EpsUnachievableError, match=r"^certified error of at least \S+ "
+                                                       r"exceeds eps 4e-31 \(a lower bound"):
+            evaluate_product(spec, eps=4e-31, cache=cache)
+
     def test_refusal_blames_dirichlet_constants_that_cap_j(self, cache, monkeypatch):
         # at eps 1e-31 order 1 fits and order 2 does not, so J = 1, whose
         # tail bound at MAX_N is near 6e-7: no N could mend it, while all
@@ -640,6 +657,8 @@ class TestFunctionalEquations:
                                        {"a_list": [1], "b_list": [2]}, cache=cache)
         with pytest.raises(ValueError):
             verify_functional_equation("nope", 2, "1", {}, cache=cache)
+        with pytest.raises(ZeroDivisionError, match="^the right-hand side has a zero denom"):
+            build_scaling_term(TM, -1, 1)  # a = -1 puts a factor 2n + 0 in the base-q step
 
 
 class TestBuilderTerms:
@@ -732,6 +751,11 @@ class TestModeConsistency:
         # its factor n - 1 gives Gamma(-1)
         with pytest.raises(ValueError, match="^Gamma argument -1 is a nonpositive integer$"):
             plain_product_log_closed(parse_product_term("((n-1)(n+3))/((n+1)^2)"), 0)
+        # the term is -3 at n = 0, so from 0 the product is -1; from 1 it is 1/3
+        term = parse_product_term("((2n-1)(2n+3))/((2n+1)^2)")
+        with pytest.raises(ArithmeticError, match="^closed form is not positive real"):
+            plain_product_log_closed(term, 0)
+        assert abs(plain_product_log_closed(term, 1) + math.log(3)) <= 1e-15
 
 
 class TestTelescoping:

@@ -44,6 +44,8 @@ class TestLogGamma:
                 log_gamma(z)
             with pytest.raises(GammaDomainError):
                 gamma(z)
+        with pytest.raises(GammaDomainError, match="^non-finite argument"):
+            log_gamma(float("nan"))
 
     def test_overflow_raises(self):
         with pytest.raises(GammaDomainError):
@@ -123,6 +125,14 @@ class TestIdentities:
             check_gamma_identity("special", 0.3)
         with pytest.raises(ValueError):
             check_gamma_identity("nonsense", 1.0)
+        with pytest.raises(ValueError, match="needs an order n >= 1"):
+            check_gamma_identity("multiplication", 0.5)
+        with pytest.raises(GammaDomainError, match=r"^pole at z \+ 1/2$"):
+            check_gamma_identity("multiplication", -0.5, n=2)
+        with pytest.raises(GammaDomainError, match="^pole among z/2"):
+            check_gamma_identity("duplication", -2.0)
+        with pytest.raises(GammaDomainError):
+            check_gamma_identity("special", 1 + 1j)
         # these used to escape as OverflowError
         for identity in ("reflection", "special"):
             with pytest.raises(GammaDomainError):

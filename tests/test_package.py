@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -50,3 +51,16 @@ def test_a_name_loads_only_its_module():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [[], ["gtmprod.sequences"]]
+
+
+def test_every_public_name_is_used():
+    # one engine per job, and no exported helper that nothing uses: each
+    # public name is named at least twice, its definition and one use, in
+    # the package's modules, the README or the acceptance tests
+    root = Path(__file__).resolve().parents[1]
+    files = [p for p in sorted((root / "src" / "gtmprod").glob("*.py")) if p.name != "__init__.py"]
+    text = "\n".join(p.read_text() for p in files + [root / "README.md",
+                                                     root / "tests" / "test_acceptance.py"])
+    unused = [name for name in gtmprod.__all__
+              if len(re.findall(rf"\b{re.escape(name)}\b", text)) < 2]
+    assert unused == []

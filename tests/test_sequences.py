@@ -224,6 +224,18 @@ class TestPartialSums:
         (lambda s: sign_prefix(s, 4.0), "length must be an int, got float"),
         (lambda s: extremal_partial_sums(3.0, 2), "q must be an int, got float"),
         (lambda s: extremal_partial_sums(3, True), "k must be an int, got bool"),
+        # k0_threshold(2.5) gave 2, geometric_bound(3.0, 2) 3.0, and
+        # k0_threshold(True) a message about q >= 2
+        pytest.param(lambda s: k0_threshold(2.5), "q must be an int, got float",
+                     id="k0_threshold-float"),
+        pytest.param(lambda s: k0_threshold(True), "q must be an int, got bool",
+                     id="k0_threshold-bool"),
+        pytest.param(lambda s: geometric_bound(3.0, 2), "q must be an int, got float",
+                     id="geometric_bound-q-float"),
+        pytest.param(lambda s: geometric_bound(3, 2.0), "k must be an int, got float",
+                     id="geometric_bound-k-float"),
+        pytest.param(lambda s: asymptotic_exponent(True), "q must be an int, got bool",
+                     id="asymptotic_exponent-bool"),
     ])
     def test_non_int_size_or_index_is_a_type_error(self, call, message):
         with pytest.raises(TypeError, match=f"^{message}$"):
@@ -357,6 +369,15 @@ class TestBounds:
 
     def test_k0_values(self):
         assert [k0_threshold(q) for q in (2, 3, 4, 5)] == [0, 2, 4, 6]
+
+    def test_q_below_2_or_negative_k_refused(self):
+        # asymptotic_exponent(1) raised a bare math domain error
+        for call in (lambda: k0_threshold(1), lambda: geometric_bound(0, 2),
+                     lambda: asymptotic_exponent(1)):
+            with pytest.raises(SequenceError, match="^q must be >= 2, got"):
+                call()
+        with pytest.raises(ValueError, match="^k must be >= 0, got -1$"):
+            geometric_bound(3, -1)
 
     @pytest.mark.parametrize("q", [2, 3])
     def test_asymptotic_bound_sampled(self, q):
